@@ -4,7 +4,7 @@ from .gate import (GateParam, apply_gate, apply_mask, foothill_fd,
                    foothill_fd_grad, hard_mask, surrogate_mask,
                    surrogate_mask_grad)
 from .objective import ObjectiveConfig, cross_entropy, l1_alpha, masked_l2, ratio_hinge
-from .pruning import EntityRecord, PruneManager, PruneReport, conv_macs
+from .pruning import EntityRecord, GateDecl, PruneManager, PruneReport, conv_macs
 from .tensor import ShapeError, Tape, Tensor, custom_grad
 from .training import TrainConfig, TrainDivergence, evaluate, lr_at, train
 
@@ -14,7 +14,7 @@ __all__ = [
     "GateParam", "apply_gate", "apply_mask", "foothill_fd", "foothill_fd_grad",
     "hard_mask", "surrogate_mask", "surrogate_mask_grad",
     "ObjectiveConfig", "cross_entropy", "l1_alpha", "masked_l2", "ratio_hinge",
-    "EntityRecord", "PruneManager", "PruneReport", "conv_macs",
+    "EntityRecord", "GateDecl", "PruneManager", "PruneReport", "conv_macs",
     "ShapeError", "Tape", "Tensor", "custom_grad",
     "TrainConfig", "TrainDivergence", "evaluate", "lr_at", "train",
 ]

@@ -25,6 +25,7 @@ GRANULARITY_FOR_ARCH = {
     "lstm-classifier": ("none", "node"),
     "lstm-lm": ("none", "node"),
 }
+IMAGE_ARCHS = ("toy-convnet", "resnet-small")
 DATASETS = ("synth-class", "synth-images", "synth-seq-majority",
             "synth-seq-markov", "cifar10")
 
@@ -119,6 +120,9 @@ def validate_config(raw: dict[str, Any]) -> dict[str, Any]:
         raise ConfigError(
             f"granularity {gran!r} is incompatible with arch {cfg['arch']!r}; "
             f"allowed: {GRANULARITY_FOR_ARCH[cfg['arch']]}")
+    if cfg["augment"] and cfg["arch"] not in IMAGE_ARCHS:
+        raise ConfigError(f"config key 'augment': pad/crop/flip augmentation needs "
+                          f"image input; arch {cfg['arch']!r} does not take images")
     seq_arch = cfg["arch"].startswith("lstm")
     seq_data = cfg["dataset"].startswith("synth-seq")
     if seq_arch != seq_data and cfg["dataset"] != "cifar10":

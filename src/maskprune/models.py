@@ -2,9 +2,14 @@
 
 Every model exposes the same surface: ``params()`` mapping names to the live
 parameter arrays (scaling factors included, so the optimizer sees them),
-``gates()``, ``entities()`` for the prune registry, ``flops(active)`` for
-cost accounting, ``l2_groups``/``alpha_nodes``/``hinge_gates`` for the
-objective, and ``forward(tape, x, mode)`` returning [N, classes] logits.
+``gates()``, ``l2_groups``/``alpha_nodes``/``hinge_gates`` for the objective,
+and ``forward(tape, x, mode)`` returning [N, classes] logits.  For the prune
+registry each model declares its accounting once per gate in ``gate_decls()``:
+the gate's reporting group, the dense MACs of one component, how component
+``i`` is named, and the parameter slices the gate owns and the ones that
+depend on it (next-layer input channels, as ``AXIS1``).  ``flops(live)`` then
+costs the network from the live component count of each gate, keyed by gate
+name; ungated layers count in full.
 
 Construction is deterministic in the seed, and gate scaling factors are
 initialized to a constant so gated and ungated variants of the same seed
@@ -18,8 +23,8 @@ import numpy as np
 from .gate import DEFAULT_BETA, GateParam, apply_gate
 from .layers import (LSTM_GATES, BnState, ConvUnit, LstmCell, ResidualBlock,
                      avg_pool_full, embedding, linear)
-from .objective import AXIS0, ELEMENTWISE, WHOLE
-from .pruning import EntityRecord, conv_macs
+from .objective import AXIS0, AXIS1, ELEMENTWISE, WHOLE
+from .pruning import GateDecl, conv_macs
 from .tensor import Tape, Tensor, concat_cols, relu, reshape
 
 # FLOPs-per-element convention shared with the accounting oracle
@@ -39,10 +44,10 @@ class Model:
     def gates(self) -> list[GateParam]:
         raise NotImplementedError
 
-    def entities(self) -> list[EntityRecord]:
+    def gate_decls(self) -> list[GateDecl]:
         raise NotImplementedError
 
-    def flops(self, active: dict[str, bool]) -> int:
+    def flops(self, live: dict[str, int]) -> int:
         raise NotImplementedError
 
     def forward(self, tape: Tape, x, mode: str = "train") -> Tensor:
@@ -91,6 +96,21 @@ def _make_conv_unit(name: str, n: int, m: int, rng: np.random.Generator,
     return ConvUnit(weights=w, bn_gamma=np.ones(m), bn_beta=np.zeros(m),
                     bn=BnState.create(m), gate=gate, stride=stride,
                     padding=padding, relu=relu_after, name=name)
+
+
+def _live(live: dict[str, int], gate: GateParam | None, full: int) -> int:
+    """Live component count of ``gate``; an ungated layer counts in full."""
+    return full if gate is None else live[gate.name]
+
+
+def _filter_decl(u: ConvUnit, hw: tuple[int, int], next_w: str | None) -> GateDecl:
+    """Filter gate of ``u`` with output size ``hw``; ``next_w`` reads its outputs."""
+    n, k = u.weights.shape[1], u.weights.shape[2]
+    return GateDecl(u.gate, u.name, conv_macs(1, n, k, *hw),
+                    lambda i, name=u.name: f"{name}[{i}]",
+                    owned=tuple((f"{u.name}.{p}", AXIS0)
+                                for p in ("w", "bn.gamma", "bn.beta")),
+                    deps=() if next_w is None else ((next_w, AXIS1),))
 
 
 # ---------------------------------------------------------------------------
@@ -147,35 +167,23 @@ class Mlp(Model):
                 h = relu(h)
         return h
 
-    def entities(self):
-        records = []
-        for li, g in enumerate(self._gates):
-            if g is None:
-                continue
-            q, p = self.weights[li].shape
-            for i in range(q * p):
-                idx = np.unravel_index(i, (q, p))
-                records.append(EntityRecord(
-                    entity_id=f"fc{li}.w[{idx[0]},{idx[1]}]", granularity="weight",
-                    gate=g, component=i, owned=[(f"fc{li}.w", idx)],
-                    macs=1, group=f"fc{li}"))
-        return records
+    def gate_decls(self):
+        return [GateDecl(g, f"fc{li}", 1,
+                         lambda i, li=li, p=self.weights[li].shape[1]:
+                         f"fc{li}.w[{i // p},{i % p}]",
+                         owned=((f"fc{li}.w", ELEMENTWISE),))
+                for li, g in enumerate(self._gates) if g is not None]
 
     def l2_groups(self, tape):
         nodes = tape.params
         return [(g, [(nodes[f"fc{li}.w"], ELEMENTWISE)])
                 for li, g in enumerate(self._gates) if g is not None]
 
-    def flops(self, active):
+    def flops(self, live):
         total = 0
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for li, (w, g) in enumerate(zip(self.weights, self._gates)):
             q, p = w.shape
-            if self._gates[li] is not None:
-                live = sum(active[f"fc{li}.w[{i},{j}]"]
-                           for i in range(q) for j in range(p))
-            else:
-                live = q * p
-            total += 2 * live + q
+            total += 2 * _live(live, g, q * p) + q
             if li < len(self.weights) - 1:
                 total += q * RELU_FLOPS_PER_ELEM
         return total
@@ -233,42 +241,23 @@ class ToyConvNet(Model):
         return linear(h, tape.param("head.w", self.head_w),
                       tape.param("head.b", self.head_b))
 
-    def entities(self):
-        records = []
-        for ui, u in enumerate(self.units):
-            if u.gate is None:
-                continue
-            n, k = u.weights.shape[1], u.weights.shape[2]
-            oh, ow = self.input_hw
-            for i in range(u.out_channels):
-                owned = [(f"{u.name}.w", (i,)), (f"{u.name}.bn.gamma", (i,)),
-                         (f"{u.name}.bn.beta", (i,))]
-                deps = []
-                if ui + 1 < len(self.units):
-                    deps.append((f"{self.units[ui + 1].name}.w", (slice(None), i)))
-                else:
-                    deps.append(("head.w", (slice(None), i)))
-                records.append(EntityRecord(
-                    entity_id=f"{u.name}[{i}]", granularity="filter", gate=u.gate,
-                    component=i, owned=owned, deps=deps,
-                    macs=conv_macs(1, n, k, oh, ow), group=u.name))
-        return records
+    def gate_decls(self):
+        nxt = [f"{u.name}.w" for u in self.units[1:]] + ["head.w"]
+        return [_filter_decl(u, self.input_hw, dep) for u, dep in zip(self.units, nxt)
+                if u.gate is not None]
 
     def l2_groups(self, tape):
         nodes = tape.params
         return [(u.gate, [(nodes[f"{u.name}.w"], AXIS0)])
                 for u in self.units if u.gate is not None]
 
-    def flops(self, active):
+    def flops(self, live):
         oh, ow = self.input_hw
         elems = oh * ow
         total = 0
         live_in = self.in_channels
         for u in self.units:
-            if u.gate is None:
-                live_out = u.out_channels
-            else:
-                live_out = sum(active[f"{u.name}[{i}]"] for i in range(u.out_channels))
+            live_out = _live(live, u.gate, u.out_channels)
             k = u.weights.shape[2]
             total += 2 * conv_macs(live_out, live_in, k, oh, ow)
             total += live_out * elems * (BN_FLOPS_PER_ELEM + RELU_FLOPS_PER_ELEM)
@@ -375,49 +364,26 @@ class ResNetSmall(Model):
         return linear(h, tape.param("head.w", self.head_w),
                       tape.param("head.b", self.head_b))
 
-    def entities(self):
+    def gate_decls(self):
         if self.granularity == "subnetwork":
-            records = []
+            decls = []
             for blk, hw in zip(self.blocks, self._block_hw):
-                owned = [(f"{blk.unit1.name}.w", (Ellipsis,)),
-                         (f"{blk.unit1.name}.bn.gamma", (Ellipsis,)),
-                         (f"{blk.unit1.name}.bn.beta", (Ellipsis,)),
-                         (f"{blk.unit2.name}.w", (Ellipsis,)),
-                         (f"{blk.unit2.name}.bn.gamma", (Ellipsis,)),
-                         (f"{blk.unit2.name}.bn.beta", (Ellipsis,))]
-                m1, n1, k, _ = blk.unit1.weights.shape
-                m2, n2, _, _ = blk.unit2.weights.shape
-                branch_macs = (conv_macs(m1, n1, k, *hw) + conv_macs(m2, n2, k, *hw))
-                records.append(EntityRecord(
-                    entity_id=blk.name, granularity="subnetwork", gate=blk.gate,
-                    component=0, owned=owned, deps=[], macs=branch_macs,
-                    group=blk.name.split(".")[0]))
-            return records
+                units = (blk.unit1, blk.unit2)
+                decls.append(GateDecl(
+                    blk.gate, blk.name.split(".")[0],
+                    sum(conv_macs(*u.weights.shape[:3], *hw) for u in units),
+                    lambda i, name=blk.name: name,
+                    owned=tuple((f"{u.name}.{p}", WHOLE) for u in units
+                                for p in ("w", "bn.gamma", "bn.beta"))))
+            return decls
         if self.granularity == "filter":
-            records = []
-            stem_hw = self.input_hw
-            for i in range(self.stem.out_channels):
-                records.append(EntityRecord(
-                    entity_id=f"stem[{i}]", granularity="filter", gate=self.stem.gate,
-                    component=i,
-                    owned=[("stem.w", (i,)), ("stem.bn.gamma", (i,)),
-                           ("stem.bn.beta", (i,))],
-                    deps=[(f"{self.blocks[0].unit1.name}.w", (slice(None), i))],
-                    macs=conv_macs(1, self.in_channels, 3, *stem_hw), group="stem"))
+            decls = [_filter_decl(self.stem, self.input_hw,
+                                  f"{self.blocks[0].unit1.name}.w")]
             for blk, hw in zip(self.blocks, self._block_hw):
-                for u, nxt in ((blk.unit1, blk.unit2), (blk.unit2, None)):
-                    n, k = u.weights.shape[1], u.weights.shape[2]
-                    for i in range(u.out_channels):
-                        deps = []
-                        if nxt is not None:
-                            deps.append((f"{nxt.name}.w", (slice(None), i)))
-                        records.append(EntityRecord(
-                            entity_id=f"{u.name}[{i}]", granularity="filter",
-                            gate=u.gate, component=i,
-                            owned=[(f"{u.name}.w", (i,)), (f"{u.name}.bn.gamma", (i,)),
-                                   (f"{u.name}.bn.beta", (i,))],
-                            deps=deps, macs=conv_macs(1, n, k, *hw), group=u.name))
-            return records
+                # unit2 feeds the residual sum, so its filters have no dependants
+                decls += [_filter_decl(blk.unit1, hw, f"{blk.unit2.name}.w"),
+                          _filter_decl(blk.unit2, hw, None)]
+            return decls
         return []
 
     def l2_groups(self, tape):
@@ -431,7 +397,7 @@ class ResNetSmall(Model):
                     for u in self._conv_units()]
         return []
 
-    def flops(self, active):
+    def flops(self, live):
         def unit_flops(u, live_in, live_out, hw):
             elems = live_out * hw[0] * hw[1]
             macs = conv_macs(live_out, live_in, u.weights.shape[2], *hw)
@@ -441,9 +407,7 @@ class ResNetSmall(Model):
             return cost
 
         def live_filters(u):
-            if self.granularity != "filter" or u.gate is None:
-                return u.out_channels
-            return sum(active[f"{u.name}[{i}]"] for i in range(u.out_channels))
+            return _live(live, u.gate, u.out_channels)
 
         total = unit_flops(self.stem, self.in_channels, live_filters(self.stem),
                            self.input_hw)
@@ -451,8 +415,7 @@ class ResNetSmall(Model):
         for idx, (blk, hw) in enumerate(zip(self.blocks, self._block_hw)):
             width = blk.unit2.out_channels
             block_in = prev_out if idx == 0 else blk.unit1.weights.shape[1]
-            live = self.granularity != "subnetwork" or active[blk.name]
-            if live:
+            if _live(live, blk.gate, 1):
                 l1 = live_filters(blk.unit1)
                 total += unit_flops(blk.unit1, block_in, l1, hw)
                 total += unit_flops(blk.unit2, l1, live_filters(blk.unit2), hw)
@@ -515,21 +478,12 @@ class _LstmBase(Model):
                 out += [cell.gates[k] for k in LSTM_GATES]
         return out
 
-    def entities(self):
-        records = []
-        for cell in self.cells:
-            if cell.gates is None:
-                continue
-            per_node_macs = cell.weights["f"].shape[1]
-            for k in LSTM_GATES:
-                for i in range(self.hidden):
-                    records.append(EntityRecord(
-                        entity_id=f"{cell.name}.{k}[{i}]", granularity="node",
-                        gate=cell.gates[k], component=i,
-                        owned=[(f"{cell.name}.W_{k}", (i,)),
-                               (f"{cell.name}.b_{k}", (i,))],
-                        deps=[], macs=per_node_macs, group=f"{cell.name}.{k}"))
-        return records
+    def gate_decls(self):
+        return [GateDecl(cell.gates[k], f"{cell.name}.{k}", cell.weights[k].shape[1],
+                         lambda i, group=f"{cell.name}.{k}": f"{group}[{i}]",
+                         owned=((f"{cell.name}.W_{k}", AXIS0),
+                                (f"{cell.name}.b_{k}", AXIS0)))
+                for cell in self.cells if cell.gates is not None for k in LSTM_GATES]
 
     def l2_groups(self, tape):
         nodes = tape.params
@@ -543,18 +497,15 @@ class _LstmBase(Model):
                                 (nodes[f"{cell.name}.b_{k}"], AXIS0)]))
         return groups
 
-    def flops(self, active):
+    def flops(self, live):
         # per-timestep cost; the constant sequence length cancels in ratios
         total = 0
         for cell in self.cells:
             in_dim = cell.weights["f"].shape[1]
             for k in LSTM_GATES:
-                if cell.gates is None:
-                    live = self.hidden
-                else:
-                    live = sum(active[f"{cell.name}.{k}[{i}]"]
-                               for i in range(self.hidden))
-                total += 2 * live * in_dim + 2 * live  # matmul rows + bias + act
+                gate = None if cell.gates is None else cell.gates[k]
+                rows = _live(live, gate, self.hidden)
+                total += 2 * rows * in_dim + 2 * rows  # matmul rows + bias + act
             total += 4 * self.hidden                   # c/h elementwise updates
         total += 2 * self.head_w.shape[0] * self.hidden + self.head_w.shape[0]
         return total

@@ -67,10 +67,36 @@ def l1_alpha(alpha_nodes: Sequence[Tensor]) -> Tensor:
     return total if total is not None else Tensor(0.0)
 
 
-# masked-l2 membership: how one gate component selects entries of a tensor
+# membership: how one gate component selects entries of a tensor
 AXIS0 = "axis0"            # component i <-> slice i along axis 0
+AXIS1 = "axis1"            # component i <-> slice i along axis 1 (next layer's inputs)
 WHOLE = "whole"            # d == 1, scalar mask covers the whole tensor
 ELEMENTWISE = "elementwise"  # d == size, mask reshaped to the tensor's shape
+
+
+def broadcast_mask(m: np.ndarray, shape: tuple, mode: str) -> np.ndarray:
+    """View of the per-component vector ``m`` that broadcasts over ``shape``.
+
+    Raises ``ShapeError`` when the tensor's extent under ``mode`` does not
+    match ``len(m)``.
+    """
+    dim = m.shape[0]
+    if mode in (AXIS0, AXIS1):
+        axis = 0 if mode == AXIS0 else 1
+        if len(shape) <= axis or shape[axis] != dim:
+            raise ShapeError(f"{mode} membership: shape {shape} does not have "
+                             f"size {dim} on axis {axis}")
+        return m.reshape((1,) * axis + (dim,) + (1,) * (len(shape) - axis - 1))
+    if mode == WHOLE:
+        if dim != 1:
+            raise ShapeError(f"whole-tensor membership needs a scalar gate, "
+                             f"got dim {dim}")
+        return m.reshape(())
+    if mode == ELEMENTWISE:
+        if int(np.prod(shape)) != dim:
+            raise ShapeError(f"elementwise membership: shape {shape} != gate dim {dim}")
+        return m.reshape(shape)
+    raise ValueError(f"unknown membership mode {mode!r}")
 
 
 def masked_l2(groups: Sequence[tuple[GateParam, Sequence[tuple[Tensor, str]]]]) -> Tensor:
@@ -84,24 +110,7 @@ def masked_l2(groups: Sequence[tuple[GateParam, Sequence[tuple[Tensor, str]]]]) 
     terms = []
     for gate, members in groups:
         m = gate.mask()
-        for node, mode in members:
-            if mode == AXIS0:
-                if node.shape[0] != gate.dim:
-                    raise ShapeError(
-                        f"masked_l2: axis-0 size {node.shape[0]} != gate dim {gate.dim}")
-                mb = m.reshape((gate.dim,) + (1,) * (node.data.ndim - 1))
-            elif mode == WHOLE:
-                if gate.dim != 1:
-                    raise ShapeError("masked_l2: whole-tensor mode needs a scalar gate")
-                mb = m[0]
-            elif mode == ELEMENTWISE:
-                if node.size != gate.dim:
-                    raise ShapeError(
-                        f"masked_l2: tensor size {node.size} != gate dim {gate.dim}")
-                mb = m.reshape(node.shape)
-            else:
-                raise ValueError(f"masked_l2: unknown membership mode {mode!r}")
-            terms.append((node, mb))
+        terms += [(node, broadcast_mask(m, node.shape, mode)) for node, mode in members]
 
     value = 0.0
     for node, mb in terms:

@@ -1,11 +1,24 @@
 """Registry of prunable entities: sparsity statistics and cost accounting.
 
-Parameter accounting marks a boolean "dead" grid over every weight array:
-pruning an entity kills the slices it owns plus any dependency-linked slices
-downstream (a pruned filter also kills the next layer's matching input
-channel).  Overlaps therefore count once, and active + pruned = total holds
-at every snapshot.  Gate scaling factors are bookkeeping state, not network
-weights, and are excluded from the counts.
+A model declares its accounting once per gate (``GateDecl``): the reporting
+group, the dense MACs of one component, how component ``i`` is named, and the
+parameter slices the gate owns and the ones that depend on it.  A slice is a
+(param name, membership) pair; the membership modes are the objective's
+(``AXIS0``, ``WHOLE``, ``ELEMENTWISE``) plus ``AXIS1`` for the next layer's
+input channels.  Component ``i`` of a gate is one prunable entity.
+
+Each snapshot computes every gate's hard mask once and works on those arrays:
+
+- parameter accounting marks a boolean "dead" grid over every weight array.
+  A masked component kills its owned slices plus the dependent ones downstream
+  (a pruned filter also kills the next layer's matching input channel), so
+  overlaps count once and active + pruned = total holds at every snapshot.
+  Gate scaling factors are bookkeeping state, not network weights, and are
+  excluded from the counts;
+- FLOPs come from ``model.flops(live)`` with the live component count of each
+  gate, keyed by gate name;
+- rejuvenation events come from diffing each gate's mask with the previous
+  snapshot's, in gate-then-component order.
 
 FLOPs convention (documented, not taken from anywhere): one multiply-
 accumulate = 2 FLOPs; batch norm costs 2 FLOPs per output element, ReLU and
@@ -15,34 +28,38 @@ residual adds 1; the gate multiply itself is foldable and costs nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .gate import GateParam
+from .objective import broadcast_mask
 
 REPORT_VERSION = 1
 
-# index of an owned/dependent slice: (param name, numpy index tuple)
-Slice = tuple[str, tuple]
+# one owned or dependent parameter slice: (param name, membership mode)
+Slice = tuple[str, str]
 
 
-@dataclass
-class EntityRecord:
+@dataclass(frozen=True)
+class GateDecl:
+    """The accounting of one gate: every component shares group, cost and slices."""
+
+    gate: GateParam
+    group: str                         # reporting bucket (layer name)
+    macs: int                          # dense per-application MACs of one component
+    name: Callable[[int], str]         # entity id of component i
+    owned: tuple[Slice, ...] = ()
+    deps: tuple[Slice, ...] = ()
+
+
+class EntityRecord(NamedTuple):
     """One prunable entity and the static cost attributed to it."""
 
     entity_id: str
-    granularity: str
-    gate: GateParam
-    component: int                     # index into gate.alpha
-    owned: list[Slice] = field(default_factory=list)
-    deps: list[Slice] = field(default_factory=list)
-    macs: int = 0                      # dense per-application MAC cost
-    group: str = ""                    # reporting bucket (layer name)
-
-    def is_active(self) -> bool:
-        return bool(self.gate.mask()[self.component])
+    group: str
+    macs: int                          # dense per-application MAC cost
 
 
 @dataclass
@@ -107,75 +124,98 @@ def conv_macs(m: int, n: int, k: int, out_h: int, out_w: int) -> int:
 class PruneManager:
     """Tracks every prunable entity of one model across training.
 
-    The model contract: ``params()`` (name -> array), ``entities()`` (one
-    EntityRecord per gate component, each gate appearing exactly once) and
-    ``flops(active)`` (total FLOPs given per-entity liveness).
+    The model contract: ``params()`` (name -> array), ``gates()``,
+    ``gate_decls()`` (one GateDecl per gate, each gate exactly once) and
+    ``flops(live)`` (total FLOPs given the live component count per gate name).
     """
 
     def __init__(self, model):
         self.model = model
-        self.records: list[EntityRecord] = list(model.entities())
-        seen: dict[int, set[int]] = {}
-        ids = set()
-        for rec in self.records:
-            comps = seen.setdefault(id(rec.gate), set())
-            if rec.component in comps:
-                raise ValueError(f"gate component registered twice: {rec.entity_id}")
-            comps.add(rec.component)
-            if rec.entity_id in ids:
-                raise ValueError(f"duplicate entity id: {rec.entity_id}")
-            ids.add(rec.entity_id)
-        model_gates = {id(g) for g in model.gates()}
-        if set(seen) != model_gates:
-            raise ValueError("entity records do not cover the model's gates exactly")
-        for g in model.gates():
-            if len(seen[id(g)]) != g.dim:
-                raise ValueError(f"gate {g.name!r}: {len(seen[id(g)])} records "
-                                 f"for dimension {g.dim}")
-        self._weight_names = [n for n in model.params() if not n.endswith(".alpha")]
-        self._total_params = int(sum(model.params()[n].size for n in self._weight_names))
-        self._total_flops = int(model.flops({r.entity_id: True for r in self.records}))
-        self._last_active = {r.entity_id: True for r in self.records}
+        self.decls: list[GateDecl] = list(model.gate_decls())
+        gate_ids = [id(d.gate) for d in self.decls]
+        if len(set(gate_ids)) != len(gate_ids):
+            raise ValueError("a gate is declared twice")
+        if set(gate_ids) != {id(g) for g in model.gates()}:
+            raise ValueError("gate declarations do not cover the model's gates exactly")
+        if len({d.gate.name for d in self.decls}) != len(self.decls):
+            raise ValueError("gate names are not unique")
+        params = model.params()
+        weights = {n: p for n, p in params.items() if not n.endswith(".alpha")}
+        for d in self.decls:
+            for name, mode in d.owned + d.deps:
+                if name not in weights:
+                    raise ValueError(f"gate {d.gate.name!r}: unknown weight {name!r}")
+                broadcast_mask(np.ones(d.gate.dim, dtype=bool), weights[name].shape, mode)
+        self._ids = [d.name(i) for d in self.decls for i in range(d.gate.dim)]
+        if len(set(self._ids)) != len(self._ids):
+            raise ValueError("duplicate entity id")
+        self._offsets = np.cumsum([0] + [d.gate.dim for d in self.decls]).tolist()
+        self._total_params = int(sum(p.size for p in weights.values()))
+        self._total_flops = int(model.flops({d.gate.name: d.gate.dim
+                                             for d in self.decls}))
+        self._last = [np.ones(d.gate.dim, dtype=bool) for d in self.decls]
+        self._records: list[EntityRecord] | None = None
         self.events: list[tuple[int, str, str]] = []
 
     @property
     def K(self) -> int:
-        return len(self.records)
+        return len(self._ids)
+
+    @property
+    def records(self) -> list[EntityRecord]:
+        """One record per entity, in declaration order; built on first use."""
+        if self._records is None:
+            self._records = [
+                EntityRecord(self._ids[off + i], d.group, d.macs)
+                for d, off in zip(self.decls, self._offsets) for i in range(d.gate.dim)]
+        return self._records
+
+    def _masks(self) -> list[np.ndarray]:
+        return [d.gate.mask() > 0 for d in self.decls]
+
+    def _active(self, masks: list[np.ndarray]) -> dict[str, bool]:
+        return dict(zip(self._ids, np.concatenate(masks).tolist()))
 
     def active_flags(self) -> dict[str, bool]:
-        return {r.entity_id: r.is_active() for r in self.records}
+        return self._active(self._masks())
 
     def snapshot(self, step: int = 0) -> PruneReport:
         """Recompute masks, account params/FLOPs, log mask flips since last call."""
         params = self.model.params()
-        active = self.active_flags()
+        masks = self._masks()
 
-        for eid, now in active.items():
-            was = self._last_active[eid]
-            if now != was:
-                self.events.append((step, eid, "1->0" if was else "0->1"))
-        self._last_active = dict(active)
+        for off, was, now in zip(self._offsets, self._last, masks):
+            flips = np.flatnonzero(was != now)
+            self.events += [(step, self._ids[off + i], "0->1" if up else "1->0")
+                            for i, up in zip(flips.tolist(), now[flips].tolist())]
+        self._last = masks
 
-        dead = {n: np.zeros(params[n].shape, dtype=bool) for n in self._weight_names}
-        for rec in self.records:
-            if active[rec.entity_id]:
+        dead: dict[str, np.ndarray] = {}
+        for d, m in zip(self.decls, masks):
+            if m.all():
                 continue
-            for name, idx in list(rec.owned) + list(rec.deps):
-                dead[name][idx] = True
+            off = ~m
+            for name, mode in d.owned + d.deps:
+                grid = dead.get(name)
+                if grid is None:
+                    grid = dead[name] = np.zeros(params[name].shape, dtype=bool)
+                grid |= broadcast_mask(off, grid.shape, mode)
         pruned_params = int(sum(g.sum() for g in dead.values()))
 
-        live_flops = int(self.model.flops(active))
-        n_active = sum(active.values())
+        counts = [int(m.sum()) for m in masks]
+        live_flops = int(self.model.flops(
+            {d.gate.name: c for d, c in zip(self.decls, counts)}))
+        n_active = sum(counts)
 
         per_group: dict[str, list[int]] = {}
-        for rec in self.records:
-            bucket = per_group.setdefault(rec.group or rec.entity_id, [0, 0])
-            bucket[1] += 1
-            bucket[0] += int(active[rec.entity_id])
+        for d, c in zip(self.decls, counts):
+            bucket = per_group.setdefault(d.group, [0, 0])
+            bucket[0] += c
+            bucket[1] += d.gate.dim
 
         return PruneReport(
             step=step,
-            active=active,
+            active=self._active(masks),
             active_entities=n_active,
             K=self.K,
             pruned_ratio=1.0 - n_active / self.K,

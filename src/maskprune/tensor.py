@@ -240,10 +240,6 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor(np.sum(a.data), "sum", (a,), rule)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.size)
-
-
 # ---------------------------------------------------------------------------
 # custom-backward nodes
 # ---------------------------------------------------------------------------

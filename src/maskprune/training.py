@@ -3,7 +3,9 @@
 One epoch = deterministic shuffled full batches under the run seed.  All
 regularization flows through the objective; the optimizer applies the same
 update to weights and scaling factors (optionally freezing the latter).
-A non-finite loss aborts immediately, naming the first bad node.
+A non-finite loss aborts immediately, naming the first bad node; a non-finite
+gradient aborts before the update, naming the first parameter (in ``params()``
+order) whose gradient is non-finite.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ METRICS_SCHEMA_VERSION = 1
 
 
 class TrainDivergence(RuntimeError):
-    """Raised when the loss goes non-finite."""
+    """Raised when the loss or a parameter gradient goes non-finite."""
 
 
 @dataclass
@@ -99,8 +101,13 @@ def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
     grads = tape.backward(total)
     trainable = {n: p for n, p in model.params().items()
                  if not (cfg.freeze_gates and n.endswith(".alpha"))}
-    sgd_momentum_step(trainable, {n: grads[n].data for n in trainable},
-                      velocity, lr, cfg.momentum)
+    grad_arrays = {n: grads[n].data for n in trainable}
+    for name, g in grad_arrays.items():
+        if not np.all(np.isfinite(g)):
+            raise TrainDivergence(
+                f"non-finite gradient at step {step}: first non-finite parameter "
+                f"gradient is {name!r}")
+    sgd_momentum_step(trainable, grad_arrays, velocity, lr, cfg.momentum)
     return parts
 
 

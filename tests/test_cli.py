@@ -80,6 +80,31 @@ def test_incompatible_granularity_rejected_before_compute(tmp_path):
     assert code == 2
 
 
+_NON_IMAGE = {
+    "mlp": {"arch": "mlp", "granularity": "weight", "dataset": "synth-class"},
+    "lstm-classifier": {"arch": "lstm-classifier", "granularity": "node",
+                        "dataset": "synth-seq-majority"},
+    "lstm-lm": {"arch": "lstm-lm", "granularity": "node",
+                "dataset": "synth-seq-markov"},
+}
+
+
+@pytest.mark.parametrize("arch", sorted(_NON_IMAGE))
+def test_augment_rejected_for_non_image_arch(arch):
+    with pytest.raises(ConfigError, match="augment"):
+        validate_config(_toy_config("x", augment=True, **_NON_IMAGE[arch]))
+    validate_config(_toy_config("x", augment=False, **_NON_IMAGE[arch]))
+
+
+def test_train_augment_with_mlp_exits_cleanly(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    cfg = _toy_config(out, augment=True, **_NON_IMAGE["mlp"])
+    code = main(["train", "--config", _write(tmp_path, cfg)])
+    assert code != 0
+    assert "augment" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_missing_required_key():
     cfg = _toy_config("x")
     del cfg["arch"]

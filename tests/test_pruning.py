@@ -4,8 +4,8 @@ import pytest
 from maskprune.gate import GateParam
 from maskprune.models import (BN_FLOPS_PER_ELEM, RELU_FLOPS_PER_ELEM,
                               LstmClassifier, ResNetSmall, ToyConvNet)
-from maskprune.pruning import (EntityRecord, PruneManager, conv_macs,
-                               replay_events)
+from maskprune.objective import AXIS0, ELEMENTWISE, WHOLE
+from maskprune.pruning import GateDecl, PruneManager, conv_macs, replay_events
 
 
 def test_conv_macs_examples():
@@ -190,18 +190,29 @@ class _BadModel:
     def gates(self):
         return [self.gate]
 
-    def entities(self):
-        rec = EntityRecord("e0", "filter", self.gate, 0, [("w", (0,))])
-        dup = EntityRecord("e1", "filter", self.gate, 0, [("w", (1,))])
+    def gate_decls(self):
+        rec = GateDecl(self.gate, "g", 1, lambda i: f"e{i}", owned=(("w", AXIS0),))
+        dup = GateDecl(self.gate, "g", 1, lambda i: f"f{i}", owned=(("w", AXIS0),))
         return [rec, dup]
 
-    def flops(self, active):
+    def flops(self, live):
         return 1
 
 
 def test_duplicate_gate_component_rejected():
     with pytest.raises(ValueError):
         PruneManager(_BadModel())
+
+
+def test_undeclared_gate_and_mismatched_slices_rejected():
+    model = _BadModel()
+    g = model.gate
+    for decls in ([],
+                  [GateDecl(g, "g", 1, str, owned=(("w", ELEMENTWISE),))],
+                  [GateDecl(g, "g", 1, str, deps=(("w", WHOLE),))]):
+        model.gate_decls = lambda decls=decls: decls
+        with pytest.raises(ValueError):
+            PruneManager(model)
 
 
 def test_report_serialization_roundtrip_fields():

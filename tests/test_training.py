@@ -9,7 +9,7 @@ from maskprune.data import Dataset, synth_classification, synth_sequences
 from maskprune.gate import GateParam
 from maskprune.models import LstmClassifier, LstmLm, Mlp, ToyConvNet
 from maskprune.objective import ObjectiveConfig, l1_alpha
-from maskprune.tensor import Tape, Tensor
+from maskprune.tensor import Tape, Tensor, add, custom_grad
 from maskprune.training import (TrainConfig, TrainDivergence, evaluate, lr_at,
                                 sgd_momentum_step, train, train_step)
 
@@ -196,6 +196,28 @@ def test_nan_abort_names_first_bad_tensor():
     cfg = TrainConfig(epochs=1, batch_size=16, base_lr=0.05, seed=15)
     with pytest.raises(TrainDivergence, match="non-finite"):
         train(model, train_ds, test_ds, cfg)
+
+
+class _InfGradMlp(Mlp):
+    """Finite loss, but the backward pass hands fc1.b an inf gradient."""
+
+    def forward(self, tape, x, mode="train"):
+        out = super().forward(tape, x, mode)
+        b = tape.params["fc1.b"]
+        poison = custom_grad(0.0, (b,), lambda g: (np.full(b.shape, np.inf),),
+                             op="poison")
+        return add(out, poison)
+
+
+def test_nonfinite_gradient_aborts_before_update():
+    train_ds = synth_classification(32, 3, 4, seed=16)
+    model = _InfGradMlp(4, (5,), 3, seed=17)
+    before = {n: p.copy() for n, p in model.params().items()}
+    cfg = TrainConfig(epochs=1, batch_size=16, base_lr=0.05, seed=18)
+    with pytest.raises(TrainDivergence, match=r"gradient at step 0.*'fc1\.b'"):
+        train(model, train_ds, train_ds, cfg)
+    for name, p in model.params().items():
+        assert np.array_equal(p, before[name]), name
 
 
 def test_checkpoint_round_trip_reproduces_evaluation(tmp_path):
