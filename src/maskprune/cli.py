@@ -54,7 +54,7 @@ def cmd_gradcheck(args) -> int:
         return 2
     failed = []
     for name, err, ok in results:
-        print(f"{name:>16s}: max rel err {err:.3e}  {'pass' if ok else 'FAIL'}")
+        print(f"{name:>17s}: max rel err {err:.3e}  {'pass' if ok else 'FAIL'}")
         if not ok:
             failed.append(name)
     if failed:

@@ -180,22 +180,3 @@ def synth_sequences(n: int, vocab: int = 16, length: int = 16, seed: int = 0,
                         "optimal_perplexity": float(np.exp(entropy_rate))})
     raise ValueError(f"unknown sequence corpus kind {kind!r}")
 
-
-def save_token_corpus(ds: Dataset, path: str) -> None:
-    """Line-oriented token format: space-separated ids, tab, label ids."""
-    with open(path, "w") as fh:
-        for seq, lab in zip(ds.inputs, ds.labels):
-            lab_txt = (" ".join(str(v) for v in np.atleast_1d(lab)))
-            fh.write(" ".join(str(v) for v in seq) + "\t" + lab_txt + "\n")
-
-
-def load_token_corpus(path: str, split: str = "train") -> Dataset:
-    seqs, labels = [], []
-    with open(path) as fh:
-        for line in fh:
-            left, right = line.rstrip("\n").split("\t")
-            seqs.append([int(v) for v in left.split()])
-            lab = [int(v) for v in right.split()]
-            labels.append(lab[0] if len(lab) == 1 else lab)
-    return Dataset(np.asarray(seqs, dtype=np.int64),
-                   np.asarray(labels, dtype=np.int64), split, {})

@@ -20,7 +20,7 @@ which is what lets a pruned entity rejuvenate during training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,35 +151,7 @@ def apply_gate(x: Tensor, gate: GateParam, axis: int = 0,
     ``alpha`` is the tape node carrying ``gate.alpha``; pass the node returned
     by ``tape.param`` so the gradient lands in the registry.
     """
-    if alpha is None:
-        alpha = Tensor(gate.alpha)
-    if alpha.shape != (gate.dim,):
-        raise ShapeError(f"alpha node shape {alpha.shape} != gate dim ({gate.dim},)")
-    axis = _check_axis(x, gate, axis)
-    a = alpha.data
-    m = hard_mask(a, gate.threshold)
-    s = a * m
-    xd = x.data
-    if gate.dim == 1:
-        out = s[0] * xd
-
-        def rule(g):
-            gcoef = float(np.sum(g * xd))
-            dalpha = gcoef * (surrogate_mask(a, gate.threshold, gate.beta)
-                              + a * surrogate_mask_grad(a, gate.threshold, gate.beta))
-            return g * s[0], dalpha
-    else:
-        s_b = _expand(s, xd.ndim, axis)
-        out = s_b * xd
-        reduce_axes = tuple(i for i in range(xd.ndim) if i != axis)
-
-        def rule(g):
-            coeff = (surrogate_mask(a, gate.threshold, gate.beta)
-                     + a * surrogate_mask_grad(a, gate.threshold, gate.beta))
-            dalpha = np.sum(g * xd, axis=reduce_axes) * coeff
-            return g * s_b, dalpha
-
-    return custom_grad(out, (x, alpha), rule, op="apply_gate")
+    return _gated(x, gate, axis, alpha, scaled=True, op="apply_gate")
 
 
 def apply_mask(x: Tensor, gate: GateParam, axis: int = 0,
@@ -191,28 +163,39 @@ def apply_mask(x: Tensor, gate: GateParam, axis: int = 0,
     exact mask; gradient on alpha is ``m~'(alpha)`` times the upstream-times-
     input sum.
     """
+    return _gated(x, gate, axis, alpha, scaled=False, op="apply_mask")
+
+
+def _gated(x: Tensor, gate: GateParam, axis: int, alpha: Tensor | None,
+           scaled: bool, op: str) -> Tensor:
+    """Shared body: forward scale ``alpha * I`` (``scaled``) or ``I``."""
     if alpha is None:
         alpha = Tensor(gate.alpha)
     if alpha.shape != (gate.dim,):
         raise ShapeError(f"alpha node shape {alpha.shape} != gate dim ({gate.dim},)")
     axis = _check_axis(x, gate, axis)
     a = alpha.data
-    m = hard_mask(a, gate.threshold)
+    s = hard_mask(a, gate.threshold)
+    if scaled:
+        s = a * s
     xd = x.data
+
+    def coeff():
+        # d/d(alpha) of the surrogate factor: alpha * m~ when scaled, else m~
+        dm = surrogate_mask_grad(a, gate.threshold, gate.beta)
+        return surrogate_mask(a, gate.threshold, gate.beta) + a * dm if scaled else dm
+
     if gate.dim == 1:
-        out = m[0] * xd
+        out = s[0] * xd
 
         def rule(g):
-            dalpha = float(np.sum(g * xd)) * surrogate_mask_grad(a, gate.threshold, gate.beta)
-            return g * m[0], dalpha
+            return g * s[0], float(np.sum(g * xd)) * coeff()
     else:
-        m_b = _expand(m, xd.ndim, axis)
-        out = m_b * xd
+        s_b = _expand(s, xd.ndim, axis)
+        out = s_b * xd
         reduce_axes = tuple(i for i in range(xd.ndim) if i != axis)
 
         def rule(g):
-            dalpha = (np.sum(g * xd, axis=reduce_axes)
-                      * surrogate_mask_grad(a, gate.threshold, gate.beta))
-            return g * m_b, dalpha
+            return g * s_b, np.sum(g * xd, axis=reduce_axes) * coeff()
 
-    return custom_grad(out, (x, alpha), rule, op="apply_mask")
+    return custom_grad(out, (x, alpha), rule, op=op)

@@ -2,10 +2,15 @@
 
 Each named check builds a scalar loss from seeded random inputs, runs the
 tape backward, and compares against central differences computed by re-running
-the forward as a pure function of the perturbed arrays.  Straight-through
-rules are deliberately absent here: the gate checks cover only the exact
-paths (input gradients) plus the closed-form surrogate pair, whose mutual
-consistency is itself a finite-difference check.
+the forward as a pure function of the perturbed arrays.
+
+The straight-through rules (the alpha gradients of ``apply_gate``,
+``apply_mask`` and ``ratio_hinge``) are not derivatives of their hard
+forward pass.  Their checks difference the forward pass they stand in for
+instead: the same computation with every hard mask I(.) replaced by the
+surrogate m~(.), at alphas on both sides of the threshold and clear of 0.
+That is the defining property of the estimator (Bengio et al., 2013,
+arXiv:1308.3432).
 """
 
 from __future__ import annotations
@@ -49,21 +54,24 @@ def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
 
 
 def check_loss(build: Callable[[Tape, dict], Tensor], arrays: dict[str, np.ndarray],
-               wrt: Sequence[str] | None = None, step: float = DEFAULT_STEP) -> float:
+               wrt: Sequence[str] | None = None, step: float = DEFAULT_STEP,
+               smooth: Callable[[dict], float] | None = None) -> float:
     """Max relative error between tape gradients and finite differences.
 
     ``build(tape, arrays)`` must register each checked array under its dict
-    key and return a scalar loss.  ``wrt`` restricts which arrays are checked
-    (surrogate-backward parameters must be excluded).
+    key and return a scalar loss.  ``wrt`` restricts which arrays are checked.
+    The finite differences are of ``build``'s loss, or of ``smooth(arrays)``
+    when given: for a straight-through rule, the same forward pass with I(.)
+    replaced by m~(.).  Without ``smooth``, arrays that reach a straight-through
+    rule must be left out of ``wrt``.
     """
     tape = Tape()
     loss = build(tape, arrays)
     grads = tape.backward(loss)
     worst = 0.0
     for name in (wrt if wrt is not None else arrays):
-        def f(_x, _name=name):
-            t = Tape()
-            return build(t, arrays).item()
+        def f(_x):
+            return smooth(arrays) if smooth else build(Tape(), arrays).item()
 
         num = numeric_grad(f, arrays[name], step)
         worst = max(worst, rel_error(grads[name].data, num))
@@ -257,6 +265,66 @@ def _apply_gate_x_check(rng):
     return worst
 
 
+# (axis, input shape, alphas) around a 0.2 threshold, clear of the |alpha| kink
+_ALPHA_CASES = [(0, (5, 3), [0.6, -0.35, 0.12, -0.07, 1.1]),
+                (1, (2, 4, 3), [-0.5, 0.09, 0.3, -0.15]),
+                (0, (6,), [0.12]),
+                (0, (2, 3), [-0.45])]
+
+
+def _gate_alpha_check(apply: Callable, scaled: bool):
+    """Alpha gradient of ``apply`` against its forward with I -> m~.
+
+    The surrogate forward scales by ``alpha * m~(alpha)`` when ``scaled``
+    (``apply_gate``), else by ``m~(alpha)`` (``apply_mask``).
+    """
+
+    def run(rng: np.random.Generator) -> float:
+        worst = 0.0
+        for axis, shape, alphas in _ALPHA_CASES:
+            gate = GateParam.create("filter" if len(alphas) > 1 else "subnetwork",
+                                    len(alphas), threshold=0.2)
+            x = rng.normal(size=shape)
+            proj = rng.normal(size=shape)
+            along = [len(alphas) if i == axis else 1 for i in range(len(shape))]
+
+            def build(tape, arrays):
+                alpha = tape.param("alpha", arrays["alpha"])
+                out = apply(tape.leaf(x), gate, axis, alpha=alpha)
+                return sum_all(mul(out, tape.leaf(proj)))
+
+            def smooth(arrays):
+                a = arrays["alpha"]
+                m = gate_mod.surrogate_mask(a, gate.threshold, gate.beta)
+                return float(np.sum((a * m if scaled else m).reshape(along) * x * proj))
+
+            worst = max(worst, check_loss(build, {"alpha": np.array(alphas)},
+                                          smooth=smooth))
+        return worst
+
+    return run
+
+
+def _ratio_hinge_alpha_check(rng):
+    """Hinge alpha gradient against the hinge of the surrogate count."""
+    gates = [GateParam.create("node", 4, threshold=0.2, name="g0"),
+             GateParam.create("node", 3, threshold=0.2, name="g1")]
+    gates[0].alpha[:] = [0.6, -0.35, 0.12, -0.07]
+    gates[1].alpha[:] = [1.1, -0.5, 0.3]
+    K, c = 7, 0.25      # 5 of 7 active: hard and surrogate fractions both exceed c
+
+    def build(tape, arrays):
+        return objective.ratio_hinge(
+            [(g, tape.param(g.name, arrays[g.name])) for g in gates], K, c)
+
+    def smooth(arrays):
+        active = sum(np.sum(gate_mod.surrogate_mask(arrays[g.name], g.threshold, g.beta))
+                     for g in gates)
+        return max(0.0, active / K - c)
+
+    return check_loss(build, {g.name: g.alpha for g in gates}, smooth=smooth)
+
+
 def _masked_l2_check(rng):
     gate = GateParam.create("filter", 3)
     gate.alpha[:] = [1.0, 1e-6, -0.7]   # middle entity pruned
@@ -343,6 +411,9 @@ CHECKS: dict[str, Callable] = {
     "pool-embed": _pool_embed_check,
     "cross-entropy": _cross_entropy_check,
     "apply-gate-x": _apply_gate_x_check,
+    "apply-gate-alpha": _gate_alpha_check(gate_mod.apply_gate, scaled=True),
+    "apply-mask-alpha": _gate_alpha_check(gate_mod.apply_mask, scaled=False),
+    "ratio-hinge-alpha": _ratio_hinge_alpha_check,
     "masked-l2": _masked_l2_check,
     "lstm-cell": _lstm_cell_check,
     "foothill": _foothill_check,

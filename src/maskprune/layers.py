@@ -2,20 +2,25 @@
 
 Granularity map: a ``ConvUnit`` carries one gate component per filter, a
 ``ResidualBlock`` one scalar gate for its whole branch, an ``LstmCell`` one
-gate per (recurrence-gate, hidden-index) node.  Every block registers its own
-parameters on the per-step tape inside ``forward``; names are derived from
-the block's ``name`` so the gradient map and the optimizer agree.
+gate per (recurrence-gate, hidden-index) node.
+
+Each block is a ``Block``: it lists its own arrays once, in ``_params``
+(trainable, scaling factors included) and ``_buffers`` (batch-norm running
+statistics), keyed by a suffix of the block's ``name``.  ``params()``,
+``state()`` and the per-step ``bind(tape)`` that ``forward``/``step`` use are
+all derived from those two tables, so the checkpoint, the optimizer and the
+gradient map agree on every name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gate import GateParam, apply_gate, apply_mask
 from .tensor import (ShapeError, Tensor, Tape, add, concat_cols, custom_grad,
-                     matmul, mul, relu, reshape, sigmoid, tanh, transpose)
+                     matmul, mul, relu, sigmoid, tanh, transpose)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -168,8 +173,42 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 # gated blocks
 # ---------------------------------------------------------------------------
 
+class Block:
+    """A named layer that lists each of its own arrays once, by name suffix.
+
+    Subclasses define ``_params()`` (trainable, scaling factors included) and
+    may define ``_buffers()`` (batch-norm running statistics), both mapping
+    suffixes to arrays; an array's full name is ``pname(suffix)``.
+    ``params``, ``state`` and ``bind`` all read those tables.
+    """
+
+    name: str
+
+    def _buffers(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def pname(self, suffix: str) -> str:
+        return f"{self.name}.{suffix}"
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {self.pname(k): v for k, v in self._params().items()}
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Non-trainable buffers that must survive a checkpoint."""
+        return {self.pname(k): v for k, v in self._buffers().items()}
+
+    def bind(self, tape: Tape) -> dict[str, Tensor]:
+        """Register this block's own parameters on ``tape``; nodes by suffix."""
+        return {k: tape.param(self.pname(k), v) for k, v in self._params().items()}
+
+
+def _bn_buffers(prefix: str, bn: BnState) -> dict[str, np.ndarray]:
+    return {f"{prefix}.running_mean": bn.running_mean,
+            f"{prefix}.running_var": bn.running_var}
+
+
 @dataclass
-class ConvUnit:
+class ConvUnit(Block):
     """Conv -> batch norm -> (filter gate) -> ReLU.
 
     The gate sits after batch norm, where a per-channel scale is not
@@ -181,7 +220,6 @@ class ConvUnit:
     bn_beta: np.ndarray                # [m]
     bn: BnState
     gate: GateParam | None = None
-    bias: np.ndarray | None = None     # [m]
     stride: int = 1
     padding: int = 1
     relu: bool = True
@@ -196,39 +234,26 @@ class ConvUnit:
     def out_channels(self) -> int:
         return self.weights.shape[0]
 
-    def params(self) -> dict[str, np.ndarray]:
-        out = {f"{self.name}.w": self.weights,
-               f"{self.name}.bn.gamma": self.bn_gamma,
-               f"{self.name}.bn.beta": self.bn_beta}
-        if self.bias is not None:
-            out[f"{self.name}.b"] = self.bias
+    def _params(self):
+        out = {"w": self.weights, "bn.gamma": self.bn_gamma, "bn.beta": self.bn_beta}
         if self.gate is not None:
-            out[f"{self.name}.gate.alpha"] = self.gate.alpha
+            out["gate.alpha"] = self.gate.alpha
         return out
 
-    def state(self) -> dict[str, np.ndarray]:
-        """Non-trainable buffers that must survive a checkpoint."""
-        return {f"{self.name}.bn.running_mean": self.bn.running_mean,
-                f"{self.name}.bn.running_var": self.bn.running_var}
+    def _buffers(self):
+        return _bn_buffers("bn", self.bn)
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
-        m = self.out_channels
-        w = tape.param(f"{self.name}.w", self.weights)
-        y = conv2d(x, w, self.stride, self.padding)
-        if self.bias is not None:
-            b = tape.param(f"{self.name}.b", self.bias)
-            y = add(y, reshape(b, (m, 1, 1)))
-        gamma = tape.param(f"{self.name}.bn.gamma", self.bn_gamma)
-        beta = tape.param(f"{self.name}.bn.beta", self.bn_beta)
-        y = batchnorm(y, gamma, beta, self.bn, mode)
+        p = self.bind(tape)
+        y = batchnorm(conv2d(x, p["w"], self.stride, self.padding),
+                      p["bn.gamma"], p["bn.beta"], self.bn, mode)
         if self.gate is not None:
-            a = tape.param(f"{self.name}.gate.alpha", self.gate.alpha)
-            y = apply_gate(y, self.gate, axis=1, alpha=a)
+            y = apply_gate(y, self.gate, axis=1, alpha=p["gate.alpha"])
         return relu(y) if self.relu else y
 
 
 @dataclass
-class ResidualBlock:
+class ResidualBlock(Block):
     """Two 3x3 conv units with a skip path and an optional branch gate.
 
     When the branch gate is masked the output equals the skip path exactly,
@@ -246,40 +271,33 @@ class ResidualBlock:
     stride: int = 1
     name: str = "block"
 
-    def params(self) -> dict[str, np.ndarray]:
+    def params(self):
+        return self.unit1.params() | self.unit2.params() | super().params()
+
+    def state(self):
+        return self.unit1.state() | self.unit2.state() | super().state()
+
+    def _params(self):
         out = {}
-        out.update(self.unit1.params())
-        out.update(self.unit2.params())
         if self.gate is not None:
-            out[f"{self.name}.gate.alpha"] = self.gate.alpha
+            out["gate.alpha"] = self.gate.alpha
         if self.down_w is not None:
-            out[f"{self.name}.down.w"] = self.down_w
-            out[f"{self.name}.down.bn.gamma"] = self.down_gamma
-            out[f"{self.name}.down.bn.beta"] = self.down_beta
+            out.update({"down.w": self.down_w, "down.bn.gamma": self.down_gamma,
+                        "down.bn.beta": self.down_beta})
         return out
 
-    def state(self) -> dict[str, np.ndarray]:
-        out = {}
-        out.update(self.unit1.state())
-        out.update(self.unit2.state())
-        if self.down_bn is not None:
-            out[f"{self.name}.down.bn.running_mean"] = self.down_bn.running_mean
-            out[f"{self.name}.down.bn.running_var"] = self.down_bn.running_var
-        return out
+    def _buffers(self):
+        return {} if self.down_bn is None else _bn_buffers("down.bn", self.down_bn)
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
+        p = self.bind(tape)
         branch = self.unit2.forward(tape, self.unit1.forward(tape, x, mode), mode)
+        skip = x
         if self.down_w is not None:
-            dw = tape.param(f"{self.name}.down.w", self.down_w)
-            skip = conv2d(x, dw, self.stride, 0)
-            dg = tape.param(f"{self.name}.down.bn.gamma", self.down_gamma)
-            db = tape.param(f"{self.name}.down.bn.beta", self.down_beta)
-            skip = batchnorm(skip, dg, db, self.down_bn, mode)
-        else:
-            skip = x
+            skip = batchnorm(conv2d(x, p["down.w"], self.stride, 0),
+                             p["down.bn.gamma"], p["down.bn.beta"], self.down_bn, mode)
         if self.gate is not None:
-            a = tape.param(f"{self.name}.gate.alpha", self.gate.alpha)
-            branch = apply_gate(branch, self.gate, alpha=a)
+            branch = apply_gate(branch, self.gate, alpha=p["gate.alpha"])
         return add(branch, skip)
 
 
@@ -287,7 +305,7 @@ LSTM_GATES = ("f", "i", "g", "o")
 
 
 @dataclass
-class LstmCell:
+class LstmCell(Block):
     """LSTM cell with optional per-node gates on f/i/g/o.
 
     Gated form scales each pre-activation by its alpha and multiplies the
@@ -320,39 +338,25 @@ class LstmCell:
     def hidden_dim(self) -> int:
         return self.weights["f"].shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights["f"].shape[1] - self.hidden_dim
-
-    def params(self) -> dict[str, np.ndarray]:
+    def _params(self):
         out = {}
         for k in LSTM_GATES:
-            out[f"{self.name}.W_{k}"] = self.weights[k]
-            out[f"{self.name}.b_{k}"] = self.biases[k]
+            out[f"W_{k}"] = self.weights[k]
+            out[f"b_{k}"] = self.biases[k]
             if self.gates is not None:
-                out[f"{self.name}.gate_{k}.alpha"] = self.gates[k].alpha
+                out[f"gate_{k}.alpha"] = self.gates[k].alpha
         return out
-
-    def bind(self, tape: Tape) -> dict[str, Tensor]:
-        """Register this cell's parameters once per tape; returns the nodes."""
-        nodes = {}
-        for k in LSTM_GATES:
-            nodes[f"W_{k}"] = tape.param(f"{self.name}.W_{k}", self.weights[k])
-            nodes[f"b_{k}"] = tape.param(f"{self.name}.b_{k}", self.biases[k])
-            if self.gates is not None:
-                nodes[f"alpha_{k}"] = tape.param(f"{self.name}.gate_{k}.alpha",
-                                                 self.gates[k].alpha)
-        return nodes
 
     def step(self, nodes: dict[str, Tensor], x_t: Tensor, h_prev: Tensor,
              c_prev: Tensor) -> tuple[Tensor, Tensor]:
+        """One timestep; ``nodes`` is what ``bind`` returned for this tape."""
         z = concat_cols(h_prev, x_t)
         acts = {}
         for k in LSTM_GATES:
             pre = add(matmul(z, transpose(nodes[f"W_{k}"])), nodes[f"b_{k}"])
             nonlin = tanh if k == "g" else sigmoid
             if self.gates is not None:
-                alpha = nodes[f"alpha_{k}"]
+                alpha = nodes[f"gate_{k}.alpha"]
                 act = nonlin(mul(pre, alpha))
                 acts[k] = apply_mask(act, self.gates[k], axis=1, alpha=alpha)
             else:

@@ -2,14 +2,21 @@
 
 Every model exposes the same surface: ``params()`` mapping names to the live
 parameter arrays (scaling factors included, so the optimizer sees them),
-``gates()``, ``l2_groups``/``alpha_nodes``/``hinge_gates`` for the objective,
-and ``forward(tape, x, mode)`` returning [N, classes] logits.  For the prune
-registry each model declares its accounting once per gate in ``gate_decls()``:
-the gate's reporting group, the dense MACs of one component, how component
-``i`` is named, and the parameter slices the gate owns and the ones that
-depend on it (next-layer input channels, as ``AXIS1``).  ``flops(live)`` then
-costs the network from the live component count of each gate, keyed by gate
-name; ungated layers count in full.
+``persistent_arrays()`` (parameters plus batch-norm buffers, for
+checkpoints), ``gates()``, ``l2_groups``/``alpha_nodes``/``hinge_gates`` for
+the objective, and ``forward(tape, x, mode)`` returning [N, classes] logits.
+
+A concrete model states two things at construction and ``Model`` derives
+the rest.  ``_parts()`` lists its blocks and its own ``{name: array}`` tables
+(embedding, head, MLP layers) in ``params()`` order; ``params()`` and
+``persistent_arrays()`` walk it.  ``_decls`` holds one ``GateDecl`` per gate:
+its reporting group, the dense MACs of one component, how component ``i`` is
+named, the slices under the masked-l2 term (``decayed``), the other slices it
+owns (batch-norm affine) and the ones that depend on it (next-layer input
+channels, as ``AXIS1``).  ``gate_decls()``, ``gates()`` and ``l2_groups()``
+read those declarations.  ``flops(live)`` costs the network from the live
+component count of each gate, keyed by gate name; ungated layers count in
+full.
 
 Construction is deterministic in the seed, and gate scaling factors are
 initialized to a constant so gated and ungated variants of the same seed
@@ -37,14 +44,10 @@ class Model:
     """Shared plumbing; concrete models fill in the architecture."""
 
     task = "classification"
+    _decls: list[GateDecl]             # one per gate, built in __init__
 
-    def params(self) -> dict[str, np.ndarray]:
-        raise NotImplementedError
-
-    def gates(self) -> list[GateParam]:
-        raise NotImplementedError
-
-    def gate_decls(self) -> list[GateDecl]:
+    def _parts(self) -> list:
+        """Blocks and own ``{name: array}`` tables, in ``params()`` order."""
         raise NotImplementedError
 
     def flops(self, live: dict[str, int]) -> int:
@@ -53,8 +56,34 @@ class Model:
     def forward(self, tape: Tape, x, mode: str = "train") -> Tensor:
         raise NotImplementedError
 
+    def params(self) -> dict[str, np.ndarray]:
+        out = {}
+        for part in self._parts():
+            out.update(part if isinstance(part, dict) else part.params())
+        return out
+
+    def persistent_arrays(self) -> dict[str, np.ndarray]:
+        """Everything a checkpoint must carry: parameters plus buffers."""
+        out = self.params()
+        for part in self._parts():
+            if not isinstance(part, dict):
+                out.update(part.state())
+        return out
+
+    def gate_decls(self) -> list[GateDecl]:
+        return self._decls
+
+    def gates(self) -> list[GateParam]:
+        return [d.gate for d in self._decls]
+
     def l2_groups(self, tape: Tape):
-        raise NotImplementedError
+        """Each gate with the tape nodes of its decayed slices."""
+        nodes = tape.params
+        return [(d.gate, [(nodes[n], mode) for n, mode in d.decayed])
+                for d in self._decls]
+
+    def _head(self) -> dict[str, np.ndarray]:
+        return {"head.w": self.head_w, "head.b": self.head_b}
 
     def flatten_labels(self, y: np.ndarray) -> np.ndarray:
         return y
@@ -64,12 +93,7 @@ class Model:
         return [nodes[f"{g.name}.alpha"] for g in self.gates()]
 
     def hinge_gates(self, tape: Tape) -> list[tuple[GateParam, Tensor]]:
-        nodes = tape.params
-        return [(g, nodes[f"{g.name}.alpha"]) for g in self.gates()]
-
-    def persistent_arrays(self) -> dict[str, np.ndarray]:
-        """Everything a checkpoint must carry: parameters plus buffers."""
-        return self.params()
+        return list(zip(self.gates(), self.alpha_nodes(tape)))
 
     def load_params(self, arrays: dict[str, np.ndarray]) -> None:
         own = self.persistent_arrays()
@@ -103,14 +127,25 @@ def _live(live: dict[str, int], gate: GateParam | None, full: int) -> int:
     return full if gate is None else live[gate.name]
 
 
+def _bind(tape: Tape, table: dict[str, np.ndarray]) -> list[Tensor]:
+    """Register a table's arrays on ``tape``; returns the nodes in order."""
+    return [tape.param(name, arr) for name, arr in table.items()]
+
+
+def _conv_slices(units, mode: str) -> dict[str, tuple]:
+    """Slices of conv units under one gate: weights decay, bn affine does not."""
+    return dict(decayed=tuple((u.pname("w"), mode) for u in units),
+                owned=tuple((u.pname(p), mode) for u in units
+                            for p in ("bn.gamma", "bn.beta")))
+
+
 def _filter_decl(u: ConvUnit, hw: tuple[int, int], next_w: str | None) -> GateDecl:
     """Filter gate of ``u`` with output size ``hw``; ``next_w`` reads its outputs."""
     n, k = u.weights.shape[1], u.weights.shape[2]
     return GateDecl(u.gate, u.name, conv_macs(1, n, k, *hw),
                     lambda i, name=u.name: f"{name}[{i}]",
-                    owned=tuple((f"{u.name}.{p}", AXIS0)
-                                for p in ("w", "bn.gamma", "bn.beta")),
-                    deps=() if next_w is None else ((next_w, AXIS1),))
+                    deps=() if next_w is None else ((next_w, AXIS1),),
+                    **_conv_slices((u,), AXIS0))
 
 
 # ---------------------------------------------------------------------------
@@ -128,56 +163,41 @@ class Mlp(Model):
             raise ValueError(f"mlp supports weight granularity, got {granularity!r}")
         rng = np.random.default_rng(seed)
         dims = (in_dim,) + tuple(hidden) + (classes,)
-        self.weights, self.biases, self._gates = [], [], []
+        self.weights, self.biases, self._gates, self._decls = [], [], [], []
         for li in range(len(dims) - 1):
             p, q = dims[li], dims[li + 1]
             self.weights.append(rng.normal(0.0, np.sqrt(1.0 / p), size=(q, p)))
             self.biases.append(np.zeros(q))
+            gate = None
             if granularity == "weight":
-                self._gates.append(GateParam.create(
-                    "weight", q * p, threshold, beta, alpha_init,
-                    name=f"fc{li}.gate"))
-            else:
-                self._gates.append(None)
+                gate = GateParam.create("weight", q * p, threshold, beta, alpha_init,
+                                        name=f"fc{li}.gate")
+                self._decls.append(GateDecl(
+                    gate, f"fc{li}", 1, lambda i, li=li, p=p: f"fc{li}.w[{i // p},{i % p}]",
+                    decayed=((f"fc{li}.w", ELEMENTWISE),)))
+            self._gates.append(gate)
 
-    def params(self):
-        out = {}
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"fc{li}.w"] = w
-            out[f"fc{li}.b"] = b
-            if self._gates[li] is not None:
-                out[f"fc{li}.gate.alpha"] = self._gates[li].alpha
-        return out
+    def _layer(self, li: int) -> dict[str, np.ndarray]:
+        """Weight, bias and (when gated) scaling factors of layer ``li``."""
+        table = {f"fc{li}.w": self.weights[li], f"fc{li}.b": self.biases[li]}
+        if self._gates[li] is not None:
+            table[f"fc{li}.gate.alpha"] = self._gates[li].alpha
+        return table
 
-    def gates(self):
-        return [g for g in self._gates if g is not None]
+    def _parts(self):
+        return [self._layer(li) for li in range(len(self.weights))]
 
     def forward(self, tape, x, mode="train"):
         h = tape.leaf(x) if not isinstance(x, Tensor) else x
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            wn = tape.param(f"fc{li}.w", w)
-            bn_ = tape.param(f"fc{li}.b", b)
-            if self._gates[li] is not None:
-                q, p = w.shape
-                a = tape.param(f"fc{li}.gate.alpha", self._gates[li].alpha)
-                flat = apply_gate(reshape(wn, (q * p,)), self._gates[li], axis=0, alpha=a)
-                wn = reshape(flat, (q, p))
-            h = linear(h, wn, bn_)
-            if li < len(self.weights) - 1:
+        for li, gate in enumerate(self._gates):
+            w, b, *alpha = _bind(tape, self._layer(li))
+            if gate is not None:
+                flat = apply_gate(reshape(w, (w.size,)), gate, axis=0, alpha=alpha[0])
+                w = reshape(flat, w.shape)
+            h = linear(h, w, b)
+            if li < len(self._gates) - 1:
                 h = relu(h)
         return h
-
-    def gate_decls(self):
-        return [GateDecl(g, f"fc{li}", 1,
-                         lambda i, li=li, p=self.weights[li].shape[1]:
-                         f"fc{li}.w[{i // p},{i % p}]",
-                         owned=((f"fc{li}.w", ELEMENTWISE),))
-                for li, g in enumerate(self._gates) if g is not None]
-
-    def l2_groups(self, tape):
-        nodes = tape.params
-        return [(g, [(nodes[f"fc{li}.w"], ELEMENTWISE)])
-                for li, g in enumerate(self._gates) if g is not None]
 
     def flops(self, live):
         total = 0
@@ -215,41 +235,18 @@ class ToyConvNet(Model):
             prev = m
         self.head_w = rng.normal(0.0, np.sqrt(1.0 / prev), size=(classes, prev))
         self.head_b = np.zeros(classes)
+        nxt = [u.pname("w") for u in self.units[1:]] + ["head.w"]
+        self._decls = [_filter_decl(u, input_hw, dep) for u, dep in zip(self.units, nxt)
+                       if u.gate is not None]
 
-    def params(self):
-        out = {}
-        for u in self.units:
-            out.update(u.params())
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
-
-    def persistent_arrays(self):
-        out = self.params()
-        for u in self.units:
-            out.update(u.state())
-        return out
-
-    def gates(self):
-        return [u.gate for u in self.units if u.gate is not None]
+    def _parts(self):
+        return [*self.units, self._head()]
 
     def forward(self, tape, x, mode="train"):
         h = tape.leaf(x) if not isinstance(x, Tensor) else x
         for u in self.units:
             h = u.forward(tape, h, mode)
-        h = avg_pool_full(h)
-        return linear(h, tape.param("head.w", self.head_w),
-                      tape.param("head.b", self.head_b))
-
-    def gate_decls(self):
-        nxt = [f"{u.name}.w" for u in self.units[1:]] + ["head.w"]
-        return [_filter_decl(u, self.input_hw, dep) for u, dep in zip(self.units, nxt)
-                if u.gate is not None]
-
-    def l2_groups(self, tape):
-        nodes = tape.params
-        return [(u.gate, [(nodes[f"{u.name}.w"], AXIS0)])
-                for u in self.units if u.gate is not None]
+        return linear(avg_pool_full(h), *_bind(tape, self._head()))
 
     def flops(self, live):
         oh, ow = self.input_hw
@@ -296,6 +293,7 @@ class ResNetSmall(Model):
                                     gated=filt, threshold=threshold, beta=beta,
                                     alpha_init=alpha_init)
         self.blocks: list[ResidualBlock] = []
+        self._decls = []
         prev = stage_widths[0]
         hw = input_hw
         self._block_hw: list[tuple[int, int]] = []
@@ -323,79 +321,33 @@ class ResNetSmall(Model):
                                         stride=stride, name=name)
                 else:
                     blk = ResidualBlock(u1, u2, gate, stride=stride, name=name)
+                if filt:
+                    # unit2 feeds the residual sum, so its filters have no dependants
+                    self._decls += [_filter_decl(u1, hw, u2.pname("w")),
+                                    _filter_decl(u2, hw, None)]
+                elif gate is not None:
+                    self._decls.append(GateDecl(
+                        gate, f"s{si}", sum(conv_macs(*u.weights.shape[:3], *hw)
+                                            for u in (u1, u2)),
+                        lambda i, name=name: name, **_conv_slices((u1, u2), WHOLE)))
                 self.blocks.append(blk)
                 self._block_hw.append(hw)
                 prev = width
+        if filt:
+            self._decls.insert(0, _filter_decl(self.stem, input_hw,
+                                               self.blocks[0].unit1.pname("w")))
         self.head_w = rng.normal(0.0, np.sqrt(1.0 / prev), size=(classes, prev))
         self.head_b = np.zeros(classes)
 
-    def params(self):
-        out = dict(self.stem.params())
-        for blk in self.blocks:
-            out.update(blk.params())
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
-
-    def persistent_arrays(self):
-        out = self.params()
-        out.update(self.stem.state())
-        for blk in self.blocks:
-            out.update(blk.state())
-        return out
-
-    def gates(self):
-        out = [u.gate for u in self._conv_units() if u.gate is not None]
-        out += [b.gate for b in self.blocks if b.gate is not None]
-        return out
-
-    def _conv_units(self):
-        units = [self.stem]
-        for blk in self.blocks:
-            units += [blk.unit1, blk.unit2]
-        return units
+    def _parts(self):
+        return [self.stem, *self.blocks, self._head()]
 
     def forward(self, tape, x, mode="train"):
         h = self.stem.forward(tape, tape.leaf(x) if not isinstance(x, Tensor) else x,
                               mode)
         for blk in self.blocks:
             h = blk.forward(tape, h, mode)
-        h = avg_pool_full(h)
-        return linear(h, tape.param("head.w", self.head_w),
-                      tape.param("head.b", self.head_b))
-
-    def gate_decls(self):
-        if self.granularity == "subnetwork":
-            decls = []
-            for blk, hw in zip(self.blocks, self._block_hw):
-                units = (blk.unit1, blk.unit2)
-                decls.append(GateDecl(
-                    blk.gate, blk.name.split(".")[0],
-                    sum(conv_macs(*u.weights.shape[:3], *hw) for u in units),
-                    lambda i, name=blk.name: name,
-                    owned=tuple((f"{u.name}.{p}", WHOLE) for u in units
-                                for p in ("w", "bn.gamma", "bn.beta"))))
-            return decls
-        if self.granularity == "filter":
-            decls = [_filter_decl(self.stem, self.input_hw,
-                                  f"{self.blocks[0].unit1.name}.w")]
-            for blk, hw in zip(self.blocks, self._block_hw):
-                # unit2 feeds the residual sum, so its filters have no dependants
-                decls += [_filter_decl(blk.unit1, hw, f"{blk.unit2.name}.w"),
-                          _filter_decl(blk.unit2, hw, None)]
-            return decls
-        return []
-
-    def l2_groups(self, tape):
-        nodes = tape.params
-        if self.granularity == "subnetwork":
-            return [(blk.gate, [(nodes[f"{blk.unit1.name}.w"], WHOLE),
-                                (nodes[f"{blk.unit2.name}.w"], WHOLE)])
-                    for blk in self.blocks]
-        if self.granularity == "filter":
-            return [(u.gate, [(nodes[f"{u.name}.w"], AXIS0)])
-                    for u in self._conv_units()]
-        return []
+        return linear(avg_pool_full(h), *_bind(tape, self._head()))
 
     def flops(self, live):
         def unit_flops(u, live_in, live_out, hw):
@@ -462,40 +414,14 @@ class _LstmBase(Model):
             self.cells.append(LstmCell(weights, biases, gates, name=f"lstm{s}"))
         self.head_w = rng.normal(0.0, np.sqrt(1.0 / hidden), size=(out_dim, hidden))
         self.head_b = np.zeros(out_dim)
+        self._decls = [GateDecl(cell.gates[k], f"{cell.name}.{k}", cell.weights[k].shape[1],
+                                lambda i, group=f"{cell.name}.{k}": f"{group}[{i}]",
+                                decayed=((cell.pname(f"W_{k}"), AXIS0),
+                                         (cell.pname(f"b_{k}"), AXIS0)))
+                       for cell in self.cells if cell.gates is not None for k in LSTM_GATES]
 
-    def params(self):
-        out = {"embed": self.embed}
-        for cell in self.cells:
-            out.update(cell.params())
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
-
-    def gates(self):
-        out = []
-        for cell in self.cells:
-            if cell.gates is not None:
-                out += [cell.gates[k] for k in LSTM_GATES]
-        return out
-
-    def gate_decls(self):
-        return [GateDecl(cell.gates[k], f"{cell.name}.{k}", cell.weights[k].shape[1],
-                         lambda i, group=f"{cell.name}.{k}": f"{group}[{i}]",
-                         owned=((f"{cell.name}.W_{k}", AXIS0),
-                                (f"{cell.name}.b_{k}", AXIS0)))
-                for cell in self.cells if cell.gates is not None for k in LSTM_GATES]
-
-    def l2_groups(self, tape):
-        nodes = tape.params
-        groups = []
-        for cell in self.cells:
-            if cell.gates is None:
-                continue
-            for k in LSTM_GATES:
-                groups.append((cell.gates[k],
-                               [(nodes[f"{cell.name}.W_{k}"], AXIS0),
-                                (nodes[f"{cell.name}.b_{k}"], AXIS0)]))
-        return groups
+    def _parts(self):
+        return [{"embed": self.embed}, *self.cells, self._head()]
 
     def flops(self, live):
         # per-timestep cost; the constant sequence length cancels in ratios
@@ -538,8 +464,7 @@ class LstmClassifier(_LstmBase):
 
     def forward(self, tape, x, mode="train"):
         tops = self._run_stack(tape, np.asarray(x))
-        return linear(tops[-1], tape.param("head.w", self.head_w),
-                      tape.param("head.b", self.head_b))
+        return linear(tops[-1], *_bind(tape, self._head()))
 
 
 class LstmLm(_LstmBase):
@@ -558,17 +483,10 @@ class LstmLm(_LstmBase):
         ids = np.asarray(x)
         b, T = ids.shape
         tops = self._run_stack(tape, ids)
-        w = tape.param("head.w", self.head_w)
-        bias = tape.param("head.b", self.head_b)
-        logits = [linear(h_t, w, bias) for h_t in tops]
-        stacked = logits[0]
-        if T > 1:
-            # rows of the [b*T, V] result follow the label order y.reshape(-1)
-            stacked = concat_cols(logits[0], logits[1])
-            for l in logits[2:]:
-                stacked = concat_cols(stacked, l)
-            stacked = reshape(stacked, (b * T, self.vocab))
-        return stacked
+        w, bias = _bind(tape, self._head())
+        # rows of the [b*T, V] result follow the label order y.reshape(-1)
+        logits = concat_cols(*[linear(h_t, w, bias) for h_t in tops])
+        return reshape(logits, (b * T, self.vocab))
 
     def flatten_labels(self, y):
         return np.asarray(y).reshape(-1)

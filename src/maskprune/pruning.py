@@ -1,11 +1,13 @@
 """Registry of prunable entities: sparsity statistics and cost accounting.
 
-A model declares its accounting once per gate (``GateDecl``): the reporting
-group, the dense MACs of one component, how component ``i`` is named, and the
-parameter slices the gate owns and the ones that depend on it.  A slice is a
-(param name, membership) pair; the membership modes are the objective's
-(``AXIS0``, ``WHOLE``, ``ELEMENTWISE``) plus ``AXIS1`` for the next layer's
-input channels.  Component ``i`` of a gate is one prunable entity.
+A model declares each gate once (``GateDecl``): the reporting group, the
+dense MACs of one component, how component ``i`` is named, and the parameter
+slices the gate owns and the ones that depend on it.  A slice is a (param
+name, membership) pair; the membership modes are the objective's (``AXIS0``,
+``WHOLE``, ``ELEMENTWISE``) plus ``AXIS1`` for the next layer's input
+channels.  Owned slices come in two kinds: ``decayed`` ones also carry the
+masked-l2 term, the other ``owned`` ones (batch-norm affine) do not.
+Component ``i`` of a gate is one prunable entity.
 
 Each snapshot computes every gate's hard mask once and works on those arrays:
 
@@ -44,14 +46,15 @@ Slice = tuple[str, str]
 
 @dataclass(frozen=True)
 class GateDecl:
-    """The accounting of one gate: every component shares group, cost and slices."""
+    """One gate: every component shares group, cost and slices (each in one field)."""
 
     gate: GateParam
     group: str                         # reporting bucket (layer name)
     macs: int                          # dense per-application MACs of one component
     name: Callable[[int], str]         # entity id of component i
-    owned: tuple[Slice, ...] = ()
-    deps: tuple[Slice, ...] = ()
+    owned: tuple[Slice, ...] = ()      # owned, outside the l2 term (batch-norm affine)
+    deps: tuple[Slice, ...] = ()       # next layer's inputs that read the component
+    decayed: tuple[Slice, ...] = ()    # owned and under the masked-l2 term, in l2 order
 
 
 class EntityRecord(NamedTuple):
@@ -142,7 +145,10 @@ class PruneManager:
         params = model.params()
         weights = {n: p for n, p in params.items() if not n.endswith(".alpha")}
         for d in self.decls:
-            for name, mode in d.owned + d.deps:
+            slices = d.decayed + d.owned + d.deps
+            if len(set(slices)) != len(slices):
+                raise ValueError(f"gate {d.gate.name!r}: a slice is declared twice")
+            for name, mode in slices:
                 if name not in weights:
                     raise ValueError(f"gate {d.gate.name!r}: unknown weight {name!r}")
                 broadcast_mask(np.ones(d.gate.dim, dtype=bool), weights[name].shape, mode)
@@ -195,7 +201,7 @@ class PruneManager:
             if m.all():
                 continue
             off = ~m
-            for name, mode in d.owned + d.deps:
+            for name, mode in d.decayed + d.owned + d.deps:
                 grid = dead.get(name)
                 if grid is None:
                     grid = dead[name] = np.zeros(params[name].shape, dtype=bool)

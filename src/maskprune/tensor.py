@@ -219,16 +219,17 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor(a.data.reshape(shape), "reshape", (a,), rule)
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two rank-2 tensors along axis 1."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
-    na = a.shape[1]
+def concat_cols(*xs: Tensor) -> Tensor:
+    """Concatenate one or more rank-2 tensors along axis 1."""
+    if not xs or any(x.data.ndim != 2 or x.shape[0] != xs[0].shape[0] for x in xs):
+        raise ShapeError(f"concat_cols: incompatible shapes {[x.shape for x in xs]}")
+    bounds = np.cumsum([0] + [x.shape[1] for x in xs]).tolist()
 
     def rule(g):
-        return g[:, :na], g[:, na:]
+        # plain slices: np.split costs ~8x more per call on small operands
+        return tuple(g[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
-    return Tensor(np.concatenate([a.data, b.data], axis=1), "concat_cols", (a, b), rule)
+    return Tensor(np.concatenate([x.data for x in xs], axis=1), "concat_cols", xs, rule)
 
 
 def sum_all(a: Tensor) -> Tensor:

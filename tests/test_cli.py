@@ -6,7 +6,8 @@ import pytest
 
 from maskprune.checkpoint import save_checkpoint
 from maskprune.cli import main
-from maskprune.config import (ConfigError, build_model, validate_config)
+from maskprune.config import (GRANULARITY_FOR_ARCH, ConfigError, build_model,
+                              validate_config)
 from maskprune.gradcheck import run_checks
 
 
@@ -206,3 +207,72 @@ def test_report_fractions_match_manager(tmp_path, capsys):
     report = PruneManager(model).snapshot(0)
     assert f"fraction {report.pruned_params_fraction:.6f}" in out
     assert f"fraction {report.pruned_flops_fraction:.6f}" in out
+
+
+# one tiny model per arch; resnet-small takes an odd image side, since its
+# stride-2 units need (side + 2 - 3) to be even
+_TINY_ARCH = {
+    "mlp": dict(dataset="synth-class", data_dim=4, mlp_hidden=[3]),
+    "toy-convnet": dict(dataset="synth-images", image_hw=5, image_channels=1,
+                        conv_channels=[2]),
+    "resnet-small": dict(dataset="synth-images", image_hw=5, image_channels=1,
+                         stage_widths=[2, 3], blocks_per_stage=1),
+    "lstm-classifier": dict(dataset="synth-seq-majority", lstm_hidden=3,
+                            embed_dim=2, data_seq_len=4),
+    "lstm-lm": dict(dataset="synth-seq-markov", lstm_hidden=3, embed_dim=2,
+                    data_seq_len=4),
+}
+# params() of the gated variant, in order; the ungated one drops the alphas
+_LSTM_PARAMS = ("embed " + " ".join(f"lstm0.W_{k} lstm0.b_{k} lstm0.gate_{k}.alpha"
+                                    for k in "figo") + " head.w head.b")
+_PINNED_PARAMS = {
+    "mlp": {"weight": "fc0.w fc0.b fc0.gate.alpha fc1.w fc1.b fc1.gate.alpha"},
+    "toy-convnet": {"filter": "conv0.w conv0.bn.gamma conv0.bn.beta conv0.gate.alpha "
+                              "head.w head.b"},
+    "resnet-small": {
+        "filter": "stem.w stem.bn.gamma stem.bn.beta stem.gate.alpha "
+                  "s0.b0.c1.w s0.b0.c1.bn.gamma s0.b0.c1.bn.beta s0.b0.c1.gate.alpha "
+                  "s0.b0.c2.w s0.b0.c2.bn.gamma s0.b0.c2.bn.beta s0.b0.c2.gate.alpha "
+                  "s1.b0.c1.w s1.b0.c1.bn.gamma s1.b0.c1.bn.beta s1.b0.c1.gate.alpha "
+                  "s1.b0.c2.w s1.b0.c2.bn.gamma s1.b0.c2.bn.beta s1.b0.c2.gate.alpha "
+                  "s1.b0.down.w s1.b0.down.bn.gamma s1.b0.down.bn.beta head.w head.b",
+        "subnetwork": "stem.w stem.bn.gamma stem.bn.beta "
+                      "s0.b0.c1.w s0.b0.c1.bn.gamma s0.b0.c1.bn.beta "
+                      "s0.b0.c2.w s0.b0.c2.bn.gamma s0.b0.c2.bn.beta s0.b0.gate.alpha "
+                      "s1.b0.c1.w s1.b0.c1.bn.gamma s1.b0.c1.bn.beta "
+                      "s1.b0.c2.w s1.b0.c2.bn.gamma s1.b0.c2.bn.beta s1.b0.gate.alpha "
+                      "s1.b0.down.w s1.b0.down.bn.gamma s1.b0.down.bn.beta head.w head.b"},
+    "lstm-classifier": {"node": _LSTM_PARAMS},
+    "lstm-lm": {"node": _LSTM_PARAMS},
+}
+_PINNED_BUFFERS = {
+    "toy-convnet": "conv0.bn",
+    "resnet-small": "stem.bn s0.b0.c1.bn s0.b0.c2.bn s1.b0.c1.bn s1.b0.c2.bn s1.b0.down.bn",
+}
+
+
+@pytest.mark.parametrize("arch,granularity", [(a, g) for a, grans in
+                                               GRANULARITY_FOR_ARCH.items()
+                                               for g in grans])
+def test_every_arch_and_granularity_trains_and_reports(tmp_path, capsys, arch,
+                                                       granularity):
+    out = str(tmp_path / "run")
+    raw = dict(schema_version=1, arch=arch, granularity=granularity, data_n=16,
+               data_test_n=8, data_classes=2, epochs=1, batch_size=8, lambda1=1e-3,
+               lambda2=1e-4, lambda3=0.1, target_c=0.5, out_dir=out, **_TINY_ARCH[arch])
+    assert main(["train", "--config", _write(tmp_path, raw)]) == 0
+    assert main(["report", "--checkpoint", os.path.join(out, "checkpoint")]) == 0
+    gated = granularity != "none"
+    assert ("maskprune prune report v1" in capsys.readouterr().out) == gated
+
+    pinned = _PINNED_PARAMS[arch]
+    if gated:
+        params = pinned[granularity].split()
+    else:   # the weights of any gated variant, without its alphas
+        params = [n for n in next(iter(pinned.values())).split()
+                  if not n.endswith(".alpha")]
+    buffers = [f"{bn}.{s}" for bn in _PINNED_BUFFERS.get(arch, "").split()
+               for s in ("running_mean", "running_var")]
+    model = build_model(validate_config(raw))
+    assert list(model.params()) == params
+    assert sorted(model.persistent_arrays()) == sorted(params + buffers)

@@ -5,8 +5,7 @@ import pytest
 
 from maskprune.data import (CIFAR_MEAN, CIFAR_STD, Dataset, augment,
                             denormalize_cifar, hflip, load_cifar10,
-                            load_token_corpus, normalize_cifar, pad_crop,
-                            save_token_corpus, synth_classification,
+                            normalize_cifar, pad_crop, synth_classification,
                             synth_sequences)
 
 
@@ -148,15 +147,6 @@ def test_sequence_corpus_deterministic():
     d2 = synth_sequences(50, seed=11)
     assert np.array_equal(d1.inputs, d2.inputs)
     assert np.array_equal(d1.labels, d2.labels)
-
-
-def test_token_corpus_round_trip(tmp_path):
-    ds = synth_sequences(20, vocab=8, length=5, seed=12)
-    path = str(tmp_path / "corpus.txt")
-    save_token_corpus(ds, path)
-    back = load_token_corpus(path)
-    assert np.array_equal(back.inputs, ds.inputs)
-    assert np.array_equal(back.labels, ds.labels)
 
 
 def test_dataset_length_mismatch_rejected():

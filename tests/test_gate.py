@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskprune import gate as gate_mod
+from maskprune import objective
 from maskprune.gate import (GateParam, apply_gate, apply_mask, foothill_fd,
                             foothill_fd_grad, hard_mask, surrogate_mask,
                             surrogate_mask_grad)
+from maskprune.gradcheck import run_checks
 from maskprune.tensor import ShapeError, Tape, Tensor, sum_all, mul
 
 # frozen by high-precision evaluation of the closed forms (mpmath, 40 digits)
@@ -182,3 +185,20 @@ def test_mask_recomputed_from_alpha():
     gate.alpha[1] = 0.0
     assert np.array_equal(gate.mask(), [1.0, 0.0])
     assert gate.active_count() == 1
+
+
+STRAIGHT_THROUGH = ["apply-gate-alpha", "apply-mask-alpha", "ratio-hinge-alpha"]
+
+
+def test_straight_through_alpha_gradients_match_surrogate_forward():
+    assert [ok for _, _, ok in run_checks(STRAIGHT_THROUGH)] == [True] * 3
+
+
+def test_straight_through_checks_fail_without_surrogate_derivative(monkeypatch):
+    def zeros(alpha, t, beta):
+        return np.zeros_like(np.asarray(alpha, dtype=np.float64))
+
+    # objective imports the function by name, so its binding is patched too
+    for mod in (gate_mod, objective):
+        monkeypatch.setattr(mod, "surrogate_mask_grad", zeros)
+    assert not any(ok for _, _, ok in run_checks(STRAIGHT_THROUGH))

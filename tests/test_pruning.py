@@ -209,7 +209,9 @@ def test_undeclared_gate_and_mismatched_slices_rejected():
     g = model.gate
     for decls in ([],
                   [GateDecl(g, "g", 1, str, owned=(("w", ELEMENTWISE),))],
-                  [GateDecl(g, "g", 1, str, deps=(("w", WHOLE),))]):
+                  [GateDecl(g, "g", 1, str, deps=(("w", WHOLE),))],
+                  [GateDecl(g, "g", 1, str, owned=(("w", AXIS0),),
+                            decayed=(("w", AXIS0),))]):
         model.gate_decls = lambda decls=decls: decls
         with pytest.raises(ValueError):
             PruneManager(model)

@@ -135,6 +135,21 @@ def test_concat_cols_roundtrip():
     assert np.array_equal(cat.data[:, 3:], b.data)
 
 
+def test_concat_cols_many_splits_gradient_per_input():
+    tape = Tape()
+    xs = [tape.param(f"x{i}", np.full((2, i + 1), float(i))) for i in range(3)]
+    cat = concat_cols(*xs)
+    assert np.array_equal(cat.data, [[0, 1, 1, 2, 2, 2]] * 2)
+    proj = np.arange(12.0).reshape(2, 6)
+    grads = tape.backward(sum_all(mul(cat, Tensor(proj))))
+    assert [grads[f"x{i}"].data.tolist() for i in range(3)] == [
+        proj[:, :1].tolist(), proj[:, 1:3].tolist(), proj[:, 3:].tolist()]
+    with pytest.raises(ShapeError):
+        concat_cols()
+    with pytest.raises(ShapeError):
+        concat_cols(xs[0], Tensor(np.zeros((3, 1))))
+
+
 def test_forward_values_stay_finite():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(50,)) * 50)
