@@ -7,8 +7,7 @@ import os
 import sys
 
 from .checkpoint import load_checkpoint
-from .config import (ConfigError, build_datasets, build_model, load_config,
-                     train_config_from)
+from .config import build_datasets, build_model, load_config, train_config_from
 from .gradcheck import CHECKS, run_checks
 from .pruning import PruneManager
 from .training import TrainDivergence, train
@@ -17,15 +16,11 @@ from .training import TrainDivergence, train
 def cmd_train(args) -> int:
     try:
         cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    try:
+        if args.seed is not None:
+            cfg["seed"] = args.seed
         model = build_model(cfg)
         train_ds, test_ds = build_datasets(cfg)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:       # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     tcfg = train_config_from(cfg)

@@ -3,12 +3,20 @@
 Every key is validated before any model is built; unknown keys are rejected
 outright (regularizer coefficients span four orders of magnitude, so a typo
 must not fall back to a default silently).
+
+Two tables describe the run grid.  An ``ARCH_TABLE`` entry gives the model
+class (its ``GRANULARITIES`` are the arch's gated granularities), the input
+kind it reads and its constructor arguments; a ``DATASET_TABLE`` entry gives
+the input kind it yields, how one split of ``n`` samples is built (``cifar10``
+loads from ``data_dir``) and, for images, their shape and class count.  A
+dataset feeds an arch when the kinds match.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from . import data as data_mod
 from . import models
@@ -17,17 +25,71 @@ from .training import TrainConfig
 
 CONFIG_SCHEMA_VERSION = 1
 
-ARCHS = ("mlp", "toy-convnet", "resnet-small", "lstm-classifier", "lstm-lm")
-GRANULARITY_FOR_ARCH = {
-    "mlp": ("none", "weight"),
-    "toy-convnet": ("none", "filter"),
-    "resnet-small": ("none", "filter", "subnetwork"),
-    "lstm-classifier": ("none", "node"),
-    "lstm-lm": ("none", "node"),
+
+class DatasetSpec(NamedTuple):
+    yields: str                        # input kind
+    split: Callable | None             # (cfg, n, split name) -> Dataset; None: data_dir
+    image: Callable | None = None      # cfg -> (in_channels, input_hw, classes)
+
+
+class ArchSpec(NamedTuple):
+    model: type                        # a models.Model subclass
+    reads: str                         # input kind
+    args: Callable                     # (cfg, DatasetSpec) -> constructor positionals
+    side_error: Callable | None = None  # (cfg, image side) -> why it cannot run, or None
+
+
+def _synth_split(cfg, n, name, image=False):
+    shape = (cfg["image_channels"], cfg["image_hw"], cfg["image_hw"]) if image else None
+    return data_mod.synth_classification(n, cfg["data_classes"], cfg["data_dim"],
+                                         cfg["data_seed"], cfg["data_margin"],
+                                         image_shape=shape, split=name)
+
+
+def _seq_split(kind: str):
+    # the test split draws from the next seed
+    return lambda cfg, n, name: data_mod.synth_sequences(
+        n, cfg["data_vocab"], cfg["data_seq_len"],
+        cfg["data_seed"] + (1 if name == "test" else 0), kind, split=name)
+
+
+DATASET_TABLE = {
+    "synth-class": DatasetSpec("features", _synth_split),
+    "synth-images": DatasetSpec("images", partial(_synth_split, image=True), lambda c: (
+        c["image_channels"], (c["image_hw"],) * 2, c["data_classes"])),
+    "synth-seq-majority": DatasetSpec("token->label", _seq_split("majority")),
+    "synth-seq-markov": DatasetSpec("token->next-token", _seq_split("markov")),
+    "cifar10": DatasetSpec("images", None, lambda c: (3, (32, 32), 10)),
 }
-IMAGE_ARCHS = ("toy-convnet", "resnet-small")
-DATASETS = ("synth-class", "synth-images", "synth-seq-majority",
-            "synth-seq-markov", "cifar10")
+
+
+def _resnet_side_error(cfg, side: int) -> str | None:
+    sides = models.stage_sides(side, len(cfg["stage_widths"]))
+    for si in range(1, len(sides)):
+        if sides[si - 1] % 2 == 0:
+            return (f"stage {si} opens with stride-2 convs, which need an odd input "
+                    f"side, and gets {sides[si - 1]} (stage sides {sides})")
+    return None
+
+
+ARCH_TABLE = {
+    "mlp": ArchSpec(models.Mlp, "features", lambda c, ds: (
+        c["data_dim"], tuple(c["mlp_hidden"]), c["data_classes"])),
+    "toy-convnet": ArchSpec(models.ToyConvNet, "images", lambda c, ds: (
+        tuple(c["conv_channels"]), *ds.image(c))),
+    "resnet-small": ArchSpec(models.ResNetSmall, "images", lambda c, ds: (
+        tuple(c["stage_widths"]), c["blocks_per_stage"], *ds.image(c)),
+        _resnet_side_error),
+    "lstm-classifier": ArchSpec(models.LstmClassifier, "token->label", lambda c, ds: (
+        c["data_vocab"], c["embed_dim"], c["lstm_hidden"], 2, c["lstm_stacks"])),
+    "lstm-lm": ArchSpec(models.LstmLm, "token->next-token", lambda c, ds: (
+        c["data_vocab"], c["embed_dim"], c["lstm_hidden"], c["lstm_stacks"])),
+}
+
+ARCHS = tuple(ARCH_TABLE)
+DATASETS = tuple(DATASET_TABLE)
+GRANULARITY_FOR_ARCH = {a: ("none",) + spec.model.GRANULARITIES
+                        for a, spec in ARCH_TABLE.items()}
 
 
 class ConfigError(ValueError):
@@ -42,13 +104,18 @@ def _number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# key -> (validator, default, description); None default means required
+def _widths(v):
+    return isinstance(v, list) and all(_positive_int(e) for e in v)
+
+
+_REQUIRED = object()
+
+# key -> (validator, default, description)
 _SCHEMA: dict[str, tuple] = {
-    "schema_version": (lambda v: v == CONFIG_SCHEMA_VERSION, None, "must equal 1"),
-    "arch": (lambda v: v in ARCHS, None, f"one of {ARCHS}"),
-    "granularity": (lambda v: v in ("none", "weight", "node", "filter", "subnetwork"),
-                    "none", "pruning granularity"),
-    "dataset": (lambda v: v in DATASETS, None, f"one of {DATASETS}"),
+    "schema_version": (lambda v: v == CONFIG_SCHEMA_VERSION, _REQUIRED, "must equal 1"),
+    "arch": (lambda v: v in ARCHS, _REQUIRED, f"one of {ARCHS}"),
+    "granularity": (lambda v: isinstance(v, str), "none", "pruning granularity"),
+    "dataset": (lambda v: v in DATASETS, _REQUIRED, f"one of {DATASETS}"),
     "data_n": (_positive_int, 2048, "training samples"),
     "data_test_n": (_positive_int, 512, "test samples"),
     "data_classes": (lambda v: _positive_int(v) and v >= 2, 10, "class count"),
@@ -79,21 +146,15 @@ _SCHEMA: dict[str, tuple] = {
                "mask threshold (null = per-granularity default)"),
     "gate_beta": (lambda v: _number(v) and v > 0, 5.0, "surrogate sharpness"),
     "alpha_init": (_number, 1.0, "initial scaling factor"),
-    "mlp_hidden": (lambda v: isinstance(v, list) and all(_positive_int(e) for e in v),
-                   [32], "mlp hidden widths"),
-    "conv_channels": (lambda v: isinstance(v, list) and all(_positive_int(e) for e in v),
-                      [8, 12, 16], "toy-convnet filter counts"),
-    "stage_widths": (lambda v: isinstance(v, list) and all(_positive_int(e) for e in v),
-                     [16, 32, 64], "resnet stage widths"),
+    "mlp_hidden": (_widths, [32], "mlp hidden widths"),
+    "conv_channels": (_widths, [8, 12, 16], "toy-convnet filter counts"),
+    "stage_widths": (_widths, [16, 32, 64], "resnet stage widths"),
     "blocks_per_stage": (_positive_int, 9, "resnet blocks per stage"),
     "lstm_hidden": (_positive_int, 32, "lstm hidden dimension"),
     "lstm_stacks": (lambda v: v in (1, 2), 1, "stacked lstm cells"),
     "embed_dim": (_positive_int, 16, "token embedding dimension"),
     "out_dir": (lambda v: isinstance(v, str), "run_out", "output directory"),
 }
-
-# keys whose optional threshold sentinel is None, not "missing"
-_NULLABLE = {"gate_t"}
 
 
 def validate_config(raw: dict[str, Any]) -> dict[str, Any]:
@@ -106,35 +167,30 @@ def validate_config(raw: dict[str, Any]) -> dict[str, Any]:
     for key, (check, default, desc) in _SCHEMA.items():
         if key in raw:
             value = raw[key]
-        elif default is None and key not in _NULLABLE:
+        elif default is _REQUIRED:
             raise ConfigError(f"missing required config key {key!r} ({desc})")
         else:
             value = default
-        if not check(value) and not (key in _NULLABLE and value is None):
+        if not check(value):
             raise ConfigError(f"config key {key!r}: invalid value {value!r} ({desc})")
         cfg[key] = value
     if list(cfg["decay_epochs"]) != sorted(set(cfg["decay_epochs"])):
         raise ConfigError("decay_epochs must be strictly increasing")
+    arch, ds = ARCH_TABLE[cfg["arch"]], DATASET_TABLE[cfg["dataset"]]
     gran = cfg["granularity"]
     if gran not in GRANULARITY_FOR_ARCH[cfg["arch"]]:
         raise ConfigError(
             f"granularity {gran!r} is incompatible with arch {cfg['arch']!r}; "
             f"allowed: {GRANULARITY_FOR_ARCH[cfg['arch']]}")
-    if cfg["augment"] and cfg["arch"] not in IMAGE_ARCHS:
+    if ds.yields != arch.reads:
+        feeding = [d for d, spec in DATASET_TABLE.items() if spec.yields == arch.reads]
+        raise ConfigError(f"dataset {cfg['dataset']!r} yields {ds.yields}; arch "
+                          f"{cfg['arch']!r} reads {arch.reads}, fed by {feeding}")
+    if cfg["augment"] and arch.reads != "images":
         raise ConfigError(f"config key 'augment': pad/crop/flip augmentation needs "
-                          f"image input; arch {cfg['arch']!r} does not take images")
-    seq_arch = cfg["arch"].startswith("lstm")
-    seq_data = cfg["dataset"].startswith("synth-seq")
-    if seq_arch != seq_data and cfg["dataset"] != "cifar10":
-        raise ConfigError(f"dataset {cfg['dataset']!r} does not feed arch "
-                          f"{cfg['arch']!r}")
-    if cfg["dataset"] == "cifar10" and not cfg["data_dir"]:
-        raise ConfigError("cifar10 dataset requires data_dir")
-    if cfg["dataset"] == "synth-seq-markov" and cfg["arch"] != "lstm-lm":
-        raise ConfigError("synth-seq-markov is a next-token corpus (arch lstm-lm)")
-    if cfg["dataset"] == "synth-seq-majority" and cfg["arch"] != "lstm-classifier":
-        raise ConfigError("synth-seq-majority is a classification corpus "
-                          "(arch lstm-classifier)")
+                          f"image input; arch {cfg['arch']!r} reads {arch.reads}")
+    if ds.split is None and not cfg["data_dir"]:
+        raise ConfigError(f"dataset {cfg['dataset']!r} loads from data_dir; set data_dir")
     return cfg
 
 
@@ -151,69 +207,27 @@ def load_config(path: str) -> dict[str, Any]:
 
 def build_model(cfg: dict[str, Any]):
     gran = None if cfg["granularity"] == "none" else cfg["granularity"]
-    gate_kw = dict(threshold=cfg["gate_t"], beta=cfg["gate_beta"],
-                   alpha_init=cfg["alpha_init"], granularity=gran,
-                   seed=cfg["seed"])
-    arch = cfg["arch"]
-    if arch == "mlp":
-        return models.Mlp(cfg["data_dim"], tuple(cfg["mlp_hidden"]),
-                          cfg["data_classes"], **gate_kw)
-    if arch == "toy-convnet":
-        hw = (32, 32) if cfg["dataset"] == "cifar10" else (cfg["image_hw"],) * 2
-        ch = 3 if cfg["dataset"] == "cifar10" else cfg["image_channels"]
-        return models.ToyConvNet(tuple(cfg["conv_channels"]), ch, hw,
-                                 cfg["data_classes"] if cfg["dataset"] != "cifar10"
-                                 else 10, **gate_kw)
-    if arch == "resnet-small":
-        hw = (32, 32) if cfg["dataset"] == "cifar10" else (cfg["image_hw"],) * 2
-        ch = 3 if cfg["dataset"] == "cifar10" else cfg["image_channels"]
-        return models.ResNetSmall(tuple(cfg["stage_widths"]), cfg["blocks_per_stage"],
-                                  ch, hw,
-                                  cfg["data_classes"] if cfg["dataset"] != "cifar10"
-                                  else 10, **gate_kw)
-    if arch == "lstm-classifier":
-        return models.LstmClassifier(cfg["data_vocab"], cfg["embed_dim"],
-                                     cfg["lstm_hidden"], 2, cfg["lstm_stacks"],
-                                     **gate_kw)
-    if arch == "lstm-lm":
-        return models.LstmLm(cfg["data_vocab"], cfg["embed_dim"],
-                             cfg["lstm_hidden"], cfg["lstm_stacks"], **gate_kw)
-    raise ConfigError(f"unknown arch {arch!r}")
+    arch = ARCH_TABLE[cfg["arch"]]
+    return arch.model(*arch.args(cfg, DATASET_TABLE[cfg["dataset"]]),
+                      threshold=cfg["gate_t"], beta=cfg["gate_beta"],
+                      alpha_init=cfg["alpha_init"], granularity=gran, seed=cfg["seed"])
 
 
 def build_datasets(cfg: dict[str, Any]):
-    name = cfg["dataset"]
-    seed = cfg["data_seed"]
-    if name == "cifar10":
+    """Train and test splits; refuses an image side the arch cannot run.
+
+    ``validate_config`` accepts such a config: its model builds and reports.
+    """
+    arch, ds = ARCH_TABLE[cfg["arch"]], DATASET_TABLE[cfg["dataset"]]
+    why = arch.side_error and arch.side_error(cfg, ds.image(cfg)[1][0])
+    if why:
+        raise ConfigError(f"arch {cfg['arch']!r} cannot run dataset {cfg['dataset']!r} "
+                          f"(image side: config key 'image_hw' for synth-images): {why}; "
+                          f"pad/crop for even sides is ROADMAP item 2")
+    if ds.split is None:
         return data_mod.load_cifar10(cfg["data_dir"])
-    if name == "synth-class":
-        return (data_mod.synth_classification(cfg["data_n"], cfg["data_classes"],
-                                              cfg["data_dim"], seed,
-                                              cfg["data_margin"]),
-                data_mod.synth_classification(cfg["data_test_n"], cfg["data_classes"],
-                                              cfg["data_dim"], seed,
-                                              cfg["data_margin"], split="test"))
-    if name == "synth-images":
-        shape = (cfg["image_channels"], cfg["image_hw"], cfg["image_hw"])
-        return (data_mod.synth_classification(cfg["data_n"], cfg["data_classes"],
-                                              seed=seed, margin=cfg["data_margin"],
-                                              image_shape=shape),
-                data_mod.synth_classification(cfg["data_test_n"], cfg["data_classes"],
-                                              seed=seed, margin=cfg["data_margin"],
-                                              image_shape=shape, split="test"))
-    if name == "synth-seq-majority":
-        return (data_mod.synth_sequences(cfg["data_n"], cfg["data_vocab"],
-                                         cfg["data_seq_len"], seed, "majority"),
-                data_mod.synth_sequences(cfg["data_test_n"], cfg["data_vocab"],
-                                         cfg["data_seq_len"], seed + 1, "majority",
-                                         split="test"))
-    if name == "synth-seq-markov":
-        return (data_mod.synth_sequences(cfg["data_n"], cfg["data_vocab"],
-                                         cfg["data_seq_len"], seed, "markov"),
-                data_mod.synth_sequences(cfg["data_test_n"], cfg["data_vocab"],
-                                         cfg["data_seq_len"], seed + 1, "markov",
-                                         split="test"))
-    raise ConfigError(f"unknown dataset {name!r}")
+    return (ds.split(cfg, cfg["data_n"], "train"),
+            ds.split(cfg, cfg["data_test_n"], "test"))
 
 
 def train_config_from(cfg: dict[str, Any]) -> TrainConfig:

@@ -26,10 +26,8 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor, custom_grad
 
-GRANULARITIES = ("weight", "node", "filter", "subnetwork")
-
 DEFAULT_BETA = 5.0
-# subnetwork gates use a coarser threshold than per-weight/node/filter gates
+# one entry per granularity; subnetwork gates use a coarser threshold
 DEFAULT_THRESHOLD = {"weight": 1e-4, "node": 1e-4, "filter": 1e-4, "subnetwork": 1e-3}
 DEFAULT_ALPHA_INIT = 1.0
 
@@ -91,7 +89,7 @@ class GateParam:
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64).reshape(-1)
-        if self.granularity not in GRANULARITIES:
+        if self.granularity not in DEFAULT_THRESHOLD:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         if not (0.0 < self.threshold < 1.0):
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")

@@ -84,11 +84,6 @@ def _away_from_zero(rng, shape, margin=0.05):
     return x + np.where(x >= 0, margin, -margin)
 
 
-def _proj_loss(tape: Tape, out: Tensor, rng) -> Tensor:
-    w = tape.leaf(rng.normal(size=out.shape))
-    return sum_all(mul(out, w))
-
-
 def _elementwise_check(opname: str):
     shapes = [(3,), (2, 4), (2, 3, 2)]
 

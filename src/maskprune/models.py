@@ -44,7 +44,21 @@ class Model:
     """Shared plumbing; concrete models fill in the architecture."""
 
     task = "classification"
+    GRANULARITIES: tuple[str, ...] = ()  # gated granularities; None (ungated) always works
     _decls: list[GateDecl]             # one per gate, built in __init__
+
+    @classmethod
+    def _gate_maker(cls, granularity: str | None, threshold: float | None, beta: float,
+                    alpha_init: float):
+        """``make(dim, name)`` for this model's gates, all of ``granularity``; None
+        when ungated.  Rejects a granularity outside ``GRANULARITIES``."""
+        if granularity not in (None, *cls.GRANULARITIES):
+            raise ValueError(f"{cls.__name__} supports {'/'.join(cls.GRANULARITIES)} "
+                             f"granularity, got {granularity!r}")
+        if granularity is None:
+            return None
+        return lambda dim, name: GateParam.create(granularity, dim, threshold, beta,
+                                                  alpha_init, name=name)
 
     def _parts(self) -> list:
         """Blocks and own ``{name: array}`` tables, in ``params()`` order."""
@@ -85,6 +99,11 @@ class Model:
     def _head(self) -> dict[str, np.ndarray]:
         return {"head.w": self.head_w, "head.b": self.head_b}
 
+    def _pool_head_flops(self, width: int, hw: tuple[int, int]) -> int:
+        """Global average pool of ``width`` maps of size ``hw``, then the head."""
+        classes = self.head_w.shape[0]
+        return width * hw[0] * hw[1] + 2 * classes * width + classes
+
     def flatten_labels(self, y: np.ndarray) -> np.ndarray:
         return y
 
@@ -108,23 +127,25 @@ class Model:
 
 
 def _make_conv_unit(name: str, n: int, m: int, rng: np.random.Generator,
-                    k: int = 3, stride: int = 1, padding: int = 1,
-                    relu_after: bool = True, gated: bool = False,
-                    threshold: float | None = None, beta: float = DEFAULT_BETA,
-                    alpha_init: float = 1.0) -> ConvUnit:
-    w = rng.normal(0.0, np.sqrt(2.0 / (n * k * k)), size=(m, n, k, k))
-    gate = None
-    if gated:
-        gate = GateParam.create("filter", m, threshold, beta, alpha_init,
-                                name=f"{name}.gate")
+                    stride: int = 1, relu_after: bool = True, make_gate=None) -> ConvUnit:
+    """3x3 pad-1 conv unit; ``make_gate`` (if any) gives it one gate per filter."""
+    w = rng.normal(0.0, np.sqrt(2.0 / (n * 9)), size=(m, n, 3, 3))
+    gate = None if make_gate is None else make_gate(m, f"{name}.gate")
     return ConvUnit(weights=w, bn_gamma=np.ones(m), bn_beta=np.zeros(m),
                     bn=BnState.create(m), gate=gate, stride=stride,
-                    padding=padding, relu=relu_after, name=name)
+                    padding=1, relu=relu_after, name=name)
 
 
 def _live(live: dict[str, int], gate: GateParam | None, full: int) -> int:
     """Live component count of ``gate``; an ungated layer counts in full."""
     return full if gate is None else live[gate.name]
+
+
+def _unit_flops(u: ConvUnit, live_in: int, live_out: int, hw: tuple[int, int]) -> int:
+    """Conv, batch norm and (if any) ReLU of ``u`` with the given live channels."""
+    elems = live_out * hw[0] * hw[1]
+    macs = conv_macs(live_out, live_in, u.weights.shape[2], *hw)
+    return 2 * macs + elems * (BN_FLOPS_PER_ELEM + RELU_FLOPS_PER_ELEM * u.relu)
 
 
 def _bind(tape: Tape, table: dict[str, np.ndarray]) -> list[Tensor]:
@@ -155,12 +176,13 @@ def _filter_decl(u: ConvUnit, hw: tuple[int, int], next_w: str | None) -> GateDe
 class Mlp(Model):
     """Linear stack; weight granularity masks individual matrix entries."""
 
+    GRANULARITIES = ("weight",)
+
     def __init__(self, in_dim: int, hidden: tuple[int, ...], classes: int,
                  seed: int = 0, granularity: str | None = None,
                  threshold: float | None = None, beta: float = DEFAULT_BETA,
                  alpha_init: float = 1.0):
-        if granularity not in (None, "weight"):
-            raise ValueError(f"mlp supports weight granularity, got {granularity!r}")
+        make_gate = self._gate_maker(granularity, threshold, beta, alpha_init)
         rng = np.random.default_rng(seed)
         dims = (in_dim,) + tuple(hidden) + (classes,)
         self.weights, self.biases, self._gates, self._decls = [], [], [], []
@@ -168,10 +190,8 @@ class Mlp(Model):
             p, q = dims[li], dims[li + 1]
             self.weights.append(rng.normal(0.0, np.sqrt(1.0 / p), size=(q, p)))
             self.biases.append(np.zeros(q))
-            gate = None
-            if granularity == "weight":
-                gate = GateParam.create("weight", q * p, threshold, beta, alpha_init,
-                                        name=f"fc{li}.gate")
+            gate = None if make_gate is None else make_gate(q * p, f"fc{li}.gate")
+            if gate is not None:
                 self._decls.append(GateDecl(
                     gate, f"fc{li}", 1, lambda i, li=li, p=p: f"fc{li}.w[{i // p},{i % p}]",
                     decayed=((f"fc{li}.w", ELEMENTWISE),)))
@@ -216,22 +236,22 @@ class Mlp(Model):
 class ToyConvNet(Model):
     """Chain of gated conv units, global average pool, linear head."""
 
+    GRANULARITIES = ("filter",)
+
     def __init__(self, channels: tuple[int, ...] = (8, 12, 16), in_channels: int = 3,
                  input_hw: tuple[int, int] = (12, 12), classes: int = 10,
                  seed: int = 0, granularity: str | None = None,
                  threshold: float | None = None, beta: float = DEFAULT_BETA,
                  alpha_init: float = 1.0):
-        if granularity not in (None, "filter"):
-            raise ValueError(f"toy-convnet supports filter granularity, got {granularity!r}")
+        make_gate = self._gate_maker(granularity, threshold, beta, alpha_init)
         rng = np.random.default_rng(seed)
         self.input_hw = input_hw
         self.in_channels = in_channels
         self.units: list[ConvUnit] = []
         prev = in_channels
         for ui, m in enumerate(channels):
-            self.units.append(_make_conv_unit(
-                f"conv{ui}", prev, m, rng, gated=granularity == "filter",
-                threshold=threshold, beta=beta, alpha_init=alpha_init))
+            self.units.append(_make_conv_unit(f"conv{ui}", prev, m, rng,
+                                              make_gate=make_gate))
             prev = m
         self.head_w = rng.normal(0.0, np.sqrt(1.0 / prev), size=(classes, prev))
         self.head_b = np.zeros(classes)
@@ -249,24 +269,27 @@ class ToyConvNet(Model):
         return linear(avg_pool_full(h), *_bind(tape, self._head()))
 
     def flops(self, live):
-        oh, ow = self.input_hw
-        elems = oh * ow
-        total = 0
-        live_in = self.in_channels
+        total, live_in = 0, self.in_channels
         for u in self.units:
             live_out = _live(live, u.gate, u.out_channels)
-            k = u.weights.shape[2]
-            total += 2 * conv_macs(live_out, live_in, k, oh, ow)
-            total += live_out * elems * (BN_FLOPS_PER_ELEM + RELU_FLOPS_PER_ELEM)
+            total += _unit_flops(u, live_in, live_out, self.input_hw)
             live_in = live_out
-        total += live_in * elems                       # global average pool
-        total += 2 * self.head_w.shape[0] * live_in + self.head_w.shape[0]
-        return total
+        return total + self._pool_head_flops(live_in, self.input_hw)
 
 
 # ---------------------------------------------------------------------------
 # residual network (filter or subnetwork granularity)
 # ---------------------------------------------------------------------------
+
+def stage_sides(side: int, stages: int) -> list[int]:
+    """Side each ``ResNetSmall`` stage runs at.  A stage after the first opens
+    with stride-2 3x3 pad-1 and 1x1 convs: they map side ``s`` to
+    ``(s - 1) // 2 + 1``, and ``conv2d`` runs them only when ``s`` is odd."""
+    sides = [side]
+    for _ in range(stages - 1):
+        sides.append((sides[-1] - 1) // 2 + 1)
+    return sides
+
 
 class ResNetSmall(Model):
     """Stem conv plus staged basic blocks; CIFAR geometry by default.
@@ -275,45 +298,37 @@ class ResNetSmall(Model):
     classic 56-layer CIFAR network: 2032 filters, 27 blocks.
     """
 
+    GRANULARITIES = ("filter", "subnetwork")
+
     def __init__(self, stage_widths: tuple[int, ...] = (16, 32, 64),
                  blocks_per_stage: int = 9, in_channels: int = 3,
                  input_hw: tuple[int, int] = (32, 32), classes: int = 10,
                  seed: int = 0, granularity: str | None = None,
                  threshold: float | None = None, beta: float = DEFAULT_BETA,
                  alpha_init: float = 1.0):
-        if granularity not in (None, "filter", "subnetwork"):
-            raise ValueError(
-                f"resnet-small supports filter/subnetwork granularity, got {granularity!r}")
+        make_gate = self._gate_maker(granularity, threshold, beta, alpha_init)
         rng = np.random.default_rng(seed)
         self.granularity = granularity
         self.input_hw = input_hw
         self.in_channels = in_channels
         filt = granularity == "filter"
+        unit_gate = make_gate if filt else None
         self.stem = _make_conv_unit("stem", in_channels, stage_widths[0], rng,
-                                    gated=filt, threshold=threshold, beta=beta,
-                                    alpha_init=alpha_init)
+                                    make_gate=unit_gate)
         self.blocks: list[ResidualBlock] = []
         self._decls = []
         prev = stage_widths[0]
-        hw = input_hw
         self._block_hw: list[tuple[int, int]] = []
-        for si, width in enumerate(stage_widths):
+        sides = zip(*(stage_sides(s, len(stage_widths)) for s in input_hw))
+        for si, (width, hw) in enumerate(zip(stage_widths, sides)):
             for bi in range(blocks_per_stage):
                 stride = 2 if si > 0 and bi == 0 else 1
                 name = f"s{si}.b{bi}"
-                if stride == 2:
-                    # 3x3 pad-1 stride-2 under the exact-divisibility contract
-                    hw = ((hw[0] - 1) // 2 + 1, (hw[1] - 1) // 2 + 1)
                 u1 = _make_conv_unit(f"{name}.c1", prev, width, rng, stride=stride,
-                                     gated=filt, threshold=threshold, beta=beta,
-                                     alpha_init=alpha_init)
+                                     make_gate=unit_gate)
                 u2 = _make_conv_unit(f"{name}.c2", width, width, rng, relu_after=False,
-                                     gated=filt, threshold=threshold, beta=beta,
-                                     alpha_init=alpha_init)
-                gate = None
-                if granularity == "subnetwork":
-                    gate = GateParam.create("subnetwork", 1, threshold, beta,
-                                            alpha_init, name=f"{name}.gate")
+                                     make_gate=unit_gate)
+                gate = make_gate(1, f"{name}.gate") if granularity == "subnetwork" else None
                 if stride == 2 or prev != width:
                     dw = rng.normal(0.0, np.sqrt(2.0 / prev), size=(width, prev, 1, 1))
                     blk = ResidualBlock(u1, u2, gate, dw, np.ones(width),
@@ -350,37 +365,25 @@ class ResNetSmall(Model):
         return linear(avg_pool_full(h), *_bind(tape, self._head()))
 
     def flops(self, live):
-        def unit_flops(u, live_in, live_out, hw):
-            elems = live_out * hw[0] * hw[1]
-            macs = conv_macs(live_out, live_in, u.weights.shape[2], *hw)
-            cost = 2 * macs + elems * BN_FLOPS_PER_ELEM
-            if u.relu:
-                cost += elems * RELU_FLOPS_PER_ELEM
-            return cost
-
         def live_filters(u):
             return _live(live, u.gate, u.out_channels)
 
-        total = unit_flops(self.stem, self.in_channels, live_filters(self.stem),
-                           self.input_hw)
-        prev_out = live_filters(self.stem)
-        for idx, (blk, hw) in enumerate(zip(self.blocks, self._block_hw)):
+        total = _unit_flops(self.stem, self.in_channels, live_filters(self.stem),
+                            self.input_hw)
+        block_in = live_filters(self.stem)     # later blocks read the full width
+        for blk, hw in zip(self.blocks, self._block_hw):
             width = blk.unit2.out_channels
-            block_in = prev_out if idx == 0 else blk.unit1.weights.shape[1]
             if _live(live, blk.gate, 1):
                 l1 = live_filters(blk.unit1)
-                total += unit_flops(blk.unit1, block_in, l1, hw)
-                total += unit_flops(blk.unit2, l1, live_filters(blk.unit2), hw)
+                total += _unit_flops(blk.unit1, block_in, l1, hw)
+                total += _unit_flops(blk.unit2, l1, live_filters(blk.unit2), hw)
                 total += width * hw[0] * hw[1] * ADD_FLOPS_PER_ELEM
             if blk.down_w is not None:
                 macs = conv_macs(width, blk.down_w.shape[1], 1, *hw)
                 total += 2 * macs + width * hw[0] * hw[1] * BN_FLOPS_PER_ELEM
-            prev_out = width
-        last_hw = self._block_hw[-1]
-        width = self.blocks[-1].unit2.out_channels
-        total += width * last_hw[0] * last_hw[1]       # global average pool
-        total += 2 * self.head_w.shape[0] * width + self.head_w.shape[0]
-        return total
+            block_in = width
+        return total + self._pool_head_flops(self.blocks[-1].unit2.out_channels,
+                                             self._block_hw[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +391,12 @@ class ResNetSmall(Model):
 # ---------------------------------------------------------------------------
 
 class _LstmBase(Model):
+    GRANULARITIES = ("node",)
+
     def __init__(self, vocab: int, embed_dim: int, hidden: int, stacks: int,
                  out_dim: int, seed: int, granularity: str | None,
                  threshold: float | None, beta: float, alpha_init: float):
-        if granularity not in (None, "node"):
-            raise ValueError(f"lstm models support node granularity, got {granularity!r}")
+        make_gate = self._gate_maker(granularity, threshold, beta, alpha_init)
         if stacks not in (1, 2):
             raise ValueError(f"stacks must be 1 or 2, got {stacks}")
         rng = np.random.default_rng(seed)
@@ -406,11 +410,8 @@ class _LstmBase(Model):
                        for k in LSTM_GATES}
             biases = {k: np.zeros(hidden) for k in LSTM_GATES}
             biases["f"] = np.ones(hidden)              # open forget gate at init
-            gates = None
-            if granularity == "node":
-                gates = {k: GateParam.create("node", hidden, threshold, beta,
-                                             alpha_init, name=f"lstm{s}.gate_{k}")
-                         for k in LSTM_GATES}
+            gates = None if make_gate is None else {
+                k: make_gate(hidden, f"lstm{s}.gate_{k}") for k in LSTM_GATES}
             self.cells.append(LstmCell(weights, biases, gates, name=f"lstm{s}"))
         self.head_w = rng.normal(0.0, np.sqrt(1.0 / hidden), size=(out_dim, hidden))
         self.head_b = np.zeros(out_dim)

@@ -160,18 +160,15 @@ def total_objective(task_loss: Tensor,
     the components sum to the objective value.
     """
     total = task_loss
-    parts = {"task_loss": task_loss.item(), "l1_term": 0.0, "l2_term": 0.0,
-             "hinge_term": 0.0}
-    if cfg.lambda1 > 0.0 and alpha_nodes:
-        term = scale(l1_alpha(alpha_nodes), cfg.lambda1)
-        parts["l1_term"] = term.item()
-        total = add(total, term)
-    if cfg.lambda2 > 0.0 and l2_groups:
-        term = scale(masked_l2(l2_groups), cfg.lambda2)
-        parts["l2_term"] = term.item()
-        total = add(total, term)
-    if cfg.lambda3 > 0.0 and hinge_gates:
-        term = scale(ratio_hinge(hinge_gates, K, cfg.target_c), cfg.lambda3)
-        parts["hinge_term"] = term.item()
-        total = add(total, term)
+    parts = {"task_loss": task_loss.item()}
+    for key, coeff, inputs, build in (
+            ("l1_term", cfg.lambda1, alpha_nodes, lambda: l1_alpha(alpha_nodes)),
+            ("l2_term", cfg.lambda2, l2_groups, lambda: masked_l2(l2_groups)),
+            ("hinge_term", cfg.lambda3, hinge_gates,
+             lambda: ratio_hinge(hinge_gates, K, cfg.target_c))):
+        parts[key] = 0.0
+        if coeff > 0.0 and inputs:
+            term = scale(build(), coeff)
+            parts[key] = term.item()
+            total = add(total, term)
     return total, parts

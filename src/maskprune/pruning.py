@@ -101,22 +101,8 @@ class PruneReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "report_version": REPORT_VERSION,
-            "step": self.step,
-            "active_entities": self.active_entities,
-            "K": self.K,
-            "pruned_ratio": self.pruned_ratio,
-            "total_params": self.total_params,
-            "pruned_params": self.pruned_params,
-            "pruned_params_fraction": self.pruned_params_fraction,
-            "total_flops": self.total_flops,
-            "live_flops": self.live_flops,
-            "pruned_flops_fraction": self.pruned_flops_fraction,
-            "per_group": {k: list(v) for k, v in self.per_group.items()},
-            "events": [list(e) for e in self.events],
-        }
-        return json.dumps(payload, sort_keys=True)
+        payload = {k: v for k, v in vars(self).items() if k != "active"}
+        return json.dumps(dict(payload, report_version=REPORT_VERSION), sort_keys=True)
 
 
 def conv_macs(m: int, n: int, k: int, out_h: int, out_w: int) -> int:

@@ -85,14 +85,9 @@ def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
     tape = Tape()
     logits = model.forward(tape, xb, mode="train")
     task = cross_entropy(logits, model.flatten_labels(yb))
-    K = sum(g.dim for g in model.gates())
-    if K > 0:
-        total, parts = total_objective(
-            task, model.alpha_nodes(tape), model.l2_groups(tape),
-            model.hinge_gates(tape), cfg.objective, K)
-    else:
-        total, parts = task, {"task_loss": task.item(), "l1_term": 0.0,
-                              "l2_term": 0.0, "hinge_term": 0.0}
+    total, parts = total_objective(
+        task, model.alpha_nodes(tape), model.l2_groups(tape), model.hinge_gates(tape),
+        cfg.objective, sum(g.dim for g in model.gates()))
     if not np.all(np.isfinite(total.data)):
         bad = first_nonfinite(total)
         raise TrainDivergence(
@@ -177,10 +172,7 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                 "schema_version": METRICS_SCHEMA_VERSION,
                 "epoch": epoch,
                 "lr": lr,
-                "task_loss": sums["task_loss"] / max(batches, 1),
-                "l1_term": sums["l1_term"] / max(batches, 1),
-                "l2_term": sums["l2_term"] / max(batches, 1),
-                "hinge_term": sums["hinge_term"] / max(batches, 1),
+                **{k: v / max(batches, 1) for k, v in sums.items()},
                 "active_counts": {g: list(v) for g, v in report.per_group.items()}
                 if report else {},
                 "pruned_ratio": report.pruned_ratio if report else 0.0,

@@ -6,8 +6,8 @@ import pytest
 
 from maskprune.checkpoint import save_checkpoint
 from maskprune.cli import main
-from maskprune.config import (GRANULARITY_FOR_ARCH, ConfigError, build_model,
-                              validate_config)
+from maskprune.config import (ARCHS, DATASETS, GRANULARITY_FOR_ARCH, ConfigError,
+                              build_datasets, build_model, validate_config)
 from maskprune.gradcheck import run_checks
 
 
@@ -276,3 +276,49 @@ def test_every_arch_and_granularity_trains_and_reports(tmp_path, capsys, arch,
     model = build_model(validate_config(raw))
     assert list(model.params()) == params
     assert sorted(model.persistent_arrays()) == sorted(params + buffers)
+
+
+# the (arch, dataset) pairs whose input kinds match; validation refuses the rest
+_FEEDS = {("mlp", "synth-class"), ("toy-convnet", "synth-images"),
+          ("resnet-small", "synth-images"), ("toy-convnet", "cifar10"),
+          ("resnet-small", "cifar10"), ("lstm-classifier", "synth-seq-majority"),
+          ("lstm-lm", "synth-seq-markov")}
+# resnet-small image sides on top of the grid: the stage whose stride-2 convs
+# get an even side (None: every stage runs)
+_GRID = [pytest.param(a, d, {}, 1 if (a, d) == ("resnet-small", "cifar10") else None,
+                      id=f"{a}+{d}") for a in ARCHS for d in DATASETS] + [
+    pytest.param("resnet-small", "synth-images", dict(image_hw=hw, stage_widths=widths),
+                 stage, id=f"resnet-small+synth-images-side{hw}-stages{len(widths)}")
+    for hw, widths, stage in [(12, [2, 3, 4], 1),      # the default image_hw
+                              (7, [2, 3, 4], 2),       # 7 -> 4
+                              (17, [2, 3, 4], None),   # 17 -> 9 -> 5
+                              (5, [2, 3], None)]]
+
+
+@pytest.mark.parametrize("arch,dataset,overrides,bad_stage", _GRID)
+def test_every_arch_dataset_pair_is_refused_or_trains(tmp_path, capsys, arch, dataset,
+                                                      overrides, bad_stage):
+    out = str(tmp_path / "run")
+    tiny = {k: v for k, v in _TINY_ARCH[arch].items() if k != "dataset"}
+    raw = dict(schema_version=1, arch=arch, dataset=dataset, data_n=16, data_test_n=8,
+               data_classes=2, epochs=1, batch_size=8, out_dir=out,
+               **dict(tiny, **overrides))
+    if dataset == "cifar10":
+        raw["data_dir"] = str(tmp_path / "cifar")        # never read
+    if (arch, dataset) not in _FEEDS:
+        with pytest.raises(ConfigError, match=dataset):
+            validate_config(raw)
+        return
+    cfg = validate_config(raw)
+    if bad_stage is not None:   # refused before any data is built or read
+        with pytest.raises(ConfigError, match=rf"'image_hw'.* stage {bad_stage} "):
+            build_datasets(cfg)
+    if dataset == "cifar10":
+        return
+    code = main(["train", "--config", _write(tmp_path, raw)])
+    if bad_stage is None:
+        assert code == 0
+    else:
+        err = capsys.readouterr().err
+        assert code == 2 and f"stage {bad_stage} " in err and "image_hw" in err
+        assert not os.path.exists(out)
