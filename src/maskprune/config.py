@@ -36,7 +36,6 @@ class ArchSpec(NamedTuple):
     model: type                        # a models.Model subclass
     reads: str                         # input kind
     args: Callable                     # (cfg, DatasetSpec) -> constructor positionals
-    side_error: Callable | None = None  # (cfg, image side) -> why it cannot run, or None
 
 
 def _synth_split(cfg, n, name, image=False):
@@ -63,23 +62,13 @@ DATASET_TABLE = {
 }
 
 
-def _resnet_side_error(cfg, side: int) -> str | None:
-    sides = models.stage_sides(side, len(cfg["stage_widths"]))
-    for si in range(1, len(sides)):
-        if sides[si - 1] % 2 == 0:
-            return (f"stage {si} opens with stride-2 convs, which need an odd input "
-                    f"side, and gets {sides[si - 1]} (stage sides {sides})")
-    return None
-
-
 ARCH_TABLE = {
     "mlp": ArchSpec(models.Mlp, "features", lambda c, ds: (
         c["data_dim"], tuple(c["mlp_hidden"]), c["data_classes"])),
     "toy-convnet": ArchSpec(models.ToyConvNet, "images", lambda c, ds: (
         tuple(c["conv_channels"]), *ds.image(c))),
     "resnet-small": ArchSpec(models.ResNetSmall, "images", lambda c, ds: (
-        tuple(c["stage_widths"]), c["blocks_per_stage"], *ds.image(c)),
-        _resnet_side_error),
+        tuple(c["stage_widths"]), c["blocks_per_stage"], *ds.image(c))),
     "lstm-classifier": ArchSpec(models.LstmClassifier, "token->label", lambda c, ds: (
         c["data_vocab"], c["embed_dim"], c["lstm_hidden"], 2, c["lstm_stacks"])),
     "lstm-lm": ArchSpec(models.LstmLm, "token->next-token", lambda c, ds: (
@@ -214,16 +203,8 @@ def build_model(cfg: dict[str, Any]):
 
 
 def build_datasets(cfg: dict[str, Any]):
-    """Train and test splits; refuses an image side the arch cannot run.
-
-    ``validate_config`` accepts such a config: its model builds and reports.
-    """
-    arch, ds = ARCH_TABLE[cfg["arch"]], DATASET_TABLE[cfg["dataset"]]
-    why = arch.side_error and arch.side_error(cfg, ds.image(cfg)[1][0])
-    if why:
-        raise ConfigError(f"arch {cfg['arch']!r} cannot run dataset {cfg['dataset']!r} "
-                          f"(image side: config key 'image_hw' for synth-images): {why}; "
-                          f"pad/crop for even sides is ROADMAP item 2")
+    """Train and test splits."""
+    ds = DATASET_TABLE[cfg["dataset"]]
     if ds.split is None:
         return data_mod.load_cifar10(cfg["data_dir"])
     return (ds.split(cfg, cfg["data_n"], "train"),

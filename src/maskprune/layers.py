@@ -24,7 +24,19 @@ from .tensor import (ShapeError, Tensor, Tape, add, concat_cols, custom_grad,
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate ``x`` [b,n,H,W] with filters ``w`` [m,n,k,k]."""
+    """Cross-correlate ``x`` [b,n,H,W] with filters ``w`` [m,n,k,k].
+
+    The column matrix ``cols`` is [b, n*k*k, Ho*Wo] in NCHW order: row
+    ``(c, ki, kj)`` holds the input pixels filter tap ``(c, ki, kj)`` reads at
+    each output position.  It is built by one strided copy per kernel offset.
+    With ``w`` as a [m, n*k*k] matrix, the output is ``w @ cols`` (already
+    [b, m, Ho*Wo]), the weight gradient ``sum_b g[b] @ cols[b].T`` and the
+    column gradient ``w.T @ g``: three BLAS GEMMs, none of whose operands is
+    copied to transpose it.  The column gradient goes back to the input one
+    [b, n, Ho, Wo] slab per kernel offset.  ``H + 2*padding - k`` and
+    ``W + 2*padding - k`` must be multiples of ``stride``; ``conv2d_floor``
+    gives floor geometry instead.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expected rank-4 operands, got {x.shape}, {w.shape}")
     b, n, H, W = x.shape
@@ -42,27 +54,60 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     xp = x.data
     if padding:
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]           # [b,n,Ho,Wo,k,k]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-    cols = cols.reshape(b, Ho * Wo, n * k * k)
+    # output (i, j) reads xp[..., ki + stride*i, kj + stride*j] at offset (ki, kj)
+    offsets = [(ki, kj, (..., slice(ki, ki + stride * (Ho - 1) + 1, stride),
+                         slice(kj, kj + stride * (Wo - 1) + 1, stride)))
+               for ki in range(k) for kj in range(k)]
+    cols = np.empty((b, n, k, k, Ho, Wo), dtype=xp.dtype)
+    for ki, kj, window in offsets:
+        cols[:, :, ki, kj] = xp[window]
+    cols = cols.reshape(b, n * k * k, Ho * Wo)
     wrow = w.data.reshape(m, n * k * k)
-    out = (cols @ wrow.T).transpose(0, 2, 1).reshape(b, m, Ho, Wo)
+    out = (wrow @ cols).reshape(b, m, Ho, Wo)
 
     def rule(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(b, Ho * Wo, m)
-        grad_w = np.einsum("bpm,bpc->mc", gmat, cols).reshape(m, n, k, k)
-        gcols = (gmat @ wrow).reshape(b, Ho, Wo, n, k, k).transpose(0, 3, 1, 2, 4, 5)
+        g3 = g.reshape(b, m, Ho * Wo)
+        grad_w = g3[0] @ cols[0].T
+        for i in range(1, b):
+            grad_w += g3[i] @ cols[i].T
+        gcols = (wrow.T @ g3).reshape(b, n, k, k, Ho, Wo)
         gxp = np.zeros_like(xp)
-        for ki in range(k):
-            for kj in range(k):
-                gxp[:, :, ki:ki + stride * Ho:stride,
-                    kj:kj + stride * Wo:stride] += gcols[:, :, :, :, ki, kj]
+        for ki, kj, window in offsets:
+            gxp[window] += gcols[:, :, ki, kj]
         if padding:
             gxp = gxp[:, :, padding:-padding, padding:-padding]
-        return gxp, grad_w
+        return gxp, grad_w.reshape(m, n, k, k)
 
     return custom_grad(out, (x, w), rule, op="conv2d")
+
+
+def conv2d_floor(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """``conv2d`` with floor output geometry, as in PyTorch:
+    ``Ho = (H + 2*padding - k) // stride + 1``, and likewise ``Wo``.
+
+    When ``H + 2*padding - k`` leaves a remainder ``r`` modulo ``stride``, the
+    last ``r`` rows of the padded input are never read.  They are dropped from
+    the trailing pad first and then from ``x``: a 3x3/s2/p1 conv on an even
+    side pads (1, 0), and a 1x1/s2 conv on one crops the last row.  Columns
+    alike.  Without a remainder this is ``conv2d`` itself.
+    """
+    k = w.shape[-1]
+    H, W = x.shape[-2:]
+    rh, rw = (H + 2 * padding - k) % stride, (W + 2 * padding - k) % stride
+    if not (rh or rw):
+        return conv2d(x, w, stride, padding)
+    keep_h, keep_w = H - max(rh - padding, 0), W - max(rw - padding, 0)
+    xp = np.zeros(x.shape[:2] + (H + 2 * padding - rh, W + 2 * padding - rw),
+                  dtype=x.data.dtype)
+    inner = (..., slice(padding, padding + keep_h), slice(padding, padding + keep_w))
+    xp[inner] = x.data[..., :keep_h, :keep_w]
+
+    def rule(g):
+        gx = np.zeros_like(x.data)
+        gx[..., :keep_h, :keep_w] = g[inner]
+        return (gx,)
+
+    return conv2d(custom_grad(xp, (x,), rule, op="pad_crop"), w, stride, 0)
 
 
 @dataclass
@@ -113,14 +158,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         n = xd.shape[0] * xd.shape[2] * xd.shape[3]
 
         def rule(g):
+            # mean(g*gamma) = gamma*dbeta/n and mean(g*gamma*xhat) = gamma*dgamma/n
             dgamma = np.sum(g * xhat, axis=axes)
             dbeta = np.sum(g, axis=axes)
-            dxhat = g * gd
-            mean_dxhat = dxhat.sum(axis=axes) / n
-            mean_dxhat_xhat = (dxhat * xhat).sum(axis=axes) / n
-            dx = inv.reshape(1, c, 1, 1) * (
-                dxhat - mean_dxhat.reshape(1, c, 1, 1)
-                - xhat * mean_dxhat_xhat.reshape(1, c, 1, 1))
+            dx = (gd * inv.reshape(1, c, 1, 1)) * (
+                g - (dbeta / n).reshape(1, c, 1, 1)
+                - xhat * (dgamma / n).reshape(1, c, 1, 1))
             return dx, dgamma, dbeta
     else:
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
@@ -245,7 +288,7 @@ class ConvUnit(Block):
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
-        y = batchnorm(conv2d(x, p["w"], self.stride, self.padding),
+        y = batchnorm(conv2d_floor(x, p["w"], self.stride, self.padding),
                       p["bn.gamma"], p["bn.beta"], self.bn, mode)
         if self.gate is not None:
             y = apply_gate(y, self.gate, axis=1, alpha=p["gate.alpha"])
@@ -294,7 +337,7 @@ class ResidualBlock(Block):
         branch = self.unit2.forward(tape, self.unit1.forward(tape, x, mode), mode)
         skip = x
         if self.down_w is not None:
-            skip = batchnorm(conv2d(x, p["down.w"], self.stride, 0),
+            skip = batchnorm(conv2d_floor(x, p["down.w"], self.stride, 0),
                              p["down.bn.gamma"], p["down.bn.beta"], self.down_bn, mode)
         if self.gate is not None:
             branch = apply_gate(branch, self.gate, alpha=p["gate.alpha"])

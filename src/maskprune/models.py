@@ -283,8 +283,8 @@ class ToyConvNet(Model):
 
 def stage_sides(side: int, stages: int) -> list[int]:
     """Side each ``ResNetSmall`` stage runs at.  A stage after the first opens
-    with stride-2 3x3 pad-1 and 1x1 convs: they map side ``s`` to
-    ``(s - 1) // 2 + 1``, and ``conv2d`` runs them only when ``s`` is odd."""
+    with stride-2 3x3 pad-1 and 1x1 convs: with ``conv2d_floor`` they map side
+    ``s`` to ``(s - 1) // 2 + 1``, even ``s`` included."""
     sides = [side]
     for _ in range(stages - 1):
         sides.append((sides[-1] - 1) // 2 + 1)

@@ -5,10 +5,10 @@ from maskprune.gate import GateParam
 from maskprune.gradcheck import run_checks
 from maskprune.layers import (LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
-                              embedding, linear)
-from maskprune.models import ResNetSmall
+                              conv2d_floor, embedding, linear)
+from maskprune.models import ResNetSmall, stage_sides
 from maskprune.objective import AXIS0, masked_l2
-from maskprune.tensor import ShapeError, Tape, Tensor, sum_all
+from maskprune.tensor import ShapeError, Tape, Tensor, mul, sum_all
 
 
 def test_conv_identity_kernel():
@@ -30,6 +30,54 @@ def test_conv_rejects_non_integral_output():
     with pytest.raises(ShapeError):
         conv2d(Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros((1, 1, 2, 2))),
                stride=2, padding=0)
+
+
+def _direct_conv(x, w, g, stride, padding):
+    """Output, grad-x and grad-w of a floor-geometry cross-correlation, one
+    output pixel and one kernel offset at a time."""
+    b, n, H, W = x.shape
+    m, _, k, _ = w.shape
+    Ho = (H + 2 * padding - k) // stride + 1
+    Wo = (W + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((b, m, Ho, Wo))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(Ho):
+        for j in range(Wo):
+            for ki in range(k):
+                for kj in range(k):
+                    r, c = i * stride + ki, j * stride + kj
+                    out[:, :, i, j] += xp[:, :, r, c] @ w[:, :, ki, kj].T
+                    gxp[:, :, r, c] += g[:, :, i, j] @ w[:, :, ki, kj]
+                    gw[:, :, ki, kj] += g[:, :, i, j].T @ xp[:, :, r, c]
+    return out, gxp[:, :, padding:padding + H, padding:padding + W], gw
+
+
+@pytest.mark.parametrize("b,n,m,H,W,k,stride,padding", [
+    (2, 3, 4, 7, 7, 3, 1, 1),
+    (3, 2, 5, 6, 9, 3, 1, 0),
+    (2, 3, 4, 9, 7, 3, 2, 1),
+    (2, 2, 3, 7, 5, 1, 2, 0),
+    (2, 3, 4, 8, 6, 3, 2, 1),     # even sides: pads (1, 0)
+    (3, 2, 3, 8, 5, 1, 2, 0),     # even height: crops the last row
+    (2, 2, 3, 6, 8, 3, 2, 0),     # even sides, unpadded: crops
+])
+def test_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding):
+    rng = np.random.default_rng(20)
+    x, w = rng.normal(size=(b, n, H, W)), rng.normal(size=(m, n, k, k))
+    floor = (H + 2 * padding - k) % stride or (W + 2 * padding - k) % stride
+    tape = Tape()
+    xt, wt = tape.param("x", x), tape.param("w", w)
+    out = (conv2d_floor if floor else conv2d)(xt, wt, stride, padding)
+    g = rng.normal(size=out.shape)
+    grads = tape.backward(sum_all(mul(out, Tensor(g))))
+    ref_out, ref_gx, ref_gw = _direct_conv(x, w, g, stride, padding)
+    assert out.shape == ref_out.shape
+    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads["x"].data, ref_gx, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads["w"].data, ref_gw, rtol=0, atol=1e-10)
+    if not floor:
+        assert conv2d_floor(xt, wt, stride, padding).op == "conv2d"
 
 
 def test_conv_and_bn_gradients():
@@ -154,6 +202,50 @@ def test_resnet56_shape():
     for blk in model.blocks:
         assert blk.unit1.weights.shape[2:] == (3, 3)
         assert blk.unit2.weights.shape[2:] == (3, 3)
+
+
+@pytest.mark.parametrize("granularity", [None, "filter", "subnetwork"])
+def test_resnet_trains_at_32x32(monkeypatch, granularity):
+    # every strided conv gets an even side: 3x3/s2 pads (1, 0), 1x1/s2 crops
+    widths = (2, 3, 4)
+    model = ResNetSmall(widths, 1, in_channels=3, input_hw=(32, 32), classes=3,
+                        seed=0, granularity=granularity)
+    sides = stage_sides(32, 3)
+    assert sides == [32, 16, 8]
+    seen = {}
+    forward = ConvUnit.forward
+
+    def record(unit, tape, x, mode="train"):
+        out = forward(unit, tape, x, mode)
+        seen[unit.name] = out.shape[2:]
+        return out
+
+    monkeypatch.setattr(ConvUnit, "forward", record)
+    tape = Tape()
+    logits = model.forward(tape, np.random.default_rng(21).normal(size=(2, 3, 32, 32)))
+    assert logits.shape == (2, 3)
+    assert seen == {"stem": (32, 32), **{f"s{si}.b0.c{c}": (side, side)
+                                         for si, side in enumerate(sides)
+                                         for c in (1, 2)}}
+    grads = tape.backward(sum_all(logits))
+    assert set(grads) == set(model.params())
+    assert all(np.all(np.isfinite(g.data)) for g in grads.values())
+    assert all(np.any(g.data != 0) for n, g in grads.items() if n.endswith(".w"))
+
+    # dense FLOPs at the stage sides: convs (2 per MAC), batch norm 2 and
+    # ReLU 1 per element, the residual add, 1x1 projections, pool and head
+    expected = 2 * widths[0] * 3 * 9 * 32 ** 2 + widths[0] * 32 ** 2 * 3
+    prev = widths[0]
+    for width, side in zip(widths, sides):
+        hw = side * side
+        expected += 2 * width * prev * 9 * hw + width * hw * 3      # c1
+        expected += 2 * width * width * 9 * hw + width * hw * 2     # c2, no ReLU
+        expected += width * hw                                      # skip add
+        if side != 32:
+            expected += 2 * width * prev * hw + width * hw * 2      # projection
+        prev = width
+    expected += prev * sides[-1] ** 2 + 2 * 3 * prev + 3
+    assert model.flops({g.name: g.dim for g in model.gates()}) == expected
 
 
 def _cell(gated: bool, h: int = 4, e: int = 3, seed: int = 14) -> LstmCell:
