@@ -135,8 +135,7 @@ def _check_axis(x: Tensor, gate: GateParam, axis: int) -> int:
     return axis
 
 
-def apply_gate(x: Tensor, gate: GateParam, axis: int = 0,
-               alpha: Tensor | None = None) -> Tensor:
+def apply_gate(x: Tensor, gate: GateParam, axis: int = 0, *, alpha: Tensor) -> Tensor:
     """Scale ``x`` by ``alpha * I(alpha)`` along ``axis``.
 
     Forward is the exact hard product, so a masked component's output is
@@ -152,8 +151,7 @@ def apply_gate(x: Tensor, gate: GateParam, axis: int = 0,
     return _gated(x, gate, axis, alpha, scaled=True, op="apply_gate")
 
 
-def apply_mask(x: Tensor, gate: GateParam, axis: int = 0,
-               alpha: Tensor | None = None) -> Tensor:
+def apply_mask(x: Tensor, gate: GateParam, axis: int = 0, *, alpha: Tensor) -> Tensor:
     """Multiply ``x`` by the hard mask alone, with the surrogate backward.
 
     Used where the scaling factor enters elsewhere (recurrent cells scale the
@@ -164,11 +162,9 @@ def apply_mask(x: Tensor, gate: GateParam, axis: int = 0,
     return _gated(x, gate, axis, alpha, scaled=False, op="apply_mask")
 
 
-def _gated(x: Tensor, gate: GateParam, axis: int, alpha: Tensor | None,
+def _gated(x: Tensor, gate: GateParam, axis: int, alpha: Tensor,
            scaled: bool, op: str) -> Tensor:
     """Shared body: forward scale ``alpha * I`` (``scaled``) or ``I``."""
-    if alpha is None:
-        alpha = Tensor(gate.alpha)
     if alpha.shape != (gate.dim,):
         raise ShapeError(f"alpha node shape {alpha.shape} != gate dim ({gate.dim},)")
     axis = _check_axis(x, gate, axis)

@@ -33,9 +33,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     [b, m, Ho*Wo]), the weight gradient ``sum_b g[b] @ cols[b].T`` and the
     column gradient ``w.T @ g``: three BLAS GEMMs, none of whose operands is
     copied to transpose it.  The column gradient goes back to the input one
-    [b, n, Ho, Wo] slab per kernel offset.  ``H + 2*padding - k`` and
-    ``W + 2*padding - k`` must be multiples of ``stride``; ``conv2d_floor``
-    gives floor geometry instead.
+    [b, n, Ho, Wo] slab per kernel offset.
+
+    Output geometry is floor, as in PyTorch: ``Ho = (H + 2*padding - k) //
+    stride + 1``, and likewise ``Wo``.  When ``stride`` leaves a remainder,
+    the windows never reach the last rows (or columns) of the padded input,
+    and those get no gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: expected rank-4 operands, got {x.shape}, {w.shape}")
@@ -43,9 +46,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     m, n_w, k, k2 = w.shape
     if n_w != n or k != k2:
         raise ShapeError(f"conv2d: filter shape {w.shape} incompatible with input {x.shape}")
-    if (H + 2 * padding - k) % stride or (W + 2 * padding - k) % stride:
-        raise ShapeError(
-            f"conv2d: output size ({H}+2*{padding}-{k})/{stride}+1 is not an integer")
     Ho = (H + 2 * padding - k) // stride + 1
     Wo = (W + 2 * padding - k) // stride + 1
     if Ho <= 0 or Wo <= 0:
@@ -74,40 +74,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         gxp = np.zeros_like(xp)
         for ki, kj, window in offsets:
             gxp[window] += gcols[:, :, ki, kj]
-        if padding:
-            gxp = gxp[:, :, padding:-padding, padding:-padding]
-        return gxp, grad_w.reshape(m, n, k, k)
+        return (gxp[:, :, padding:padding + H, padding:padding + W],
+                grad_w.reshape(m, n, k, k))
 
     return custom_grad(out, (x, w), rule, op="conv2d")
-
-
-def conv2d_floor(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """``conv2d`` with floor output geometry, as in PyTorch:
-    ``Ho = (H + 2*padding - k) // stride + 1``, and likewise ``Wo``.
-
-    When ``H + 2*padding - k`` leaves a remainder ``r`` modulo ``stride``, the
-    last ``r`` rows of the padded input are never read.  They are dropped from
-    the trailing pad first and then from ``x``: a 3x3/s2/p1 conv on an even
-    side pads (1, 0), and a 1x1/s2 conv on one crops the last row.  Columns
-    alike.  Without a remainder this is ``conv2d`` itself.
-    """
-    k = w.shape[-1]
-    H, W = x.shape[-2:]
-    rh, rw = (H + 2 * padding - k) % stride, (W + 2 * padding - k) % stride
-    if not (rh or rw):
-        return conv2d(x, w, stride, padding)
-    keep_h, keep_w = H - max(rh - padding, 0), W - max(rw - padding, 0)
-    xp = np.zeros(x.shape[:2] + (H + 2 * padding - rh, W + 2 * padding - rw),
-                  dtype=x.data.dtype)
-    inner = (..., slice(padding, padding + keep_h), slice(padding, padding + keep_w))
-    xp[inner] = x.data[..., :keep_h, :keep_w]
-
-    def rule(g):
-        gx = np.zeros_like(x.data)
-        gx[..., :keep_h, :keep_w] = g[inner]
-        return (gx,)
-
-    return conv2d(custom_grad(xp, (x,), rule, op="pad_crop"), w, stride, 0)
 
 
 @dataclass
@@ -245,17 +215,13 @@ class Block:
         return {k: tape.param(self.pname(k), v) for k, v in self._params().items()}
 
 
-def _bn_buffers(prefix: str, bn: BnState) -> dict[str, np.ndarray]:
-    return {f"{prefix}.running_mean": bn.running_mean,
-            f"{prefix}.running_var": bn.running_var}
-
-
 @dataclass
 class ConvUnit(Block):
     """Conv -> batch norm -> (filter gate) -> ReLU.
 
-    The gate sits after batch norm, where a per-channel scale is not
-    normalized away, and before the nonlinearity.
+    The k x k conv pads ``k // 2`` on each side, so for odd k it keeps the
+    input size at stride 1.  The gate sits after batch norm, where a
+    per-channel scale is not normalized away, and before the nonlinearity.
     """
 
     weights: np.ndarray                # [m, n, k, k]
@@ -264,7 +230,6 @@ class ConvUnit(Block):
     bn: BnState
     gate: GateParam | None = None
     stride: int = 1
-    padding: int = 1
     relu: bool = True
     name: str = "conv"
 
@@ -284,11 +249,12 @@ class ConvUnit(Block):
         return out
 
     def _buffers(self):
-        return _bn_buffers("bn", self.bn)
+        return {"bn.running_mean": self.bn.running_mean,
+                "bn.running_var": self.bn.running_var}
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
-        y = batchnorm(conv2d_floor(x, p["w"], self.stride, self.padding),
+        y = batchnorm(conv2d(x, p["w"], self.stride, self.weights.shape[2] // 2),
                       p["bn.gamma"], p["bn.beta"], self.bn, mode)
         if self.gate is not None:
             y = apply_gate(y, self.gate, axis=1, alpha=p["gate.alpha"])
@@ -300,45 +266,32 @@ class ResidualBlock(Block):
     """Two 3x3 conv units with a skip path and an optional branch gate.
 
     When the branch gate is masked the output equals the skip path exactly,
-    so the whole branch can be dropped at inference.  Downsampling blocks use
-    an ungated 1x1 projection on the skip path.
+    so the whole branch can be dropped at inference.  Downsampling blocks put
+    ``down``, an ungated 1x1 ``ConvUnit`` without ReLU named ``<block>.down``,
+    on the skip path (projection shortcut, He et al., arXiv:1512.03385).
     """
 
     unit1: ConvUnit
     unit2: ConvUnit                     # constructed with relu=False
     gate: GateParam | None = None       # d = 1, subnetwork granularity
-    down_w: np.ndarray | None = None    # [m, n, 1, 1] projection
-    down_gamma: np.ndarray | None = None
-    down_beta: np.ndarray | None = None
-    down_bn: BnState | None = None
-    stride: int = 1
+    down: ConvUnit | None = None        # 1x1 projection, at unit1's stride
     name: str = "block"
 
     def params(self):
-        return self.unit1.params() | self.unit2.params() | super().params()
+        down = {} if self.down is None else self.down.params()
+        return self.unit1.params() | self.unit2.params() | super().params() | down
 
     def state(self):
-        return self.unit1.state() | self.unit2.state() | super().state()
+        down = {} if self.down is None else self.down.state()
+        return self.unit1.state() | self.unit2.state() | down
 
     def _params(self):
-        out = {}
-        if self.gate is not None:
-            out["gate.alpha"] = self.gate.alpha
-        if self.down_w is not None:
-            out.update({"down.w": self.down_w, "down.bn.gamma": self.down_gamma,
-                        "down.bn.beta": self.down_beta})
-        return out
-
-    def _buffers(self):
-        return {} if self.down_bn is None else _bn_buffers("down.bn", self.down_bn)
+        return {} if self.gate is None else {"gate.alpha": self.gate.alpha}
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
         branch = self.unit2.forward(tape, self.unit1.forward(tape, x, mode), mode)
-        skip = x
-        if self.down_w is not None:
-            skip = batchnorm(conv2d_floor(x, p["down.w"], self.stride, 0),
-                             p["down.bn.gamma"], p["down.bn.beta"], self.down_bn, mode)
+        skip = x if self.down is None else self.down.forward(tape, x, mode)
         if self.gate is not None:
             branch = apply_gate(branch, self.gate, alpha=p["gate.alpha"])
         return add(branch, skip)
@@ -396,7 +349,7 @@ class LstmCell(Block):
         z = concat_cols(h_prev, x_t)
         acts = {}
         for k in LSTM_GATES:
-            pre = add(matmul(z, transpose(nodes[f"W_{k}"])), nodes[f"b_{k}"])
+            pre = linear(z, nodes[f"W_{k}"], nodes[f"b_{k}"])
             nonlin = tanh if k == "g" else sigmoid
             if self.gates is not None:
                 alpha = nodes[f"gate_{k}.alpha"]

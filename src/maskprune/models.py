@@ -126,14 +126,15 @@ class Model:
             arr[...] = src
 
 
-def _make_conv_unit(name: str, n: int, m: int, rng: np.random.Generator,
+def _make_conv_unit(name: str, n: int, m: int, rng: np.random.Generator, k: int = 3,
                     stride: int = 1, relu_after: bool = True, make_gate=None) -> ConvUnit:
-    """3x3 pad-1 conv unit; ``make_gate`` (if any) gives it one gate per filter."""
-    w = rng.normal(0.0, np.sqrt(2.0 / (n * 9)), size=(m, n, 3, 3))
+    """k x k conv unit with He-normal weights; ``make_gate`` (if any) gives it
+    one gate per filter."""
+    w = rng.normal(0.0, np.sqrt(2.0 / (n * k * k)), size=(m, n, k, k))
     gate = None if make_gate is None else make_gate(m, f"{name}.gate")
     return ConvUnit(weights=w, bn_gamma=np.ones(m), bn_beta=np.zeros(m),
                     bn=BnState.create(m), gate=gate, stride=stride,
-                    padding=1, relu=relu_after, name=name)
+                    relu=relu_after, name=name)
 
 
 def _live(live: dict[str, int], gate: GateParam | None, full: int) -> int:
@@ -283,8 +284,8 @@ class ToyConvNet(Model):
 
 def stage_sides(side: int, stages: int) -> list[int]:
     """Side each ``ResNetSmall`` stage runs at.  A stage after the first opens
-    with stride-2 3x3 pad-1 and 1x1 convs: with ``conv2d_floor`` they map side
-    ``s`` to ``(s - 1) // 2 + 1``, even ``s`` included."""
+    with stride-2 3x3 pad-1 and 1x1 convs: under the floor geometry of
+    ``conv2d`` both map side ``s`` to ``(s - 1) // 2 + 1``, even ``s`` included."""
     sides = [side]
     for _ in range(stages - 1):
         sides.append((sides[-1] - 1) // 2 + 1)
@@ -329,13 +330,11 @@ class ResNetSmall(Model):
                 u2 = _make_conv_unit(f"{name}.c2", width, width, rng, relu_after=False,
                                      make_gate=unit_gate)
                 gate = make_gate(1, f"{name}.gate") if granularity == "subnetwork" else None
+                down = None
                 if stride == 2 or prev != width:
-                    dw = rng.normal(0.0, np.sqrt(2.0 / prev), size=(width, prev, 1, 1))
-                    blk = ResidualBlock(u1, u2, gate, dw, np.ones(width),
-                                        np.zeros(width), BnState.create(width),
-                                        stride=stride, name=name)
-                else:
-                    blk = ResidualBlock(u1, u2, gate, stride=stride, name=name)
+                    down = _make_conv_unit(f"{name}.down", prev, width, rng, k=1,
+                                           stride=stride, relu_after=False)
+                blk = ResidualBlock(u1, u2, gate, down, name=name)
                 if filt:
                     # unit2 feeds the residual sum, so its filters have no dependants
                     self._decls += [_filter_decl(u1, hw, u2.pname("w")),
@@ -378,9 +377,8 @@ class ResNetSmall(Model):
                 total += _unit_flops(blk.unit1, block_in, l1, hw)
                 total += _unit_flops(blk.unit2, l1, live_filters(blk.unit2), hw)
                 total += width * hw[0] * hw[1] * ADD_FLOPS_PER_ELEM
-            if blk.down_w is not None:
-                macs = conv_macs(width, blk.down_w.shape[1], 1, *hw)
-                total += 2 * macs + width * hw[0] * hw[1] * BN_FLOPS_PER_ELEM
+            if blk.down is not None:
+                total += _unit_flops(blk.down, blk.down.weights.shape[1], width, hw)
             block_in = width
         return total + self._pool_head_flops(self.blocks[-1].unit2.out_channels,
                                              self._block_hw[-1])

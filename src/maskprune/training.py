@@ -110,25 +110,20 @@ def evaluate(model, ds: Dataset, batch_size: int = 256) -> dict[str, float]:
     """Classification error rate, or perplexity for next-token models."""
     if len(ds) == 0:
         raise ValueError("evaluate: empty dataset")
-    if model.task == "lm":
-        total_nll, total_tokens = 0.0, 0
-        for lo in range(0, len(ds), batch_size):
-            xb = ds.inputs[lo:lo + batch_size]
-            yb = model.flatten_labels(ds.labels[lo:lo + batch_size])
-            tape = Tape()
-            logits = model.forward(tape, xb, mode="eval")
-            nll = cross_entropy(logits, yb).item()
-            total_nll += nll * len(yb)
-            total_tokens += len(yb)
-        return {"test_perplexity": float(np.exp(total_nll / total_tokens))}
-    wrong = 0
+    lm = model.task == "lm"
+    score, count = 0, 0    # token nll summed (lm) or wrong predictions; labels seen
     for lo in range(0, len(ds), batch_size):
-        xb = ds.inputs[lo:lo + batch_size]
+        logits = model.forward(Tape(), ds.inputs[lo:lo + batch_size], mode="eval")
         yb = ds.labels[lo:lo + batch_size]
-        tape = Tape()
-        logits = model.forward(tape, xb, mode="eval")
-        wrong += int((logits.data.argmax(axis=1) != yb).sum())
-    return {"test_error": wrong / len(ds)}
+        if lm:
+            yb = model.flatten_labels(yb)
+            score += cross_entropy(logits, yb).item() * len(yb)
+        else:
+            score += int((logits.data.argmax(axis=1) != yb).sum())
+        count += len(yb)
+    if lm:
+        return {"test_perplexity": float(np.exp(score / count))}
+    return {"test_error": score / count}
 
 
 def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,

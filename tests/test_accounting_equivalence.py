@@ -115,8 +115,8 @@ def _flops(model, active):
                 total += unit_flops(blk.unit1, block_in, l1, hw)
                 total += unit_flops(blk.unit2, l1, live_filters(blk.unit2), hw)
                 total += width * hw[0] * hw[1] * ADD_FLOPS_PER_ELEM
-            if blk.down_w is not None:
-                total += (2 * conv_macs(width, blk.down_w.shape[1], 1, *hw)
+            if blk.down is not None:
+                total += (2 * conv_macs(width, blk.down.weights.shape[1], 1, *hw)
                           + width * hw[0] * hw[1] * BN_FLOPS_PER_ELEM)
             prev_out = width
         last_hw = model._block_hw[-1]

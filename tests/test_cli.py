@@ -8,7 +8,7 @@ from maskprune.checkpoint import save_checkpoint
 from maskprune.cli import main
 from maskprune.config import (ARCHS, DATASETS, GRANULARITY_FOR_ARCH, ConfigError,
                               build_model, validate_config)
-from maskprune.gradcheck import run_checks
+from maskprune.gradcheck import CHECKS, run_checks
 
 
 def _toy_config(out_dir, **overrides):
@@ -131,6 +131,13 @@ def test_gradcheck_single_op(capsys):
     assert "foothill" in out
     err = float(out.split("max rel err")[1].split()[0])
     assert err < 1e-6
+
+
+def test_gradcheck_all_passes_every_registered_check(capsys):
+    assert main(["gradcheck", "--all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    status = {line.split(":")[0].strip(): line.split()[-1] for line in lines}
+    assert status == {name: "pass" for name in CHECKS}
 
 
 def test_gradcheck_unknown_op():

@@ -122,7 +122,7 @@ def test_apply_gate_identity_at_alpha_one():
 def test_apply_gate_axis_mismatch():
     gate = GateParam.create("filter", 4)
     with pytest.raises(ShapeError):
-        apply_gate(Tensor(np.zeros((2, 3))), gate, axis=1)
+        apply_gate(Tensor(np.zeros((2, 3))), gate, axis=1, alpha=Tensor(gate.alpha))
 
 
 def test_apply_gate_forward_exactness_random():

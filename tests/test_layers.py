@@ -5,10 +5,10 @@ from maskprune.gate import GateParam
 from maskprune.gradcheck import run_checks
 from maskprune.layers import (LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
-                              conv2d_floor, embedding, linear)
+                              embedding, linear)
 from maskprune.models import ResNetSmall, stage_sides
 from maskprune.objective import AXIS0, masked_l2
-from maskprune.tensor import ShapeError, Tape, Tensor, mul, sum_all
+from maskprune.tensor import Tape, Tensor, mul, sum_all
 
 
 def test_conv_identity_kernel():
@@ -24,12 +24,6 @@ def test_conv_sum_of_ones():
     out = conv2d(x, w, stride=1, padding=0)
     assert out.shape == (1, 1, 1, 1)
     assert out.data.flat[0] == 9.0
-
-
-def test_conv_rejects_non_integral_output():
-    with pytest.raises(ShapeError):
-        conv2d(Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros((1, 1, 2, 2))),
-               stride=2, padding=0)
 
 
 def _direct_conv(x, w, g, stride, padding):
@@ -58,17 +52,16 @@ def _direct_conv(x, w, g, stride, padding):
     (3, 2, 5, 6, 9, 3, 1, 0),
     (2, 3, 4, 9, 7, 3, 2, 1),
     (2, 2, 3, 7, 5, 1, 2, 0),
-    (2, 3, 4, 8, 6, 3, 2, 1),     # even sides: pads (1, 0)
-    (3, 2, 3, 8, 5, 1, 2, 0),     # even height: crops the last row
-    (2, 2, 3, 6, 8, 3, 2, 0),     # even sides, unpadded: crops
+    (2, 3, 4, 8, 6, 3, 2, 1),     # even sides: the trailing pad row and column unread
+    (3, 2, 3, 8, 5, 1, 2, 0),     # even height: the last row unread
+    (2, 2, 3, 6, 8, 3, 2, 0),     # even sides, unpadded: the last row and column unread
+    (2, 2, 3, 5, 5, 2, 2, 0),     # 2x2/s2 on 5x5: the last row and column unread
 ])
 def test_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding):
     rng = np.random.default_rng(20)
     x, w = rng.normal(size=(b, n, H, W)), rng.normal(size=(m, n, k, k))
-    floor = (H + 2 * padding - k) % stride or (W + 2 * padding - k) % stride
     tape = Tape()
-    xt, wt = tape.param("x", x), tape.param("w", w)
-    out = (conv2d_floor if floor else conv2d)(xt, wt, stride, padding)
+    out = conv2d(tape.param("x", x), tape.param("w", w), stride, padding)
     g = rng.normal(size=out.shape)
     grads = tape.backward(sum_all(mul(out, Tensor(g))))
     ref_out, ref_gx, ref_gw = _direct_conv(x, w, g, stride, padding)
@@ -76,8 +69,6 @@ def test_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding):
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads["x"].data, ref_gx, rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads["w"].data, ref_gw, rtol=0, atol=1e-10)
-    if not floor:
-        assert conv2d_floor(xt, wt, stride, padding).op == "conv2d"
 
 
 def test_conv_and_bn_gradients():
@@ -206,7 +197,7 @@ def test_resnet56_shape():
 
 @pytest.mark.parametrize("granularity", [None, "filter", "subnetwork"])
 def test_resnet_trains_at_32x32(monkeypatch, granularity):
-    # every strided conv gets an even side: 3x3/s2 pads (1, 0), 1x1/s2 crops
+    # every strided conv gets an even side, so never reads its last padded row
     widths = (2, 3, 4)
     model = ResNetSmall(widths, 1, in_channels=3, input_hw=(32, 32), classes=3,
                         seed=0, granularity=granularity)
@@ -226,7 +217,8 @@ def test_resnet_trains_at_32x32(monkeypatch, granularity):
     assert logits.shape == (2, 3)
     assert seen == {"stem": (32, 32), **{f"s{si}.b0.c{c}": (side, side)
                                          for si, side in enumerate(sides)
-                                         for c in (1, 2)}}
+                                         for c in (1, 2)},
+                    "s1.b0.down": (16, 16), "s2.b0.down": (8, 8)}
     grads = tape.backward(sum_all(logits))
     assert set(grads) == set(model.params())
     assert all(np.all(np.isfinite(g.data)) for g in grads.values())
