@@ -16,6 +16,11 @@ derivative of the foothill function,
 shifted to the threshold: m~(a) = (f(|a| - t, beta) + 1) / 2.  The surrogate
 keeps gradient flowing to scaling factors on both sides of the threshold,
 which is what lets a pruned entity rejuvenate during training.
+
+A gate's d components meet a tensor under one membership mode (``AXIS0``,
+``AXIS1``, ``WHOLE``, ``ELEMENTWISE``).  ``broadcast_mask`` is the one rule
+that turns a per-component vector into a view over the tensor: the forward
+ops, the masked-l2 term and the prune accounting all go through it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, custom_grad
+from .tensor import ShapeError, Tensor, _unbroadcast, custom_grad
 
 DEFAULT_BETA = 5.0
 # one entry per granularity; subnetwork gates use a coarser threshold
@@ -115,81 +120,82 @@ class GateParam:
         return int(self.mask().sum())
 
 
-def _expand(v: np.ndarray, ndim: int, axis: int) -> np.ndarray:
-    """Reshape a length-d vector so it broadcasts along ``axis`` of a rank-``ndim`` array."""
-    shape = [1] * ndim
-    shape[axis] = v.shape[0]
-    return v.reshape(shape)
+# membership: how the d components of a gate meet a tensor's entries
+AXIS0 = "axis0"              # component i <-> slice i along axis 0
+AXIS1 = "axis1"              # component i <-> slice i along axis 1
+WHOLE = "whole"              # d == 1: the one component covers the whole tensor
+ELEMENTWISE = "elementwise"  # d == size: component i <-> entry i in C order
 
 
-def _check_axis(x: Tensor, gate: GateParam, axis: int) -> int:
-    if gate.dim == 1:
-        return -1  # scalar gate scales the whole tensor
-    if not (-x.data.ndim <= axis < x.data.ndim):
-        raise ShapeError(f"gate axis {axis} out of range for shape {x.shape}")
-    axis = axis % x.data.ndim
-    if x.shape[axis] != gate.dim:
-        raise ShapeError(
-            f"gate dimension {gate.dim} does not match size {x.shape[axis]} "
-            f"of axis {axis} in shape {x.shape}")
-    return axis
+def broadcast_mask(m: np.ndarray, shape: tuple, mode: str) -> np.ndarray:
+    """View of the per-component vector ``m`` that broadcasts over ``shape``.
+
+    Raises ``ShapeError`` when the tensor's extent under ``mode`` does not
+    match ``len(m)``, and ``ValueError`` for an unknown mode.
+    """
+    dim = m.shape[0]
+    if mode in (AXIS0, AXIS1):
+        axis = 0 if mode == AXIS0 else 1
+        if len(shape) <= axis or shape[axis] != dim:
+            raise ShapeError(f"{mode} membership: shape {shape} does not have "
+                             f"size {dim} on axis {axis}")
+        return m.reshape((1,) * axis + (dim,) + (1,) * (len(shape) - axis - 1))
+    if mode == WHOLE:
+        if dim != 1:
+            raise ShapeError(f"whole-tensor membership needs a scalar gate, "
+                             f"got dim {dim}")
+        return m.reshape(())
+    if mode == ELEMENTWISE:
+        if int(np.prod(shape)) != dim:
+            raise ShapeError(f"elementwise membership: shape {shape} != gate dim {dim}")
+        return m.reshape(shape)
+    raise ValueError(f"unknown membership mode {mode!r}")
 
 
-def apply_gate(x: Tensor, gate: GateParam, axis: int = 0, *, alpha: Tensor) -> Tensor:
-    """Scale ``x`` by ``alpha * I(alpha)`` along ``axis``.
+def apply_gate(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tensor:
+    """Scale ``x`` by ``alpha * I(alpha)``, component to entries by ``mode``.
 
     Forward is the exact hard product, so a masked component's output is
     exactly zero and an active one is exactly ``alpha * x``.  Backward treats
     the gated factor as the smooth ``alpha * m~(alpha)``: the gradient on
-    alpha is ``m~ + alpha * m~'`` times the upstream-times-input sum, which
-    stays nonzero below the threshold (rejuvenation).  The gradient on ``x``
-    uses the exact forward scale.
+    alpha is ``m~ + alpha * m~'`` times the upstream-times-input sum over the
+    component's entries, which stays nonzero below the threshold
+    (rejuvenation).  The gradient on ``x`` uses the exact forward scale.
 
-    ``alpha`` is the tape node carrying ``gate.alpha``; pass the node returned
-    by ``tape.param`` so the gradient lands in the registry.
+    ``mode`` is one of the membership modes above, as ``broadcast_mask``
+    reads it.  ``alpha`` is the tape node carrying ``gate.alpha``; pass the
+    node returned by ``tape.param`` so the gradient lands in the registry.
     """
-    return _gated(x, gate, axis, alpha, scaled=True, op="apply_gate")
+    return _gated(x, gate, mode, alpha, scaled=True, op="apply_gate")
 
 
-def apply_mask(x: Tensor, gate: GateParam, axis: int = 0, *, alpha: Tensor) -> Tensor:
+def apply_mask(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tensor:
     """Multiply ``x`` by the hard mask alone, with the surrogate backward.
 
     Used where the scaling factor enters elsewhere (recurrent cells scale the
-    pre-activation and mask the post-activation).  Gradient on ``x`` is the
-    exact mask; gradient on alpha is ``m~'(alpha)`` times the upstream-times-
-    input sum.
+    pre-activation and mask the post-activation).  ``mode`` and ``alpha`` are
+    as in ``apply_gate``.  Gradient on ``x`` is the exact mask; gradient on
+    alpha is ``m~'(alpha)`` times the upstream-times-input sum.
     """
-    return _gated(x, gate, axis, alpha, scaled=False, op="apply_mask")
+    return _gated(x, gate, mode, alpha, scaled=False, op="apply_mask")
 
 
-def _gated(x: Tensor, gate: GateParam, axis: int, alpha: Tensor,
+def _gated(x: Tensor, gate: GateParam, mode: str, alpha: Tensor,
            scaled: bool, op: str) -> Tensor:
     """Shared body: forward scale ``alpha * I`` (``scaled``) or ``I``."""
     if alpha.shape != (gate.dim,):
         raise ShapeError(f"alpha node shape {alpha.shape} != gate dim ({gate.dim},)")
-    axis = _check_axis(x, gate, axis)
     a = alpha.data
     s = hard_mask(a, gate.threshold)
     if scaled:
         s = a * s
     xd = x.data
+    s_b = broadcast_mask(s, xd.shape, mode)
 
-    def coeff():
+    def rule(g):
         # d/d(alpha) of the surrogate factor: alpha * m~ when scaled, else m~
         dm = surrogate_mask_grad(a, gate.threshold, gate.beta)
-        return surrogate_mask(a, gate.threshold, gate.beta) + a * dm if scaled else dm
+        coeff = surrogate_mask(a, gate.threshold, gate.beta) + a * dm if scaled else dm
+        return g * s_b, _unbroadcast(g * xd, s_b.shape).reshape(gate.dim) * coeff
 
-    if gate.dim == 1:
-        out = s[0] * xd
-
-        def rule(g):
-            return g * s[0], float(np.sum(g * xd)) * coeff()
-    else:
-        s_b = _expand(s, xd.ndim, axis)
-        out = s_b * xd
-        reduce_axes = tuple(i for i in range(xd.ndim) if i != axis)
-
-        def rule(g):
-            return g * s_b, np.sum(g * xd, axis=reduce_axes) * coeff()
-
-    return custom_grad(out, (x, alpha), rule, op=op)
+    return custom_grad(s_b * xd, (x, alpha), rule, op=op)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gate as gate_mod
 from . import layers, objective
-from .gate import GateParam
+from .gate import AXIS0, AXIS1, WHOLE, GateParam, broadcast_mask
 from .tensor import (Tape, Tensor, absolute, add, concat_cols, matmul, mul,
                      relu, reshape, scale, sigmoid, sub, sum_all, tanh,
                      transpose)
@@ -251,14 +251,14 @@ def _cross_entropy_check(rng):
 def _apply_gate_x_check(rng):
     """Gradient w.r.t. the gated input uses the exact forward scale."""
     worst = 0.0
-    for axis, shape, d in [(0, (4, 3), 4), (1, (2, 5, 3), 5), (0, (6,), 1)]:
+    for mode, shape, d in [(AXIS0, (4, 3), 4), (AXIS1, (2, 5, 3), 5), (WHOLE, (6,), 1)]:
         gate = GateParam.create("filter" if d > 1 else "subnetwork", d)
         gate.alpha[:] = rng.normal(size=d) * 0.8
         x = rng.normal(size=shape)
         proj = rng.normal(size=shape)
 
-        def build(tape, arrays, _gate=gate, _axis=axis):
-            out = gate_mod.apply_gate(tape.param("x", arrays["x"]), _gate, _axis,
+        def build(tape, arrays, _gate=gate, _mode=mode):
+            out = gate_mod.apply_gate(tape.param("x", arrays["x"]), _gate, _mode,
                                       alpha=tape.leaf(_gate.alpha))
             return sum_all(mul(out, tape.leaf(proj)))
 
@@ -266,11 +266,11 @@ def _apply_gate_x_check(rng):
     return worst
 
 
-# (axis, input shape, alphas) around a 0.2 threshold, clear of the |alpha| kink
-_ALPHA_CASES = [(0, (5, 3), [0.6, -0.35, 0.12, -0.07, 1.1]),
-                (1, (2, 4, 3), [-0.5, 0.09, 0.3, -0.15]),
-                (0, (6,), [0.12]),
-                (0, (2, 3), [-0.45])]
+# (mode, input shape, alphas) around a 0.2 threshold, clear of the |alpha| kink
+_ALPHA_CASES = [(AXIS0, (5, 3), [0.6, -0.35, 0.12, -0.07, 1.1]),
+                (AXIS1, (2, 4, 3), [-0.5, 0.09, 0.3, -0.15]),
+                (WHOLE, (6,), [0.12]),
+                (WHOLE, (2, 3), [-0.45])]
 
 
 def _gate_alpha_check(apply: Callable, scaled: bool):
@@ -282,22 +282,22 @@ def _gate_alpha_check(apply: Callable, scaled: bool):
 
     def run(rng: np.random.Generator) -> float:
         worst = 0.0
-        for axis, shape, alphas in _ALPHA_CASES:
+        for mode, shape, alphas in _ALPHA_CASES:
             gate = GateParam.create("filter" if len(alphas) > 1 else "subnetwork",
                                     len(alphas), threshold=0.2)
             x = rng.normal(size=shape)
             proj = rng.normal(size=shape)
-            along = [len(alphas) if i == axis else 1 for i in range(len(shape))]
 
             def build(tape, arrays):
                 alpha = tape.param("alpha", arrays["alpha"])
-                out = apply(tape.leaf(x), gate, axis, alpha=alpha)
+                out = apply(tape.leaf(x), gate, mode, alpha=alpha)
                 return sum_all(mul(out, tape.leaf(proj)))
 
             def smooth(arrays):
                 a = arrays["alpha"]
                 m = gate_mod.surrogate_mask(a, gate.threshold, gate.beta)
-                return float(np.sum((a * m if scaled else m).reshape(along) * x * proj))
+                scale_b = broadcast_mask(a * m if scaled else m, shape, mode)
+                return float(np.sum(scale_b * x * proj))
 
             worst = max(worst, check_loss(build, {"alpha": np.array(alphas)},
                                           smooth=smooth))
@@ -333,7 +333,7 @@ def _masked_l2_check(rng):
 
     def build(tape, arrays):
         node = tape.param("w", arrays["w"])
-        return objective.masked_l2([(gate, [(node, objective.AXIS0)])])
+        return objective.masked_l2([(gate, [(node, AXIS0)])])
 
     return check_loss(build, {"w": w})
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import GateParam, apply_gate, apply_mask
+from .gate import AXIS1, WHOLE, GateParam, apply_gate, apply_mask
 from .tensor import (ShapeError, Tensor, Tape, add, concat_cols, custom_grad,
                      matmul, mul, relu, sigmoid, tanh, transpose)
 
@@ -257,7 +257,7 @@ class ConvUnit(Block):
         y = batchnorm(conv2d(x, p["w"], self.stride, self.weights.shape[2] // 2),
                       p["bn.gamma"], p["bn.beta"], self.bn, mode)
         if self.gate is not None:
-            y = apply_gate(y, self.gate, axis=1, alpha=p["gate.alpha"])
+            y = apply_gate(y, self.gate, AXIS1, alpha=p["gate.alpha"])
         return relu(y) if self.relu else y
 
 
@@ -293,7 +293,7 @@ class ResidualBlock(Block):
         branch = self.unit2.forward(tape, self.unit1.forward(tape, x, mode), mode)
         skip = x if self.down is None else self.down.forward(tape, x, mode)
         if self.gate is not None:
-            branch = apply_gate(branch, self.gate, alpha=p["gate.alpha"])
+            branch = apply_gate(branch, self.gate, WHOLE, alpha=p["gate.alpha"])
         return add(branch, skip)
 
 
@@ -354,7 +354,7 @@ class LstmCell(Block):
             if self.gates is not None:
                 alpha = nodes[f"gate_{k}.alpha"]
                 act = nonlin(mul(pre, alpha))
-                acts[k] = apply_mask(act, self.gates[k], axis=1, alpha=alpha)
+                acts[k] = apply_mask(act, self.gates[k], AXIS1, alpha=alpha)
             else:
                 acts[k] = nonlin(pre)
         c_t = add(mul(acts["f"], c_prev), mul(acts["i"], acts["g"]))

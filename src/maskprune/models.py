@@ -13,8 +13,11 @@ the rest.  ``_parts()`` lists its blocks and its own ``{name: array}`` tables
 its reporting group, the dense MACs of one component, how component ``i`` is
 named, the slices under the masked-l2 term (``decayed``), the other slices it
 owns (batch-norm affine) and the ones that depend on it (next-layer input
-channels, as ``AXIS1``).  ``gate_decls()``, ``gates()`` and ``l2_groups()``
-read those declarations.  ``flops(live)`` costs the network from the live
+channels, as ``AXIS1``).  Each slice carries one of ``gate``'s membership
+modes, and the forward pass gates its tensor under the mode of the same
+name: ``ELEMENTWISE`` for MLP weights, ``AXIS1`` for filter outputs and LSTM
+nodes, ``WHOLE`` for residual branches.  ``gate_decls()``, ``gates()`` and
+``l2_groups()`` read those declarations.  ``flops(live)`` costs the network from the live
 component count of each gate, keyed by gate name; ungated layers count in
 full.
 
@@ -27,10 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gate import DEFAULT_BETA, GateParam, apply_gate
+from .gate import (AXIS0, AXIS1, DEFAULT_BETA, ELEMENTWISE, WHOLE, GateParam,
+                   apply_gate)
 from .layers import (LSTM_GATES, BnState, ConvUnit, LstmCell, ResidualBlock,
                      avg_pool_full, embedding, linear)
-from .objective import AXIS0, AXIS1, ELEMENTWISE, WHOLE
 from .pruning import GateDecl, conv_macs
 from .tensor import Tape, Tensor, concat_cols, relu, reshape
 
@@ -213,8 +216,7 @@ class Mlp(Model):
         for li, gate in enumerate(self._gates):
             w, b, *alpha = _bind(tape, self._layer(li))
             if gate is not None:
-                flat = apply_gate(reshape(w, (w.size,)), gate, axis=0, alpha=alpha[0])
-                w = reshape(flat, w.shape)
+                w = apply_gate(w, gate, ELEMENTWISE, alpha=alpha[0])
             h = linear(h, w, b)
             if li < len(self._gates) - 1:
                 h = relu(h)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gate import GateParam, surrogate_mask_grad
+from .gate import GateParam, broadcast_mask, surrogate_mask_grad
 from .tensor import ShapeError, Tensor, absolute, add, custom_grad, scale, sum_all
 
 
@@ -65,38 +65,6 @@ def l1_alpha(alpha_nodes: Sequence[Tensor]) -> Tensor:
         term = sum_all(absolute(a))
         total = term if total is None else add(total, term)
     return total if total is not None else Tensor(0.0)
-
-
-# membership: how one gate component selects entries of a tensor
-AXIS0 = "axis0"            # component i <-> slice i along axis 0
-AXIS1 = "axis1"            # component i <-> slice i along axis 1 (next layer's inputs)
-WHOLE = "whole"            # d == 1, scalar mask covers the whole tensor
-ELEMENTWISE = "elementwise"  # d == size, mask reshaped to the tensor's shape
-
-
-def broadcast_mask(m: np.ndarray, shape: tuple, mode: str) -> np.ndarray:
-    """View of the per-component vector ``m`` that broadcasts over ``shape``.
-
-    Raises ``ShapeError`` when the tensor's extent under ``mode`` does not
-    match ``len(m)``.
-    """
-    dim = m.shape[0]
-    if mode in (AXIS0, AXIS1):
-        axis = 0 if mode == AXIS0 else 1
-        if len(shape) <= axis or shape[axis] != dim:
-            raise ShapeError(f"{mode} membership: shape {shape} does not have "
-                             f"size {dim} on axis {axis}")
-        return m.reshape((1,) * axis + (dim,) + (1,) * (len(shape) - axis - 1))
-    if mode == WHOLE:
-        if dim != 1:
-            raise ShapeError(f"whole-tensor membership needs a scalar gate, "
-                             f"got dim {dim}")
-        return m.reshape(())
-    if mode == ELEMENTWISE:
-        if int(np.prod(shape)) != dim:
-            raise ShapeError(f"elementwise membership: shape {shape} != gate dim {dim}")
-        return m.reshape(shape)
-    raise ValueError(f"unknown membership mode {mode!r}")
 
 
 def masked_l2(groups: Sequence[tuple[GateParam, Sequence[tuple[Tensor, str]]]]) -> Tensor:

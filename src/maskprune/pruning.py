@@ -3,9 +3,9 @@
 A model declares each gate once (``GateDecl``): the reporting group, the
 dense MACs of one component, how component ``i`` is named, and the parameter
 slices the gate owns and the ones that depend on it.  A slice is a (param
-name, membership) pair; the membership modes are the objective's (``AXIS0``,
-``WHOLE``, ``ELEMENTWISE``) plus ``AXIS1`` for the next layer's input
-channels.  Owned slices come in two kinds: ``decayed`` ones also carry the
+name, membership mode) pair.  The modes are ``gate``'s (``AXIS0``, ``AXIS1``,
+``WHOLE``, ``ELEMENTWISE``), and ``gate.broadcast_mask`` maps components to
+entries here just as it does in ``apply_gate``.  Owned slices come in two kinds: ``decayed`` ones also carry the
 masked-l2 term, the other ``owned`` ones (batch-norm affine) do not.
 Component ``i`` of a gate is one prunable entity.
 
@@ -35,8 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gate import GateParam
-from .objective import broadcast_mask
+from .gate import GateParam, broadcast_mask
 
 REPORT_VERSION = 1
 

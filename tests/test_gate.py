@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from maskprune import gate as gate_mod
 from maskprune import objective
-from maskprune.gate import (GateParam, apply_gate, apply_mask, foothill_fd,
-                            foothill_fd_grad, hard_mask, surrogate_mask,
-                            surrogate_mask_grad)
+from maskprune.gate import (AXIS0, AXIS1, WHOLE, GateParam, apply_gate, apply_mask,
+                            foothill_fd, foothill_fd_grad, hard_mask,
+                            surrogate_mask, surrogate_mask_grad)
 from maskprune.gradcheck import run_checks
 from maskprune.tensor import ShapeError, Tape, Tensor, sum_all, mul
 
@@ -91,7 +91,7 @@ def _gate_backward(x, alpha, t=1e-3, beta=5.0, upstream=None):
     tape = Tape()
     xn = tape.param("x", np.asarray(x, dtype=float))
     an = tape.param("alpha", gate.alpha)
-    out = apply_gate(xn, gate, axis=0, alpha=an)
+    out = apply_gate(xn, gate, WHOLE if gate.dim == 1 else AXIS0, alpha=an)
     if upstream is None:
         upstream = np.ones_like(out.data)
     loss = sum_all(mul(out, Tensor(upstream)))
@@ -122,7 +122,7 @@ def test_apply_gate_identity_at_alpha_one():
 def test_apply_gate_axis_mismatch():
     gate = GateParam.create("filter", 4)
     with pytest.raises(ShapeError):
-        apply_gate(Tensor(np.zeros((2, 3))), gate, axis=1, alpha=Tensor(gate.alpha))
+        apply_gate(Tensor(np.zeros((2, 3))), gate, AXIS1, alpha=Tensor(gate.alpha))
 
 
 def test_apply_gate_forward_exactness_random():
@@ -153,7 +153,7 @@ def test_apply_gate_per_axis():
     tape = Tape()
     x = tape.param("x", np.ones((2, 3)))
     a = tape.param("a", gate.alpha)
-    out = apply_gate(x, gate, axis=1, alpha=a)
+    out = apply_gate(x, gate, AXIS1, alpha=a)
     assert np.array_equal(out.data, np.tile([1.0, 0.0, -2.0], (2, 1)))
 
 
@@ -162,7 +162,7 @@ def test_apply_mask_exact_forward_and_surrogate_alpha_grad():
     tape = Tape()
     x = tape.param("x", np.array([[2.0, 3.0]]))
     a = tape.param("a", gate.alpha)
-    out = apply_mask(x, gate, axis=1, alpha=a)
+    out = apply_mask(x, gate, AXIS1, alpha=a)
     assert np.array_equal(out.data, [[2.0, 0.0]])
     grads = tape.backward(sum_all(out))
     assert np.array_equal(grads["x"].data, [[1.0, 0.0]])

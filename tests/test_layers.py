@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from maskprune.gate import GateParam
+from maskprune.gate import AXIS0, GateParam
 from maskprune.gradcheck import run_checks
 from maskprune.layers import (LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
                               embedding, linear)
 from maskprune.models import ResNetSmall, stage_sides
-from maskprune.objective import AXIS0, masked_l2
+from maskprune.objective import masked_l2
 from maskprune.tensor import Tape, Tensor, mul, sum_all
 
 

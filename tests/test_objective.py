@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from maskprune.gate import GateParam
-from maskprune.objective import (AXIS0, ELEMENTWISE, WHOLE, ObjectiveConfig,
-                                 cross_entropy, l1_alpha, masked_l2,
-                                 ratio_hinge, total_objective)
+from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam
+from maskprune.objective import (ObjectiveConfig, cross_entropy, l1_alpha,
+                                 masked_l2, ratio_hinge, total_objective)
 from maskprune.tensor import Tape, Tensor, sum_all
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from maskprune.gate import GateParam
+from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam
 from maskprune.models import (BN_FLOPS_PER_ELEM, RELU_FLOPS_PER_ELEM,
                               LstmClassifier, ResNetSmall, ToyConvNet)
-from maskprune.objective import AXIS0, ELEMENTWISE, WHOLE
 from maskprune.pruning import GateDecl, PruneManager, conv_macs, replay_events
 
 
