@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gate as gate_mod
 from . import layers, objective
-from .gate import AXIS0, AXIS1, WHOLE, GateParam, broadcast_mask
+from .gate import AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, broadcast_mask
 from .tensor import (Tape, Tensor, absolute, add, concat_cols, matmul, mul,
                      relu, reshape, scale, sigmoid, sub, sum_all, tanh,
                      transpose)
@@ -248,11 +248,17 @@ def _cross_entropy_check(rng):
     return check_loss(build, {"logits": logits})
 
 
+# the granularity whose gates meet their tensor under each membership mode
+_GRANULARITY = {AXIS0: "filter", AXIS1: "filter", WHOLE: "subnetwork",
+                ELEMENTWISE: "weight"}
+
+
 def _apply_gate_x_check(rng):
     """Gradient w.r.t. the gated input uses the exact forward scale."""
     worst = 0.0
-    for mode, shape, d in [(AXIS0, (4, 3), 4), (AXIS1, (2, 5, 3), 5), (WHOLE, (6,), 1)]:
-        gate = GateParam.create("filter" if d > 1 else "subnetwork", d)
+    for mode, shape, d in [(AXIS0, (4, 3), 4), (AXIS1, (2, 5, 3), 5), (WHOLE, (6,), 1),
+                           (ELEMENTWISE, (3, 4), 12)]:
+        gate = GateParam.create(_GRANULARITY[mode], d)
         gate.alpha[:] = rng.normal(size=d) * 0.8
         x = rng.normal(size=shape)
         proj = rng.normal(size=shape)
@@ -270,7 +276,9 @@ def _apply_gate_x_check(rng):
 _ALPHA_CASES = [(AXIS0, (5, 3), [0.6, -0.35, 0.12, -0.07, 1.1]),
                 (AXIS1, (2, 4, 3), [-0.5, 0.09, 0.3, -0.15]),
                 (WHOLE, (6,), [0.12]),
-                (WHOLE, (2, 3), [-0.45])]
+                (WHOLE, (2, 3), [-0.45]),
+                (ELEMENTWISE, (3, 4), [0.6, -0.35, 0.12, -0.07, 1.1, -0.5,
+                                       0.09, 0.3, -0.15, 0.25, -0.9, 0.16])]
 
 
 def _gate_alpha_check(apply: Callable, scaled: bool):
@@ -283,8 +291,7 @@ def _gate_alpha_check(apply: Callable, scaled: bool):
     def run(rng: np.random.Generator) -> float:
         worst = 0.0
         for mode, shape, alphas in _ALPHA_CASES:
-            gate = GateParam.create("filter" if len(alphas) > 1 else "subnetwork",
-                                    len(alphas), threshold=0.2)
+            gate = GateParam.create(_GRANULARITY[mode], len(alphas), threshold=0.2)
             x = rng.normal(size=shape)
             proj = rng.normal(size=shape)
 

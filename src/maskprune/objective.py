@@ -104,16 +104,15 @@ def ratio_hinge(gates: Sequence[tuple[GateParam, Tensor]], K: int, c: float) -> 
         raise ValueError(f"ratio_hinge: c must lie in (0, 1], got {c}")
     active = sum(g.active_count() for g, _ in gates)
     value = max(0.0, active / K - c)
-    specs = [(gate, node) for gate, node in gates]
 
     def rule(g):
         if value <= 0.0:
-            return tuple(np.zeros_like(node.data) for _, node in specs)
+            return tuple(np.zeros_like(node.data) for _, node in gates)
         return tuple(
             (float(g) / K) * surrogate_mask_grad(node.data, gate.threshold, gate.beta)
-            for gate, node in specs)
+            for gate, node in gates)
 
-    return custom_grad(value, tuple(node for _, node in specs), rule, op="ratio_hinge")
+    return custom_grad(value, tuple(node for _, node in gates), rule, op="ratio_hinge")
 
 
 def total_objective(task_loss: Tensor,

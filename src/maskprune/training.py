@@ -42,7 +42,6 @@ class TrainConfig:
     snapshot_every: int = 100
     freeze_gates: bool = False
     augment: bool = False
-    eval_batch: int = 256
 
     def __post_init__(self):
         if self.base_lr <= 0:
@@ -172,7 +171,7 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                 if report else {},
                 "pruned_ratio": report.pruned_ratio if report else 0.0,
             }
-            record.update(evaluate(model, test_ds, cfg.eval_batch))
+            record.update(evaluate(model, test_ds))
             metrics.append(record)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
