@@ -15,7 +15,10 @@ derivative of the foothill function,
 
 shifted to the threshold: m~(a) = (f(|a| - t, beta) + 1) / 2.  The surrogate
 keeps gradient flowing to scaling factors on both sides of the threshold,
-which is what lets a pruned entity rejuvenate during training.
+which is what lets a pruned entity rejuvenate during training.  That needs
+the gated output to reach the loss through a nonzero derivative at the
+masked, exactly-zero value, so a gate never sits just before a ReLU: conv
+units gate after theirs.
 
 A gate's d components meet a tensor under one membership mode (``AXIS0``,
 ``AXIS1``, ``WHOLE``, ``ELEMENTWISE``).  ``broadcast_mask`` is the one rule

@@ -217,11 +217,15 @@ class Block:
 
 @dataclass
 class ConvUnit(Block):
-    """Conv -> batch norm -> (filter gate) -> ReLU.
+    """Conv -> batch norm -> ReLU -> (filter gate).
 
     The k x k conv pads ``k // 2`` on each side, so for odd k it keeps the
     input size at stride 1.  The gate sits after batch norm, where a
-    per-channel scale is not normalized away, and before the nonlinearity.
+    per-channel scale is not normalized away, and after the nonlinearity.
+    A masked filter's output is still exactly zero, but its alpha keeps a
+    task-loss gradient (the upstream gradient times the ReLU output); a gate
+    before the ReLU would see relu's zero derivative at that exact zero, and
+    a pruned filter could not come back.
     """
 
     weights: np.ndarray                # [m, n, k, k]
@@ -256,9 +260,11 @@ class ConvUnit(Block):
         p = self.bind(tape)
         y = batchnorm(conv2d(x, p["w"], self.stride, self.weights.shape[2] // 2),
                       p["bn.gamma"], p["bn.beta"], self.bn, mode)
+        if self.relu:
+            y = relu(y)
         if self.gate is not None:
             y = apply_gate(y, self.gate, AXIS1, alpha=p["gate.alpha"])
-        return relu(y) if self.relu else y
+        return y
 
 
 @dataclass
