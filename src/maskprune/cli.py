@@ -23,21 +23,37 @@ def cmd_train(args) -> int:
     except (OSError, ValueError) as exc:       # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    tcfg = train_config_from(cfg)
-    manager = PruneManager(model) if model.gates() else None
     out_dir = cfg["out_dir"]
     try:
-        train(model, train_ds, test_ds, tcfg, out_dir=out_dir, manager=manager,
+        train(model, train_ds, test_ds, train_config_from(cfg), out_dir=out_dir,
               checkpoint_meta={"run_config": cfg})
     except TrainDivergence as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
-    if manager is not None:
-        report = manager.snapshot(step=-1)
+    model, meta = load_checkpoint_model(os.path.join(out_dir, "checkpoint"))
+    if model.gates():
         with open(os.path.join(out_dir, "prune_report.txt"), "w") as fh:
-            fh.write(report.to_text())
+            fh.write(prune_report_text(model, meta))
     print(f"done: metrics and checkpoint under {out_dir}")
     return 0
+
+
+def load_checkpoint_model(checkpoint: str):
+    """Rebuild the model a checkpoint was saved from; returns it and the meta."""
+    arrays, manifest = load_checkpoint(checkpoint)
+    meta = manifest["meta"]
+    if meta.get("run_config") is None:
+        raise ValueError("checkpoint carries no run_config; cannot rebuild model")
+    model = build_model(meta["run_config"])
+    model.load_params(arrays)
+    return model, meta
+
+
+def prune_report_text(model, meta: dict) -> str:
+    """Prune report of a gated model at the checkpoint's step and event log."""
+    report = PruneManager(model).snapshot(step=meta.get("step", 0))
+    report.events = [tuple(e) for e in meta.get("events", [])]
+    return report.to_text()
 
 
 def cmd_gradcheck(args) -> int:
@@ -60,22 +76,14 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        arrays, manifest = load_checkpoint(args.checkpoint)
-        run_cfg = manifest["meta"].get("run_config")
-        if run_cfg is None:
-            raise ValueError("checkpoint carries no run_config; cannot rebuild model")
-        model = build_model(run_cfg)
-        model.load_params(arrays)
+        model, meta = load_checkpoint_model(args.checkpoint)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error reading checkpoint: {exc}", file=sys.stderr)
         return 2
     if not model.gates():
         print("model has no gates; nothing to report")
         return 0
-    manager = PruneManager(model)
-    report = manager.snapshot(step=manifest["meta"].get("step", 0))
-    report.events = [tuple(e) for e in manifest["meta"].get("events", [])]
-    print(report.to_text(), end="")
+    print(prune_report_text(model, meta), end="")
     return 0
 
 

@@ -267,9 +267,18 @@ def test_every_arch_and_granularity_trains_and_reports(tmp_path, capsys, arch,
                data_test_n=8, data_classes=2, epochs=1, batch_size=8, lambda1=1e-3,
                lambda2=1e-4, lambda3=0.1, target_c=0.5, out_dir=out, **_TINY_ARCH[arch])
     assert main(["train", "--config", _write(tmp_path, raw)]) == 0
+    capsys.readouterr()
     assert main(["report", "--checkpoint", os.path.join(out, "checkpoint")]) == 0
+    report = capsys.readouterr().out
     gated = granularity != "none"
-    assert ("maskprune prune report v1" in capsys.readouterr().out) == gated
+    assert ("maskprune prune report v1" in report) == gated
+    # train writes the report that `maskprune report` prints for its checkpoint
+    report_path = os.path.join(out, "prune_report.txt")
+    if gated:
+        with open(report_path) as fh:
+            assert fh.read() == report
+    else:
+        assert not os.path.exists(report_path)
 
     pinned = _PINNED_PARAMS[arch]
     if gated:
