@@ -30,10 +30,10 @@ def cmd_train(args) -> int:
     except TrainDivergence as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
-    model, meta = load_checkpoint_model(os.path.join(out_dir, "checkpoint"))
-    if model.gates():
+    saved, meta = load_checkpoint_model(os.path.join(out_dir, "checkpoint"))
+    if saved.gates():
         with open(os.path.join(out_dir, "prune_report.txt"), "w") as fh:
-            fh.write(prune_report_text(model, meta))
+            fh.write(prune_report_text(saved, meta))
     print(f"done: metrics and checkpoint under {out_dir}")
     return 0
 

@@ -13,11 +13,11 @@ the rest.  ``_parts()`` lists its blocks and its own ``{name: array}`` tables
 its reporting group, the dense MACs of one component, how component ``i`` is
 named, the slices under the masked-l2 term (``decayed``), the other slices it
 owns (batch-norm affine) and the ones that depend on it (next-layer input
-channels, as ``AXIS1``).  Each slice carries one of ``gate``'s membership
-modes, and the forward pass gates its tensor under the mode of the same
-name: ``ELEMENTWISE`` for MLP weights, ``AXIS1`` for filter outputs and LSTM
-nodes, ``WHOLE`` for residual branches.  ``gate_decls()``, ``gates()`` and
-``l2_groups()`` read those declarations.  ``flops(live)`` costs the network from the live
+channels, as ``AXIS1``).  Slices name their membership with ``gate``'s
+modes, the rule the forward pass also gates its tensors by: ``ELEMENTWISE``
+for MLP weights, ``AXIS1`` for filter outputs and LSTM nodes, ``WHOLE`` for
+residual branches.  ``gate_decls()``, ``gates()`` and ``l2_groups()`` read
+those declarations.  ``flops(live)`` costs the network from the live
 component count of each gate, keyed by gate name; ungated layers count in
 full.
 

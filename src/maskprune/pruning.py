@@ -3,10 +3,11 @@
 A model declares each gate once (``GateDecl``): the reporting group, the
 dense MACs of one component, how component ``i`` is named, and the parameter
 slices the gate owns and the ones that depend on it.  A slice is a (param
-name, membership mode) pair.  The modes are ``gate``'s (``AXIS0``, ``AXIS1``,
-``WHOLE``, ``ELEMENTWISE``), and ``gate.broadcast_mask`` maps components to
-entries here just as it does in ``apply_gate``.  Owned slices come in two kinds: ``decayed`` ones also carry the
-masked-l2 term, the other ``owned`` ones (batch-norm affine) do not.
+name, membership mode) pair.  The modes are ``gate``'s (``AXIS0``,
+``AXIS1``, ``WHOLE``, ``ELEMENTWISE``), and ``gate.broadcast_mask`` maps
+components to entries here just as it does in ``apply_gate``.  Owned slices
+come in two kinds: ``decayed`` ones also carry the masked-l2 term, the other
+``owned`` ones (batch-norm affine) do not.
 Component ``i`` of a gate is one prunable entity.
 
 Each snapshot computes every gate's hard mask once and works on those arrays:

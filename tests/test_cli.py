@@ -7,8 +7,10 @@ import pytest
 from maskprune.checkpoint import save_checkpoint
 from maskprune.cli import main
 from maskprune.config import (ARCHS, DATASETS, GRANULARITY_FOR_ARCH, ConfigError,
-                              build_model, validate_config)
+                              build_datasets, build_model, validate_config)
 from maskprune.gradcheck import CHECKS, run_checks
+from maskprune.objective import cross_entropy
+from maskprune.tensor import Tape
 
 
 def _toy_config(out_dir, **overrides):
@@ -291,6 +293,40 @@ def test_every_arch_and_granularity_trains_and_reports(tmp_path, capsys, arch,
     model = build_model(validate_config(raw))
     assert list(model.params()) == params
     assert sorted(model.persistent_arrays()) == sorted(params + buffers)
+
+
+def _task_alpha_grads(model, x, y) -> dict[str, np.ndarray]:
+    """Task-loss gradient of every gate's alpha on one batch."""
+    tape = Tape()
+    grads = tape.backward(cross_entropy(model.forward(tape, x), y))
+    return {g.name: grads[f"{g.name}.alpha"].data for g in model.gates()}
+
+
+@pytest.mark.parametrize("arch,granularity", [(a, g) for a, grans in
+                                               GRANULARITY_FOR_ARCH.items()
+                                               for g in grans if g != "none"])
+def test_masked_component_gets_task_gradient(arch, granularity):
+    # Rejuvenation at model level: with one component of one gate below the
+    # threshold and every other component active, the task loss alone must
+    # still push on that component's alpha whenever it does so while the
+    # component is active (a dead ReLU unit cuts both).  Masking node i of all
+    # four LSTM gates at once would zero h[i] and c[i] and all four gradients,
+    # so each gate is masked on its own.
+    cfg = validate_config(dict(schema_version=1, arch=arch, granularity=granularity,
+                               data_n=16, data_classes=2, **_TINY_ARCH[arch]))
+    model = build_model(cfg)
+    train_ds, _ = build_datasets(cfg)
+    x, y = train_ds.inputs, model.flatten_labels(train_ds.labels)
+    active = _task_alpha_grads(model, x, y)
+    for gate in model.gates():
+        reached = np.flatnonzero(active[gate.name])
+        assert reached.size, gate.name
+        for i in reached:
+            alpha_i = gate.alpha[i]
+            gate.alpha[i] = 0.5 * gate.threshold       # masked, sign kept
+            masked = _task_alpha_grads(model, x, y)[gate.name]
+            gate.alpha[i] = alpha_i
+            assert masked[i] != 0.0, f"{gate.name}[{i}]"
 
 
 # the (arch, dataset) pairs whose input kinds match; validation refuses the rest

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from maskprune import gate as gate_mod
 from maskprune import objective
-from maskprune.config import GRANULARITY_FOR_ARCH, build_datasets, build_model, validate_config
 from maskprune.gate import (AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, apply_gate,
                             apply_mask, foothill_fd, foothill_fd_grad, hard_mask,
                             surrogate_mask, surrogate_mask_grad)
-from maskprune.objective import cross_entropy
 from maskprune.gradcheck import run_checks
 from maskprune.tensor import ShapeError, Tape, Tensor, sum_all, mul
 
@@ -160,46 +158,6 @@ def test_rejuvenation_gradient_below_threshold():
         x = rng.normal(size=3) + 2.0
         _, _, ga = _gate_backward(x, [alpha], t=t, upstream=np.ones(3))
         assert ga[0] != 0.0
-
-
-# one tiny run config per arch: image and sequence sizes give every gate a path
-# to the loss (a stride-2 stage, two timesteps or more)
-_TINY = {
-    "mlp": dict(dataset="synth-class", data_dim=4, mlp_hidden=[3]),
-    "toy-convnet": dict(dataset="synth-images", image_hw=5, image_channels=2,
-                        conv_channels=[3, 4]),
-    "resnet-small": dict(dataset="synth-images", image_hw=5, image_channels=2,
-                         stage_widths=[2, 3], blocks_per_stage=1),
-    "lstm-classifier": dict(dataset="synth-seq-majority", lstm_hidden=3,
-                            embed_dim=2, data_seq_len=4),
-    "lstm-lm": dict(dataset="synth-seq-markov", lstm_hidden=3, embed_dim=2,
-                    data_seq_len=4),
-}
-
-
-@pytest.mark.parametrize("arch,granularity", [(a, g) for a, grans in
-                                               GRANULARITY_FOR_ARCH.items()
-                                               for g in grans if g != "none"])
-def test_masked_component_gets_task_gradient(arch, granularity):
-    # Rejuvenation at model level: with one component of one gate below the
-    # threshold and every other component active, the task loss alone must
-    # still push on that component's alpha.  Masking node i of all four LSTM
-    # gates at once would zero h[i] and c[i] and all four gradients, so each
-    # gate is masked on its own.
-    cfg = validate_config(dict(schema_version=1, arch=arch, granularity=granularity,
-                               data_n=16, data_classes=3, seed=2, **_TINY[arch]))
-    model = build_model(cfg)
-    train_ds, _ = build_datasets(cfg)
-    x, y = train_ds.inputs[:16], model.flatten_labels(train_ds.labels[:16])
-    for gate in model.gates():
-        for i in range(gate.dim):
-            alpha_i = gate.alpha[i]
-            gate.alpha[i] = 0.5 * gate.threshold       # masked, sign kept
-            tape = Tape()
-            loss = cross_entropy(model.forward(tape, x), y)
-            grad = tape.backward(loss)[f"{gate.name}.alpha"].data
-            gate.alpha[i] = alpha_i
-            assert grad[i] != 0.0, f"{gate.name}[{i}]"
 
 
 def test_apply_gate_per_axis():
