@@ -15,6 +15,7 @@ dataset feeds an arch when the kinds match.
 from __future__ import annotations
 
 import json
+import math
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
@@ -90,7 +91,9 @@ def _positive_int(v):
 
 
 def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if isinstance(v, float):             # json.load also parses NaN and Infinity
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _widths(v):
@@ -137,7 +140,8 @@ _SCHEMA: dict[str, tuple] = {
     "alpha_init": (_number, 1.0, "initial scaling factor"),
     "mlp_hidden": (_widths, [32], "mlp hidden widths"),
     "conv_channels": (_widths, [8, 12, 16], "toy-convnet filter counts"),
-    "stage_widths": (_widths, [16, 32, 64], "resnet stage widths"),
+    "stage_widths": (lambda v: _widths(v) and len(v) > 0, [16, 32, 64],
+                     "resnet stage widths, at least one"),
     "blocks_per_stage": (_positive_int, 9, "resnet blocks per stage"),
     "lstm_hidden": (_positive_int, 32, "lstm hidden dimension"),
     "lstm_stacks": (lambda v: v in (1, 2), 1, "stacked lstm cells"),

@@ -319,16 +319,16 @@ def _ratio_hinge_alpha_check(rng):
              GateParam.create("node", 3, threshold=0.2, name="g1")]
     gates[0].alpha[:] = [0.6, -0.35, 0.12, -0.07]
     gates[1].alpha[:] = [1.1, -0.5, 0.3]
-    K, c = 7, 0.25      # 5 of 7 active: hard and surrogate fractions both exceed c
+    c = 0.25      # 5 of 7 active: hard and surrogate fractions both exceed c
 
     def build(tape, arrays):
         return objective.ratio_hinge(
-            [(g, tape.param(g.name, arrays[g.name])) for g in gates], K, c)
+            [(g, tape.param(g.name, arrays[g.name])) for g in gates], c)
 
     def smooth(arrays):
         active = sum(np.sum(gate_mod.surrogate_mask(arrays[g.name], g.threshold, g.beta))
                      for g in gates)
-        return max(0.0, active / K - c)
+        return max(0.0, active / 7 - c)
 
     return check_loss(build, {g.name: g.alpha for g in gates}, smooth=smooth)
 

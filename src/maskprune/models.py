@@ -17,9 +17,13 @@ channels, as ``AXIS1``).  Slices name their membership with ``gate``'s
 modes, the rule the forward pass also gates its tensors by: ``ELEMENTWISE``
 for MLP weights, ``AXIS1`` for filter outputs and LSTM nodes, ``WHOLE`` for
 residual branches.  ``gate_decls()``, ``gates()`` and ``l2_groups()`` read
-those declarations.  ``flops(live)`` costs the network from the live
-component count of each gate, keyed by gate name; ungated layers count in
-full.
+those declarations.  Next to them, ``flop_costs()`` gives the FLOPs each
+live entry of a weight array stands for (a conv weight ``2·Ho·Wo``, a
+``bn.gamma`` its channel's batch norm and ReLU, linear weights 2, biases 1,
+LSTM entries per timestep) and a fixed count no mask removes.
+``PruneManager`` costs them on the dead grid it builds from the slices, so
+the dataflow is stated once.  A mask-dependent cost that is no weight's (a
+pool, a droppable residual add) rides on an owned per-channel array.
 
 Construction is deterministic in the seed, and gate scaling factors are
 initialized to a constant so gated and ungated variants of the same seed
@@ -42,6 +46,9 @@ BN_FLOPS_PER_ELEM = 2
 RELU_FLOPS_PER_ELEM = 1
 ADD_FLOPS_PER_ELEM = 1
 
+# the linear head: a multiply-accumulate per weight, an add per bias
+_HEAD_COSTS = {"head.w": 2, "head.b": 1}
+
 
 class Model:
     """Shared plumbing; concrete models fill in the architecture."""
@@ -49,6 +56,8 @@ class Model:
     task = "classification"
     GRANULARITIES: tuple[str, ...] = ()  # gated granularities; None (ungated) always works
     _decls: list[GateDecl]             # one per gate, built in __init__
+    _costs: dict[str, int]             # weight name -> FLOPs per live entry
+    _fixed_flops = 0                   # FLOPs no mask can remove
 
     @classmethod
     def _gate_maker(cls, granularity: str | None, threshold: float | None, beta: float,
@@ -65,9 +74,6 @@ class Model:
 
     def _parts(self) -> list:
         """Blocks and own ``{name: array}`` tables, in ``params()`` order."""
-        raise NotImplementedError
-
-    def flops(self, live: dict[str, int]) -> int:
         raise NotImplementedError
 
     def forward(self, tape: Tape, x, mode: str = "train") -> Tensor:
@@ -90,6 +96,10 @@ class Model:
     def gate_decls(self) -> list[GateDecl]:
         return self._decls
 
+    def flop_costs(self) -> tuple[dict[str, int], int]:
+        """FLOPs per live entry of each costed weight, and the fixed FLOPs."""
+        return self._costs, self._fixed_flops
+
     def gates(self) -> list[GateParam]:
         return [d.gate for d in self._decls]
 
@@ -101,11 +111,6 @@ class Model:
 
     def _head(self) -> dict[str, np.ndarray]:
         return {"head.w": self.head_w, "head.b": self.head_b}
-
-    def _pool_head_flops(self, width: int, hw: tuple[int, int]) -> int:
-        """Global average pool of ``width`` maps of size ``hw``, then the head."""
-        classes = self.head_w.shape[0]
-        return width * hw[0] * hw[1] + 2 * classes * width + classes
 
     def flatten_labels(self, y: np.ndarray) -> np.ndarray:
         return y
@@ -140,16 +145,12 @@ def _make_conv_unit(name: str, n: int, m: int, rng: np.random.Generator, k: int 
                     relu=relu_after, name=name)
 
 
-def _live(live: dict[str, int], gate: GateParam | None, full: int) -> int:
-    """Live component count of ``gate``; an ungated layer counts in full."""
-    return full if gate is None else live[gate.name]
-
-
-def _unit_flops(u: ConvUnit, live_in: int, live_out: int, hw: tuple[int, int]) -> int:
-    """Conv, batch norm and (if any) ReLU of ``u`` with the given live channels."""
-    elems = live_out * hw[0] * hw[1]
-    macs = conv_macs(live_out, live_in, u.weights.shape[2], *hw)
-    return 2 * macs + elems * (BN_FLOPS_PER_ELEM + RELU_FLOPS_PER_ELEM * u.relu)
+def _unit_costs(u: ConvUnit, hw: tuple[int, int]) -> dict[str, int]:
+    """Conv (2 FLOPs per MAC) per live weight, batch norm and (if any) ReLU per
+    live output channel of ``u``, at output size ``hw``."""
+    area = hw[0] * hw[1]
+    return {u.pname("w"): 2 * area,
+            u.pname("bn.gamma"): area * (BN_FLOPS_PER_ELEM + RELU_FLOPS_PER_ELEM * u.relu)}
 
 
 def _bind(tape: Tape, table: dict[str, np.ndarray]) -> list[Tensor]:
@@ -190,10 +191,14 @@ class Mlp(Model):
         rng = np.random.default_rng(seed)
         dims = (in_dim,) + tuple(hidden) + (classes,)
         self.weights, self.biases, self._gates, self._decls = [], [], [], []
+        self._costs = {}
         for li in range(len(dims) - 1):
             p, q = dims[li], dims[li + 1]
             self.weights.append(rng.normal(0.0, np.sqrt(1.0 / p), size=(q, p)))
             self.biases.append(np.zeros(q))
+            # a hidden layer's ReLU costs one FLOP per output, counted on its bias
+            relu_cost = RELU_FLOPS_PER_ELEM if li < len(dims) - 2 else 0
+            self._costs.update({f"fc{li}.w": 2, f"fc{li}.b": 1 + relu_cost})
             gate = None if make_gate is None else make_gate(q * p, f"fc{li}.gate")
             if gate is not None:
                 self._decls.append(GateDecl(
@@ -221,15 +226,6 @@ class Mlp(Model):
             if li < len(self._gates) - 1:
                 h = relu(h)
         return h
-
-    def flops(self, live):
-        total = 0
-        for li, (w, g) in enumerate(zip(self.weights, self._gates)):
-            q, p = w.shape
-            total += 2 * _live(live, g, q * p) + q
-            if li < len(self.weights) - 1:
-                total += q * RELU_FLOPS_PER_ELEM
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +257,15 @@ class ToyConvNet(Model):
         nxt = [u.pname("w") for u in self.units[1:]] + ["head.w"]
         self._decls = [_filter_decl(u, input_hw, dep) for u, dep in zip(self.units, nxt)
                        if u.gate is not None]
+        self._costs = dict(_HEAD_COSTS)
+        for u in self.units:
+            self._costs.update(_unit_costs(u, input_hw))
+        area = input_hw[0] * input_hw[1]
+        if self.units:
+            # the pool reads the last unit's live channels: its bn.beta carries it
+            self._costs[self.units[-1].pname("bn.beta")] = area
+        else:
+            self._fixed_flops = in_channels * area
 
     def _parts(self):
         return [*self.units, self._head()]
@@ -270,14 +275,6 @@ class ToyConvNet(Model):
         for u in self.units:
             h = u.forward(tape, h, mode)
         return linear(avg_pool_full(h), *_bind(tape, self._head()))
-
-    def flops(self, live):
-        total, live_in = 0, self.in_channels
-        for u in self.units:
-            live_out = _live(live, u.gate, u.out_channels)
-            total += _unit_flops(u, live_in, live_out, self.input_hw)
-            live_in = live_out
-        return total + self._pool_head_flops(live_in, self.input_hw)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +317,7 @@ class ResNetSmall(Model):
                                     make_gate=unit_gate)
         self.blocks: list[ResidualBlock] = []
         self._decls = []
+        self._costs = {**_unit_costs(self.stem, input_hw), **_HEAD_COSTS}
         prev = stage_widths[0]
         self._block_hw: list[tuple[int, int]] = []
         sides = zip(*(stage_sides(s, len(stage_widths)) for s in input_hw))
@@ -337,6 +335,14 @@ class ResNetSmall(Model):
                     down = _make_conv_unit(f"{name}.down", prev, width, rng, k=1,
                                            stride=stride, relu_after=False)
                 blk = ResidualBlock(u1, u2, gate, down, name=name)
+                for u in (u1, u2) if down is None else (u1, u2, down):
+                    self._costs.update(_unit_costs(u, hw))
+                area = hw[0] * hw[1]
+                if gate is None:
+                    self._fixed_flops += width * area * ADD_FLOPS_PER_ELEM
+                else:
+                    # a masked branch gate drops the residual add with unit2's bn.beta
+                    self._costs[u2.pname("bn.beta")] = area * ADD_FLOPS_PER_ELEM
                 if filt:
                     # unit2 feeds the residual sum, so its filters have no dependants
                     self._decls += [_filter_decl(u1, hw, u2.pname("w")),
@@ -352,6 +358,8 @@ class ResNetSmall(Model):
         if filt:
             self._decls.insert(0, _filter_decl(self.stem, input_hw,
                                                self.blocks[0].unit1.pname("w")))
+        # the pool reads the residual sum, whose channels all stay live
+        self._fixed_flops += prev * self._block_hw[-1][0] * self._block_hw[-1][1]
         self.head_w = rng.normal(0.0, np.sqrt(1.0 / prev), size=(classes, prev))
         self.head_b = np.zeros(classes)
 
@@ -364,26 +372,6 @@ class ResNetSmall(Model):
         for blk in self.blocks:
             h = blk.forward(tape, h, mode)
         return linear(avg_pool_full(h), *_bind(tape, self._head()))
-
-    def flops(self, live):
-        def live_filters(u):
-            return _live(live, u.gate, u.out_channels)
-
-        total = _unit_flops(self.stem, self.in_channels, live_filters(self.stem),
-                            self.input_hw)
-        block_in = live_filters(self.stem)     # later blocks read the full width
-        for blk, hw in zip(self.blocks, self._block_hw):
-            width = blk.unit2.out_channels
-            if _live(live, blk.gate, 1):
-                l1 = live_filters(blk.unit1)
-                total += _unit_flops(blk.unit1, block_in, l1, hw)
-                total += _unit_flops(blk.unit2, l1, live_filters(blk.unit2), hw)
-                total += width * hw[0] * hw[1] * ADD_FLOPS_PER_ELEM
-            if blk.down is not None:
-                total += _unit_flops(blk.down, blk.down.weights.shape[1], width, hw)
-            block_in = width
-        return total + self._pool_head_flops(self.blocks[-1].unit2.out_channels,
-                                             self._block_hw[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -420,22 +408,16 @@ class _LstmBase(Model):
                                 decayed=((cell.pname(f"W_{k}"), AXIS0),
                                          (cell.pname(f"b_{k}"), AXIS0)))
                        for cell in self.cells if cell.gates is not None for k in LSTM_GATES]
+        # per-timestep costs (the constant sequence length cancels in ratios):
+        # 2 per matmul weight, bias add plus activation per node, c/h updates
+        self._costs = dict(_HEAD_COSTS)
+        for cell in self.cells:
+            self._costs.update({cell.pname(f"{p}_{k}"): 2 for k in LSTM_GATES
+                                for p in ("W", "b")})
+        self._fixed_flops = 4 * hidden * stacks
 
     def _parts(self):
         return [{"embed": self.embed}, *self.cells, self._head()]
-
-    def flops(self, live):
-        # per-timestep cost; the constant sequence length cancels in ratios
-        total = 0
-        for cell in self.cells:
-            in_dim = cell.weights["f"].shape[1]
-            for k in LSTM_GATES:
-                gate = None if cell.gates is None else cell.gates[k]
-                rows = _live(live, gate, self.hidden)
-                total += 2 * rows * in_dim + 2 * rows  # matmul rows + bias + act
-            total += 4 * self.hidden                   # c/h elementwise updates
-        total += 2 * self.head_w.shape[0] * self.hidden + self.head_w.shape[0]
-        return total
 
     def _run_stack(self, tape, ids: np.ndarray):
         b, T = ids.shape

@@ -90,16 +90,17 @@ def masked_l2(groups: Sequence[tuple[GateParam, Sequence[tuple[Tensor, str]]]]) 
     return custom_grad(value, tuple(node for node, _ in terms), rule, op="masked_l2")
 
 
-def ratio_hinge(gates: Sequence[tuple[GateParam, Tensor]], K: int, c: float) -> Tensor:
-    """max(0, active_fraction - c) over all gate components.
+def ratio_hinge(gates: Sequence[tuple[GateParam, Tensor]], c: float) -> Tensor:
+    """max(0, active_fraction - c) over all K components of ``gates``.
 
     Forward counts hard-mask ones; backward substitutes the surrogate mask
     derivative so that an over-budget network pushes its scaling factors
     down.  Once the active fraction reaches the target the term and all its
     gradients are exactly zero.
     """
-    if K <= 0:
-        raise ValueError(f"ratio_hinge: K must be positive, got {K}")
+    K = sum(g.dim for g, _ in gates)
+    if K == 0:
+        raise ValueError("ratio_hinge: no gate components")
     if not (0.0 < c <= 1.0):
         raise ValueError(f"ratio_hinge: c must lie in (0, 1], got {c}")
     active = sum(g.active_count() for g, _ in gates)
@@ -119,8 +120,7 @@ def total_objective(task_loss: Tensor,
                     alpha_nodes: Sequence[Tensor],
                     l2_groups: Sequence[tuple[GateParam, Sequence[tuple[Tensor, str]]]],
                     hinge_gates: Sequence[tuple[GateParam, Tensor]],
-                    cfg: ObjectiveConfig,
-                    K: int) -> tuple[Tensor, dict[str, float]]:
+                    cfg: ObjectiveConfig) -> tuple[Tensor, dict[str, float]]:
     """Assemble the full objective; returns the loss node and a breakdown.
 
     The breakdown reports each term already scaled by its coefficient, so
@@ -132,7 +132,7 @@ def total_objective(task_loss: Tensor,
             ("l1_term", cfg.lambda1, alpha_nodes, lambda: l1_alpha(alpha_nodes)),
             ("l2_term", cfg.lambda2, l2_groups, lambda: masked_l2(l2_groups)),
             ("hinge_term", cfg.lambda3, hinge_gates,
-             lambda: ratio_hinge(hinge_gates, K, cfg.target_c))):
+             lambda: ratio_hinge(hinge_gates, cfg.target_c))):
         parts[key] = 0.0
         if coeff > 0.0 and inputs:
             term = scale(build(), coeff)

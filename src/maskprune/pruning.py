@@ -18,8 +18,10 @@ Each snapshot computes every gate's hard mask once and works on those arrays:
   overlaps count once and active + pruned = total holds at every snapshot.
   Gate scaling factors are bookkeeping state, not network weights, and are
   excluded from the counts;
-- FLOPs come from ``model.flops(live)`` with the live component count of each
-  gate, keyed by gate name;
+- FLOPs come from the same grid.  The model's cost table gives the FLOPs
+  each live entry of a weight array stands for, plus a fixed count no mask
+  removes: live FLOPs = fixed + sum over costed arrays of (size - dead
+  entries) x cost, and total FLOPs is that sum with nothing dead;
 - rejuvenation events come from diffing each gate's mask with the previous
   snapshot's, in gate-then-component order.
 
@@ -115,7 +117,7 @@ class PruneManager:
 
     The model contract: ``params()`` (name -> array), ``gates()``,
     ``gate_decls()`` (one GateDecl per gate, each gate exactly once) and
-    ``flops(live)`` (total FLOPs given the live component count per gate name).
+    ``flop_costs()`` (weight name -> FLOPs per live entry, and the fixed FLOPs).
     """
 
     def __init__(self, model):
@@ -138,13 +140,16 @@ class PruneManager:
                 if name not in weights:
                     raise ValueError(f"gate {d.gate.name!r}: unknown weight {name!r}")
                 broadcast_mask(np.ones(d.gate.dim, dtype=bool), weights[name].shape, mode)
+        self._costs, fixed = model.flop_costs()
+        unknown = set(self._costs) - set(weights)
+        if unknown:
+            raise ValueError(f"FLOPs cost for unknown weights {sorted(unknown)}")
         self._ids = [d.name(i) for d in self.decls for i in range(d.gate.dim)]
         if len(set(self._ids)) != len(self._ids):
             raise ValueError("duplicate entity id")
         self._offsets = np.cumsum([0] + [d.gate.dim for d in self.decls]).tolist()
         self._total_params = int(sum(p.size for p in weights.values()))
-        self._total_flops = int(model.flops({d.gate.name: d.gate.dim
-                                             for d in self.decls}))
+        self._total_flops = fixed + sum(weights[n].size * c for n, c in self._costs.items())
         self._last = [np.ones(d.gate.dim, dtype=bool) for d in self.decls]
         self._records: list[EntityRecord] | None = None
         self.events: list[tuple[int, str, str]] = []
@@ -166,7 +171,7 @@ class PruneManager:
         return [d.gate.mask() > 0 for d in self.decls]
 
     def _active(self, masks: list[np.ndarray]) -> dict[str, bool]:
-        return dict(zip(self._ids, np.concatenate(masks).tolist()))
+        return dict(zip(self._ids, np.concatenate(masks).tolist() if masks else []))
 
     def active_flags(self) -> dict[str, bool]:
         return self._active(self._masks())
@@ -192,11 +197,12 @@ class PruneManager:
                 if grid is None:
                     grid = dead[name] = np.zeros(params[name].shape, dtype=bool)
                 grid |= broadcast_mask(off, grid.shape, mode)
-        pruned_params = int(sum(g.sum() for g in dead.values()))
+        n_dead = {name: int(g.sum()) for name, g in dead.items()}
+        pruned_params = sum(n_dead.values())
+        live_flops = self._total_flops - sum(n * self._costs.get(name, 0)
+                                             for name, n in n_dead.items())
 
         counts = [int(m.sum()) for m in masks]
-        live_flops = int(self.model.flops(
-            {d.gate.name: c for d, c in zip(self.decls, counts)}))
         n_active = sum(counts)
 
         per_group: dict[str, list[int]] = {}
@@ -210,7 +216,7 @@ class PruneManager:
             active=self._active(masks),
             active_entities=n_active,
             K=self.K,
-            pruned_ratio=1.0 - n_active / self.K,
+            pruned_ratio=1.0 - n_active / self.K if self.K else 0.0,
             total_params=self._total_params,
             pruned_params=pruned_params,
             pruned_params_fraction=pruned_params / self._total_params

@@ -86,7 +86,7 @@ def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
     task = cross_entropy(logits, model.flatten_labels(yb))
     total, parts = total_objective(
         task, model.alpha_nodes(tape), model.l2_groups(tape), model.hinge_gates(tape),
-        cfg.objective, sum(g.dim for g in model.gates()))
+        cfg.objective)
     if not np.all(np.isfinite(total.data)):
         bad = first_nonfinite(total)
         raise TrainDivergence(

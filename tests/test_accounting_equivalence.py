@@ -181,8 +181,13 @@ class _ReferenceManager:
 
 MODELS = {
     "mlp-weight": lambda: Mlp(12, (8, 6), 4, seed=0, granularity="weight"),
+    # no hidden layer, so no ReLU cost
+    "mlp-weight-no-hidden": lambda: Mlp(12, (), 4, seed=0, granularity="weight"),
     "toy-filter": lambda: ToyConvNet((4, 6, 5), input_hw=(6, 6), classes=4, seed=0,
                                      granularity="filter"),
+    # the pool's cost rides on the only unit
+    "toy-filter-one-unit": lambda: ToyConvNet((5,), input_hw=(6, 6), classes=4, seed=0,
+                                              granularity="filter"),
     "resnet-filter": lambda: ResNetSmall((4, 6), 2, input_hw=(9, 9), classes=3, seed=0,
                                          granularity="filter"),
     "resnet-subnetwork": lambda: ResNetSmall((4, 6, 8), 2, input_hw=(9, 9), classes=3,

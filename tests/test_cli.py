@@ -108,6 +108,22 @@ def test_train_augment_with_mlp_exits_cleanly(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("key,overrides", [
+    pytest.param("stage_widths", dict(arch="resnet-small", stage_widths=[]),
+                 id="no-stages"),
+    *[pytest.param(key, {key: value}, id=f"{key}={value}")
+      for key, value in [("alpha_init", float("nan")), ("alpha_init", float("inf")),
+                         ("base_lr", float("inf")), ("gate_beta", float("inf")),
+                         ("data_margin", float("inf")), ("lambda1", float("inf")),
+                         ("alpha_init", float("-inf"))]]])
+def test_train_rejects_invalid_value_before_compute(tmp_path, capsys, key, overrides):
+    out = str(tmp_path / "run")
+    code = main(["train", "--config", _write(tmp_path, _toy_config(out, **overrides))])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_missing_required_key():
     cfg = _toy_config("x")
     del cfg["arch"]

@@ -8,6 +8,7 @@ from maskprune.layers import (LSTM_GATES, BnState, ConvUnit, LstmCell,
                               embedding, linear)
 from maskprune.models import ResNetSmall, stage_sides
 from maskprune.objective import masked_l2
+from maskprune.pruning import PruneManager
 from maskprune.tensor import Tape, Tensor, mul, sum_all
 
 
@@ -237,7 +238,8 @@ def test_resnet_trains_at_32x32(monkeypatch, granularity):
             expected += 2 * width * prev * hw + width * hw * 2      # projection
         prev = width
     expected += prev * sides[-1] ** 2 + 2 * 3 * prev + 3
-    assert model.flops({g.name: g.dim for g in model.gates()}) == expected
+    report = PruneManager(model).snapshot(0)
+    assert report.total_flops == report.live_flops == expected
 
 
 def _cell(gated: bool, h: int = 4, e: int = 3, seed: int = 14) -> LstmCell:

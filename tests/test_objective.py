@@ -106,44 +106,43 @@ def test_masked_l2_elementwise_mode():
     assert val.item() == 1.0 + 9.0 + 16.0
 
 
-def _hinge(alphas, K, c):
+def _hinge(alphas, c):
     gates, nodes = [], []
     tape = Tape()
     for i, a in enumerate(alphas):
         g = GateParam(np.asarray(a, dtype=float), 1e-3, 5.0, "filter")
         node = tape.param(f"a{i}", g.alpha)
         gates.append((g, node))
-    val = ratio_hinge(gates, K, c)
+    val = ratio_hinge(gates, c)
     grads = tape.backward(val)
     return val.item(), [grads[f"a{i}"].data for i in range(len(alphas))]
 
 
 def test_ratio_hinge_inactive():
-    val, grads = _hinge([np.r_[np.ones(4), np.zeros(6)]], K=10, c=0.5)
+    val, grads = _hinge([np.r_[np.ones(4), np.zeros(6)]], c=0.5)
     assert val == 0.0
     assert all(np.all(g == 0.0) for g in grads)
 
 
 def test_ratio_hinge_active():
-    val, grads = _hinge([np.r_[np.ones(8), np.zeros(2)]], K=10, c=0.5)
+    val, grads = _hinge([np.r_[np.ones(8), np.zeros(2)]], c=0.5)
     assert abs(val - 0.3) < 1e-12
     assert any(np.any(g != 0.0) for g in grads)
 
 
 def test_ratio_hinge_boundary():
-    val, _ = _hinge([np.ones(4)], K=4, c=1.0)
+    val, _ = _hinge([np.ones(4)], c=1.0)
     assert val == 0.0
 
 
-def test_ratio_hinge_rejects_bad_K():
-    g = GateParam(np.ones(2), 1e-3, 5.0, "filter")
+def test_ratio_hinge_rejects_no_gates():
     with pytest.raises(ValueError):
-        ratio_hinge([(g, Tensor(g.alpha))], K=0, c=0.5)
+        ratio_hinge([], c=0.5)
 
 
 def test_hinge_pushes_over_budget_alpha_down():
     # gradient descent on the hinge shrinks a near-threshold scaling factor
-    val, grads = _hinge([np.full(4, 0.3)], K=4, c=0.25)
+    val, grads = _hinge([np.full(4, 0.3)], c=0.25)
     assert val > 0.0
     assert np.all(grads[0] > 0.0)      # positive grad => alpha decreases
 
@@ -165,7 +164,7 @@ def _toy_setup():
 def test_total_objective_degenerate_is_task_loss():
     tape, task, alphas, groups, hinge = _toy_setup()
     total, parts = total_objective(task, alphas, groups, hinge,
-                                   ObjectiveConfig(), K=3)
+                                   ObjectiveConfig())
     assert total is task
     assert parts == {"task_loss": 0.75, "l1_term": 0.0, "l2_term": 0.0,
                      "hinge_term": 0.0}
@@ -178,7 +177,7 @@ def test_total_objective_l2_reduces_to_plain_when_all_active():
     w = tape.param("w", np.array([[1.0], [2.0]]))
     task = sum_all(Tensor(np.array([0.0])))
     total, parts = total_objective(task, [a], [(g, [(w, AXIS0)])], [(g, a)],
-                                   ObjectiveConfig(lambda2=0.1), K=2)
+                                   ObjectiveConfig(lambda2=0.1))
     assert np.isclose(parts["l2_term"], 0.1 * 5.0)
     assert np.isclose(total.item(), 0.5)
 
@@ -186,7 +185,7 @@ def test_total_objective_l2_reduces_to_plain_when_all_active():
 def test_total_objective_hand_computed():
     tape, task, alphas, groups, hinge = _toy_setup()
     cfg = ObjectiveConfig(lambda1=0.1, lambda2=0.01, lambda3=2.0, target_c=0.5)
-    total, parts = total_objective(task, alphas, groups, hinge, cfg, K=3)
+    total, parts = total_objective(task, alphas, groups, hinge, cfg)
     # entities: g1 has one active of two, g2 active => 2/3 active
     expect_l1 = 0.1 * (1.0 + 1e-9 + 0.5)
     expect_l2 = 0.01 * (1.0 + 9.0)       # active slice w1[0] and whole w2
@@ -207,7 +206,7 @@ def test_objective_terms_nonnegative():
         w = tape.param("w", rng.normal(size=(4, 2)))
         assert l1_alpha([a]).item() >= 0.0
         assert masked_l2([(g, [(w, AXIS0)])]).item() >= 0.0
-        assert ratio_hinge([(g, a)], K=4, c=rng.uniform(0.1, 1.0)).item() >= 0.0
+        assert ratio_hinge([(g, a)], c=rng.uniform(0.1, 1.0)).item() >= 0.0
 
 
 def test_objective_config_validation():

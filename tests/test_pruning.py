@@ -3,7 +3,7 @@ import pytest
 
 from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam
 from maskprune.models import (BN_FLOPS_PER_ELEM, RELU_FLOPS_PER_ELEM,
-                              LstmClassifier, ResNetSmall, ToyConvNet)
+                              LstmClassifier, Mlp, ResNetSmall, ToyConvNet)
 from maskprune.pruning import GateDecl, PruneManager, conv_macs, replay_events
 
 
@@ -43,6 +43,14 @@ def test_all_active_snapshot_is_dense():
     assert report.pruned_params_fraction == 0.0
     assert report.pruned_flops_fraction == 0.0
     assert report.active_entities == report.K == 10
+
+
+def test_ungated_model_snapshot_is_dense():
+    report = PruneManager(Mlp(4, (3,), 2)).snapshot(1)
+    assert report.K == report.active_entities == 0
+    assert report.pruned_ratio == 0.0 and report.pruned_params == 0
+    # fc0: 12 weights, 3 biases with ReLU; fc1: 6 weights, 2 biases
+    assert report.live_flops == report.total_flops == 2 * 12 + 2 * 3 + 2 * 6 + 2
 
 
 def test_all_pruned_chain_kills_every_gated_array():
@@ -194,8 +202,8 @@ class _BadModel:
         dup = GateDecl(self.gate, "g", 1, lambda i: f"f{i}", owned=(("w", AXIS0),))
         return [rec, dup]
 
-    def flops(self, live):
-        return 1
+    def flop_costs(self):
+        return {}, 1
 
 
 def test_duplicate_gate_component_rejected():
@@ -213,6 +221,17 @@ def test_undeclared_gate_and_mismatched_slices_rejected():
                             decayed=(("w", AXIS0),))]):
         model.gate_decls = lambda decls=decls: decls
         with pytest.raises(ValueError):
+            PruneManager(model)
+
+
+def test_cost_of_unknown_weight_rejected():
+    model = _BadModel()
+    model.gate_decls = lambda: [GateDecl(model.gate, "g", 1, str, owned=(("w", AXIS0),))]
+    model.params = lambda: {"w": np.zeros((2, 2)), "g.alpha": model.gate.alpha}
+    PruneManager(model)
+    for costs in ({"v": 2}, {"w": 2, "g.alpha": 1}):
+        model.flop_costs = lambda costs=costs: (costs, 0)
+        with pytest.raises(ValueError, match="unknown"):
             PruneManager(model)
 
 
