@@ -7,7 +7,8 @@ import os
 import sys
 
 from .checkpoint import load_checkpoint
-from .config import build_datasets, build_model, load_config, train_config_from
+from .config import (build_datasets, build_model, load_config, train_config_from,
+                     validate_config)
 from .gradcheck import CHECKS, run_checks
 from .pruning import PruneManager
 from .training import TrainDivergence, train
@@ -17,7 +18,7 @@ def cmd_train(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            cfg = validate_config(dict(cfg, seed=args.seed))
         model = build_model(cfg)
         train_ds, test_ds = build_datasets(cfg)
     except (OSError, ValueError) as exc:       # ConfigError is a ValueError

@@ -23,7 +23,10 @@ units gate after theirs.
 A gate's d components meet a tensor under one membership mode (``AXIS0``,
 ``AXIS1``, ``WHOLE``, ``ELEMENTWISE``).  ``broadcast_mask`` is the one rule
 that turns a per-component vector into a view over the tensor: the forward
-ops, the masked-l2 term and the prune accounting all go through it.
+ops, the masked-l2 term and the prune accounting all go through it.  (The
+LSTM cell's fused gate node meets its [b, 4h] block under ``AXIS1`` by plain
+row broadcasting.)  ``straight_through_coeff`` is the one statement of the
+straight-through alpha gradient.
 """
 
 from __future__ import annotations
@@ -155,6 +158,20 @@ def broadcast_mask(m: np.ndarray, shape: tuple, mode: str) -> np.ndarray:
     raise ValueError(f"unknown membership mode {mode!r}")
 
 
+def straight_through_coeff(a: np.ndarray, gate: GateParam, scaled: bool) -> np.ndarray:
+    """Per-component factor of the straight-through alpha gradient.
+
+    The backward treats the hard factor ``alpha * I(alpha)`` (``scaled``) or
+    ``I(alpha)`` as the smooth ``alpha * m~(alpha)`` or ``m~(alpha)``, so the
+    gradient on ``alpha = a`` is the upstream-times-input sum over each
+    component's entries times this derivative: ``m~ + a * m~'`` when
+    ``scaled``, else ``m~'``.  Every gated op takes its alpha gradient from
+    here.
+    """
+    dm = surrogate_mask_grad(a, gate.threshold, gate.beta)
+    return surrogate_mask(a, gate.threshold, gate.beta) + a * dm if scaled else dm
+
+
 def apply_gate(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tensor:
     """Scale ``x`` by ``alpha * I(alpha)``, component to entries by ``mode``.
 
@@ -175,10 +192,12 @@ def apply_gate(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tenso
 def apply_mask(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tensor:
     """Multiply ``x`` by the hard mask alone, with the surrogate backward.
 
-    Used where the scaling factor enters elsewhere (recurrent cells scale the
-    pre-activation and mask the post-activation).  ``mode`` and ``alpha`` are
-    as in ``apply_gate``.  Gradient on ``x`` is the exact mask; gradient on
-    alpha is ``m~'(alpha)`` times the upstream-times-input sum.
+    For where the scaling factor enters elsewhere: an LSTM recurrence gate
+    scales its pre-activation by alpha and masks its post-activation, which
+    ``layers.LstmCell`` does inside one fused node by the same rule.
+    ``mode`` and ``alpha`` are as in ``apply_gate``.  Gradient on ``x`` is
+    the exact mask; gradient on alpha is ``m~'(alpha)`` times the
+    upstream-times-input sum.
     """
     return _gated(x, gate, mode, alpha, scaled=False, op="apply_mask")
 
@@ -196,9 +215,7 @@ def _gated(x: Tensor, gate: GateParam, mode: str, alpha: Tensor,
     s_b = broadcast_mask(s, xd.shape, mode)
 
     def rule(g):
-        # d/d(alpha) of the surrogate factor: alpha * m~ when scaled, else m~
-        dm = surrogate_mask_grad(a, gate.threshold, gate.beta)
-        coeff = surrogate_mask(a, gate.threshold, gate.beta) + a * dm if scaled else dm
+        coeff = straight_through_coeff(a, gate, scaled)
         return g * s_b, _unbroadcast(g * xd, s_b.shape).reshape(gate.dim) * coeff
 
     return custom_grad(s_b * xd, (x, alpha), rule, op=op)

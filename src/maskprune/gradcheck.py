@@ -5,12 +5,14 @@ tape backward, and compares against central differences computed by re-running
 the forward as a pure function of the perturbed arrays.
 
 The straight-through rules (the alpha gradients of ``apply_gate``,
-``apply_mask`` and ``ratio_hinge``) are not derivatives of their hard
-forward pass.  Their checks difference the forward pass they stand in for
-instead: the same computation with every hard mask I(.) replaced by the
-surrogate m~(.), at alphas on both sides of the threshold and clear of 0.
-That is the defining property of the estimator (Bengio et al., 2013,
-arXiv:1308.3432).
+``apply_mask``, the LSTM cell's gate node and ``ratio_hinge``) are not
+derivatives of their hard forward pass.  Their checks difference the forward
+pass they stand in for instead: the same computation with every hard mask
+I(.) replaced by the surrogate m~(.), at alphas on both sides of the
+threshold and clear of 0.  That is the defining property of the estimator
+(Bengio et al., 2013, arXiv:1308.3432).  Where the loss is not linear in the
+masked output (the LSTM cell), m~ is shifted by a constant to equal I at the
+checked alphas, so the values downstream of each mask stay the hard ones.
 """
 
 from __future__ import annotations
@@ -345,35 +347,90 @@ def _masked_l2_check(rng):
     return check_loss(build, {"w": w})
 
 
+def _lstm_cell_arrays(rng, h: int, e: int) -> dict[str, np.ndarray]:
+    arrays = {f"cell.W_{k}": rng.normal(size=(h, h + e)) * 0.5 for k in layers.LSTM_GATES}
+    arrays.update({f"cell.b_{k}": rng.normal(size=h) * 0.1 for k in layers.LSTM_GATES})
+    return arrays
+
+
+def _two_lstm_steps(tape, arrays, gates, x, x2, h0, c0, proj):
+    """sum(h_2 * proj) after two steps of a cell built from ``arrays``."""
+    cell = layers.LstmCell({k: arrays[f"cell.W_{k}"] for k in layers.LSTM_GATES},
+                           {k: arrays[f"cell.b_{k}"] for k in layers.LSTM_GATES},
+                           gates, name="cell")
+    nodes = cell.bind(tape)
+    h1, c1 = cell.step(nodes, x, tape.leaf(h0), tape.leaf(c0))
+    h2, _ = cell.step(nodes, x2, h1, c1)
+    return sum_all(mul(h2, tape.leaf(proj)))
+
+
 def _lstm_cell_check(rng):
     b, e, h = 2, 3, 4
-    gates = {k: GateParam.create("node", h) for k in layers.LSTM_GATES}
-    for g in gates.values():
-        g.alpha[:] = rng.normal(size=h) * 0.5 + 1.0
-    weights = {k: rng.normal(size=(h, h + e)) * 0.5 for k in layers.LSTM_GATES}
-    biases = {k: rng.normal(size=h) * 0.1 for k in layers.LSTM_GATES}
-    x = rng.normal(size=(b, e))
-    h0 = rng.normal(size=(b, h)) * 0.3
-    c0 = rng.normal(size=(b, h)) * 0.3
+    worst = 0.0
+    for gated in (True, False):
+        gates = None
+        if gated:
+            gates = {k: GateParam.create("node", h) for k in layers.LSTM_GATES}
+            for g in gates.values():
+                g.alpha[:] = rng.normal(size=h) * 0.5 + 1.0
+        arrays = _lstm_cell_arrays(rng, h, e)
+        arrays["x"], arrays["x2"] = rng.normal(size=(b, e)), rng.normal(size=(b, e))
+        h0, c0 = rng.normal(size=(b, h)) * 0.3, rng.normal(size=(b, h)) * 0.3
+        proj = rng.normal(size=(b, h))
+
+        def build(tape, arrays, _gates=gates, _h0=h0, _c0=c0, _proj=proj):
+            return _two_lstm_steps(tape, arrays, _gates, tape.param("x", arrays["x"]),
+                                   tape.param("x2", arrays["x2"]), _h0, _c0, _proj)
+
+        # the alpha leaves carry a straight-through rule; everything else is exact
+        worst = max(worst, check_loss(build, arrays, wrt=list(arrays)))
+    return worst
+
+
+# per recurrence gate, alphas around a 0.2 threshold, clear of the |alpha| kink
+_LSTM_ALPHAS = {"f": [0.6, -0.35, 0.12, -0.07], "i": [1.1, 0.09, -0.5, 0.3],
+                "g": [-0.15, 0.25, 0.9, -0.16], "o": [0.45, -0.9, 0.16, 0.05]}
+
+
+def _lstm_cell_alpha_check(rng):
+    """Alpha gradient of two gated LSTM steps against their forward with I -> m~.
+
+    Each hard mask I(alpha) becomes I(alpha_0) + m~(alpha) - m~(alpha_0),
+    which equals it at the checked alphas alpha_0 and has derivative m~'.  So
+    every value downstream of a mask is the hard forward's, as in the
+    straight-through backward, and only the mask's derivative is replaced.
+    """
+    b, e, h, t, beta = 3, 2, 4, 0.2, gate_mod.DEFAULT_BETA
+    arrays = _lstm_cell_arrays(rng, h, e)
+    base = {k: np.array(v) for k, v in _LSTM_ALPHAS.items()}
+    arrays.update({f"cell.gate_{k}.alpha": a.copy() for k, a in base.items()})
+    xs = [rng.normal(size=(b, e)) for _ in range(2)]
+    h0, c0 = rng.normal(size=(b, h)) * 0.3, rng.normal(size=(b, h)) * 0.3
     proj = rng.normal(size=(b, h))
 
     def build(tape, arrays):
-        cell = layers.LstmCell(
-            {k: arrays[f"cell.W_{k}"] for k in layers.LSTM_GATES},
-            {k: arrays[f"cell.b_{k}"] for k in layers.LSTM_GATES},
-            gates, name="cell")
-        nodes = cell.bind(tape)
-        h1, c1 = cell.step(nodes, tape.param("x", arrays["x"]),
-                           tape.leaf(h0), tape.leaf(c0))
-        h2, _ = cell.step(nodes, tape.param("x2", arrays["x2"]), h1, c1)
-        return sum_all(mul(h2, tape.leaf(proj)))
+        gates = {k: GateParam(arrays[f"cell.gate_{k}.alpha"], t, beta, "node")
+                 for k in layers.LSTM_GATES}
+        return _two_lstm_steps(tape, arrays, gates, tape.leaf(xs[0]), tape.leaf(xs[1]),
+                               h0, c0, proj)
 
-    arrays = {f"cell.W_{k}": weights[k] for k in layers.LSTM_GATES}
-    arrays.update({f"cell.b_{k}": biases[k] for k in layers.LSTM_GATES})
-    arrays["x"] = x
-    arrays["x2"] = rng.normal(size=(b, e))
-    # the alpha leaves carry a straight-through rule; everything else is exact
-    return check_loss(build, arrays, wrt=list(arrays))
+    def smooth(arrays):
+        hs, cs = h0, c0
+        for x in xs:
+            z = np.concatenate([hs, x], axis=1)
+            act = {}
+            for k in layers.LSTM_GATES:
+                a = arrays[f"cell.gate_{k}.alpha"]
+                u = a * (z @ arrays[f"cell.W_{k}"].T + arrays[f"cell.b_{k}"])
+                m = (gate_mod.hard_mask(base[k], t) + gate_mod.surrogate_mask(a, t, beta)
+                     - gate_mod.surrogate_mask(base[k], t, beta))
+                act[k] = m * (np.tanh(u) if k == "g" else 1.0 / (1.0 + np.exp(-u)))
+            cs = act["f"] * cs + act["i"] * act["g"]
+            hs = act["o"] * np.tanh(cs)
+        return float(np.sum(hs * proj))
+
+    return check_loss(build, arrays, wrt=[f"cell.gate_{k}.alpha" for k in layers.LSTM_GATES],
+                      smooth=smooth)
 
 
 def _foothill_check(rng):
@@ -424,6 +481,7 @@ CHECKS: dict[str, Callable] = {
     "ratio-hinge-alpha": _ratio_hinge_alpha_check,
     "masked-l2": _masked_l2_check,
     "lstm-cell": _lstm_cell_check,
+    "lstm-cell-alpha": _lstm_cell_alpha_check,
     "foothill": _foothill_check,
     "surrogate-mask": _surrogate_check,
 }

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import AXIS1, WHOLE, GateParam, apply_gate, apply_mask
+from .gate import AXIS1, WHOLE, GateParam, apply_gate, hard_mask, straight_through_coeff
 from .tensor import (ShapeError, Tensor, Tape, add, concat_cols, custom_grad,
-                     matmul, mul, relu, sigmoid, tanh, transpose)
+                     logistic, matmul, relu, transpose)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -304,6 +304,81 @@ class ResidualBlock(Block):
 
 
 LSTM_GATES = ("f", "i", "g", "o")
+# column order of the packed [*, 4h] gate block: the sigmoid gates, then g
+_PACKED = ("f", "i", "o", "g")
+
+
+def _pack(parts: list[Tensor]) -> Tensor:
+    """Stack same-shape arrays along axis 0; the backward splits the rows."""
+    n = parts[0].shape[0]
+
+    def rule(g):
+        return tuple(g[j * n:(j + 1) * n] for j in range(len(parts)))
+
+    return custom_grad(np.concatenate([p.data for p in parts]), parts, rule, op="pack")
+
+
+def _lstm_gates(pre: Tensor, alpha: Tensor | None, mask: np.ndarray | None,
+                coeff: np.ndarray | None) -> Tensor:
+    """Activations of the packed [b, 4h] pre-activation block, in one node.
+
+    Columns follow ``_PACKED``: sigmoid on the first 3h, tanh on the last h.
+    Gated (``alpha`` given), each column is scaled by its alpha before the
+    nonlinearity and multiplied by its hard ``mask`` after it.  The backward
+    is exact in ``pre`` and, for alpha, the derivative of the scale plus the
+    straight-through mask term ``coeff * sum_b(upstream * activation)``.
+    """
+    s = pre.shape[1] * 3 // 4
+    x = pre.data
+    u = x if alpha is None else x * alpha.data
+    act = np.empty_like(u)
+    act[:, :s] = logistic(u[:, :s])
+    act[:, s:] = np.tanh(u[:, s:])
+
+    def rule(g):
+        gm = g if mask is None else g * mask
+        du = np.empty_like(gm)
+        sg, tg = act[:, :s], act[:, s:]
+        du[:, :s] = gm[:, :s] * sg * (1.0 - sg)
+        du[:, s:] = gm[:, s:] * (1.0 - tg * tg)
+        if alpha is None:
+            return (du,)
+        return du * alpha.data, np.sum(du * x, axis=0) + coeff * np.sum(g * act, axis=0)
+
+    if alpha is None:
+        return custom_grad(act, (pre,), rule, op="lstm_gates")
+    return custom_grad(act * mask, (pre, alpha), rule, op="lstm_gates")
+
+
+def _cell_state(acts: Tensor, c_prev: Tensor) -> Tensor:
+    """c_t = f * c_{t-1} + i * g from the packed activations."""
+    a, cp = acts.data, c_prev.data
+    h = cp.shape[1]
+    f, i, g_act = a[:, :h], a[:, h:2 * h], a[:, 3 * h:]
+
+    def rule(g):
+        ga = np.zeros_like(a)
+        ga[:, :h] = g * cp
+        ga[:, h:2 * h] = g * g_act
+        ga[:, 3 * h:] = g * i
+        return ga, g * f
+
+    return custom_grad(f * cp + i * g_act, (acts, c_prev), rule, op="lstm_c")
+
+
+def _hidden_state(acts: Tensor, c_t: Tensor) -> Tensor:
+    """h_t = o * tanh(c_t) from the packed activations."""
+    a = acts.data
+    h = c_t.shape[1]
+    o = a[:, 2 * h:3 * h]
+    tc = np.tanh(c_t.data)
+
+    def rule(g):
+        ga = np.zeros_like(a)
+        ga[:, 2 * h:3 * h] = g * tc
+        return ga, g * o * (1.0 - tc * tc)
+
+    return custom_grad(o * tc, (acts, c_t), rule, op="lstm_h")
 
 
 @dataclass
@@ -318,6 +393,17 @@ class LstmCell(Block):
     and likewise for i, g (tanh) and o; then c_t = f_t*c_{t-1} + i_t*g_t and
     h_t = o_t * tanh(c_t).  A masked node index is exactly zero in that
     recurrence gate for every batch element.
+
+    The four gates run as one block.  ``bind`` registers ``W_k``, ``b_k`` and
+    ``gate_k.alpha`` under their own names and packs them once per forward,
+    in ``_PACKED`` order: ``W`` is [h+e, 4h] (the ``W_k`` transposed side by
+    side), ``b`` and ``alpha`` are [4h], and ``mask`` and ``coeff`` hold the
+    hard masks and the straight-through coefficients (``m~'``) of the four
+    gates; the packing nodes split their gradients back to the named leaves.
+    Each ``step`` then builds six nodes: ``concat_cols(h_{t-1}, x_t)``, one
+    GEMM with ``W``, the bias add, one gate node (scale, nonlinearity, mask),
+    and one node each for c_t and h_t.  Sigmoid is computed as
+    ``0.5 * tanh(0.5 * x) + 0.5`` (``tensor.logistic``).
     """
 
     weights: dict[str, np.ndarray]          # {"f": [h, h+e], ...}
@@ -349,20 +435,27 @@ class LstmCell(Block):
                 out[f"gate_{k}.alpha"] = self.gates[k].alpha
         return out
 
-    def step(self, nodes: dict[str, Tensor], x_t: Tensor, h_prev: Tensor,
+    def bind(self, tape: Tape) -> dict[str, Tensor | np.ndarray]:
+        """The named parameter nodes plus the packed ``W``, ``b`` (and, gated,
+        ``alpha``, ``mask`` and ``coeff``) that ``step`` reads."""
+        nodes = super().bind(tape)
+        nodes["W"] = transpose(_pack([nodes[f"W_{k}"] for k in _PACKED]))
+        nodes["b"] = _pack([nodes[f"b_{k}"] for k in _PACKED])
+        if self.gates is not None:
+            alphas = [nodes[f"gate_{k}.alpha"] for k in _PACKED]
+            gates = [self.gates[k] for k in _PACKED]
+            nodes["alpha"] = _pack(alphas)
+            nodes["mask"] = np.concatenate(
+                [hard_mask(a.data, g.threshold) for a, g in zip(alphas, gates)])
+            nodes["coeff"] = np.concatenate(
+                [straight_through_coeff(a.data, g, scaled=False)
+                 for a, g in zip(alphas, gates)])
+        return nodes
+
+    def step(self, nodes: dict[str, Tensor | np.ndarray], x_t: Tensor, h_prev: Tensor,
              c_prev: Tensor) -> tuple[Tensor, Tensor]:
         """One timestep; ``nodes`` is what ``bind`` returned for this tape."""
-        z = concat_cols(h_prev, x_t)
-        acts = {}
-        for k in LSTM_GATES:
-            pre = linear(z, nodes[f"W_{k}"], nodes[f"b_{k}"])
-            nonlin = tanh if k == "g" else sigmoid
-            if self.gates is not None:
-                alpha = nodes[f"gate_{k}.alpha"]
-                act = nonlin(mul(pre, alpha))
-                acts[k] = apply_mask(act, self.gates[k], AXIS1, alpha=alpha)
-            else:
-                acts[k] = nonlin(pre)
-        c_t = add(mul(acts["f"], c_prev), mul(acts["i"], acts["g"]))
-        h_t = mul(acts["o"], tanh(c_t))
-        return h_t, c_t
+        pre = add(matmul(concat_cols(h_prev, x_t), nodes["W"]), nodes["b"])
+        acts = _lstm_gates(pre, nodes.get("alpha"), nodes.get("mask"), nodes.get("coeff"))
+        c_t = _cell_state(acts, c_prev)
+        return _hidden_state(acts, c_t), c_t

@@ -128,14 +128,18 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(a.data * c, "scale", (a,), rule)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid of an array, as (1 + tanh(x/2)) / 2.
+
+    No exponential, so nothing overflows for any x, and one tanh pass in
+    place of a split over the sign of x.  It differs from 1 / (1 + exp(-x))
+    by at most 2.2e-16 absolute, so values below ~1e-16 come out as 0.
+    """
+    return 0.5 * np.tanh(0.5 * x) + 0.5
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # stable: never exponentiates a positive argument
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = logistic(a.data)
 
     def rule(g):
         return (g * out * (1.0 - out),)

@@ -115,12 +115,22 @@ def test_train_augment_with_mlp_exits_cleanly(tmp_path, capsys):
       for key, value in [("alpha_init", float("nan")), ("alpha_init", float("inf")),
                          ("base_lr", float("inf")), ("gate_beta", float("inf")),
                          ("data_margin", float("inf")), ("lambda1", float("inf")),
-                         ("alpha_init", float("-inf"))]]])
+                         ("alpha_init", float("-inf")), ("seed", True),
+                         ("data_seed", False), ("decay_epochs", [True]), ("seed", -1),
+                         ("data_seed", -3), ("decay_epochs", [-1])]]])
 def test_train_rejects_invalid_value_before_compute(tmp_path, capsys, key, overrides):
     out = str(tmp_path / "run")
     code = main(["train", "--config", _write(tmp_path, _toy_config(out, **overrides))])
     assert code == 2
     assert repr(key) in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_train_validates_seed_override(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    code = main(["train", "--config", _write(tmp_path, _toy_config(out)), "--seed", "-1"])
+    assert code == 2
+    assert "'seed'" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from maskprune.gate import AXIS0, GateParam
+from maskprune.gate import AXIS0, AXIS1, GateParam, apply_mask
 from maskprune.gradcheck import run_checks
 from maskprune.layers import (LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
                               embedding, linear)
-from maskprune.models import ResNetSmall, stage_sides
+from maskprune.models import LstmLm, ResNetSmall, stage_sides
 from maskprune.objective import masked_l2
 from maskprune.pruning import PruneManager
-from maskprune.tensor import Tape, Tensor, mul, sum_all
+from maskprune.tensor import (Tape, Tensor, _toposort, add, concat_cols, mul, sigmoid,
+                              sum_all, tanh)
 
 
 def test_conv_identity_kernel():
@@ -289,6 +290,106 @@ def test_lstm_masked_output_node_zeroes_hidden_unit():
 def test_lstm_gradcheck():
     err = dict((n, e) for n, e, ok in run_checks(["lstm-cell"]))["lstm-cell"]
     assert err < 1e-4
+
+
+def _reference_step(cell, nodes, x_t, h_prev, c_prev):
+    """One timestep as the per-gate composition of public ops: a ``linear``
+    per gate, then ``mul`` by alpha, ``sigmoid``/``tanh`` and ``apply_mask``,
+    then the c/h update.  The fused ``LstmCell.step`` must match it."""
+    z = concat_cols(h_prev, x_t)
+    acts = {}
+    for k in LSTM_GATES:
+        pre = linear(z, nodes[f"W_{k}"], nodes[f"b_{k}"])
+        nonlin = tanh if k == "g" else sigmoid
+        if cell.gates is None:
+            acts[k] = nonlin(pre)
+        else:
+            alpha = nodes[f"gate_{k}.alpha"]
+            acts[k] = apply_mask(nonlin(mul(pre, alpha)), cell.gates[k], AXIS1, alpha=alpha)
+    c_t = add(mul(acts["f"], c_prev), mul(acts["i"], acts["g"]))
+    return mul(acts["o"], tanh(c_t)), c_t
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_fused_lstm_step_matches_per_gate_composition(gated):
+    rng = np.random.default_rng(18)
+    cell = _cell(gated, seed=19)
+    for k in LSTM_GATES:
+        cell.biases[k][:] = rng.normal(size=4) * 0.3
+        if gated:
+            cell.gates[k].alpha[:] = rng.uniform(0.5, 1.5, size=4)
+    if gated:     # one masked node in o and one in i
+        cell.gates["o"].alpha[1] = 1e-9
+        cell.gates["i"].alpha[2] = -3e-5
+    xs = rng.normal(size=(3, 2, 3))
+    h0, c0 = rng.normal(size=(2, 4)) * 0.5, rng.normal(size=(2, 4)) * 0.5
+    proj_h, proj_c = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+    runs = []
+    for step in (LstmCell.step, _reference_step):
+        tape = Tape()
+        nodes = cell.bind(tape)
+        h, c = tape.param("h0", h0), tape.param("c0", c0)
+        states = []
+        for t, x in enumerate(xs):
+            h, c = step(cell, nodes, tape.param(f"x{t}", x), h, c)
+            states.append((h.data, c.data))
+        grads = tape.backward(add(sum_all(mul(h, Tensor(proj_h))),
+                                  sum_all(mul(c, Tensor(proj_c)))))
+        runs.append((states, grads))
+    (fused, fused_grads), (ref, ref_grads) = runs
+    for (h, c), (h_ref, c_ref) in zip(fused, ref):
+        _assert_close(h, h_ref)
+        _assert_close(c, c_ref)
+    if gated:
+        assert np.all(fused[-1][0][:, 1] == 0.0)
+    assert set(fused_grads) == set(ref_grads) == (
+        set(cell.params()) | {"h0", "c0", "x0", "x1", "x2"})
+    for name, g in ref_grads.items():
+        _assert_close(fused_grads[name].data, g.data)
+    if gated:     # the masked alphas still get the straight-through gradient
+        assert fused_grads["c.gate_o.alpha"].data[1] != 0.0
+        assert fused_grads["c.gate_i.alpha"].data[2] != 0.0
+
+
+def test_fused_lstm_lm_two_stacks_matches_per_gate_composition(monkeypatch):
+    model = LstmLm(vocab=7, embed_dim=5, hidden=6, stacks=2, seed=20, granularity="node")
+    rng = np.random.default_rng(21)
+    for cell in model.cells:
+        for k in LSTM_GATES:
+            cell.gates[k].alpha[:] = rng.uniform(0.5, 1.5, size=6)
+    model.cells[0].gates["o"].alpha[3] = 2e-5
+    model.cells[1].gates["i"].alpha[0] = 1e-9
+    ids = rng.integers(0, 7, size=(3, 4))
+    runs = []
+    for step in (LstmCell.step, _reference_step):
+        monkeypatch.setattr(LstmCell, "step", step)
+        tape = Tape()
+        logits = model.forward(tape, ids)
+        runs.append((logits.data, tape.backward(sum_all(mul(logits, Tensor(
+            np.random.default_rng(22).normal(size=logits.shape)))))))
+    (fused, fused_grads), (ref, ref_grads) = runs
+    _assert_close(fused, ref)
+    assert set(fused_grads) == set(model.params())
+    for name, g in ref_grads.items():
+        _assert_close(fused_grads[name].data, g.data)
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_lstm_step_adds_at_most_six_graph_nodes(gated):
+    cell = _cell(gated)
+    nodes = cell.bind(Tape())
+    x = Tensor(np.ones((2, 3)))
+    h1, c1 = cell.step(nodes, x, Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+    h2, c2 = cell.step(nodes, x, h1, c1)
+
+    def reachable(*roots):
+        return {id(n) for r in roots for n in _toposort(r)}
+
+    assert len(reachable(h2, c2) - reachable(h1, c1, x)) <= 6
 
 
 def test_linear_examples():
