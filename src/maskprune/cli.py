@@ -21,10 +21,11 @@ def cmd_train(args) -> int:
             cfg = validate_config(dict(cfg, seed=args.seed))
         model = build_model(cfg)
         train_ds, test_ds = build_datasets(cfg)
+        out_dir = cfg["out_dir"]
+        os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:       # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = cfg["out_dir"]
     try:
         train(model, train_ds, test_ds, train_config_from(cfg), out_dir=out_dir,
               checkpoint_meta={"run_config": cfg})

@@ -188,6 +188,9 @@ def validate_config(raw: dict[str, Any]) -> dict[str, Any]:
                           f"image input; arch {cfg['arch']!r} reads {arch.reads}")
     if ds.split is None and not cfg["data_dir"]:
         raise ConfigError(f"dataset {cfg['dataset']!r} loads from data_dir; set data_dir")
+    if ds.split is not None and cfg["batch_size"] > cfg["data_n"]:
+        raise ConfigError(f"config key 'batch_size' ({cfg['batch_size']}) exceeds "
+                          f"'data_n' ({cfg['data_n']}): an epoch would take no step")
     return cfg
 
 

@@ -1,8 +1,16 @@
 """Finite-difference verification of every backward rule with a true derivative.
 
-Each named check builds a scalar loss from seeded random inputs, runs the
-tape backward, and compares against central differences computed by re-running
-the forward as a pure function of the perturbed arrays.
+Each check compares the tape's gradients of a scalar loss, built from seeded
+random inputs, with central differences computed by re-running the forward as
+a pure function of the perturbed arrays (``check_loss``).
+
+Most checks are case tables.  A generator draws ``(op, arrays)`` cases, and
+``_projected`` runs each one: it registers every array on the tape under its
+key and checks the loss ``sum(op(*arrays) * proj)``, with a random ``proj``
+of the output's shape, so each output entry counts with its own weight.  A
+check reports its worst case.  The surrogate pair (``foothill``,
+``surrogate-mask``) is closed-form; ``_closed_form`` checks each derivative
+against central differences of the function itself.
 
 The straight-through rules (the alpha gradients of ``apply_gate``,
 ``apply_mask``, the LSTM cell's gate node and ``ratio_hinge``) are not
@@ -17,7 +25,8 @@ checked alphas, so the values downstream of each mask stay the hard ones.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,8 +34,7 @@ from . import gate as gate_mod
 from . import layers, objective
 from .gate import AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, broadcast_mask
 from .tensor import (Tape, Tensor, absolute, add, concat_cols, matmul, mul,
-                     relu, reshape, scale, sigmoid, sub, sum_all, tanh,
-                     transpose)
+                     relu, reshape, scale, sigmoid, sum_all, tanh, transpose)
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -86,168 +94,95 @@ def _away_from_zero(rng, shape, margin=0.05):
     return x + np.where(x >= 0, margin, -margin)
 
 
-def _elementwise_check(opname: str):
-    shapes = [(3,), (2, 4), (2, 3, 2)]
+def _projected(rng: np.random.Generator, op: Callable[..., Tensor],
+               arrays: dict[str, np.ndarray]) -> float:
+    """``check_loss`` of ``sum(op(*nodes) * proj)``, one tape node per array.
 
-    def run(rng: np.random.Generator) -> float:
-        worst = 0.0
-        for shape in shapes:
-            a = _away_from_zero(rng, shape)
-            b = _away_from_zero(rng, shape)
-            proj = rng.normal(size=shape)
-
-            def build(tape, arrays):
-                an = tape.param("a", arrays["a"])
-                if opname in ("add", "sub", "mul"):
-                    bn = tape.param("b", arrays["b"])
-                    out = {"add": add, "sub": sub, "mul": mul}[opname](an, bn)
-                elif opname == "scale":
-                    out = scale(an, 1.7)
-                else:
-                    out = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu,
-                           "abs": absolute}[opname](an)
-                return sum_all(mul(out, tape.leaf(proj)))
-
-            arrays = {"a": a}
-            if opname in ("add", "sub", "mul"):
-                arrays["b"] = b
-            worst = max(worst, check_loss(build, arrays))
-        return worst
-
-    return run
-
-
-def _broadcast_check(rng):
-    worst = 0.0
-    for big, small in [((4, 3), (3,)), ((2, 3, 4), (4,)), ((2, 3, 4), (3, 1))]:
-        a = rng.normal(size=big)
-        b = rng.normal(size=small)
-        proj = rng.normal(size=big)
-
-        def build(tape, arrays):
-            out = mul(add(tape.param("a", arrays["a"]), tape.param("b", arrays["b"])),
-                      tape.leaf(proj))
-            return sum_all(out)
-
-        worst = max(worst, check_loss(build, {"a": a, "b": b}))
-    return worst
-
-
-def _matmul_check(rng):
-    worst = 0.0
-    for mshape in [(3, 4, 2), (1, 5, 3), (4, 2, 4)]:
-        m, k, n = mshape
-        a = rng.normal(size=(m, k))
-        b = rng.normal(size=(k, n))
-        proj = rng.normal(size=(m, n))
-
-        def build(tape, arrays):
-            out = matmul(tape.param("a", arrays["a"]), tape.param("b", arrays["b"]))
-            return sum_all(mul(out, tape.leaf(proj)))
-
-        worst = max(worst, check_loss(build, {"a": a, "b": b}))
-    return worst
-
-
-def _structural_check(rng):
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(3, 2))
-    proj = rng.normal(size=(3, 6))
+    ``proj`` is drawn with the shape of ``op``'s output, which one extra call
+    on plain tensors finds.  A train-mode batchnorm updates its running
+    statistics on that call, as on every finite-difference call; its output
+    reads the batch statistics only, so no loss changes.
+    """
+    proj = rng.normal(size=op(*map(Tensor, arrays.values())).shape)
 
     def build(tape, arrays):
-        cat = concat_cols(tape.param("a", arrays["a"]), tape.param("b", arrays["b"]))
-        out = reshape(transpose(cat), (6, 3))
-        return sum_all(mul(reshape(out, (3, 6)), tape.leaf(proj)))
+        out = op(*(tape.param(name, a) for name, a in arrays.items()))
+        return sum_all(mul(out, tape.leaf(proj)))
 
-    return check_loss(build, {"a": a, "b": b})
+    return check_loss(build, arrays)
 
 
-def _conv_check(rng):
-    worst = 0.0
+def _cases(draw: Callable[[np.random.Generator], Iterable[tuple[Callable, dict]]]):
+    """The check that runs ``_projected`` on every (op, arrays) case ``draw`` yields."""
+    return lambda rng: max(_projected(rng, op, arrays) for op, arrays in draw(rng))
+
+
+def _elementwise(op: Callable, arity: int = 1):
+    return _cases(lambda rng: [(op, {k: _away_from_zero(rng, shape) for k in "ab"[:arity]})
+                               for shape in [(3,), (2, 4), (2, 3, 2)]])
+
+
+def _broadcast_cases(rng):
+    for big, small in [((4, 3), (3,)), ((2, 3, 4), (4,)), ((2, 3, 4), (3, 1))]:
+        yield add, {"a": rng.normal(size=big), "b": rng.normal(size=small)}
+
+
+def _matmul_cases(rng):
+    for m, k, n in [(3, 4, 2), (1, 5, 3), (4, 2, 4)]:
+        yield matmul, {"a": rng.normal(size=(m, k)), "b": rng.normal(size=(k, n))}
+
+
+def _structural_cases(rng):
+    def op(a, b):
+        return reshape(reshape(transpose(concat_cols(a, b)), (6, 3)), (3, 6))
+
+    yield op, {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 2))}
+
+
+def _conv_cases(rng):
     # the last three: non-square, then even sides under floor geometry, where
     # the 3x3/s2 conv never reads its trailing pad row and the 1x1/s2 one the
     # last input row
-    for (b, n, m, (h, w_), k, stride, pad) in [(2, 3, 4, (8, 8), 3, 1, 1),
-                                               (1, 2, 3, (7, 7), 3, 2, 1),
-                                               (2, 1, 2, (6, 6), 1, 1, 0),
-                                               (2, 2, 3, (7, 5), 3, 1, 0),
-                                               (2, 2, 3, (6, 8), 3, 2, 1),
-                                               (2, 2, 3, (8, 6), 1, 2, 0)]:
-        x = rng.normal(size=(b, n, h, w_))
-        w = rng.normal(size=(m, n, k, k))
-        proj = rng.normal(size=(b, m, (h + 2 * pad - k) // stride + 1,
-                                (w_ + 2 * pad - k) // stride + 1))
-
-        def build(tape, arrays):
-            out = layers.conv2d(tape.param("x", arrays["x"]),
-                                tape.param("w", arrays["w"]), stride, pad)
-            return sum_all(mul(out, tape.leaf(proj)))
-
-        worst = max(worst, check_loss(build, {"x": x, "w": w}))
-    return worst
+    for (b, n, m, (h, w), k, stride, pad) in [(2, 3, 4, (8, 8), 3, 1, 1),
+                                              (1, 2, 3, (7, 7), 3, 2, 1),
+                                              (2, 1, 2, (6, 6), 1, 1, 0),
+                                              (2, 2, 3, (7, 5), 3, 1, 0),
+                                              (2, 2, 3, (6, 8), 3, 2, 1),
+                                              (2, 2, 3, (8, 6), 1, 2, 0)]:
+        yield (partial(layers.conv2d, stride=stride, padding=pad),
+               {"x": rng.normal(size=(b, n, h, w)), "w": rng.normal(size=(m, n, k, k))})
 
 
-def _batchnorm_check(rng):
-    worst = 0.0
+def _batchnorm_cases(rng):
     for mode in ("train", "eval"):
         for (b, c, hw) in [(3, 2, 4), (2, 3, 3)]:
-            x = rng.normal(size=(b, c, hw, hw))
-            gamma = rng.normal(size=c) + 1.5
-            beta = rng.normal(size=c)
-            proj = rng.normal(size=(b, c, hw, hw))
-            state = layers.BnState(rng.normal(size=c) * 0.1,
-                                   rng.random(size=c) + 0.5)
-
-            def build(tape, arrays, _mode=mode, _state=state):
-                out = layers.batchnorm(tape.param("x", arrays["x"]),
-                                       tape.param("gamma", arrays["gamma"]),
-                                       tape.param("beta", arrays["beta"]),
-                                       _state, _mode)
-                return sum_all(mul(out, tape.leaf(proj)))
-
-            worst = max(worst, check_loss(
-                build, {"x": x, "gamma": gamma, "beta": beta}))
-    return worst
+            state = layers.BnState(rng.normal(size=c) * 0.1, rng.random(size=c) + 0.5)
+            yield (partial(layers.batchnorm, state=state, mode=mode),
+                   {"x": rng.normal(size=(b, c, hw, hw)), "gamma": rng.normal(size=c) + 1.5,
+                    "beta": rng.normal(size=c)})
 
 
-def _linear_check(rng):
-    x = rng.normal(size=(4, 3))
-    w = rng.normal(size=(5, 3))
-    b = rng.normal(size=5)
-    proj = rng.normal(size=(4, 5))
-
-    def build(tape, arrays):
-        out = layers.linear(tape.param("x", arrays["x"]), tape.param("w", arrays["w"]),
-                            tape.param("b", arrays["b"]))
-        return sum_all(mul(out, tape.leaf(proj)))
-
-    return check_loss(build, {"x": x, "w": w, "b": b})
+def _linear_cases(rng):
+    yield layers.linear, {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(5, 3)),
+                          "b": rng.normal(size=5)}
 
 
-def _pool_embed_check(rng):
-    x = rng.normal(size=(2, 3, 4, 4))
-    table = rng.normal(size=(7, 3))
-    ids = rng.integers(0, 7, size=5)
-    proj1 = rng.normal(size=(2, 3))
-    proj2 = rng.normal(size=(5, 3))
-
-    def build(tape, arrays):
-        p = layers.avg_pool_full(tape.param("x", arrays["x"]))
-        e = layers.embedding(tape.param("table", arrays["table"]), ids)
-        return add(sum_all(mul(p, tape.leaf(proj1))),
-                   sum_all(mul(e, tape.leaf(proj2))))
-
-    return check_loss(build, {"x": x, "table": table})
+def _pool_embed_cases(rng):
+    yield layers.avg_pool_full, {"x": rng.normal(size=(2, 3, 4, 4))}
+    yield (partial(layers.embedding, ids=rng.integers(0, 7, size=5)),
+           {"table": rng.normal(size=(7, 3))})
 
 
-def _cross_entropy_check(rng):
-    logits = rng.normal(size=(6, 4))
-    labels = rng.integers(0, 4, size=6)
+def _cross_entropy_cases(rng):
+    yield (partial(objective.cross_entropy, labels=rng.integers(0, 4, size=6)),
+           {"logits": rng.normal(size=(6, 4))})
 
-    def build(tape, arrays):
-        return objective.cross_entropy(tape.param("logits", arrays["logits"]), labels)
 
-    return check_loss(build, {"logits": logits})
+def _masked_l2_cases(rng):
+    gate = GateParam.create("filter", 3)
+    gate.alpha[:] = [1.0, 1e-6, -0.7]   # middle entity pruned
+    yield (lambda w: objective.masked_l2([(gate, [(w, AXIS0)])]),
+           {"w": rng.normal(size=(3, 2, 2))})
 
 
 # the granularity whose gates meet their tensor under each membership mode
@@ -255,23 +190,14 @@ _GRANULARITY = {AXIS0: "filter", AXIS1: "filter", WHOLE: "subnetwork",
                 ELEMENTWISE: "weight"}
 
 
-def _apply_gate_x_check(rng):
+def _apply_gate_x_cases(rng):
     """Gradient w.r.t. the gated input uses the exact forward scale."""
-    worst = 0.0
     for mode, shape, d in [(AXIS0, (4, 3), 4), (AXIS1, (2, 5, 3), 5), (WHOLE, (6,), 1),
                            (ELEMENTWISE, (3, 4), 12)]:
         gate = GateParam.create(_GRANULARITY[mode], d)
         gate.alpha[:] = rng.normal(size=d) * 0.8
-        x = rng.normal(size=shape)
-        proj = rng.normal(size=shape)
-
-        def build(tape, arrays, _gate=gate, _mode=mode):
-            out = gate_mod.apply_gate(tape.param("x", arrays["x"]), _gate, _mode,
-                                      alpha=tape.leaf(_gate.alpha))
-            return sum_all(mul(out, tape.leaf(proj)))
-
-        worst = max(worst, check_loss(build, {"x": x}))
-    return worst
+        yield (partial(gate_mod.apply_gate, gate=gate, mode=mode, alpha=Tensor(gate.alpha)),
+               {"x": rng.normal(size=shape)})
 
 
 # (mode, input shape, alphas) around a 0.2 threshold, clear of the |alpha| kink
@@ -333,18 +259,6 @@ def _ratio_hinge_alpha_check(rng):
         return max(0.0, active / 7 - c)
 
     return check_loss(build, {g.name: g.alpha for g in gates}, smooth=smooth)
-
-
-def _masked_l2_check(rng):
-    gate = GateParam.create("filter", 3)
-    gate.alpha[:] = [1.0, 1e-6, -0.7]   # middle entity pruned
-    w = rng.normal(size=(3, 2, 2))
-
-    def build(tape, arrays):
-        node = tape.param("w", arrays["w"])
-        return objective.masked_l2([(gate, [(node, AXIS0)])])
-
-    return check_loss(build, {"w": w})
 
 
 def _lstm_cell_arrays(rng, h: int, e: int) -> dict[str, np.ndarray]:
@@ -433,53 +347,46 @@ def _lstm_cell_alpha_check(rng):
                       smooth=smooth)
 
 
+def _closed_form(f: Callable, df: Callable, xs: np.ndarray, step: float) -> float:
+    """Max relative error of ``df(xs)`` against central differences of ``f``."""
+    return rel_error(df(xs), (f(xs + step) - f(xs - step)) / (2 * step))
+
+
 def _foothill_check(rng):
-    """Closed-form derivative vs finite differences of the surrogate pair."""
-    beta = 5.0
     xs = np.concatenate([rng.uniform(-2.0, 2.0, size=14), [0.1, 0.5, 1.0, -0.5,
                                                            0.02, -0.02]])
-    worst = 0.0
-    for x in xs:
-        num = (gate_mod.foothill_fd(x + 1e-6, beta)
-               - gate_mod.foothill_fd(x - 1e-6, beta)) / 2e-6
-        worst = max(worst, rel_error(gate_mod.foothill_fd_grad(x, beta), num))
-    return worst
+    return _closed_form(lambda x: gate_mod.foothill_fd(x, 5.0),
+                        lambda x: gate_mod.foothill_fd_grad(x, 5.0), xs, 1e-6)
 
 
 def _surrogate_check(rng):
-    t, beta = 0.2, 5.0
     alphas = rng.uniform(-2.0, 2.0, size=20)
-    alphas = alphas[np.abs(alphas) > 1e-4]
-    worst = 0.0
-    for a in alphas:
-        num = (gate_mod.surrogate_mask(a + 1e-7, t, beta)
-               - gate_mod.surrogate_mask(a - 1e-7, t, beta)) / 2e-7
-        worst = max(worst, rel_error(gate_mod.surrogate_mask_grad(a, t, beta), num))
-    return worst
+    return _closed_form(lambda a: gate_mod.surrogate_mask(a, 0.2, 5.0),
+                        lambda a: gate_mod.surrogate_mask_grad(a, 0.2, 5.0),
+                        alphas[np.abs(alphas) > 1e-4], 1e-7)
 
 
 CHECKS: dict[str, Callable] = {
-    "add": _elementwise_check("add"),
-    "sub": _elementwise_check("sub"),
-    "mul": _elementwise_check("mul"),
-    "scale": _elementwise_check("scale"),
-    "sigmoid": _elementwise_check("sigmoid"),
-    "tanh": _elementwise_check("tanh"),
-    "relu": _elementwise_check("relu"),
-    "abs": _elementwise_check("abs"),
-    "broadcast": _broadcast_check,
-    "matmul": _matmul_check,
-    "structural": _structural_check,
-    "conv2d": _conv_check,
-    "batchnorm": _batchnorm_check,
-    "linear": _linear_check,
-    "pool-embed": _pool_embed_check,
-    "cross-entropy": _cross_entropy_check,
-    "apply-gate-x": _apply_gate_x_check,
+    "add": _elementwise(add, arity=2),
+    "mul": _elementwise(mul, arity=2),
+    "scale": _elementwise(lambda a: scale(a, 1.7)),
+    "sigmoid": _elementwise(sigmoid),
+    "tanh": _elementwise(tanh),
+    "relu": _elementwise(relu),
+    "abs": _elementwise(absolute),
+    "broadcast": _cases(_broadcast_cases),
+    "matmul": _cases(_matmul_cases),
+    "structural": _cases(_structural_cases),
+    "conv2d": _cases(_conv_cases),
+    "batchnorm": _cases(_batchnorm_cases),
+    "linear": _cases(_linear_cases),
+    "pool-embed": _cases(_pool_embed_cases),
+    "cross-entropy": _cases(_cross_entropy_cases),
+    "apply-gate-x": _cases(_apply_gate_x_cases),
     "apply-gate-alpha": _gate_alpha_check(gate_mod.apply_gate, scaled=True),
     "apply-mask-alpha": _gate_alpha_check(gate_mod.apply_mask, scaled=False),
     "ratio-hinge-alpha": _ratio_hinge_alpha_check,
-    "masked-l2": _masked_l2_check,
+    "masked-l2": _cases(_masked_l2_cases),
     "lstm-cell": _lstm_cell_check,
     "lstm-cell-alpha": _lstm_cell_alpha_check,
     "foothill": _foothill_check,

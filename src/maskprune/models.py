@@ -3,8 +3,9 @@
 Every model exposes the same surface: ``params()`` mapping names to the live
 parameter arrays (scaling factors included, so the optimizer sees them),
 ``persistent_arrays()`` (parameters plus batch-norm buffers, for
-checkpoints), ``gates()``, ``l2_groups``/``alpha_nodes``/``hinge_gates`` for
-the objective, and ``forward(tape, x, mode)`` returning [N, classes] logits.
+checkpoints), ``gates()`` and ``gate_decls()``, from which the training step
+builds the objective's terms, and ``forward(tape, x, mode)`` returning
+[N, classes] logits.
 
 A concrete model states two things at construction and ``Model`` derives
 the rest.  ``_parts()`` lists its blocks and its own ``{name: array}`` tables
@@ -16,8 +17,8 @@ owns (batch-norm affine) and the ones that depend on it (next-layer input
 channels, as ``AXIS1``).  Slices name their membership with ``gate``'s
 modes, the rule the forward pass also gates its tensors by: ``ELEMENTWISE``
 for MLP weights, ``AXIS1`` for filter outputs and LSTM nodes, ``WHOLE`` for
-residual branches.  ``gate_decls()``, ``gates()`` and ``l2_groups()`` read
-those declarations.  Next to them, ``flop_costs()`` gives the FLOPs each
+residual branches.  ``gate_decls()`` and ``gates()`` read those
+declarations.  Next to them, ``flop_costs()`` gives the FLOPs each
 live entry of a weight array stands for (a conv weight ``2·Ho·Wo``, a
 ``bn.gamma`` its channel's batch norm and ReLU, linear weights 2, biases 1,
 LSTM entries per timestep) and a fixed count no mask removes.
@@ -103,24 +104,11 @@ class Model:
     def gates(self) -> list[GateParam]:
         return [d.gate for d in self._decls]
 
-    def l2_groups(self, tape: Tape):
-        """Each gate with the tape nodes of its decayed slices."""
-        nodes = tape.params
-        return [(d.gate, [(nodes[n], mode) for n, mode in d.decayed])
-                for d in self._decls]
-
     def _head(self) -> dict[str, np.ndarray]:
         return {"head.w": self.head_w, "head.b": self.head_b}
 
     def flatten_labels(self, y: np.ndarray) -> np.ndarray:
         return y
-
-    def alpha_nodes(self, tape: Tape) -> list[Tensor]:
-        nodes = tape.params
-        return [nodes[f"{g.name}.alpha"] for g in self.gates()]
-
-    def hinge_gates(self, tape: Tape) -> list[tuple[GateParam, Tensor]]:
-        return list(zip(self.gates(), self.alpha_nodes(tape)))
 
     def load_params(self, arrays: dict[str, np.ndarray]) -> None:
         own = self.persistent_arrays()

@@ -97,17 +97,6 @@ def add(a, b) -> Tensor:
     return Tensor(a.data + b.data, "add", (a, b), rule)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a.shape, b.shape, "sub")
-    sa, sb = a.shape, b.shape
-
-    def rule(g):
-        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
-
-    return Tensor(a.data - b.data, "sub", (a, b), rule)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_check(a.shape, b.shape, "mul")

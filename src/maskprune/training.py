@@ -84,9 +84,12 @@ def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
     tape = Tape()
     logits = model.forward(tape, xb, mode="train")
     task = cross_entropy(logits, model.flatten_labels(yb))
-    total, parts = total_objective(
-        task, model.alpha_nodes(tape), model.l2_groups(tape), model.hinge_gates(tape),
-        cfg.objective)
+    nodes, decls = tape.params, model.gate_decls()
+    alphas = [nodes[f"{d.gate.name}.alpha"] for d in decls]
+    l2_groups = [(d.gate, [(nodes[n], mode) for n, mode in d.decayed]) for d in decls]
+    total, parts = total_objective(task, alphas, l2_groups,
+                                   [(d.gate, a) for d, a in zip(decls, alphas)],
+                                   cfg.objective)
     if not np.all(np.isfinite(total.data)):
         bad = first_nonfinite(total)
         raise TrainDivergence(
@@ -129,6 +132,9 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
           out_dir: str | None = None, manager: PruneManager | None = None,
           checkpoint_meta: dict | None = None) -> list[dict]:
     """Run the full loop; returns (and optionally writes) per-epoch metrics."""
+    if len(train_ds) < cfg.batch_size:
+        raise ValueError(f"train: {len(train_ds)} training samples hold no batch of "
+                         f"{cfg.batch_size}")
     rng = np.random.default_rng(cfg.seed)
     velocity: dict[str, np.ndarray] = {}
     if manager is None and model.gates():

@@ -1,16 +1,19 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import maskprune
 from maskprune.checkpoint import save_checkpoint
 from maskprune.cli import main
 from maskprune.config import (ARCHS, DATASETS, GRANULARITY_FOR_ARCH, ConfigError,
                               build_datasets, build_model, validate_config)
 from maskprune.gradcheck import CHECKS, run_checks
 from maskprune.objective import cross_entropy
-from maskprune.tensor import Tape
+from maskprune.tensor import Tape, Tensor
 
 
 def _toy_config(out_dir, **overrides):
@@ -141,6 +144,30 @@ def test_missing_required_key():
         validate_config(cfg)
 
 
+def test_batch_larger_than_training_split_refused(tmp_path, capsys):
+    # 8 samples hold no batch of 32, so every epoch would take no step
+    out = tmp_path / "run"
+    raw = dict(schema_version=1, arch="mlp", dataset="synth-class", data_n=8,
+               batch_size=32, epochs=2, out_dir=str(out))
+    assert main(["train", "--config", _write(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert "'batch_size'" in err and "'data_n'" in err
+    assert not out.exists()
+
+
+def test_unwritable_out_dir_is_a_config_error(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    path = _write(tmp_path, _toy_config(str(blocker / "run")))
+    src = os.path.dirname(os.path.dirname(maskprune.__file__))
+    proc = subprocess.run([sys.executable, "-m", "maskprune.cli", "train", "--config", path],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_seed_override_changes_metrics(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     p1 = _write(tmp_path, _toy_config(out1), "a.json")
@@ -182,6 +209,16 @@ def test_gradcheck_negative_control_names_corrupt_op():
     results = run_checks(None, tolerance=1e-4, registry=registry)
     failing = [name for name, err, ok in results if not ok]
     assert failing == ["evil-op"]
+
+
+def test_every_tape_check_fails_on_gradients_off_by_a_thousandth(monkeypatch):
+    # catches a case table that runs no case, or a case that never compares
+    # the tape's gradient; only the closed-form pair runs without a tape
+    backward = Tape.backward
+    monkeypatch.setattr(Tape, "backward", lambda self, loss: {
+        name: Tensor(g.data * 1.001) for name, g in backward(self, loss).items()})
+    passed = [name for name, _, ok in run_checks() if ok]
+    assert passed == ["foothill", "surrogate-mask"]
 
 
 def test_report_fresh_model(tmp_path, capsys):
@@ -339,7 +376,8 @@ def test_masked_component_gets_task_gradient(arch, granularity):
     # four LSTM gates at once would zero h[i] and c[i] and all four gradients,
     # so each gate is masked on its own.
     cfg = validate_config(dict(schema_version=1, arch=arch, granularity=granularity,
-                               data_n=16, data_classes=2, **_TINY_ARCH[arch]))
+                               data_n=16, batch_size=16, data_classes=2,
+                               **_TINY_ARCH[arch]))
     model = build_model(cfg)
     train_ds, _ = build_datasets(cfg)
     x, y = train_ds.inputs, model.flatten_labels(train_ds.labels)

@@ -3,7 +3,7 @@ import pytest
 
 from maskprune.tensor import (ShapeError, Tape, Tensor, absolute, add,
                               concat_cols, custom_grad, matmul, mul, relu,
-                              scale, sigmoid, sub, sum_all)
+                              scale, sigmoid, sum_all)
 from maskprune.gradcheck import numeric_grad, rel_error
 
 
@@ -11,7 +11,6 @@ def test_elementwise_examples():
     assert np.array_equal(mul(Tensor([1, 2, 3]), Tensor([4, 5, 6])).data, [4, 10, 18])
     assert np.array_equal(relu(Tensor([-1, 0, 2])).data, [0, 0, 2])
     assert np.array_equal(sigmoid(Tensor([0.0])).data, [0.5])
-    assert np.array_equal(sub(Tensor([5.0, 1.0]), Tensor([2.0, 3.0])).data, [3, -2])
     assert np.array_equal(absolute(Tensor([-2.0, 3.0])).data, [2, 3])
     assert np.array_equal(scale(Tensor([1.0, -4.0]), 0.5).data, [0.5, -2.0])
 

@@ -189,6 +189,13 @@ def test_train_determinism_metric_stream():
     assert json.dumps(m1, sort_keys=True) == json.dumps(m2, sort_keys=True)
 
 
+def test_train_refuses_a_split_smaller_than_one_batch():
+    train_ds = synth_classification(8, 3, 4, seed=19)
+    cfg = TrainConfig(epochs=2, batch_size=32)
+    with pytest.raises(ValueError, match="no batch of 32"):
+        train(Mlp(4, (5,), 3, seed=20), train_ds, train_ds, cfg)
+
+
 def test_nan_abort_names_first_bad_tensor():
     train_ds, test_ds = _tiny_image_data(seed=13)
     model = _tiny_convnet(True, seed=14)
