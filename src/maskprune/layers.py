@@ -1,15 +1,18 @@
 """Network building blocks wired to threshold gates.
 
-Granularity map: a ``ConvUnit`` carries one gate component per filter, a
-``ResidualBlock`` one scalar gate for its whole branch, an ``LstmCell`` one
-gate per (recurrence-gate, hidden-index) node.
+Models are trees of ``Block``s, and each kind of prunable entity belongs to
+one block type: a ``Linear`` carries one gate component per weight, a
+``ConvUnit`` one per filter, a ``ResidualBlock`` one scalar gate for its
+whole branch, an ``LstmCell`` one per (recurrence-gate, hidden-index) node.
 
-Each block is a ``Block``: it lists its own arrays once, in ``_params``
-(trainable, scaling factors included) and ``_buffers`` (batch-norm running
-statistics), keyed by a suffix of the block's ``name``.  ``params()``,
-``state()`` and the per-step ``bind(tape)`` that ``forward``/``step`` use are
-all derived from those two tables, so the checkpoint, the optimizer and the
-gradient map agree on every name.
+A block lists its own arrays once, keyed by a suffix of its ``name``, and
+its child blocks, in ``_parts()``.  Next to them it declares each gate it
+owns (``_decls``: a ``pruning.GateDecl`` with its reporting group, dense
+MACs, entity ids and owned and dependent slices) and the FLOPs its arrays
+stand for (``_costs``).  ``params()``, ``state()``, the per-step
+``bind(tape)`` that ``forward``/``step`` use, ``gate_decls()`` and
+``flop_costs()`` walk those, so the checkpoint, the optimizer, the gradient
+map and the prune accounting agree on every name.
 """
 
 from __future__ import annotations
@@ -18,9 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import AXIS1, WHOLE, GateParam, apply_gate, hard_mask, straight_through_coeff
+from .gate import (AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, apply_gate, hard_mask,
+                   straight_through_coeff)
+from .pruning import GateDecl, conv_macs
 from .tensor import (ShapeError, Tensor, Tape, add, concat_cols, custom_grad,
                      logistic, matmul, relu, transpose)
+
+# FLOPs per output element, beside 2 per multiply-accumulate
+BN_FLOPS_PER_ELEM = 2
+RELU_FLOPS_PER_ELEM = 1
+ADD_FLOPS_PER_ELEM = 1
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -187,12 +197,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class Block:
-    """A named layer that lists each of its own arrays once, by name suffix.
+    """A named layer that states each of its arrays, gates and FLOPs once.
 
-    Subclasses define ``_params()`` (trainable, scaling factors included) and
-    may define ``_buffers()`` (batch-norm running statistics), both mapping
-    suffixes to arrays; an array's full name is ``pname(suffix)``.
-    ``params``, ``state`` and ``bind`` all read those tables.
+    Subclasses define ``_parts()``: own ``{suffix: array}`` tables (trainable,
+    scaling factors included; full name ``pname(suffix)``) and child blocks,
+    in ``params()`` order.  They may define ``_buffers()`` (batch-norm running
+    statistics), ``_decls()`` (a ``GateDecl`` per gate they own) and
+    ``_costs()`` (FLOPs per live entry by full array name, and fixed FLOPs).
     """
 
     name: str
@@ -200,19 +211,96 @@ class Block:
     def _buffers(self) -> dict[str, np.ndarray]:
         return {}
 
+    def _decls(self) -> list[GateDecl]:
+        return []
+
+    def _costs(self) -> tuple[dict[str, int], int]:
+        return {}, 0
+
     def pname(self, suffix: str) -> str:
-        return f"{self.name}.{suffix}"
+        return f"{self.name}.{suffix}" if self.name else suffix
+
+    def walk(self):
+        """This block, then every block under it, depth first."""
+        yield self
+        for part in self._parts():
+            if isinstance(part, Block):
+                yield from part.walk()
 
     def params(self) -> dict[str, np.ndarray]:
-        return {self.pname(k): v for k, v in self._params().items()}
+        out = {}
+        for part in self._parts():
+            out.update(part.params() if isinstance(part, Block)
+                       else {self.pname(k): v for k, v in part.items()})
+        return out
 
     def state(self) -> dict[str, np.ndarray]:
         """Non-trainable buffers that must survive a checkpoint."""
-        return {self.pname(k): v for k, v in self._buffers().items()}
+        return {b.pname(k): v for b in self.walk() for k, v in b._buffers().items()}
 
     def bind(self, tape: Tape) -> dict[str, Tensor]:
-        """Register this block's own parameters on ``tape``; nodes by suffix."""
-        return {k: tape.param(self.pname(k), v) for k, v in self._params().items()}
+        """Register this block's own arrays on ``tape`` (child blocks bind
+        theirs in their own forward); nodes by suffix."""
+        return {k: tape.param(self.pname(k), v) for part in self._parts()
+                if not isinstance(part, Block) for k, v in part.items()}
+
+    def gate_decls(self) -> list[GateDecl]:
+        return [d for b in self.walk() for d in b._decls()]
+
+    def flop_costs(self) -> tuple[dict[str, int], int]:
+        """FLOPs per live entry of each costed weight, and the fixed FLOPs."""
+        own = [b._costs() for b in self.walk()]
+        return {k: v for costs, _ in own for k, v in costs.items()}, sum(f for _, f in own)
+
+
+def _alpha(gate: GateParam | None) -> dict[str, np.ndarray]:
+    """The own-table entry of a block's optional gate."""
+    return {} if gate is None else {"gate.alpha": gate.alpha}
+
+
+@dataclass
+class Linear(Block):
+    """Affine map ``x @ w.T + b``, then ReLU if ``relu``.
+
+    An optional weight-granularity gate scales every entry of ``w``
+    (``ELEMENTWISE``); component ``i`` is entry ``i`` in C order.
+    """
+
+    w: np.ndarray                      # [q, p]
+    b: np.ndarray                      # [q]
+    gate: GateParam | None = None
+    relu: bool = False
+    name: str = "head"
+
+    def _parts(self):
+        return [{"w": self.w, "b": self.b, **_alpha(self.gate)}]
+
+    def _decls(self):
+        if self.gate is None:
+            return []
+        p = self.w.shape[1]
+        return [GateDecl(self.gate, self.name, 1,
+                         lambda i: f"{self.name}.w[{i // p},{i % p}]",
+                         decayed=((self.pname("w"), ELEMENTWISE),))]
+
+    def _costs(self):
+        # a multiply-accumulate per weight; the bias add and the ReLU per output
+        return {self.pname("w"): 2,
+                self.pname("b"): 1 + RELU_FLOPS_PER_ELEM * self.relu}, 0
+
+    def forward(self, tape: Tape, x: Tensor) -> Tensor:
+        p = self.bind(tape)
+        w = p["w"] if self.gate is None else apply_gate(p["w"], self.gate, ELEMENTWISE,
+                                                        alpha=p["gate.alpha"])
+        y = linear(x, w, p["b"])
+        return relu(y) if self.relu else y
+
+
+def _conv_slices(units, mode: str) -> dict[str, tuple]:
+    """Slices of conv units under one gate: weights decay, bn affine does not."""
+    return dict(decayed=tuple((u.pname("w"), mode) for u in units),
+                owned=tuple((u.pname(p), mode) for u in units
+                            for p in ("bn.gamma", "bn.beta")))
 
 
 @dataclass
@@ -236,6 +324,8 @@ class ConvUnit(Block):
     stride: int = 1
     relu: bool = True
     name: str = "conv"
+    out_hw: tuple[int, int] | None = None  # output size, set by the model
+    reader: Block | None = None   # the block whose ``w`` reads the outputs (axis 1)
 
     def __post_init__(self):
         m = self.weights.shape[0]
@@ -246,15 +336,30 @@ class ConvUnit(Block):
     def out_channels(self) -> int:
         return self.weights.shape[0]
 
-    def _params(self):
-        out = {"w": self.weights, "bn.gamma": self.bn_gamma, "bn.beta": self.bn_beta}
-        if self.gate is not None:
-            out["gate.alpha"] = self.gate.alpha
-        return out
+    def _parts(self):
+        return [{"w": self.weights, "bn.gamma": self.bn_gamma, "bn.beta": self.bn_beta,
+                 **_alpha(self.gate)}]
 
     def _buffers(self):
         return {"bn.running_mean": self.bn.running_mean,
                 "bn.running_var": self.bn.running_var}
+
+    def _decls(self):
+        if self.gate is None:
+            return []
+        n, k = self.weights.shape[1:3]
+        deps = () if self.reader is None else ((self.reader.pname("w"), AXIS1),)
+        return [GateDecl(self.gate, self.name, conv_macs(1, n, k, *self.out_hw),
+                         lambda i: f"{self.name}[{i}]", deps=deps,
+                         **_conv_slices((self,), AXIS0))]
+
+    def _costs(self):
+        # conv (2 FLOPs per MAC) per live weight; batch norm and ReLU per live
+        # output channel
+        area = self.out_hw[0] * self.out_hw[1]
+        return {self.pname("w"): 2 * area,
+                self.pname("bn.gamma"): area * (BN_FLOPS_PER_ELEM
+                                                + RELU_FLOPS_PER_ELEM * self.relu)}, 0
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
@@ -275,6 +380,8 @@ class ResidualBlock(Block):
     so the whole branch can be dropped at inference.  Downsampling blocks put
     ``down``, an ungated 1x1 ``ConvUnit`` without ReLU named ``<block>.down``,
     on the skip path (projection shortcut, He et al., arXiv:1512.03385).
+    ``unit1``'s reader is ``unit2``; ``unit2`` feeds the residual sum and has
+    none.  A branch gate reports under its stage, the name's first part.
     """
 
     unit1: ConvUnit
@@ -283,16 +390,28 @@ class ResidualBlock(Block):
     down: ConvUnit | None = None        # 1x1 projection, at unit1's stride
     name: str = "block"
 
-    def params(self):
-        down = {} if self.down is None else self.down.params()
-        return self.unit1.params() | self.unit2.params() | super().params() | down
+    def __post_init__(self):
+        self.unit1.reader = self.unit2
 
-    def state(self):
-        down = {} if self.down is None else self.down.state()
-        return self.unit1.state() | self.unit2.state() | down
+    def _parts(self):
+        down = [] if self.down is None else [self.down]
+        return [self.unit1, self.unit2, _alpha(self.gate), *down]
 
-    def _params(self):
-        return {} if self.gate is None else {"gate.alpha": self.gate.alpha}
+    def _decls(self):
+        if self.gate is None:
+            return []
+        units = (self.unit1, self.unit2)
+        macs = sum(conv_macs(*u.weights.shape[:3], *u.out_hw) for u in units)
+        return [GateDecl(self.gate, self.name.split(".")[0], macs, lambda i: self.name,
+                         **_conv_slices(units, WHOLE))]
+
+    def _costs(self):
+        # the residual add; a masked branch gate drops it with unit2's bn.beta
+        hw = self.unit2.out_hw
+        add = hw[0] * hw[1] * ADD_FLOPS_PER_ELEM
+        if self.gate is None:
+            return {}, self.unit2.out_channels * add
+        return {self.unit2.pname("bn.beta"): add}, 0
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
@@ -426,14 +545,30 @@ class LstmCell(Block):
     def hidden_dim(self) -> int:
         return self.weights["f"].shape[0]
 
-    def _params(self):
-        out = {}
+    def _parts(self):
+        table = {}
         for k in LSTM_GATES:
-            out[f"W_{k}"] = self.weights[k]
-            out[f"b_{k}"] = self.biases[k]
+            table[f"W_{k}"] = self.weights[k]
+            table[f"b_{k}"] = self.biases[k]
             if self.gates is not None:
-                out[f"gate_{k}.alpha"] = self.gates[k].alpha
-        return out
+                table[f"gate_{k}.alpha"] = self.gates[k].alpha
+        return [table]
+
+    def _decls(self):
+        if self.gates is None:
+            return []
+        return [GateDecl(self.gates[k], f"{self.name}.{k}", self.weights[k].shape[1],
+                         lambda i, group=f"{self.name}.{k}": f"{group}[{i}]",
+                         decayed=((self.pname(f"W_{k}"), AXIS0),
+                                  (self.pname(f"b_{k}"), AXIS0)))
+                for k in LSTM_GATES]
+
+    def _costs(self):
+        # per timestep (the constant sequence length cancels in ratios): 2 per
+        # matmul weight, the bias add plus the activation per node, and the
+        # c and h updates
+        return ({self.pname(f"{p}_{k}"): 2 for k in LSTM_GATES for p in ("W", "b")},
+                4 * self.hidden_dim)
 
     def bind(self, tape: Tape) -> dict[str, Tensor | np.ndarray]:
         """The named parameter nodes plus the packed ``W``, ``b`` (and, gated,

@@ -1,30 +1,17 @@
 """Model zoo: one architecture per supported pruning granularity.
 
-Every model exposes the same surface: ``params()`` mapping names to the live
-parameter arrays (scaling factors included, so the optimizer sees them),
-``persistent_arrays()`` (parameters plus batch-norm buffers, for
-checkpoints), ``gates()`` and ``gate_decls()``, from which the training step
-builds the objective's terms, and ``forward(tape, x, mode)`` returning
-[N, classes] logits.
-
-A concrete model states two things at construction and ``Model`` derives
-the rest.  ``_parts()`` lists its blocks and its own ``{name: array}`` tables
-(embedding, head, MLP layers) in ``params()`` order; ``params()`` and
-``persistent_arrays()`` walk it.  ``_decls`` holds one ``GateDecl`` per gate:
-its reporting group, the dense MACs of one component, how component ``i`` is
-named, the slices under the masked-l2 term (``decayed``), the other slices it
-owns (batch-norm affine) and the ones that depend on it (next-layer input
-channels, as ``AXIS1``).  Slices name their membership with ``gate``'s
-modes, the rule the forward pass also gates its tensors by: ``ELEMENTWISE``
-for MLP weights, ``AXIS1`` for filter outputs and LSTM nodes, ``WHOLE`` for
-residual branches.  ``gate_decls()`` and ``gates()`` read those
-declarations.  Next to them, ``flop_costs()`` gives the FLOPs each
-live entry of a weight array stands for (a conv weight ``2·Ho·Wo``, a
-``bn.gamma`` its channel's batch norm and ReLU, linear weights 2, biases 1,
-LSTM entries per timestep) and a fixed count no mask removes.
-``PruneManager`` costs them on the dead grid it builds from the slices, so
-the dataflow is stated once.  A mask-dependent cost that is no weight's (a
-pool, a droppable residual add) rides on an owned per-channel array.
+A model is a ``Block`` tree (see ``layers``) with an empty name prefix: an
+``Mlp`` is ``Linear`` layers ``fc{i}``; a ``ToyConvNet`` is ``ConvUnit``s
+and a ``Linear`` ``head``; a ``ResNetSmall`` is a ``stem`` unit,
+``ResidualBlock``s and a head; an LSTM model is its ``embed`` table,
+``LstmCell``s and a head.  Each block states its arrays, its gate
+declarations and its FLOPs once, so ``params()``, ``persistent_arrays()``
+(parameters plus batch-norm buffers, for checkpoints), ``gate_decls()``,
+``gates()`` and ``flop_costs()`` are walks of the tree.  A model passes a
+block only what the block cannot know: a conv unit's output size and the
+block that reads its output channels.  The model itself declares only the
+cost of its global pool, on the last unit's ``bn.beta`` when those channels
+can be masked.  ``forward(tape, x, mode)`` returns [N, classes] logits.
 
 Construction is deterministic in the seed, and gate scaling factors are
 initialized to a constant so gated and ungated variants of the same seed
@@ -35,30 +22,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gate import (AXIS0, AXIS1, DEFAULT_BETA, ELEMENTWISE, WHOLE, GateParam,
-                   apply_gate)
-from .layers import (LSTM_GATES, BnState, ConvUnit, LstmCell, ResidualBlock,
+from .gate import DEFAULT_BETA, GateParam
+from .layers import (LSTM_GATES, Block, BnState, ConvUnit, Linear, LstmCell, ResidualBlock,
                      avg_pool_full, embedding, linear)
-from .pruning import GateDecl, conv_macs
-from .tensor import Tape, Tensor, concat_cols, relu, reshape
-
-# FLOPs-per-element convention shared with the accounting oracle
-BN_FLOPS_PER_ELEM = 2
-RELU_FLOPS_PER_ELEM = 1
-ADD_FLOPS_PER_ELEM = 1
-
-# the linear head: a multiply-accumulate per weight, an add per bias
-_HEAD_COSTS = {"head.w": 2, "head.b": 1}
+from .tensor import Tensor, concat_cols, reshape
 
 
-class Model:
+class Model(Block):
     """Shared plumbing; concrete models fill in the architecture."""
 
     task = "classification"
     GRANULARITIES: tuple[str, ...] = ()  # gated granularities; None (ungated) always works
-    _decls: list[GateDecl]             # one per gate, built in __init__
-    _costs: dict[str, int]             # weight name -> FLOPs per live entry
-    _fixed_flops = 0                   # FLOPs no mask can remove
+    name = ""                          # a model's own arrays carry no prefix
 
     @classmethod
     def _gate_maker(cls, granularity: str | None, threshold: float | None, beta: float,
@@ -73,39 +48,12 @@ class Model:
         return lambda dim, name: GateParam.create(granularity, dim, threshold, beta,
                                                   alpha_init, name=name)
 
-    def _parts(self) -> list:
-        """Blocks and own ``{name: array}`` tables, in ``params()`` order."""
-        raise NotImplementedError
-
-    def forward(self, tape: Tape, x, mode: str = "train") -> Tensor:
-        raise NotImplementedError
-
-    def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for part in self._parts():
-            out.update(part if isinstance(part, dict) else part.params())
-        return out
-
     def persistent_arrays(self) -> dict[str, np.ndarray]:
         """Everything a checkpoint must carry: parameters plus buffers."""
-        out = self.params()
-        for part in self._parts():
-            if not isinstance(part, dict):
-                out.update(part.state())
-        return out
-
-    def gate_decls(self) -> list[GateDecl]:
-        return self._decls
-
-    def flop_costs(self) -> tuple[dict[str, int], int]:
-        """FLOPs per live entry of each costed weight, and the fixed FLOPs."""
-        return self._costs, self._fixed_flops
+        return self.params() | self.state()
 
     def gates(self) -> list[GateParam]:
-        return [d.gate for d in self._decls]
-
-    def _head(self) -> dict[str, np.ndarray]:
-        return {"head.w": self.head_w, "head.b": self.head_b}
+        return [d.gate for d in self.gate_decls()]
 
     def flatten_labels(self, y: np.ndarray) -> np.ndarray:
         return y
@@ -122,44 +70,23 @@ class Model:
             arr[...] = src
 
 
-def _make_conv_unit(name: str, n: int, m: int, rng: np.random.Generator, k: int = 3,
-                    stride: int = 1, relu_after: bool = True, make_gate=None) -> ConvUnit:
+def _make_conv_unit(name: str, n: int, m: int, rng: np.random.Generator,
+                    out_hw: tuple[int, int], k: int = 3, stride: int = 1,
+                    relu_after: bool = True, make_gate=None) -> ConvUnit:
     """k x k conv unit with He-normal weights; ``make_gate`` (if any) gives it
     one gate per filter."""
     w = rng.normal(0.0, np.sqrt(2.0 / (n * k * k)), size=(m, n, k, k))
     gate = None if make_gate is None else make_gate(m, f"{name}.gate")
     return ConvUnit(weights=w, bn_gamma=np.ones(m), bn_beta=np.zeros(m),
                     bn=BnState.create(m), gate=gate, stride=stride,
-                    relu=relu_after, name=name)
+                    relu=relu_after, name=name, out_hw=out_hw)
 
 
-def _unit_costs(u: ConvUnit, hw: tuple[int, int]) -> dict[str, int]:
-    """Conv (2 FLOPs per MAC) per live weight, batch norm and (if any) ReLU per
-    live output channel of ``u``, at output size ``hw``."""
-    area = hw[0] * hw[1]
-    return {u.pname("w"): 2 * area,
-            u.pname("bn.gamma"): area * (BN_FLOPS_PER_ELEM + RELU_FLOPS_PER_ELEM * u.relu)}
-
-
-def _bind(tape: Tape, table: dict[str, np.ndarray]) -> list[Tensor]:
-    """Register a table's arrays on ``tape``; returns the nodes in order."""
-    return [tape.param(name, arr) for name, arr in table.items()]
-
-
-def _conv_slices(units, mode: str) -> dict[str, tuple]:
-    """Slices of conv units under one gate: weights decay, bn affine does not."""
-    return dict(decayed=tuple((u.pname("w"), mode) for u in units),
-                owned=tuple((u.pname(p), mode) for u in units
-                            for p in ("bn.gamma", "bn.beta")))
-
-
-def _filter_decl(u: ConvUnit, hw: tuple[int, int], next_w: str | None) -> GateDecl:
-    """Filter gate of ``u`` with output size ``hw``; ``next_w`` reads its outputs."""
-    n, k = u.weights.shape[1], u.weights.shape[2]
-    return GateDecl(u.gate, u.name, conv_macs(1, n, k, *hw),
-                    lambda i, name=u.name: f"{name}[{i}]",
-                    deps=() if next_w is None else ((next_w, AXIS1),),
-                    **_conv_slices((u,), AXIS0))
+def _make_linear(name: str, p: int, q: int, rng: np.random.Generator,
+                 gate: GateParam | None = None, relu_after: bool = False) -> Linear:
+    """[q, p] linear block with N(0, 1/p) weights and zero bias."""
+    return Linear(rng.normal(0.0, np.sqrt(1.0 / p), size=(q, p)), np.zeros(q), gate,
+                  relu_after, name)
 
 
 # ---------------------------------------------------------------------------
@@ -178,41 +105,20 @@ class Mlp(Model):
         make_gate = self._gate_maker(granularity, threshold, beta, alpha_init)
         rng = np.random.default_rng(seed)
         dims = (in_dim,) + tuple(hidden) + (classes,)
-        self.weights, self.biases, self._gates, self._decls = [], [], [], []
-        self._costs = {}
+        self.layers: list[Linear] = []
         for li in range(len(dims) - 1):
             p, q = dims[li], dims[li + 1]
-            self.weights.append(rng.normal(0.0, np.sqrt(1.0 / p), size=(q, p)))
-            self.biases.append(np.zeros(q))
-            # a hidden layer's ReLU costs one FLOP per output, counted on its bias
-            relu_cost = RELU_FLOPS_PER_ELEM if li < len(dims) - 2 else 0
-            self._costs.update({f"fc{li}.w": 2, f"fc{li}.b": 1 + relu_cost})
             gate = None if make_gate is None else make_gate(q * p, f"fc{li}.gate")
-            if gate is not None:
-                self._decls.append(GateDecl(
-                    gate, f"fc{li}", 1, lambda i, li=li, p=p: f"fc{li}.w[{i // p},{i % p}]",
-                    decayed=((f"fc{li}.w", ELEMENTWISE),)))
-            self._gates.append(gate)
-
-    def _layer(self, li: int) -> dict[str, np.ndarray]:
-        """Weight, bias and (when gated) scaling factors of layer ``li``."""
-        table = {f"fc{li}.w": self.weights[li], f"fc{li}.b": self.biases[li]}
-        if self._gates[li] is not None:
-            table[f"fc{li}.gate.alpha"] = self._gates[li].alpha
-        return table
+            self.layers.append(_make_linear(f"fc{li}", p, q, rng, gate,
+                                            relu_after=li < len(dims) - 2))
 
     def _parts(self):
-        return [self._layer(li) for li in range(len(self.weights))]
+        return self.layers
 
     def forward(self, tape, x, mode="train"):
         h = tape.leaf(x) if not isinstance(x, Tensor) else x
-        for li, gate in enumerate(self._gates):
-            w, b, *alpha = _bind(tape, self._layer(li))
-            if gate is not None:
-                w = apply_gate(w, gate, ELEMENTWISE, alpha=alpha[0])
-            h = linear(h, w, b)
-            if li < len(self._gates) - 1:
-                h = relu(h)
+        for layer in self.layers:
+            h = layer.forward(tape, h)
         return h
 
 
@@ -237,32 +143,28 @@ class ToyConvNet(Model):
         self.units: list[ConvUnit] = []
         prev = in_channels
         for ui, m in enumerate(channels):
-            self.units.append(_make_conv_unit(f"conv{ui}", prev, m, rng,
+            self.units.append(_make_conv_unit(f"conv{ui}", prev, m, rng, input_hw,
                                               make_gate=make_gate))
             prev = m
-        self.head_w = rng.normal(0.0, np.sqrt(1.0 / prev), size=(classes, prev))
-        self.head_b = np.zeros(classes)
-        nxt = [u.pname("w") for u in self.units[1:]] + ["head.w"]
-        self._decls = [_filter_decl(u, input_hw, dep) for u, dep in zip(self.units, nxt)
-                       if u.gate is not None]
-        self._costs = dict(_HEAD_COSTS)
-        for u in self.units:
-            self._costs.update(_unit_costs(u, input_hw))
-        area = input_hw[0] * input_hw[1]
-        if self.units:
-            # the pool reads the last unit's live channels: its bn.beta carries it
-            self._costs[self.units[-1].pname("bn.beta")] = area
-        else:
-            self._fixed_flops = in_channels * area
+        self.head = _make_linear("head", prev, classes, rng)
+        for u, reader in zip(self.units, [*self.units[1:], self.head]):
+            u.reader = reader
 
     def _parts(self):
-        return [*self.units, self._head()]
+        return [*self.units, self.head]
+
+    def _costs(self):
+        area = self.input_hw[0] * self.input_hw[1]
+        if self.units:
+            # the pool reads the last unit's live channels: its bn.beta carries it
+            return {self.units[-1].pname("bn.beta"): area}, 0
+        return {}, self.in_channels * area
 
     def forward(self, tape, x, mode="train"):
         h = tape.leaf(x) if not isinstance(x, Tensor) else x
         for u in self.units:
             h = u.forward(tape, h, mode)
-        return linear(avg_pool_full(h), *_bind(tape, self._head()))
+        return self.head.forward(tape, avg_pool_full(h))
 
 
 # ---------------------------------------------------------------------------
@@ -299,67 +201,44 @@ class ResNetSmall(Model):
         self.granularity = granularity
         self.input_hw = input_hw
         self.in_channels = in_channels
-        filt = granularity == "filter"
-        unit_gate = make_gate if filt else None
-        self.stem = _make_conv_unit("stem", in_channels, stage_widths[0], rng,
+        unit_gate = make_gate if granularity == "filter" else None
+        self.stem = _make_conv_unit("stem", in_channels, stage_widths[0], rng, input_hw,
                                     make_gate=unit_gate)
         self.blocks: list[ResidualBlock] = []
-        self._decls = []
-        self._costs = {**_unit_costs(self.stem, input_hw), **_HEAD_COSTS}
         prev = stage_widths[0]
-        self._block_hw: list[tuple[int, int]] = []
         sides = zip(*(stage_sides(s, len(stage_widths)) for s in input_hw))
         for si, (width, hw) in enumerate(zip(stage_widths, sides)):
             for bi in range(blocks_per_stage):
                 stride = 2 if si > 0 and bi == 0 else 1
                 name = f"s{si}.b{bi}"
-                u1 = _make_conv_unit(f"{name}.c1", prev, width, rng, stride=stride,
+                u1 = _make_conv_unit(f"{name}.c1", prev, width, rng, hw, stride=stride,
                                      make_gate=unit_gate)
-                u2 = _make_conv_unit(f"{name}.c2", width, width, rng, relu_after=False,
+                u2 = _make_conv_unit(f"{name}.c2", width, width, rng, hw, relu_after=False,
                                      make_gate=unit_gate)
                 gate = make_gate(1, f"{name}.gate") if granularity == "subnetwork" else None
                 down = None
                 if stride == 2 or prev != width:
-                    down = _make_conv_unit(f"{name}.down", prev, width, rng, k=1,
+                    down = _make_conv_unit(f"{name}.down", prev, width, rng, hw, k=1,
                                            stride=stride, relu_after=False)
-                blk = ResidualBlock(u1, u2, gate, down, name=name)
-                for u in (u1, u2) if down is None else (u1, u2, down):
-                    self._costs.update(_unit_costs(u, hw))
-                area = hw[0] * hw[1]
-                if gate is None:
-                    self._fixed_flops += width * area * ADD_FLOPS_PER_ELEM
-                else:
-                    # a masked branch gate drops the residual add with unit2's bn.beta
-                    self._costs[u2.pname("bn.beta")] = area * ADD_FLOPS_PER_ELEM
-                if filt:
-                    # unit2 feeds the residual sum, so its filters have no dependants
-                    self._decls += [_filter_decl(u1, hw, u2.pname("w")),
-                                    _filter_decl(u2, hw, None)]
-                elif gate is not None:
-                    self._decls.append(GateDecl(
-                        gate, f"s{si}", sum(conv_macs(*u.weights.shape[:3], *hw)
-                                            for u in (u1, u2)),
-                        lambda i, name=name: name, **_conv_slices((u1, u2), WHOLE)))
-                self.blocks.append(blk)
-                self._block_hw.append(hw)
+                self.blocks.append(ResidualBlock(u1, u2, gate, down, name=name))
                 prev = width
-        if filt:
-            self._decls.insert(0, _filter_decl(self.stem, input_hw,
-                                               self.blocks[0].unit1.pname("w")))
-        # the pool reads the residual sum, whose channels all stay live
-        self._fixed_flops += prev * self._block_hw[-1][0] * self._block_hw[-1][1]
-        self.head_w = rng.normal(0.0, np.sqrt(1.0 / prev), size=(classes, prev))
-        self.head_b = np.zeros(classes)
+        self.stem.reader = self.blocks[0].unit1
+        self.head = _make_linear("head", prev, classes, rng)
 
     def _parts(self):
-        return [self.stem, *self.blocks, self._head()]
+        return [self.stem, *self.blocks, self.head]
+
+    def _costs(self):
+        # the pool reads the residual sum, whose channels all stay live
+        last = self.blocks[-1].unit2
+        return {}, last.out_channels * last.out_hw[0] * last.out_hw[1]
 
     def forward(self, tape, x, mode="train"):
         h = self.stem.forward(tape, tape.leaf(x) if not isinstance(x, Tensor) else x,
                               mode)
         for blk in self.blocks:
             h = blk.forward(tape, h, mode)
-        return linear(avg_pool_full(h), *_bind(tape, self._head()))
+        return self.head.forward(tape, avg_pool_full(h))
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +268,14 @@ class _LstmBase(Model):
             gates = None if make_gate is None else {
                 k: make_gate(hidden, f"lstm{s}.gate_{k}") for k in LSTM_GATES}
             self.cells.append(LstmCell(weights, biases, gates, name=f"lstm{s}"))
-        self.head_w = rng.normal(0.0, np.sqrt(1.0 / hidden), size=(out_dim, hidden))
-        self.head_b = np.zeros(out_dim)
-        self._decls = [GateDecl(cell.gates[k], f"{cell.name}.{k}", cell.weights[k].shape[1],
-                                lambda i, group=f"{cell.name}.{k}": f"{group}[{i}]",
-                                decayed=((cell.pname(f"W_{k}"), AXIS0),
-                                         (cell.pname(f"b_{k}"), AXIS0)))
-                       for cell in self.cells if cell.gates is not None for k in LSTM_GATES]
-        # per-timestep costs (the constant sequence length cancels in ratios):
-        # 2 per matmul weight, bias add plus activation per node, c/h updates
-        self._costs = dict(_HEAD_COSTS)
-        for cell in self.cells:
-            self._costs.update({cell.pname(f"{p}_{k}"): 2 for k in LSTM_GATES
-                                for p in ("W", "b")})
-        self._fixed_flops = 4 * hidden * stacks
+        self.head = _make_linear("head", hidden, out_dim, rng)
 
     def _parts(self):
-        return [{"embed": self.embed}, *self.cells, self._head()]
+        return [{"embed": self.embed}, *self.cells, self.head]
 
     def _run_stack(self, tape, ids: np.ndarray):
         b, T = ids.shape
-        table = tape.param("embed", self.embed)
+        table = self.bind(tape)["embed"]
         bound = [cell.bind(tape) for cell in self.cells]
         h = [tape.leaf(np.zeros((b, self.hidden))) for _ in self.cells]
         c = [tape.leaf(np.zeros((b, self.hidden))) for _ in self.cells]
@@ -434,8 +300,7 @@ class LstmClassifier(_LstmBase):
                          granularity, threshold, beta, alpha_init)
 
     def forward(self, tape, x, mode="train"):
-        tops = self._run_stack(tape, np.asarray(x))
-        return linear(tops[-1], *_bind(tape, self._head()))
+        return self.head.forward(tape, self._run_stack(tape, np.asarray(x))[-1])
 
 
 class LstmLm(_LstmBase):
@@ -454,9 +319,9 @@ class LstmLm(_LstmBase):
         ids = np.asarray(x)
         b, T = ids.shape
         tops = self._run_stack(tape, ids)
-        w, bias = _bind(tape, self._head())
+        p = self.head.bind(tape)
         # rows of the [b*T, V] result follow the label order y.reshape(-1)
-        logits = concat_cols(*[linear(h_t, w, bias) for h_t in tops])
+        logits = concat_cols(*[linear(h_t, p["w"], p["b"]) for h_t in tops])
         return reshape(logits, (b * T, self.vocab))
 
     def flatten_labels(self, y):

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from maskprune.gate import GateParam
-from maskprune.layers import LSTM_GATES
-from maskprune.models import (ADD_FLOPS_PER_ELEM, BN_FLOPS_PER_ELEM,
-                              RELU_FLOPS_PER_ELEM, LstmClassifier, LstmLm, Mlp,
-                              ResNetSmall, ToyConvNet)
+from maskprune.layers import (ADD_FLOPS_PER_ELEM, BN_FLOPS_PER_ELEM, LSTM_GATES,
+                              RELU_FLOPS_PER_ELEM)
+from maskprune.models import LstmClassifier, LstmLm, Mlp, ResNetSmall, ToyConvNet
 from maskprune.pruning import PruneManager, PruneReport, conv_macs
 
 
@@ -37,8 +36,8 @@ def _filter_recs(u, nxt_w):
 def _records(model):
     if isinstance(model, Mlp):
         out = []
-        for li, g in enumerate(model._gates):
-            q, p = model.weights[li].shape
+        for li, layer in enumerate(model.layers):
+            g, (q, p) = layer.gate, layer.w.shape
             for i in range(q * p):
                 idx = np.unravel_index(i, (q, p))
                 out.append(_Rec(f"fc{li}.w[{idx[0]},{idx[1]}]", g, i,
@@ -75,11 +74,11 @@ def _records(model):
 def _flops(model, active):
     if isinstance(model, Mlp):
         total = 0
-        for li, w in enumerate(model.weights):
-            q, p = w.shape
+        for li, layer in enumerate(model.layers):
+            q, p = layer.w.shape
             live = sum(active[f"fc{li}.w[{i},{j}]"] for i in range(q) for j in range(p))
             total += 2 * live + q
-            if li < len(model.weights) - 1:
+            if li < len(model.layers) - 1:
                 total += q * RELU_FLOPS_PER_ELEM
         return total
     if isinstance(model, ToyConvNet):
@@ -91,7 +90,7 @@ def _flops(model, active):
             total += live_out * oh * ow * (BN_FLOPS_PER_ELEM + RELU_FLOPS_PER_ELEM)
             live_in = live_out
         total += live_in * oh * ow
-        return total + 2 * model.head_w.shape[0] * live_in + model.head_w.shape[0]
+        return total + 2 * model.head.w.shape[0] * live_in + model.head.w.shape[0]
     if isinstance(model, ResNetSmall):
         def unit_flops(u, live_in, live_out, hw):
             elems = live_out * hw[0] * hw[1]
@@ -107,7 +106,8 @@ def _flops(model, active):
         total = unit_flops(model.stem, model.in_channels, live_filters(model.stem),
                            model.input_hw)
         prev_out = live_filters(model.stem)
-        for idx, (blk, hw) in enumerate(zip(model.blocks, model._block_hw)):
+        for idx, blk in enumerate(model.blocks):
+            hw = blk.unit2.out_hw
             width = blk.unit2.out_channels
             block_in = prev_out if idx == 0 else blk.unit1.weights.shape[1]
             if model.granularity != "subnetwork" or active[blk.name]:
@@ -119,10 +119,10 @@ def _flops(model, active):
                 total += (2 * conv_macs(width, blk.down.weights.shape[1], 1, *hw)
                           + width * hw[0] * hw[1] * BN_FLOPS_PER_ELEM)
             prev_out = width
-        last_hw = model._block_hw[-1]
+        last_hw = model.blocks[-1].unit2.out_hw
         width = model.blocks[-1].unit2.out_channels
         total += width * last_hw[0] * last_hw[1]
-        return total + 2 * model.head_w.shape[0] * width + model.head_w.shape[0]
+        return total + 2 * model.head.w.shape[0] * width + model.head.w.shape[0]
     total = 0
     for cell in model.cells:
         in_dim = cell.weights["f"].shape[1]
@@ -130,7 +130,7 @@ def _flops(model, active):
             live = sum(active[f"{cell.name}.{k}[{i}]"] for i in range(model.hidden))
             total += 2 * live * in_dim + 2 * live
         total += 4 * model.hidden
-    return total + 2 * model.head_w.shape[0] * model.hidden + model.head_w.shape[0]
+    return total + 2 * model.head.w.shape[0] * model.hidden + model.head.w.shape[0]
 
 
 class _ReferenceManager:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam
-from maskprune.models import (BN_FLOPS_PER_ELEM, RELU_FLOPS_PER_ELEM,
-                              LstmClassifier, Mlp, ResNetSmall, ToyConvNet)
+from maskprune.layers import BN_FLOPS_PER_ELEM, RELU_FLOPS_PER_ELEM
+from maskprune.models import LstmClassifier, Mlp, ResNetSmall, ToyConvNet
 from maskprune.pruning import GateDecl, PruneManager, conv_macs, replay_events
 
 
@@ -61,7 +61,7 @@ def test_all_pruned_chain_kills_every_gated_array():
     report = mgr.snapshot(1)
     assert report.active_entities == 0
     # every conv/bn array and every head column is dead; only head bias lives
-    assert report.pruned_params == report.total_params - model.head_b.size
+    assert report.pruned_params == report.total_params - model.head.b.size
     assert report.pruned_ratio == 1.0
 
 
@@ -90,7 +90,7 @@ class _ConvAccountingOracle:
             for i in range(m):                      # bn gamma + beta
                 if not self._filter_live(ui, i):
                     dead += 2
-        classes, c_last = self.model.head_w.shape
+        classes, c_last = self.model.head.w.shape
         for j in range(c_last):
             if not self._filter_live(len(units) - 1, j):
                 dead += classes
@@ -113,7 +113,7 @@ class _ConvAccountingOracle:
                                                     + RELU_FLOPS_PER_ELEM)
             prev_live = live_filters
         total += len(prev_live) * oh * ow
-        classes = self.model.head_w.shape[0]
+        classes = self.model.head.w.shape[0]
         total += 2 * classes * len(prev_live) + classes
         return total
 

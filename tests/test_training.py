@@ -199,7 +199,7 @@ def test_train_refuses_a_split_smaller_than_one_batch():
 def test_nan_abort_names_first_bad_tensor():
     train_ds, test_ds = _tiny_image_data(seed=13)
     model = _tiny_convnet(True, seed=14)
-    model.head_w[0, 0] = np.nan
+    model.head.w[0, 0] = np.nan
     cfg = TrainConfig(epochs=1, batch_size=16, base_lr=0.05, seed=15)
     with pytest.raises(TrainDivergence, match="non-finite"):
         train(model, train_ds, test_ds, cfg)
