@@ -186,6 +186,11 @@ def validate_config(raw: dict[str, Any]) -> dict[str, Any]:
     if cfg["augment"] and arch.reads != "images":
         raise ConfigError(f"config key 'augment': pad/crop/flip augmentation needs "
                           f"image input; arch {cfg['arch']!r} reads {arch.reads}")
+    kind = cfg["dataset"].removeprefix("synth-seq-")
+    for key, low in zip(("data_vocab", "data_seq_len"), data_mod.SEQ_MINIMUM.get(kind, ())):
+        if cfg[key] < low:
+            raise ConfigError(f"config key {key!r}: dataset {cfg['dataset']!r} needs at "
+                              f"least {low}, got {cfg[key]}")
     if ds.split is None and not cfg["data_dir"]:
         raise ConfigError(f"dataset {cfg['dataset']!r} loads from data_dir; set data_dir")
     if ds.split is not None and cfg["batch_size"] > cfg["data_n"]:

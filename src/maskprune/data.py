@@ -133,6 +133,9 @@ def synth_classification(n: int, classes: int = 10, dim: int = 32, seed: int = 0
 
 
 MARKER_A, MARKER_B = 2, 3   # reserved marker tokens for the majority rule
+# smallest (vocab, length) per corpus kind: majority fillers are ids >= 4, and
+# it plants at least three markers
+SEQ_MINIMUM = {"majority": (5, 3), "markov": (4, 1)}
 
 
 def synth_sequences(n: int, vocab: int = 16, length: int = 16, seed: int = 0,
@@ -145,8 +148,11 @@ def synth_sequences(n: int, vocab: int = 16, length: int = 16, seed: int = 0,
     the vocabulary; targets are the next token, and the optimal perplexity
     exp(entropy rate) is recorded in the metadata.
     """
-    if vocab < 4:
-        raise ValueError(f"vocab must be >= 4, got {vocab}")
+    if kind not in SEQ_MINIMUM:
+        raise ValueError(f"unknown sequence corpus kind {kind!r}")
+    for what, value, low in zip(("vocab", "length"), (vocab, length), SEQ_MINIMUM[kind]):
+        if value < low:
+            raise ValueError(f"{kind} corpus: {what} must be >= {low}, got {value}")
     rng = np.random.default_rng(seed)
     if kind == "majority":
         seqs = rng.integers(4, vocab, size=(n, length))
@@ -162,21 +168,19 @@ def synth_sequences(n: int, vocab: int = 16, length: int = 16, seed: int = 0,
         return Dataset(seqs.astype(np.int64), labels.astype(np.int64), split,
                        {"num_classes": 2, "vocab_size": vocab,
                         "markers": (MARKER_A, MARKER_B)})
-    if kind == "markov":
-        stay = 0.9
-        half = vocab // 2
-        states = np.empty((n, length + 1), dtype=np.int64)
-        states[:, 0] = rng.integers(0, 2, size=n)
-        flips = rng.random(size=(n, length)) > stay
-        for t in range(length):
-            states[:, t + 1] = np.where(flips[:, t], 1 - states[:, t], states[:, t])
-        # emit uniformly from the state's half of the vocabulary
-        offsets = rng.integers(0, half, size=(n, length + 1))
-        tokens = states * half + offsets
-        h_trans = -(stay * np.log(stay) + (1 - stay) * np.log(1 - stay))
-        entropy_rate = h_trans + np.log(half)
-        return Dataset(tokens[:, :-1], tokens[:, 1:], split,
-                       {"vocab_size": vocab, "stay_prob": stay,
-                        "optimal_perplexity": float(np.exp(entropy_rate))})
-    raise ValueError(f"unknown sequence corpus kind {kind!r}")
+    stay = 0.9
+    half = vocab // 2
+    states = np.empty((n, length + 1), dtype=np.int64)
+    states[:, 0] = rng.integers(0, 2, size=n)
+    flips = rng.random(size=(n, length)) > stay
+    for t in range(length):
+        states[:, t + 1] = np.where(flips[:, t], 1 - states[:, t], states[:, t])
+    # emit uniformly from the state's half of the vocabulary
+    offsets = rng.integers(0, half, size=(n, length + 1))
+    tokens = states * half + offsets
+    h_trans = -(stay * np.log(stay) + (1 - stay) * np.log(1 - stay))
+    entropy_rate = h_trans + np.log(half)
+    return Dataset(tokens[:, :-1], tokens[:, 1:], split,
+                   {"vocab_size": vocab, "stay_prob": stay,
+                    "optimal_perplexity": float(np.exp(entropy_rate))})
 

@@ -94,9 +94,13 @@ def ratio_hinge(gates: Sequence[tuple[GateParam, Tensor]], c: float) -> Tensor:
     """max(0, active_fraction - c) over all K components of ``gates``.
 
     Forward counts hard-mask ones; backward substitutes the surrogate mask
-    derivative so that an over-budget network pushes its scaling factors
-    down.  Once the active fraction reaches the target the term and all its
-    gradients are exactly zero.
+    derivative m~', so an over-budget network pushes its scaling factors
+    down, but only near the threshold: the foothill derivative overshoots,
+    and with u* ~ 1.19968 solving u tanh u = 1, m~'(alpha) > 0 for
+    t < |alpha| < t + 2u*/beta and < 0 beyond (0.47997 at t = 1e-4,
+    beta = 5).  Above that boundary, the default ``alpha_init`` of 1.0
+    included, descent on this term raises |alpha|.  Once the active fraction
+    reaches the target the term and all its gradients are exactly zero.
     """
     K = sum(g.dim for g, _ in gates)
     if K == 0:

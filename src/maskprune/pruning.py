@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -167,19 +167,10 @@ class PruneManager:
                 for d, off in zip(self.decls, self._offsets) for i in range(d.gate.dim)]
         return self._records
 
-    def _masks(self) -> list[np.ndarray]:
-        return [d.gate.mask() > 0 for d in self.decls]
-
-    def _active(self, masks: list[np.ndarray]) -> dict[str, bool]:
-        return dict(zip(self._ids, np.concatenate(masks).tolist() if masks else []))
-
-    def active_flags(self) -> dict[str, bool]:
-        return self._active(self._masks())
-
     def snapshot(self, step: int = 0) -> PruneReport:
         """Recompute masks, account params/FLOPs, log mask flips since last call."""
         params = self.model.params()
-        masks = self._masks()
+        masks = [d.gate.mask() > 0 for d in self.decls]
 
         for off, was, now in zip(self._offsets, self._last, masks):
             flips = np.flatnonzero(was != now)
@@ -213,7 +204,7 @@ class PruneManager:
 
         return PruneReport(
             step=step,
-            active=self._active(masks),
+            active=dict(zip(self._ids, np.concatenate(masks).tolist() if masks else [])),
             active_entities=n_active,
             K=self.K,
             pruned_ratio=1.0 - n_active / self.K if self.K else 0.0,
@@ -228,12 +219,3 @@ class PruneManager:
             per_group={k: (v[0], v[1]) for k, v in per_group.items()},
             events=list(self.events),
         )
-
-
-def replay_events(entity_ids: Sequence[str],
-                  events: Sequence[tuple[int, str, str]]) -> dict[str, bool]:
-    """Apply an event log to the initial all-active state."""
-    state = {eid: True for eid in entity_ids}
-    for _, eid, direction in events:
-        state[eid] = direction == "0->1"
-    return state

@@ -51,8 +51,10 @@ class TrainConfig:
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ValueError(f"decay_epochs must be strictly increasing: "
                              f"{self.decay_epochs}")
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
+        if self.epochs <= 0 or self.batch_size <= 0 or self.snapshot_every <= 0:
+            raise ValueError("epochs, batch_size and snapshot_every must be positive")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

@@ -4,7 +4,10 @@ The reference below keeps one record per gate component, with its own owned
 and dependent index slices, and costs FLOPs from per-entity liveness; it
 reproduces the registry this package used before accounting moved to one
 mask array per gate.  On random masks and flip sequences both must produce
-identical report text, JSON and event logs.
+identical report text, JSON and event logs.  Each record also counts its
+entity's dense MACs from the architecture (a filter n*k*k*Ho*Wo, a branch
+both its convs, an LSTM node h+e, a weight 1), which ``PruneManager.records``
+must match.
 """
 
 import numpy as np
@@ -20,16 +23,32 @@ from maskprune.pruning import PruneManager, PruneReport, conv_macs
 # -- per-entity reference -----------------------------------------------------
 
 class _Rec:
-    def __init__(self, entity_id, gate, component, owned, deps, group):
+    def __init__(self, entity_id, gate, component, owned, deps, group, macs):
         self.entity_id, self.gate, self.component = entity_id, gate, component
-        self.owned, self.deps, self.group = owned, deps, group
+        self.owned, self.deps, self.group, self.macs = owned, deps, group, macs
 
 
-def _filter_recs(u, nxt_w):
+def _block_sides(model):
+    """Output size of each residual block: a stride-2 3x3 pad-1 conv halves it."""
+    hw, out = model.input_hw, []
+    for blk in model.blocks:
+        if blk.unit1.stride == 2:
+            hw = tuple((s + 2 - 3) // 2 + 1 for s in hw)
+        out.append(hw)
+    return out
+
+
+def _unit_macs(u, hw, filters):
+    _, n, k, _ = u.weights.shape
+    return filters * n * k * k * hw[0] * hw[1]
+
+
+def _filter_recs(u, nxt_w, hw):
     return [_Rec(f"{u.name}[{i}]", u.gate, i,
                  [(f"{u.name}.w", (i,)), (f"{u.name}.bn.gamma", (i,)),
                   (f"{u.name}.bn.beta", (i,))],
-                 [] if nxt_w is None else [(nxt_w, (slice(None), i))], u.name)
+                 [] if nxt_w is None else [(nxt_w, (slice(None), i))], u.name,
+                 _unit_macs(u, hw, 1))
             for i in range(u.out_channels)]
 
 
@@ -41,32 +60,37 @@ def _records(model):
             for i in range(q * p):
                 idx = np.unravel_index(i, (q, p))
                 out.append(_Rec(f"fc{li}.w[{idx[0]},{idx[1]}]", g, i,
-                                [(f"fc{li}.w", idx)], [], f"fc{li}"))
+                                [(f"fc{li}.w", idx)], [], f"fc{li}", 1))
         return out
     if isinstance(model, ToyConvNet):
         out = []
         for ui, u in enumerate(model.units):
             last = ui + 1 == len(model.units)
-            out += _filter_recs(u, "head.w" if last else f"{model.units[ui + 1].name}.w")
+            out += _filter_recs(u, "head.w" if last else f"{model.units[ui + 1].name}.w",
+                                model.input_hw)
         return out
     if isinstance(model, ResNetSmall):
         if model.granularity == "subnetwork":
             return [_Rec(blk.name, blk.gate, 0,
                          [(f"{u.name}.{p}", (Ellipsis,)) for u in (blk.unit1, blk.unit2)
                           for p in ("w", "bn.gamma", "bn.beta")], [],
-                         blk.name.split(".")[0])
-                    for blk in model.blocks]
-        out = _filter_recs(model.stem, f"{model.blocks[0].unit1.name}.w")
-        for blk in model.blocks:
-            out += _filter_recs(blk.unit1, f"{blk.unit2.name}.w")
-            out += _filter_recs(blk.unit2, None)
+                         blk.name.split(".")[0],
+                         sum(_unit_macs(u, hw, u.out_channels)
+                             for u in (blk.unit1, blk.unit2)))
+                    for blk, hw in zip(model.blocks, _block_sides(model))]
+        out = _filter_recs(model.stem, f"{model.blocks[0].unit1.name}.w", model.input_hw)
+        for blk, hw in zip(model.blocks, _block_sides(model)):
+            out += _filter_recs(blk.unit1, f"{blk.unit2.name}.w", hw)
+            out += _filter_recs(blk.unit2, None, hw)
         return out
     out = []
-    for cell in model.cells:
+    for s, cell in enumerate(model.cells):
+        # a node reads h_{t-1} and x_t: hidden plus the embedding or lower hidden size
+        macs = model.hidden + (model.embed.shape[1] if s == 0 else model.hidden)
         for k in LSTM_GATES:
             out += [_Rec(f"{cell.name}.{k}[{i}]", cell.gates[k], i,
                          [(f"{cell.name}.W_{k}", (i,)), (f"{cell.name}.b_{k}", (i,))], [],
-                         f"{cell.name}.{k}")
+                         f"{cell.name}.{k}", macs)
                     for i in range(model.hidden)]
     return out
 
@@ -106,8 +130,7 @@ def _flops(model, active):
         total = unit_flops(model.stem, model.in_channels, live_filters(model.stem),
                            model.input_hw)
         prev_out = live_filters(model.stem)
-        for idx, blk in enumerate(model.blocks):
-            hw = blk.unit2.out_hw
+        for idx, (blk, hw) in enumerate(zip(model.blocks, _block_sides(model))):
             width = blk.unit2.out_channels
             block_in = prev_out if idx == 0 else blk.unit1.weights.shape[1]
             if model.granularity != "subnetwork" or active[blk.name]:
@@ -119,7 +142,7 @@ def _flops(model, active):
                 total += (2 * conv_macs(width, blk.down.weights.shape[1], 1, *hw)
                           + width * hw[0] * hw[1] * BN_FLOPS_PER_ELEM)
             prev_out = width
-        last_hw = model.blocks[-1].unit2.out_hw
+        last_hw = _block_sides(model)[-1]
         width = model.blocks[-1].unit2.out_channels
         total += width * last_hw[0] * last_hw[1]
         return total + 2 * model.head.w.shape[0] * width + model.head.w.shape[0]
@@ -217,8 +240,8 @@ def test_gate_level_accounting_matches_per_entity_reference(name):
         assert got.active == want.active
         assert mgr.events == ref.events
     assert ref.events
-    assert [(r.entity_id, r.group) for r in mgr.records] == \
-        [(r.entity_id, r.group) for r in ref.records]
+    assert [(r.entity_id, r.group, r.macs) for r in mgr.records] == \
+        [(r.entity_id, r.group, r.macs) for r in ref.records]
 
 
 def test_snapshot_computes_each_gate_mask_once(monkeypatch):

@@ -426,3 +426,22 @@ def test_every_arch_dataset_pair_is_refused_or_trains(tmp_path, arch, dataset,
     if dataset == "cifar10":
         return
     assert main(["train", "--config", _write(tmp_path, raw)]) == 0
+
+
+@pytest.mark.parametrize("arch,dataset,key,low", [
+    ("lstm-classifier", "synth-seq-majority", "data_vocab", 5),
+    ("lstm-classifier", "synth-seq-majority", "data_seq_len", 3),
+    ("lstm-lm", "synth-seq-markov", "data_vocab", 4),
+    ("lstm-lm", "synth-seq-markov", "data_seq_len", 1)])
+def test_smallest_sequence_corpus_trains_and_one_below_is_refused(tmp_path, capsys, arch,
+                                                                 dataset, key, low):
+    out = tmp_path / "run"
+    tiny = {k: v for k, v in _TINY_ARCH[arch].items() if k != "dataset"}
+    raw = dict(schema_version=1, arch=arch, dataset=dataset, data_n=16, data_test_n=8,
+               epochs=1, batch_size=8, out_dir=str(out), **dict(tiny, **{key: low}))
+    assert main(["train", "--config", _write(tmp_path, raw)]) == 0
+    capsys.readouterr()
+    below = dict(raw, out_dir=str(tmp_path / "below"), **{key: low - 1})
+    assert main(["train", "--config", _write(tmp_path, below, "below.json")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "below").exists()

@@ -131,6 +131,18 @@ def test_majority_corpus_labels_match_counting_oracle():
     assert np.all(count_a != count_b)
 
 
+@pytest.mark.parametrize("vocab,length,what", [(4, 16, "vocab"), (16, 2, "length"),
+                                               (16, 1, "length")])
+def test_majority_corpus_refuses_sizes_it_cannot_build(vocab, length, what):
+    # fillers are ids >= 4, and at least three markers are planted
+    with pytest.raises(ValueError, match=what):
+        synth_sequences(10, vocab=vocab, length=length, kind="majority")
+    ds = synth_sequences(200, vocab=5, length=3, seed=9, kind="majority")  # the smallest
+    a, b = ds.metadata["markers"]
+    assert np.array_equal((ds.inputs == a).sum(axis=1) > (ds.inputs == b).sum(axis=1),
+                          ds.labels.astype(bool))
+
+
 def test_markov_corpus_optimal_perplexity():
     ds = synth_sequences(100, vocab=16, length=12, seed=10, kind="markov")
     stay, half = 0.9, 8

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam
+from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam, surrogate_mask_grad
 from maskprune.objective import (ObjectiveConfig, cross_entropy, l1_alpha,
                                  masked_l2, ratio_hinge, total_objective)
 from maskprune.tensor import Tape, Tensor, sum_all
@@ -145,6 +145,29 @@ def test_hinge_pushes_over_budget_alpha_down():
     val, grads = _hinge([np.full(4, 0.3)], c=0.25)
     assert val > 0.0
     assert np.all(grads[0] > 0.0)      # positive grad => alpha decreases
+
+
+def test_hinge_gradient_changes_sign_at_the_foothill_overshoot():
+    # u* solves u tanh u = 1; m~' > 0 for t < |alpha| < t + 2u*/beta, < 0 beyond
+    lo, hi = 1.0, 1.5
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid * np.tanh(mid) < 1.0 else (lo, mid)
+    t, beta = 1e-4, 5.0
+    edge = t + 2.0 * lo / beta
+    assert abs(lo - 1.19968) < 1e-5 and abs(edge - 0.47997) < 1e-5
+    inside = np.linspace(t + 1e-3, edge - 1e-4, 40)
+    beyond = np.linspace(edge + 1e-4, 4.0, 40)
+    alphas = np.concatenate([inside, beyond, -inside, -beyond])
+    slope = surrogate_mask_grad(alphas, t, beta)
+    assert np.all(np.sign(slope) == np.sign(alphas) * np.repeat([1, -1, 1, -1], 40))
+    np.testing.assert_allclose(surrogate_mask_grad(np.array([0.47, 0.6, 1.0]), t, beta),
+                               [0.0238, -0.1615, -0.0975], atol=5e-5)
+    tape = Tape()
+    gate = GateParam(alphas, t, beta, "filter")
+    node = tape.param("a", gate.alpha)
+    grad = tape.backward(ratio_hinge([(gate, node)], c=0.25))["a"].data
+    assert np.all(np.sign(grad) == np.sign(slope))    # over budget: same sign
 
 
 def _toy_setup():

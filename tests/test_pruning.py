@@ -4,7 +4,7 @@ import pytest
 from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam
 from maskprune.layers import BN_FLOPS_PER_ELEM, RELU_FLOPS_PER_ELEM
 from maskprune.models import LstmClassifier, Mlp, ResNetSmall, ToyConvNet
-from maskprune.pruning import GateDecl, PruneManager, conv_macs, replay_events
+from maskprune.pruning import GateDecl, PruneManager, conv_macs
 
 
 def test_conv_macs_examples():
@@ -169,10 +169,12 @@ def test_rejuvenation_event_log_replays_to_final_state():
         g = model.gates()[rng.integers(0, 2)]
         i = rng.integers(0, g.dim)
         g.alpha[i] = 0.0 if g.alpha[i] != 0.0 else 1.0
-        mgr.snapshot(step)
-    final = mgr.active_flags()
-    replayed = replay_events(list(final), mgr.events)
+        final = mgr.snapshot(step).active
+    replayed = dict.fromkeys(final, True)       # every entity starts active
+    for _, eid, direction in mgr.events:
+        replayed[eid] = direction == "0->1"
     assert replayed == final
+    assert not all(final.values())
     steps = [s for s, _, _ in mgr.events]
     assert steps == sorted(steps)
 

@@ -262,3 +262,7 @@ def test_train_config_validation():
         TrainConfig(decay_factor=1.0)
     with pytest.raises(ValueError):
         TrainConfig(decay_epochs=(10, 5))
+    for key, value in (("snapshot_every", 0), ("momentum", 1.0), ("momentum", -0.1)):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+    TrainConfig(snapshot_every=1, momentum=0.0)
