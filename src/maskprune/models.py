@@ -24,7 +24,7 @@ import numpy as np
 
 from .gate import DEFAULT_BETA, GateParam
 from .layers import (LSTM_GATES, Block, BnState, ConvUnit, Linear, LstmCell, ResidualBlock,
-                     avg_pool_full, embedding, linear)
+                     avg_pool_full, embedding)
 from .tensor import Tensor, concat_cols, reshape
 
 
@@ -318,11 +318,9 @@ class LstmLm(_LstmBase):
     def forward(self, tape, x, mode="train"):
         ids = np.asarray(x)
         b, T = ids.shape
-        tops = self._run_stack(tape, ids)
-        p = self.head.bind(tape)
-        # rows of the [b*T, V] result follow the label order y.reshape(-1)
-        logits = concat_cols(*[linear(h_t, p["w"], p["b"]) for h_t in tops])
-        return reshape(logits, (b * T, self.vocab))
+        # one head GEMM over every step: rows follow the label order y.reshape(-1)
+        tops = concat_cols(*self._run_stack(tape, ids))
+        return self.head.forward(tape, reshape(tops, (b * T, self.hidden)))
 
     def flatten_labels(self, y):
         return np.asarray(y).reshape(-1)
