@@ -216,6 +216,9 @@ def _gated(x: Tensor, gate: GateParam, mode: str, alpha: Tensor,
 
     def rule(g):
         coeff = straight_through_coeff(a, gate, scaled)
-        return g * s_b, _unbroadcast(g * xd, s_b.shape).reshape(gate.dim) * coeff
+        # with every component masked, x's gradient is all zero: pass none, so
+        # the backward of whatever computed x is skipped
+        gx = g * s_b if s.any() else None
+        return gx, _unbroadcast(g * xd, s_b.shape).reshape(gate.dim) * coeff
 
     return custom_grad(s_b * xd, (x, alpha), rule, op=op)

@@ -95,13 +95,16 @@ def _away_from_zero(rng, shape, margin=0.05):
 
 
 def _projected(rng: np.random.Generator, op: Callable[..., Tensor],
-               arrays: dict[str, np.ndarray]) -> float:
+               arrays: dict[str, np.ndarray], ref: Callable[..., Tensor] | None = None
+               ) -> float:
     """``check_loss`` of ``sum(op(*nodes) * proj)``, one tape node per array.
 
     ``proj`` is drawn with the shape of ``op``'s output, which one extra call
     on plain tensors finds.  A train-mode batchnorm updates its running
     statistics on that call, as on every finite-difference call; its output
-    reads the batch statistics only, so no loss changes.
+    reads the batch statistics only, so no loss changes.  With ``ref``, the
+    finite differences are of ``sum(ref(*arrays) * proj)``: the computation
+    that ``op``, which skips exactly-zero products, stands in for.
     """
     proj = rng.normal(size=op(*map(Tensor, arrays.values())).shape)
 
@@ -109,12 +112,16 @@ def _projected(rng: np.random.Generator, op: Callable[..., Tensor],
         out = op(*(tape.param(name, a) for name, a in arrays.items()))
         return sum_all(mul(out, tape.leaf(proj)))
 
-    return check_loss(build, arrays)
+    def smooth(arrays):
+        return float(np.sum(ref(*map(Tensor, arrays.values())).data * proj))
+
+    return check_loss(build, arrays, smooth=None if ref is None else smooth)
 
 
-def _cases(draw: Callable[[np.random.Generator], Iterable[tuple[Callable, dict]]]):
-    """The check that runs ``_projected`` on every (op, arrays) case ``draw`` yields."""
-    return lambda rng: max(_projected(rng, op, arrays) for op, arrays in draw(rng))
+def _cases(draw: Callable[[np.random.Generator], Iterable[tuple]]):
+    """The check that runs ``_projected`` on every (op, arrays[, ref]) case
+    ``draw`` yields."""
+    return lambda rng: max(_projected(rng, *case) for case in draw(rng))
 
 
 def _elementwise(op: Callable, arity: int = 1):
@@ -151,6 +158,23 @@ def _conv_cases(rng):
                                               (2, 2, 3, (8, 6), 1, 2, 0)]:
         yield (partial(layers.conv2d, stride=stride, padding=pad),
                {"x": rng.normal(size=(b, n, h, w)), "w": rng.normal(size=(m, n, k, k))})
+    # live indices: the input is 0 outside live_in, as a masked unit's output
+    # is, and the dense conv with its rows outside live_out zeroed (no
+    # upstream gradient there, or a 0 output in eval) is the reference
+    for (b, n, m, (h, w), k, stride, pad), live_in, live_out, mode in [
+            ((2, 3, 4, (6, 6), 3, 1, 1), [0, 2], [1, 2], "train"),
+            ((2, 3, 4, (6, 6), 3, 1, 1), [1], [0, 3], "eval"),
+            ((1, 4, 3, (7, 6), 3, 2, 1), [0, 1, 3], [2], "train"),
+            ((2, 3, 3, (5, 5), 1, 2, 0), [], [0, 1], "train")]:
+        x = rng.normal(size=(b, n, h, w))
+        x[:, np.setdiff1d(np.arange(n), live_in)] = 0.0
+        keep = np.zeros((1, m, 1, 1))
+        keep[:, live_out] = 1.0
+        conv = partial(layers.conv2d, stride=stride, padding=pad)
+        yield (partial(conv, live_in=np.array(live_in, dtype=int),
+                       live_out=np.array(live_out), mode=mode),
+               {"x": x, "w": rng.normal(size=(m, n, k, k))},
+               lambda x, w, conv=conv, keep=keep: mul(conv(x, w), Tensor(keep)))
 
 
 def _batchnorm_cases(rng):
@@ -160,6 +184,14 @@ def _batchnorm_cases(rng):
             yield (partial(layers.batchnorm, state=state, mode=mode),
                    {"x": rng.normal(size=(b, c, hw, hw)), "gamma": rng.normal(size=c) + 1.5,
                     "beta": rng.normal(size=c)})
+    # eval on the live channels only, against eval on all with the rest zeroed
+    state = layers.BnState(rng.normal(size=3) * 0.1, rng.random(size=3) + 0.5)
+    bn = partial(layers.batchnorm, state=state, mode="eval")
+    keep = np.array([1.0, 0.0, 1.0]).reshape(1, 3, 1, 1)
+    yield (partial(bn, live=np.array([0, 2])),
+           {"x": rng.normal(size=(2, 3, 3, 3)), "gamma": rng.normal(size=3) + 1.5,
+            "beta": rng.normal(size=3)},
+           lambda x, gamma, beta: mul(bn(x, gamma, beta), Tensor(keep)))
 
 
 def _linear_cases(rng):

@@ -33,17 +33,31 @@ RELU_FLOPS_PER_ELEM = 1
 ADD_FLOPS_PER_ELEM = 1
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
+           live_in: np.ndarray | None = None, live_out: np.ndarray | None = None,
+           mode: str = "train") -> Tensor:
     """Cross-correlate ``x`` [b,n,H,W] with filters ``w`` [m,n,k,k].
 
     The column matrix ``cols`` is [b, n*k*k, Ho*Wo] in NCHW order: row
     ``(c, ki, kj)`` holds the input pixels filter tap ``(c, ki, kj)`` reads at
-    each output position.  It is built by one strided copy per kernel offset.
-    With ``w`` as a [m, n*k*k] matrix, the output is ``w @ cols`` (already
-    [b, m, Ho*Wo]), the weight gradient ``sum_b g[b] @ cols[b].T`` and the
-    column gradient ``w.T @ g``: three BLAS GEMMs, none of whose operands is
-    copied to transpose it.  The column gradient goes back to the input one
-    [b, n, Ho, Wo] slab per kernel offset.
+    each output position.  It is built by one strided copy per kernel offset
+    from a zero-padded copy of ``x``.  With ``w`` as a [m, n*k*k] matrix, the
+    output is ``w @ cols`` (already [b, m, Ho*Wo]), the weight gradient
+    ``sum_b g[b] @ cols[b].T`` and the column gradient ``w.T @ g``: three
+    BLAS GEMMs, none of whose operands is copied to transpose it.  The column
+    gradient goes back to the input one [b, n, Ho, Wo] slab per kernel offset.
+
+    ``live_in`` and ``live_out`` (sorted channel indices, from the gate
+    masks) skip every product that is exactly zero.  ``x`` must be zero on
+    the input channels outside ``live_in``, so only the live ones are read.
+    Outside ``live_out`` the upstream gradient must be zero.  In ``"train"``
+    mode every filter is still computed forward (a masked filter's output
+    feeds its alpha's gradient and its batch-norm statistics); in ``"eval"``
+    mode only the live filters are, and the other rows are 0.  The weight
+    gradient covers live outputs x live inputs and is 0 elsewhere; the input
+    gradient covers live outputs x every input channel, since a masked input
+    channel's alpha still needs its gradient.  With neither given, or with
+    every channel live, this is the dense conv.
 
     Output geometry is floor, as in PyTorch: ``Ho = (H + 2*padding - k) //
     stride + 1``, and likewise ``Wo``.  When ``stride`` leaves a remainder,
@@ -56,32 +70,64 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     m, n_w, k, k2 = w.shape
     if n_w != n or k != k2:
         raise ShapeError(f"conv2d: filter shape {w.shape} incompatible with input {x.shape}")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"conv2d: unknown mode {mode!r}")
     Ho = (H + 2 * padding - k) // stride + 1
     Wo = (W + 2 * padding - k) // stride + 1
     if Ho <= 0 or Wo <= 0:
         raise ShapeError(f"conv2d: non-positive output size {Ho}x{Wo}")
+    if live_in is not None and len(live_in) == n:
+        live_in = None
+    if live_out is not None and len(live_out) == m:
+        live_out = None
 
-    xp = x.data
+    xd = x.data if live_in is None else x.data[:, live_in]
+    n_live = xd.shape[1]
+    xp = xd
     if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        # one buffer, the (live) input written into its interior
+        xp = np.zeros((b, n_live, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding:padding + H, padding:padding + W] = xd
     # output (i, j) reads xp[..., ki + stride*i, kj + stride*j] at offset (ki, kj)
     offsets = [(ki, kj, (..., slice(ki, ki + stride * (Ho - 1) + 1, stride),
                          slice(kj, kj + stride * (Wo - 1) + 1, stride)))
                for ki in range(k) for kj in range(k)]
-    cols = np.empty((b, n, k, k, Ho, Wo), dtype=xp.dtype)
+    wrow = w.data.reshape(m, n * k * k)
+    w_in = wrow if live_in is None else w.data[:, live_in].reshape(m, n_live * k * k)
+    # eval of the live filters only: channel-major columns (a view keeps the
+    # [b, n*k*k, Ho*Wo] indexing), so those are one GEMM over the whole batch
+    # instead of one per sample
+    whole_batch = mode == "eval" and live_out is not None
+    cols = (np.empty((n_live, k, k, b, Ho, Wo)).transpose(3, 0, 1, 2, 4, 5) if whole_batch
+            else np.empty((b, n_live, k, k, Ho, Wo)))
     for ki, kj, window in offsets:
         cols[:, :, ki, kj] = xp[window]
-    cols = cols.reshape(b, n * k * k, Ho * Wo)
-    wrow = w.data.reshape(m, n * k * k)
-    out = (wrow @ cols).reshape(b, m, Ho, Wo)
+    cols = cols.reshape(b, n_live * k * k, Ho * Wo)
+    if whole_batch:
+        flat = cols.transpose(1, 0, 2).reshape(n_live * k * k, b * Ho * Wo)
+        out = np.zeros((b, m, Ho * Wo))
+        out[:, live_out] = (w_in[live_out] @ flat).reshape(
+            len(live_out), b, Ho * Wo).transpose(1, 0, 2)
+        out = out.reshape(b, m, Ho, Wo)
+    else:
+        out = (w_in @ cols).reshape(b, m, Ho, Wo)
 
     def rule(g):
         g3 = g.reshape(b, m, Ho * Wo)
+        w_out = wrow
+        if live_out is not None:
+            g3, w_out = g3[:, live_out], wrow[live_out]
         grad_w = g3[0] @ cols[0].T
         for i in range(1, b):
             grad_w += g3[i] @ cols[i].T
-        gcols = (wrow.T @ g3).reshape(b, n, k, k, Ho, Wo)
-        gxp = np.zeros_like(xp)
+        if live_in is not None or live_out is not None:
+            rows = np.arange(m) if live_out is None else live_out
+            chans = np.arange(n) if live_in is None else live_in
+            full = np.zeros((m, n, k * k))
+            full[np.ix_(rows, chans)] = grad_w.reshape(len(rows), len(chans), k * k)
+            grad_w = full
+        gcols = (w_out.T @ g3).reshape(b, n, k, k, Ho, Wo)
+        gxp = np.zeros((b, n, H + 2 * padding, W + 2 * padding))
         for ki, kj, window in offsets:
             gxp[window] += gcols[:, :, ki, kj]
         return (gxp[:, :, padding:padding + H, padding:padding + W],
@@ -109,11 +155,16 @@ class BnState:
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
-              mode: str = "train") -> Tensor:
+              mode: str = "train", *, live: np.ndarray | None = None) -> Tensor:
     """Per-channel normalization of a [b,c,H,W] tensor.
 
     Train mode normalizes with batch statistics and folds them into the
     running averages; eval mode normalizes with the running statistics.
+    In eval mode ``live`` (sorted channel indices, from a gate mask) limits
+    the work to those channels and leaves the others 0; a conv unit passes
+    its live filters, whose gate zeroes the rest anyway.  Train mode
+    normalizes every channel: a masked filter's alpha and the running
+    statistics read them all.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm: expected rank-4 input, got {x.shape}")
@@ -145,17 +196,33 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
                 g - (dbeta / n).reshape(1, c, 1, 1)
                 - xhat * (dgamma / n).reshape(1, c, 1, 1))
             return dx, dgamma, dbeta
+
+        out = gd * xhat + beta.data.reshape(1, c, 1, 1)
     else:
-        inv = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (xd - state.running_mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+        sel = slice(None) if live is None else live
+        inv = 1.0 / np.sqrt(state.running_var[sel] + state.eps).reshape(1, -1, 1, 1)
+        xhat = (xd[:, sel] - state.running_mean[sel].reshape(1, -1, 1, 1)) * inv
+        gd = gd[:, sel]
 
         def rule(g):
+            g = g[:, sel]
             dgamma = np.sum(g * xhat, axis=axes)
             dbeta = np.sum(g, axis=axes)
-            return g * gd * inv.reshape(1, c, 1, 1), dgamma, dbeta
+            return tuple(_widen(a, live, c) for a in (g * gd * inv, dgamma, dbeta))
 
-    out = gd * xhat + beta.data.reshape(1, c, 1, 1)
+        out = _widen(gd * xhat + beta.data[sel].reshape(1, -1, 1, 1), live, c)
     return custom_grad(out, (x, gamma, beta), rule, op="batchnorm")
+
+
+def _widen(part: np.ndarray, live: np.ndarray | None, c: int) -> np.ndarray:
+    """``part``, computed for the channels ``live`` only, placed in zeros of
+    ``c`` channels (axis 0 of a vector, else axis 1); ``part`` when None."""
+    if live is None:
+        return part
+    axis = min(part.ndim - 1, 1)
+    full = np.zeros(part.shape[:axis] + (c,) + part.shape[axis + 1:])
+    full[(slice(None),) * axis + (live,)] = part
+    return full
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -314,6 +381,13 @@ class ConvUnit(Block):
     task-loss gradient (the upstream gradient times the ReLU output); a gate
     before the ReLU would see relu's zero derivative at that exact zero, and
     a pruned filter could not come back.
+
+    The conv computes only what the masks leave live (see ``conv2d``).  It
+    reads ``live_in``, the live filters of the unit whose ``reader`` this
+    unit is; its own gate's live filters are its live outputs.  In training
+    a masked filter is still computed forward, for its alpha's gradient and
+    its batch-norm running statistics, but gets no conv backward.  In eval
+    its conv output is not computed: the row is 0 and the gate zeroes it.
     """
 
     weights: np.ndarray                # [m, n, k, k]
@@ -361,10 +435,21 @@ class ConvUnit(Block):
                 self.pname("bn.gamma"): area * (BN_FLOPS_PER_ELEM
                                                 + RELU_FLOPS_PER_ELEM * self.relu)}, 0
 
-    def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
+    def live_filters(self) -> np.ndarray | None:
+        """Indices of the filters the gate leaves live, which are the input
+        channels ``reader`` reads; None when ungated or none is masked."""
+        if self.gate is None:
+            return None
+        mask = self.gate.mask()
+        return None if mask.all() else np.flatnonzero(mask)
+
+    def forward(self, tape: Tape, x: Tensor, mode: str = "train", *,
+                live_in: np.ndarray | None = None) -> Tensor:
         p = self.bind(tape)
-        y = batchnorm(conv2d(x, p["w"], self.stride, self.weights.shape[2] // 2),
-                      p["bn.gamma"], p["bn.beta"], self.bn, mode)
+        live = self.live_filters()
+        y = conv2d(x, p["w"], self.stride, self.weights.shape[2] // 2, live_in=live_in,
+                   live_out=live, mode=mode)
+        y = batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode, live=live)
         if self.relu:
             y = relu(y)
         if self.gate is not None:
@@ -376,8 +461,12 @@ class ConvUnit(Block):
 class ResidualBlock(Block):
     """Two 3x3 conv units with a skip path and an optional branch gate.
 
-    When the branch gate is masked the output equals the skip path exactly,
-    so the whole branch can be dropped at inference.  Downsampling blocks put
+    When the branch gate is masked the output equals the skip path exactly.
+    Then eval skips the branch's forward, and training runs it (its alpha's
+    gradient reads the branch output, and its batch norms update their
+    running statistics) but not its backward: the gate passes the branch no
+    gradient.  ``unit1`` reads ``live_in``, the live channels of ``x``; the
+    skip path reads every channel.  Downsampling blocks put
     ``down``, an ungated 1x1 ``ConvUnit`` without ReLU named ``<block>.down``,
     on the skip path (projection shortcut, He et al., arXiv:1512.03385).
     ``unit1``'s reader is ``unit2``; ``unit2`` feeds the residual sum and has
@@ -413,10 +502,14 @@ class ResidualBlock(Block):
             return {}, self.unit2.out_channels * add
         return {self.unit2.pname("bn.beta"): add}, 0
 
-    def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
+    def forward(self, tape: Tape, x: Tensor, mode: str = "train", *,
+                live_in: np.ndarray | None = None) -> Tensor:
         p = self.bind(tape)
-        branch = self.unit2.forward(tape, self.unit1.forward(tape, x, mode), mode)
         skip = x if self.down is None else self.down.forward(tape, x, mode)
+        if mode == "eval" and self.gate is not None and not self.gate.mask()[0]:
+            return skip
+        h = self.unit1.forward(tape, x, mode, live_in=live_in)
+        branch = self.unit2.forward(tape, h, mode, live_in=self.unit1.live_filters())
         if self.gate is not None:
             branch = apply_gate(branch, self.gate, WHOLE, alpha=p["gate.alpha"])
         return add(branch, skip)

@@ -8,10 +8,12 @@ and a ``Linear`` ``head``; a ``ResNetSmall`` is a ``stem`` unit,
 declarations and its FLOPs once, so ``params()``, ``persistent_arrays()``
 (parameters plus batch-norm buffers, for checkpoints), ``gate_decls()``,
 ``gates()`` and ``flop_costs()`` are walks of the tree.  A model passes a
-block only what the block cannot know: a conv unit's output size and the
-block that reads its output channels.  The model itself declares only the
-cost of its global pool, on the last unit's ``bn.beta`` when those channels
-can be masked.  ``forward(tape, x, mode)`` returns [N, classes] logits.
+block only what the block cannot know: a conv unit's output size, the block
+that reads its output channels and, at each forward, the unit's live input
+channels (the live filters of the unit whose reader it is).  The model
+itself declares only the cost of its global pool, on the last unit's
+``bn.beta`` when those channels can be masked.  ``forward(tape, x, mode)``
+returns [N, classes] logits.
 
 Construction is deterministic in the seed, and gate scaling factors are
 initialized to a constant so gated and ungated variants of the same seed
@@ -162,8 +164,11 @@ class ToyConvNet(Model):
 
     def forward(self, tape, x, mode="train"):
         h = tape.leaf(x) if not isinstance(x, Tensor) else x
+        writer = None                  # the unit whose reader is u
         for u in self.units:
-            h = u.forward(tape, h, mode)
+            h = u.forward(tape, h, mode,
+                          live_in=None if writer is None else writer.live_filters())
+            writer = u
         return self.head.forward(tape, avg_pool_full(h))
 
 
@@ -237,7 +242,9 @@ class ResNetSmall(Model):
         h = self.stem.forward(tape, tape.leaf(x) if not isinstance(x, Tensor) else x,
                               mode)
         for blk in self.blocks:
-            h = blk.forward(tape, h, mode)
+            # the stem's reader reads its live filters; a residual sum is all live
+            live = self.stem.live_filters() if blk.unit1 is self.stem.reader else None
+            h = blk.forward(tape, h, mode, live_in=live)
         return self.head.forward(tape, avg_pool_full(h))
 
 

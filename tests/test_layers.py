@@ -73,6 +73,39 @@ def test_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding):
     np.testing.assert_allclose(grads["w"].data, ref_gw, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("live_in,live_out,mode", [
+    ([0, 2], [1, 3], "train"),
+    ([0, 2], [1, 3], "eval"),
+    ([1], None, "train"),
+    (None, [0, 2, 3], "eval"),
+    ([], [2], "train"),           # every input channel masked
+    ([0, 1, 2], [], "eval"),      # every filter masked
+])
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
+def test_conv_live_indices_match_direct_loop(live_in, live_out, mode, stride, padding):
+    # the direct loop reads a zero input channel outside live_in and gets a
+    # zero upstream row outside live_out, as a gated network gives them
+    rng = np.random.default_rng(22)
+    x, w = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(4, 3, 3, 3))
+    keep_in, keep_out = np.zeros(3), np.zeros(4)
+    keep_in[live_in if live_in is not None else slice(None)] = 1.0
+    keep_out[live_out if live_out is not None else slice(None)] = 1.0
+    x *= keep_in[None, :, None, None]
+    tape = Tape()
+    out = conv2d(tape.param("x", x), tape.param("w", w), stride, padding,
+                 live_in=None if live_in is None else np.array(live_in, dtype=int),
+                 live_out=None if live_out is None else np.array(live_out, dtype=int),
+                 mode=mode)
+    g = rng.normal(size=out.shape) * keep_out[None, :, None, None]
+    grads = tape.backward(sum_all(mul(out, Tensor(g))))
+    ref_out, ref_gx, ref_gw = _direct_conv(x, w, g, stride, padding)
+    if mode == "eval":
+        ref_out *= keep_out[None, :, None, None]
+    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads["x"].data, ref_gx, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads["w"].data, ref_gw, rtol=0, atol=1e-10)
+
+
 def test_conv_and_bn_gradients():
     results = dict((n, e) for n, e, ok in run_checks(["conv2d", "batchnorm"]))
     assert results["conv2d"] < 1e-4
@@ -208,8 +241,8 @@ def test_resnet_trains_at_32x32(monkeypatch, granularity):
     seen = {}
     forward = ConvUnit.forward
 
-    def record(unit, tape, x, mode="train"):
-        out = forward(unit, tape, x, mode)
+    def record(unit, tape, x, mode="train", **live):
+        out = forward(unit, tape, x, mode, **live)
         seen[unit.name] = out.shape[2:]
         return out
 
