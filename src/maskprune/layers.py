@@ -33,6 +33,17 @@ RELU_FLOPS_PER_ELEM = 1
 ADD_FLOPS_PER_ELEM = 1
 
 
+def _widen(part: np.ndarray, live: np.ndarray | None, c: int) -> np.ndarray:
+    """``part``, computed for the channels ``live`` only, placed in zeros of
+    ``c`` channels (axis 0 of a vector, else axis 1); ``part`` when None."""
+    if live is None:
+        return part
+    axis = min(part.ndim - 1, 1)
+    full = np.zeros(part.shape[:axis] + (c,) + part.shape[axis + 1:])
+    full[(slice(None),) * axis + (live,)] = part
+    return full
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
            live_in: np.ndarray | None = None, live_out: np.ndarray | None = None,
            mode: str = "train") -> Tensor:
@@ -105,10 +116,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     cols = cols.reshape(b, n_live * k * k, Ho * Wo)
     if whole_batch:
         flat = cols.transpose(1, 0, 2).reshape(n_live * k * k, b * Ho * Wo)
-        out = np.zeros((b, m, Ho * Wo))
-        out[:, live_out] = (w_in[live_out] @ flat).reshape(
-            len(live_out), b, Ho * Wo).transpose(1, 0, 2)
-        out = out.reshape(b, m, Ho, Wo)
+        rows = (w_in[live_out] @ flat).reshape(len(live_out), b, Ho * Wo)
+        out = _widen(rows.transpose(1, 0, 2), live_out, m).reshape(b, m, Ho, Wo)
     else:
         out = (w_in @ cols).reshape(b, m, Ho, Wo)
 
@@ -212,17 +221,6 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
 
         out = _widen(gd * xhat + beta.data[sel].reshape(1, -1, 1, 1), live, c)
     return custom_grad(out, (x, gamma, beta), rule, op="batchnorm")
-
-
-def _widen(part: np.ndarray, live: np.ndarray | None, c: int) -> np.ndarray:
-    """``part``, computed for the channels ``live`` only, placed in zeros of
-    ``c`` channels (axis 0 of a vector, else axis 1); ``part`` when None."""
-    if live is None:
-        return part
-    axis = min(part.ndim - 1, 1)
-    full = np.zeros(part.shape[:axis] + (c,) + part.shape[axis + 1:])
-    full[(slice(None),) * axis + (live,)] = part
-    return full
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
