@@ -382,7 +382,8 @@ class ConvUnit(Block):
 
     The conv computes only what the masks leave live (see ``conv2d``).  It
     reads ``live_in``, the live filters of the unit whose ``reader`` this
-    unit is; its own gate's live filters are its live outputs.  In training
+    unit is (that unit's ``feeds``); its own gate's live filters are its
+    live outputs.  In training
     a masked filter is still computed forward, for its alpha's gradient and
     its batch-norm running statistics, but gets no conv backward.  In eval
     its conv output is not computed: the row is 0 and the gate zeroes it.
@@ -434,12 +435,17 @@ class ConvUnit(Block):
                                                 + RELU_FLOPS_PER_ELEM * self.relu)}, 0
 
     def live_filters(self) -> np.ndarray | None:
-        """Indices of the filters the gate leaves live, which are the input
-        channels ``reader`` reads; None when ungated or none is masked."""
+        """Indices of the filters the gate leaves live; None when ungated or
+        none is masked."""
         if self.gate is None:
             return None
         mask = self.gate.mask()
         return None if mask.all() else np.flatnonzero(mask)
+
+    def feeds(self, block: Block) -> np.ndarray | None:
+        """The live input channels of ``block``: this unit's live filters when
+        ``block`` is its ``reader``, else None."""
+        return self.live_filters() if block is self.reader else None
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train", *,
                 live_in: np.ndarray | None = None) -> Tensor:
@@ -507,7 +513,7 @@ class ResidualBlock(Block):
         if mode == "eval" and self.gate is not None and not self.gate.mask()[0]:
             return skip
         h = self.unit1.forward(tape, x, mode, live_in=live_in)
-        branch = self.unit2.forward(tape, h, mode, live_in=self.unit1.live_filters())
+        branch = self.unit2.forward(tape, h, mode, live_in=self.unit1.feeds(self.unit2))
         if self.gate is not None:
             branch = apply_gate(branch, self.gate, WHOLE, alpha=p["gate.alpha"])
         return add(branch, skip)

@@ -164,10 +164,9 @@ class ToyConvNet(Model):
 
     def forward(self, tape, x, mode="train"):
         h = tape.leaf(x) if not isinstance(x, Tensor) else x
-        writer = None                  # the unit whose reader is u
+        writer = None
         for u in self.units:
-            h = u.forward(tape, h, mode,
-                          live_in=None if writer is None else writer.live_filters())
+            h = u.forward(tape, h, mode, live_in=None if writer is None else writer.feeds(u))
             writer = u
         return self.head.forward(tape, avg_pool_full(h))
 
@@ -242,9 +241,8 @@ class ResNetSmall(Model):
         h = self.stem.forward(tape, tape.leaf(x) if not isinstance(x, Tensor) else x,
                               mode)
         for blk in self.blocks:
-            # the stem's reader reads its live filters; a residual sum is all live
-            live = self.stem.live_filters() if blk.unit1 is self.stem.reader else None
-            h = blk.forward(tape, h, mode, live_in=live)
+            # only the first block reads the stem; the others read a residual sum
+            h = blk.forward(tape, h, mode, live_in=self.stem.feeds(blk.unit1))
         return self.head.forward(tape, avg_pool_full(h))
 
 
