@@ -383,10 +383,10 @@ class ConvUnit(Block):
     The conv computes only what the masks leave live (see ``conv2d``).  It
     reads ``live_in``, the live filters of the unit whose ``reader`` this
     unit is (that unit's ``feeds``); its own gate's live filters are its
-    live outputs.  In training
-    a masked filter is still computed forward, for its alpha's gradient and
-    its batch-norm running statistics, but gets no conv backward.  In eval
-    its conv output is not computed: the row is 0 and the gate zeroes it.
+    live outputs.  In training a masked filter is still computed forward,
+    for its alpha's gradient and its batch-norm running statistics, but
+    gets no conv backward.  In eval neither its conv row nor its batch norm
+    is computed: the channel is 0, and the gate zeroes it anyway.
     """
 
     weights: np.ndarray                # [m, n, k, k]
