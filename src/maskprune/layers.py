@@ -105,21 +105,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
                for ki in range(k) for kj in range(k)]
     wrow = w.data.reshape(m, n * k * k)
     w_in = wrow if live_in is None else w.data[:, live_in].reshape(m, n_live * k * k)
-    # eval of the live filters only: channel-major columns (a view keeps the
-    # [b, n*k*k, Ho*Wo] indexing), so those are one GEMM over the whole batch
-    # instead of one per sample
-    whole_batch = mode == "eval" and live_out is not None
-    cols = (np.empty((n_live, k, k, b, Ho, Wo)).transpose(3, 0, 1, 2, 4, 5) if whole_batch
-            else np.empty((b, n_live, k, k, Ho, Wo)))
+    cols = np.empty((b, n_live, k, k, Ho, Wo))
     for ki, kj, window in offsets:
         cols[:, :, ki, kj] = xp[window]
     cols = cols.reshape(b, n_live * k * k, Ho * Wo)
-    if whole_batch:
-        flat = cols.transpose(1, 0, 2).reshape(n_live * k * k, b * Ho * Wo)
-        rows = (w_in[live_out] @ flat).reshape(len(live_out), b, Ho * Wo)
-        out = _widen(rows.transpose(1, 0, 2), live_out, m).reshape(b, m, Ho, Wo)
-    else:
-        out = (w_in @ cols).reshape(b, m, Ho, Wo)
+    # eval computes the live filters only; training computes them all
+    out_rows = live_out if mode == "eval" else None
+    out = _widen((w_in if out_rows is None else w_in[out_rows]) @ cols, out_rows,
+                 m).reshape(b, m, Ho, Wo)
 
     def rule(g):
         g3 = g.reshape(b, m, Ho * Wo)
@@ -381,12 +374,12 @@ class ConvUnit(Block):
     a pruned filter could not come back.
 
     The conv computes only what the masks leave live (see ``conv2d``).  It
-    reads ``live_in``, the live filters of the unit whose ``reader`` this
-    unit is (that unit's ``feeds``); its own gate's live filters are its
-    live outputs.  In training a masked filter is still computed forward,
-    for its alpha's gradient and its batch-norm running statistics, but
-    gets no conv backward.  In eval neither its conv row nor its batch norm
-    is computed: the channel is 0, and the gate zeroes it anyway.
+    reads ``live_in``, the ``live_filters()`` of the unit whose ``reader``
+    this unit is; its own gate's live filters are its live outputs.  In
+    training a masked filter is still computed forward, for its alpha's
+    gradient and its batch-norm running statistics, but gets no conv
+    backward.  In eval neither its conv row nor its batch norm is computed:
+    the channel is 0, and the gate zeroes it anyway.
     """
 
     weights: np.ndarray                # [m, n, k, k]
@@ -441,11 +434,6 @@ class ConvUnit(Block):
             return None
         mask = self.gate.mask()
         return None if mask.all() else np.flatnonzero(mask)
-
-    def feeds(self, block: Block) -> np.ndarray | None:
-        """The live input channels of ``block``: this unit's live filters when
-        ``block`` is its ``reader``, else None."""
-        return self.live_filters() if block is self.reader else None
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train", *,
                 live_in: np.ndarray | None = None) -> Tensor:
@@ -513,7 +501,7 @@ class ResidualBlock(Block):
         if mode == "eval" and self.gate is not None and not self.gate.mask()[0]:
             return skip
         h = self.unit1.forward(tape, x, mode, live_in=live_in)
-        branch = self.unit2.forward(tape, h, mode, live_in=self.unit1.feeds(self.unit2))
+        branch = self.unit2.forward(tape, h, mode, live_in=self.unit1.live_filters())
         if self.gate is not None:
             branch = apply_gate(branch, self.gate, WHOLE, alpha=p["gate.alpha"])
         return add(branch, skip)

@@ -164,10 +164,11 @@ class ToyConvNet(Model):
 
     def forward(self, tape, x, mode="train"):
         h = tape.leaf(x) if not isinstance(x, Tensor) else x
-        writer = None
+        live = None
         for u in self.units:
-            h = u.forward(tape, h, mode, live_in=None if writer is None else writer.feeds(u))
-            writer = u
+            # each unit reads the previous one's live filters
+            h = u.forward(tape, h, mode, live_in=live)
+            live = u.live_filters()
         return self.head.forward(tape, avg_pool_full(h))
 
 
@@ -240,9 +241,10 @@ class ResNetSmall(Model):
     def forward(self, tape, x, mode="train"):
         h = self.stem.forward(tape, tape.leaf(x) if not isinstance(x, Tensor) else x,
                               mode)
-        for blk in self.blocks:
-            # only the first block reads the stem; the others read a residual sum
-            h = blk.forward(tape, h, mode, live_in=self.stem.feeds(blk.unit1))
+        # only the first block reads the stem; the others read a residual sum
+        h = self.blocks[0].forward(tape, h, mode, live_in=self.stem.live_filters())
+        for blk in self.blocks[1:]:
+            h = blk.forward(tape, h, mode)
         return self.head.forward(tape, avg_pool_full(h))
 
 
