@@ -160,19 +160,19 @@ def _conv_cases(rng):
                {"x": rng.normal(size=(b, n, h, w)), "w": rng.normal(size=(m, n, k, k))})
     # live indices: the input is 0 outside live_in, as a masked unit's output
     # is, and the dense conv with its rows outside live_out zeroed (no
-    # upstream gradient there, or a 0 output in eval) is the reference
-    for (b, n, m, (h, w), k, stride, pad), live_in, live_out, mode in [
-            ((2, 3, 4, (6, 6), 3, 1, 1), [0, 2], [1, 2], "train"),
-            ((2, 3, 4, (6, 6), 3, 1, 1), [1], [0, 3], "eval"),
-            ((1, 4, 3, (7, 6), 3, 2, 1), [0, 1, 3], [2], "train"),
-            ((2, 3, 3, (5, 5), 1, 2, 0), [], [0, 1], "train")]:
+    # upstream gradient there) is the reference
+    for (b, n, m, (h, w), k, stride, pad), live_in, live_out in [
+            ((2, 3, 4, (6, 6), 3, 1, 1), [0, 2], [1, 2]),
+            ((2, 3, 4, (6, 6), 3, 1, 1), [1], [0, 3]),
+            ((1, 4, 3, (7, 6), 3, 2, 1), [0, 1, 3], [2]),
+            ((2, 3, 3, (5, 5), 1, 2, 0), [], [0, 1])]:
         x = rng.normal(size=(b, n, h, w))
         x[:, np.setdiff1d(np.arange(n), live_in)] = 0.0
         keep = np.zeros((1, m, 1, 1))
         keep[:, live_out] = 1.0
         conv = partial(layers.conv2d, stride=stride, padding=pad)
         yield (partial(conv, live_in=np.array(live_in, dtype=int),
-                       live_out=np.array(live_out), mode=mode),
+                       live_out=np.array(live_out)),
                {"x": x, "w": rng.normal(size=(m, n, k, k))},
                lambda x, w, conv=conv, keep=keep: mul(conv(x, w), Tensor(keep)))
 
@@ -184,14 +184,6 @@ def _batchnorm_cases(rng):
             yield (partial(layers.batchnorm, state=state, mode=mode),
                    {"x": rng.normal(size=(b, c, hw, hw)), "gamma": rng.normal(size=c) + 1.5,
                     "beta": rng.normal(size=c)})
-    # eval on the live channels only, against eval on all with the rest zeroed
-    state = layers.BnState(rng.normal(size=3) * 0.1, rng.random(size=3) + 0.5)
-    bn = partial(layers.batchnorm, state=state, mode="eval")
-    keep = np.array([1.0, 0.0, 1.0]).reshape(1, 3, 1, 1)
-    yield (partial(bn, live=np.array([0, 2])),
-           {"x": rng.normal(size=(2, 3, 3, 3)), "gamma": rng.normal(size=3) + 1.5,
-            "beta": rng.normal(size=3)},
-           lambda x, gamma, beta: mul(bn(x, gamma, beta), Tensor(keep)))
 
 
 def _linear_cases(rng):

@@ -33,20 +33,9 @@ RELU_FLOPS_PER_ELEM = 1
 ADD_FLOPS_PER_ELEM = 1
 
 
-def _widen(part: np.ndarray, live: np.ndarray | None, c: int) -> np.ndarray:
-    """``part``, computed for the channels ``live`` only, placed in zeros of
-    ``c`` channels (axis 0 of a vector, else axis 1); ``part`` when None."""
-    if live is None:
-        return part
-    axis = min(part.ndim - 1, 1)
-    full = np.zeros(part.shape[:axis] + (c,) + part.shape[axis + 1:])
-    full[(slice(None),) * axis + (live,)] = part
-    return full
-
-
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
-           live_in: np.ndarray | None = None, live_out: np.ndarray | None = None,
-           mode: str = "train") -> Tensor:
+           live_in: np.ndarray | None = None,
+           live_out: np.ndarray | None = None) -> Tensor:
     """Cross-correlate ``x`` [b,n,H,W] with filters ``w`` [m,n,k,k].
 
     The column matrix ``cols`` is [b, n*k*k, Ho*Wo] in NCHW order: row
@@ -61,14 +50,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     ``live_in`` and ``live_out`` (sorted channel indices, from the gate
     masks) skip every product that is exactly zero.  ``x`` must be zero on
     the input channels outside ``live_in``, so only the live ones are read.
-    Outside ``live_out`` the upstream gradient must be zero.  In ``"train"``
-    mode every filter is still computed forward (a masked filter's output
-    feeds its alpha's gradient and its batch-norm statistics); in ``"eval"``
-    mode only the live filters are, and the other rows are 0.  The weight
-    gradient covers live outputs x live inputs and is 0 elsewhere; the input
-    gradient covers live outputs x every input channel, since a masked input
-    channel's alpha still needs its gradient.  With neither given, or with
-    every channel live, this is the dense conv.
+    Outside ``live_out`` the upstream gradient must be zero.  Every filter is
+    still computed forward (a masked filter's output feeds its alpha's
+    gradient and its batch-norm statistics).  The weight gradient covers live
+    outputs x live inputs and is 0 elsewhere; the input gradient covers live
+    outputs x every input channel, since a masked input channel's alpha still
+    needs its gradient.  With neither given, or with every channel live, this
+    is the dense conv.
 
     Output geometry is floor, as in PyTorch: ``Ho = (H + 2*padding - k) //
     stride + 1``, and likewise ``Wo``.  When ``stride`` leaves a remainder,
@@ -81,8 +69,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     m, n_w, k, k2 = w.shape
     if n_w != n or k != k2:
         raise ShapeError(f"conv2d: filter shape {w.shape} incompatible with input {x.shape}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"conv2d: unknown mode {mode!r}")
     Ho = (H + 2 * padding - k) // stride + 1
     Wo = (W + 2 * padding - k) // stride + 1
     if Ho <= 0 or Wo <= 0:
@@ -109,10 +95,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     for ki, kj, window in offsets:
         cols[:, :, ki, kj] = xp[window]
     cols = cols.reshape(b, n_live * k * k, Ho * Wo)
-    # eval computes the live filters only; training computes them all
-    out_rows = live_out if mode == "eval" else None
-    out = _widen((w_in if out_rows is None else w_in[out_rows]) @ cols, out_rows,
-                 m).reshape(b, m, Ho, Wo)
+    out = (w_in @ cols).reshape(b, m, Ho, Wo)
 
     def rule(g):
         g3 = g.reshape(b, m, Ho * Wo)
@@ -157,16 +140,11 @@ class BnState:
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
-              mode: str = "train", *, live: np.ndarray | None = None) -> Tensor:
+              mode: str = "train") -> Tensor:
     """Per-channel normalization of a [b,c,H,W] tensor.
 
     Train mode normalizes with batch statistics and folds them into the
     running averages; eval mode normalizes with the running statistics.
-    In eval mode ``live`` (sorted channel indices, from a gate mask) limits
-    the work to those channels and leaves the others 0; a conv unit passes
-    its live filters, whose gate zeroes the rest anyway.  Train mode
-    normalizes every channel: a masked filter's alpha and the running
-    statistics read them all.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm: expected rank-4 input, got {x.shape}")
@@ -198,21 +176,16 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
                 g - (dbeta / n).reshape(1, c, 1, 1)
                 - xhat * (dgamma / n).reshape(1, c, 1, 1))
             return dx, dgamma, dbeta
-
-        out = gd * xhat + beta.data.reshape(1, c, 1, 1)
     else:
-        sel = slice(None) if live is None else live
-        inv = 1.0 / np.sqrt(state.running_var[sel] + state.eps).reshape(1, -1, 1, 1)
-        xhat = (xd[:, sel] - state.running_mean[sel].reshape(1, -1, 1, 1)) * inv
-        gd = gd[:, sel]
+        inv = 1.0 / np.sqrt(state.running_var + state.eps)
+        xhat = (xd - state.running_mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
 
         def rule(g):
-            g = g[:, sel]
             dgamma = np.sum(g * xhat, axis=axes)
             dbeta = np.sum(g, axis=axes)
-            return tuple(_widen(a, live, c) for a in (g * gd * inv, dgamma, dbeta))
+            return g * gd * inv.reshape(1, c, 1, 1), dgamma, dbeta
 
-        out = _widen(gd * xhat + beta.data[sel].reshape(1, -1, 1, 1), live, c)
+    out = gd * xhat + beta.data.reshape(1, c, 1, 1)
     return custom_grad(out, (x, gamma, beta), rule, op="batchnorm")
 
 
@@ -373,13 +346,13 @@ class ConvUnit(Block):
     before the ReLU would see relu's zero derivative at that exact zero, and
     a pruned filter could not come back.
 
-    The conv computes only what the masks leave live (see ``conv2d``).  It
-    reads ``live_in``, the ``live_filters()`` of the unit whose ``reader``
-    this unit is; its own gate's live filters are its live outputs.  In
-    training a masked filter is still computed forward, for its alpha's
-    gradient and its batch-norm running statistics, but gets no conv
-    backward.  In eval neither its conv row nor its batch norm is computed:
-    the channel is 0, and the gate zeroes it anyway.
+    The conv reads only ``live_in``, the ``live_filters()`` of the unit
+    whose ``reader`` this unit is.  In training a masked filter is still
+    computed forward, for its alpha's gradient and its batch-norm running
+    statistics, but gets no conv backward (its gate's live filters are the
+    conv's ``live_out``).  In eval, with a filter masked, the unit runs its
+    live filters alone: their conv rows, batch norm, ReLU and alphas, placed
+    in zeros of every channel as a new leaf, since eval takes no gradient.
     """
 
     weights: np.ndarray                # [m, n, k, k]
@@ -437,11 +410,22 @@ class ConvUnit(Block):
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train", *,
                 live_in: np.ndarray | None = None) -> Tensor:
-        p = self.bind(tape)
         live = self.live_filters()
-        y = conv2d(x, p["w"], self.stride, self.weights.shape[2] // 2, live_in=live_in,
-                   live_out=live, mode=mode)
-        y = batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode, live=live)
+        pad = self.weights.shape[2] // 2
+        if mode == "eval" and live is not None:
+            bn = BnState(self.bn.running_mean[live], self.bn.running_var[live],
+                         self.bn.momentum, self.bn.eps)
+            y = conv2d(x, Tensor(self.weights[live]), self.stride, pad, live_in=live_in)
+            y = batchnorm(y, Tensor(self.bn_gamma[live]), Tensor(self.bn_beta[live]), bn,
+                          mode)
+            if self.relu:
+                y = relu(y)
+            out = np.zeros((y.shape[0], self.out_channels, *y.shape[2:]))
+            out[:, live] = y.data * self.gate.alpha[live].reshape(1, -1, 1, 1)
+            return tape.leaf(out)
+        p = self.bind(tape)
+        y = conv2d(x, p["w"], self.stride, pad, live_in=live_in, live_out=live)
+        y = batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode)
         if self.relu:
             y = relu(y)
         if self.gate is not None:

@@ -80,6 +80,8 @@ def test_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding):
     (None, [0, 2, 3], "eval"),
     ([], [2], "train"),           # every input channel masked
     ([0, 1, 2], [], "eval"),      # every filter masked
+    (None, [0, 2, 3], "train"),
+    ([0, 1, 2], [], "train"),
 ])
 @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
 def test_conv_live_indices_match_direct_loop(live_in, live_out, mode, stride, padding):
@@ -91,16 +93,21 @@ def test_conv_live_indices_match_direct_loop(live_in, live_out, mode, stride, pa
     keep_in[live_in if live_in is not None else slice(None)] = 1.0
     keep_out[live_out if live_out is not None else slice(None)] = 1.0
     x *= keep_in[None, :, None, None]
-    tape = Tape()
-    out = conv2d(tape.param("x", x), tape.param("w", w), stride, padding,
-                 live_in=None if live_in is None else np.array(live_in, dtype=int),
-                 live_out=None if live_out is None else np.array(live_out, dtype=int),
-                 mode=mode)
-    g = rng.normal(size=out.shape) * keep_out[None, :, None, None]
-    grads = tape.backward(sum_all(mul(out, Tensor(g))))
+    live_in = None if live_in is None else np.array(live_in, dtype=int)
+    live_out = None if live_out is None else np.array(live_out, dtype=int)
+    Ho, Wo = (7 + 2 * padding - 3) // stride + 1, (6 + 2 * padding - 3) // stride + 1
+    g = rng.normal(size=(2, 4, Ho, Wo)) * keep_out[None, :, None, None]
     ref_out, ref_gx, ref_gw = _direct_conv(x, w, g, stride, padding)
     if mode == "eval":
-        ref_out *= keep_out[None, :, None, None]
+        # a conv unit's eval: the live filters' rows alone, forward only
+        rows = np.flatnonzero(keep_out)
+        out = conv2d(Tensor(x), Tensor(w[rows]), stride, padding, live_in=live_in)
+        np.testing.assert_allclose(out.data, ref_out[:, rows], rtol=0, atol=1e-10)
+        return
+    tape = Tape()
+    out = conv2d(tape.param("x", x), tape.param("w", w), stride, padding,
+                 live_in=live_in, live_out=live_out)
+    grads = tape.backward(sum_all(mul(out, Tensor(g))))
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads["x"].data, ref_gx, rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads["w"].data, ref_gw, rtol=0, atol=1e-10)

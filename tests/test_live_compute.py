@@ -3,10 +3,12 @@
 On random prunings, drawn like the accounting oracles draw them (each gate
 component's alpha set to 0 or 1, ``test_accounting_equivalence``), a train
 step and an eval forward must match the same model run with every channel
-treated as live: ``GateParam.mask`` patched to all ones, so ``conv2d`` and
-``batchnorm`` get no live indices and every residual branch runs, while the
-gates still apply their hard masks.  Spies check that a masked residual
-branch runs no conv backward in training and no forward in eval.
+treated as live: ``GateParam.mask`` patched to all ones, so ``conv2d`` gets
+no live indices, eval runs every filter of every unit and every residual
+branch runs, while the gates still apply their hard masks.  Spies check that
+in eval a unit with masked filters runs ``conv2d`` and ``batchnorm`` on its
+live filters alone, and that a masked residual branch runs no conv backward
+in training and no forward in eval.
 """
 
 from collections import Counter
@@ -58,6 +60,46 @@ def test_pruned_step_matches_all_live_computation(name, monkeypatch):
         for n in ref_state:
             np.testing.assert_allclose(state[n], ref_state[n], rtol=0, atol=TOL, err_msg=n)
         np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("name", ("toy-filter", "resnet-filter"))
+def test_eval_runs_a_masked_unit_on_its_live_filters_alone(name, monkeypatch):
+    model = MODELS[name]()
+    units = [b for b in model.walk() if isinstance(b, layers.ConvUnit)]
+    calls, outputs, running = {}, {}, []
+    conv, bn, unit_forward = layers.conv2d, layers.batchnorm, layers.ConvUnit.forward
+
+    def spy_conv(x, w, *args, **kw):
+        calls[running[-1]].append(("conv2d", w.shape[0]))
+        return conv(x, w, *args, **kw)
+
+    def spy_bn(x, gamma, *args, **kw):
+        calls[running[-1]].append(("batchnorm", x.shape[1]))
+        return bn(x, gamma, *args, **kw)
+
+    def spy_forward(unit, tape, x, mode="train", **live):
+        running.append(unit.name)
+        calls[unit.name] = []
+        out = unit_forward(unit, tape, x, mode, **live)
+        running.pop()
+        outputs[unit.name] = out.data
+        return out
+
+    monkeypatch.setattr(layers, "conv2d", spy_conv)
+    monkeypatch.setattr(layers, "batchnorm", spy_bn)
+    monkeypatch.setattr(layers.ConvUnit, "forward", spy_forward)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for p in (0.5, 1.0):
+        for g in model.gates():
+            g.alpha[:] = np.where(rng.random(g.dim) < p, 0.0, 1.0)
+        model.forward(Tape(), _batch(model, rng)[0], "eval")
+        masked = [u for u in units if u.live_filters() is not None]
+        assert masked
+        for u in masked:
+            live = u.live_filters()
+            assert calls[u.name] == [("conv2d", len(live)), ("batchnorm", len(live))], u.name
+            dead = np.setdiff1d(np.arange(u.out_channels), live)
+            assert np.all(outputs[u.name][:, dead] == 0.0), u.name
 
 
 def test_masked_branch_runs_no_conv_backward_in_training_and_no_forward_in_eval(
