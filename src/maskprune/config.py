@@ -108,7 +108,8 @@ _REQUIRED = object()
 
 # key -> (validator, default, description)
 _SCHEMA: dict[str, tuple] = {
-    "schema_version": (lambda v: v == CONFIG_SCHEMA_VERSION, _REQUIRED, "must equal 1"),
+    "schema_version": (lambda v: _positive_int(v) and v == CONFIG_SCHEMA_VERSION,
+                       _REQUIRED, "must equal 1"),
     "arch": (lambda v: v in ARCHS, _REQUIRED, f"one of {ARCHS}"),
     "granularity": (lambda v: isinstance(v, str), "none", "pruning granularity"),
     "dataset": (lambda v: v in DATASETS, _REQUIRED, f"one of {DATASETS}"),
@@ -148,7 +149,7 @@ _SCHEMA: dict[str, tuple] = {
                      "resnet stage widths, at least one"),
     "blocks_per_stage": (_positive_int, 9, "resnet blocks per stage"),
     "lstm_hidden": (_positive_int, 32, "lstm hidden dimension"),
-    "lstm_stacks": (lambda v: v in (1, 2), 1, "stacked lstm cells"),
+    "lstm_stacks": (lambda v: _positive_int(v) and v in (1, 2), 1, "stacked lstm cells"),
     "embed_dim": (_positive_int, 16, "token embedding dimension"),
     "out_dir": (lambda v: isinstance(v, str), "run_out", "output directory"),
 }

@@ -120,7 +120,8 @@ def test_train_augment_with_mlp_exits_cleanly(tmp_path, capsys):
                          ("data_margin", float("inf")), ("lambda1", float("inf")),
                          ("alpha_init", float("-inf")), ("seed", True),
                          ("data_seed", False), ("decay_epochs", [True]), ("seed", -1),
-                         ("data_seed", -3), ("decay_epochs", [-1])]]])
+                         ("data_seed", -3), ("decay_epochs", [-1]),
+                         ("schema_version", True), ("lstm_stacks", True)]]])
 def test_train_rejects_invalid_value_before_compute(tmp_path, capsys, key, overrides):
     out = str(tmp_path / "run")
     code = main(["train", "--config", _write(tmp_path, _toy_config(out, **overrides))])
