@@ -1,19 +1,22 @@
 """Checkpoints: a flat little-endian float64 archive plus a JSON manifest.
 
 The manifest carries the tensor directory (name, shape, offset in elements),
-gate metadata, and whatever run metadata the caller supplies; the archive is
-the concatenation of the tensors in manifest order.  Loading verifies sizes
-and returns exact bit-for-bit copies.
+the archive's sha256, gate metadata, and whatever run metadata the caller
+supplies; the archive is the concatenation of the tensors in manifest order.
+The archive is written first, so a save cut short between the two files
+leaves a new archive under the old manifest; loading refuses it by the
+digest, verifies sizes and returns exact bit-for-bit copies.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import numpy as np
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2        # 2: the manifest records archive_sha256
 MANIFEST_NAME = "manifest.json"
 ARCHIVE_NAME = "tensors.bin"
 
@@ -38,9 +41,13 @@ def save_checkpoint(dirpath: str, arrays: dict[str, np.ndarray], gates=(),
                    "granularity": g.granularity, "dim": g.dim} for g in gates],
         "meta": meta or {},
     }
+    digest = hashlib.sha256()
     with open(os.path.join(dirpath, ARCHIVE_NAME), "wb") as fh:
         for name in names:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+            chunk = np.ascontiguousarray(arrays[name], dtype="<f8").tobytes()
+            digest.update(chunk)
+            fh.write(chunk)
+    manifest["archive_sha256"] = digest.hexdigest()
     with open(os.path.join(dirpath, MANIFEST_NAME), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
 
@@ -56,7 +63,12 @@ def load_checkpoint(dirpath: str) -> tuple[dict[str, np.ndarray], dict]:
     if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"unsupported checkpoint schema "
                          f"{manifest.get('schema_version')!r}")
-    flat = np.fromfile(bin_path, dtype="<f8")
+    with open(bin_path, "rb") as fh:
+        raw = fh.read()
+    if hashlib.sha256(raw).hexdigest() != manifest["archive_sha256"]:
+        raise ValueError("corrupt checkpoint: the archive's sha256 does not match "
+                         "the manifest (a save cut short, or a modified file)")
+    flat = np.frombuffer(raw, dtype="<f8")
     if flat.size != manifest["total_elements"]:
         raise ValueError(f"corrupt checkpoint: archive holds {flat.size} elements, "
                          f"manifest says {manifest['total_elements']}")

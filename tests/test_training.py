@@ -255,6 +255,21 @@ def test_checkpoint_rejects_corrupt_archive(tmp_path):
         load_checkpoint(str(tmp_path / "ck"))
 
 
+def test_checkpoint_rejects_archive_under_older_manifest(tmp_path):
+    # a save cut short after the archive: the new tensors, same sizes, under
+    # the previous save's manifest (its step and event log)
+    model = _tiny_convnet(True, seed=20)
+    ck = tmp_path / "ck"
+    save_checkpoint(str(ck), model.params(), model.gates(), {"step": 1})
+    first = (ck / "manifest.json").read_bytes()
+    for p in model.params().values():
+        p += 1.0
+    save_checkpoint(str(ck), model.params(), model.gates(), {"step": 2})
+    (ck / "manifest.json").write_bytes(first)
+    with pytest.raises(ValueError, match="sha256"):
+        load_checkpoint(str(ck))
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(base_lr=0.0)
