@@ -3,9 +3,12 @@
 The manifest carries the tensor directory (name, shape, offset in elements),
 the archive's sha256, gate metadata, and whatever run metadata the caller
 supplies; the archive is the concatenation of the tensors in manifest order.
-The archive is written first, so a save cut short between the two files
-leaves a new archive under the old manifest; loading refuses it by the
-digest, verifies sizes and returns exact bit-for-bit copies.
+Both files are written under temporary names in the checkpoint directory and
+then renamed over the old ones, archive first and manifest last, so a save cut
+short before the renames leaves the previous checkpoint whole.  Cut between
+the two renames, it leaves the new archive under the old manifest, which
+loading refuses by the digest.  Loading verifies sizes and returns exact
+bit-for-bit copies.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 CHECKPOINT_SCHEMA_VERSION = 2        # 2: the manifest records archive_sha256
 MANIFEST_NAME = "manifest.json"
 ARCHIVE_NAME = "tensors.bin"
+TMP_SUFFIX = ".tmp"                  # a file being written, renamed when complete
 
 
 def save_checkpoint(dirpath: str, arrays: dict[str, np.ndarray], gates=(),
@@ -41,15 +45,18 @@ def save_checkpoint(dirpath: str, arrays: dict[str, np.ndarray], gates=(),
                    "granularity": g.granularity, "dim": g.dim} for g in gates],
         "meta": meta or {},
     }
+    archive, man = (os.path.join(dirpath, n) for n in (ARCHIVE_NAME, MANIFEST_NAME))
     digest = hashlib.sha256()
-    with open(os.path.join(dirpath, ARCHIVE_NAME), "wb") as fh:
+    with open(archive + TMP_SUFFIX, "wb") as fh:
         for name in names:
             chunk = np.ascontiguousarray(arrays[name], dtype="<f8").tobytes()
             digest.update(chunk)
             fh.write(chunk)
     manifest["archive_sha256"] = digest.hexdigest()
-    with open(os.path.join(dirpath, MANIFEST_NAME), "w") as fh:
+    with open(man + TMP_SUFFIX, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
+    os.replace(archive + TMP_SUFFIX, archive)
+    os.replace(man + TMP_SUFFIX, man)
 
 
 def load_checkpoint(dirpath: str) -> tuple[dict[str, np.ndarray], dict]:

@@ -23,10 +23,10 @@ units gate after theirs.
 A gate's d components meet a tensor under one membership mode (``AXIS0``,
 ``AXIS1``, ``WHOLE``, ``ELEMENTWISE``).  ``broadcast_mask`` is the one rule
 that turns a per-component vector into a view over the tensor: the forward
-ops, the masked-l2 term and the prune accounting all go through it.  (The
-LSTM cell's fused gate node meets its [b, 4h] block under ``AXIS1`` by plain
-row broadcasting.)  ``straight_through_coeff`` is the one statement of the
-straight-through alpha gradient.
+ops, the masked-l2 term and the prune accounting all go through it.  (An
+LSTM layer's sequence node meets its [b, 4h] gate block of each timestep
+under ``AXIS1`` by plain row broadcasting.)  ``straight_through_coeff`` is the
+one statement of the straight-through alpha gradient.
 """
 
 from __future__ import annotations
@@ -194,7 +194,8 @@ def apply_mask(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tenso
 
     For where the scaling factor enters elsewhere: an LSTM recurrence gate
     scales its pre-activation by alpha and masks its post-activation, which
-    ``layers.LstmCell`` does inside one fused node by the same rule.
+    ``layers.LstmCell`` does inside its one node for the whole sequence, by
+    the same rule.
     ``mode`` and ``alpha`` are as in ``apply_gate``.  Gradient on ``x`` is
     the exact mask; gradient on alpha is ``m~'(alpha)`` times the
     upstream-times-input sum.

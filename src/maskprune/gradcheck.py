@@ -13,7 +13,7 @@ check reports its worst case.  The surrogate pair (``foothill``,
 against central differences of the function itself.
 
 The straight-through rules (the alpha gradients of ``apply_gate``,
-``apply_mask``, the LSTM cell's gate node and ``ratio_hinge``) are not
+``apply_mask``, the LSTM layer's sequence node and ``ratio_hinge``) are not
 derivatives of their hard forward pass.  Their checks difference the forward
 pass they stand in for instead: the same computation with every hard mask
 I(.) replaced by the surrogate m~(.), at alphas on both sides of the
@@ -291,19 +291,17 @@ def _lstm_cell_arrays(rng, h: int, e: int) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _two_lstm_steps(tape, arrays, gates, x, x2, h0, c0, proj):
-    """sum(h_2 * proj) after two steps of a cell built from ``arrays``."""
+def _lstm_sequence_loss(tape, arrays, gates, xs, proj):
+    """sum(H * proj), H the hidden states of a cell built from ``arrays``
+    over the timesteps of ``xs``."""
     cell = layers.LstmCell({k: arrays[f"cell.W_{k}"] for k in layers.LSTM_GATES},
                            {k: arrays[f"cell.b_{k}"] for k in layers.LSTM_GATES},
                            gates, name="cell")
-    nodes = cell.bind(tape)
-    h1, c1 = cell.step(nodes, x, tape.leaf(h0), tape.leaf(c0))
-    h2, _ = cell.step(nodes, x2, h1, c1)
-    return sum_all(mul(h2, tape.leaf(proj)))
+    return sum_all(mul(cell.step(cell.bind(tape), xs), tape.leaf(proj)))
 
 
 def _lstm_cell_check(rng):
-    b, e, h = 2, 3, 4
+    b, T, e, h = 2, 3, 3, 4
     worst = 0.0
     for gated in (True, False):
         gates = None
@@ -312,13 +310,12 @@ def _lstm_cell_check(rng):
             for g in gates.values():
                 g.alpha[:] = rng.normal(size=h) * 0.5 + 1.0
         arrays = _lstm_cell_arrays(rng, h, e)
-        arrays["x"], arrays["x2"] = rng.normal(size=(b, e)), rng.normal(size=(b, e))
-        h0, c0 = rng.normal(size=(b, h)) * 0.3, rng.normal(size=(b, h)) * 0.3
-        proj = rng.normal(size=(b, h))
+        arrays["xs"] = rng.normal(size=(b, T, e))
+        proj = rng.normal(size=(b, T, h))
 
-        def build(tape, arrays, _gates=gates, _h0=h0, _c0=c0, _proj=proj):
-            return _two_lstm_steps(tape, arrays, _gates, tape.param("x", arrays["x"]),
-                                   tape.param("x2", arrays["x2"]), _h0, _c0, _proj)
+        def build(tape, arrays, _gates=gates, _proj=proj):
+            return _lstm_sequence_loss(tape, arrays, _gates, tape.param("xs", arrays["xs"]),
+                                       _proj)
 
         # the alpha leaves carry a straight-through rule; everything else is exact
         worst = max(worst, check_loss(build, arrays, wrt=list(arrays)))
@@ -331,31 +328,30 @@ _LSTM_ALPHAS = {"f": [0.6, -0.35, 0.12, -0.07], "i": [1.1, 0.09, -0.5, 0.3],
 
 
 def _lstm_cell_alpha_check(rng):
-    """Alpha gradient of two gated LSTM steps against their forward with I -> m~.
+    """Alpha gradient of a gated LSTM sequence against its forward with I -> m~.
 
     Each hard mask I(alpha) becomes I(alpha_0) + m~(alpha) - m~(alpha_0),
     which equals it at the checked alphas alpha_0 and has derivative m~'.  So
     every value downstream of a mask is the hard forward's, as in the
     straight-through backward, and only the mask's derivative is replaced.
     """
-    b, e, h, t, beta = 3, 2, 4, 0.2, gate_mod.DEFAULT_BETA
+    b, T, e, h, t, beta = 3, 3, 2, 4, 0.2, gate_mod.DEFAULT_BETA
     arrays = _lstm_cell_arrays(rng, h, e)
     base = {k: np.array(v) for k, v in _LSTM_ALPHAS.items()}
     arrays.update({f"cell.gate_{k}.alpha": a.copy() for k, a in base.items()})
-    xs = [rng.normal(size=(b, e)) for _ in range(2)]
-    h0, c0 = rng.normal(size=(b, h)) * 0.3, rng.normal(size=(b, h)) * 0.3
-    proj = rng.normal(size=(b, h))
+    xs = rng.normal(size=(b, T, e))
+    proj = rng.normal(size=(b, T, h))
 
     def build(tape, arrays):
         gates = {k: GateParam(arrays[f"cell.gate_{k}.alpha"], t, beta, "node")
                  for k in layers.LSTM_GATES}
-        return _two_lstm_steps(tape, arrays, gates, tape.leaf(xs[0]), tape.leaf(xs[1]),
-                               h0, c0, proj)
+        return _lstm_sequence_loss(tape, arrays, gates, tape.leaf(xs), proj)
 
     def smooth(arrays):
-        hs, cs = h0, c0
-        for x in xs:
-            z = np.concatenate([hs, x], axis=1)
+        hs, cs = np.zeros((b, h)), np.zeros((b, h))
+        loss = 0.0
+        for step in range(T):
+            z = np.concatenate([hs, xs[:, step]], axis=1)
             act = {}
             for k in layers.LSTM_GATES:
                 a = arrays[f"cell.gate_{k}.alpha"]
@@ -365,7 +361,8 @@ def _lstm_cell_alpha_check(rng):
                 act[k] = m * (np.tanh(u) if k == "g" else 1.0 / (1.0 + np.exp(-u)))
             cs = act["f"] * cs + act["i"] * act["g"]
             hs = act["o"] * np.tanh(cs)
-        return float(np.sum(hs * proj))
+            loss += float(np.sum(hs * proj[:, step]))
+        return loss
 
     return check_loss(build, arrays, wrt=[f"cell.gate_{k}.alpha" for k in layers.LSTM_GATES],
                       smooth=smooth)

@@ -24,8 +24,7 @@ import numpy as np
 from .gate import (AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, apply_gate, hard_mask,
                    straight_through_coeff)
 from .pruning import GateDecl, conv_macs
-from .tensor import (ShapeError, Tensor, Tape, add, concat_cols, custom_grad,
-                     logistic, matmul, relu, transpose)
+from .tensor import ShapeError, Tensor, Tape, add, custom_grad, matmul, relu, transpose
 
 # FLOPs per output element, beside 2 per multiply-accumulate
 BN_FLOPS_PER_ELEM = 2
@@ -506,72 +505,119 @@ def _pack(parts: list[Tensor]) -> Tensor:
     return custom_grad(np.concatenate([p.data for p in parts]), parts, rule, op="pack")
 
 
-def _lstm_gates(pre: Tensor, alpha: Tensor | None, mask: np.ndarray | None,
-                coeff: np.ndarray | None) -> Tensor:
-    """Activations of the packed [b, 4h] pre-activation block, in one node.
+def _lstm_sequence(xs: Tensor, W: Tensor, b: Tensor, alpha: Tensor | None,
+                   mask: np.ndarray | None, coeff: np.ndarray | None) -> Tensor:
+    """Every timestep of one LSTM layer from zero state, as one node.
 
-    Columns follow ``_PACKED``: sigmoid on the first 3h, tanh on the last h.
-    Gated (``alpha`` given), each column is scaled by its alpha before the
-    nonlinearity and multiplied by its hard ``mask`` after it.  The backward
-    is exact in ``pre`` and, for alpha, the derivative of the scale plus the
-    straight-through mask term ``coeff * sum_b(upstream * activation)``.
+    ``xs`` is [b, T, e]; ``W`` [h+e, 4h] has the recurrent rows first, and
+    ``W``, ``b``, ``alpha``, ``mask`` and ``coeff`` have their columns in
+    ``_PACKED`` order.  The input projection of all b*T rows is one GEMM
+    before the time loop; each step adds ``h_{t-1} @ W[:h]``, scales by
+    alpha (gated), applies sigmoid to the first 3h columns and tanh to the
+    last h, multiplies by the hard ``mask`` and updates c and h.  The output
+    is h_t for every t, [b, T, h].  The node keeps each step's tanh values
+    (the activations follow from them), c_t and tanh(c_t).
+
+    The backward's reverse loop only finds each step's gradient ``du`` on
+    the scaled pre-activation ``u = alpha * pre`` and ``dh_{t-1}``; the
+    gradients of ``W``, ``b`` and ``xs`` are then one GEMM or sum over all
+    rows.  Alpha gets the exact derivative of the scale plus the
+    straight-through mask term, ``sum(du * pre) + coeff * sum(g * act)`` over
+    batch and time, with ``g`` the gradient on the masked activations and
+    ``act`` the unmasked ones.  ``pre = z @ W + b`` for the GEMM input
+    ``z = [h_{t-1}, x_t]``, so the first sum is taken as ``sum_k W * (z^T du)
+    + b * sum(du)`` from the weight gradient's GEMM, and ``pre`` is not kept.
     """
-    s = pre.shape[1] * 3 // 4
-    x = pre.data
-    u = x if alpha is None else x * alpha.data
-    act = np.empty_like(u)
-    act[:, :s] = logistic(u[:, :s])
-    act[:, s:] = np.tanh(u[:, s:])
+    Wd = W.data
+    h = Wd.shape[1] // 4
+    if xs.data.ndim != 3 or Wd.shape[0] != h + xs.shape[2]:
+        raise ShapeError(f"lstm: inputs {xs.shape} do not fit packed weights {Wd.shape}")
+    B, T, e = xs.shape
+    s = 3 * h
+    a = np.ones(4 * h) if alpha is None else alpha.data
+    m = np.ones(4 * h) if mask is None else mask
+    # sigmoid(u) = 0.5 * tanh(0.5 * u) + 0.5 (``tensor.logistic``), so one tanh
+    # covers the block: u is scaled by ``half`` before it, the result after
+    half, off = np.repeat([0.5, 1.0], [s, h]), np.repeat([0.5, 0.0], [s, h])
+    scale_out, shift = half * m, off * m
+    w = np.ascontiguousarray(Wd * (a * half))      # alpha and half folded in
+    x_rows = np.ascontiguousarray(xs.data.transpose(1, 0, 2)).reshape(T * B, e)
+    # th[t] starts as step t's scaled input projection and ends as its tanh
+    th = x_rows @ w[h:]
+    th += b.data * (a * half)
+    th = th.reshape(T, B, 4 * h)
+    # time-major; hs[t] and cs[t] hold the state before step t, zero at t = 0
+    hs, cs = np.zeros((T + 1, B, h)), np.zeros((T + 1, B, h))
+    tc = np.empty((T, B, h))
+    act = np.empty((B, 4 * h))                     # masked activations of a step
+    w_h = w[:h]
+    for t in range(T):
+        y = th[t]
+        y += hs[t] @ w_h
+        np.tanh(y, out=y)
+        np.multiply(y, scale_out, out=act)
+        act += shift
+        c = cs[t + 1]
+        np.multiply(act[:, :h], cs[t], out=c)
+        c += act[:, h:2 * h] * act[:, 3 * h:]
+        np.tanh(c, out=tc[t])
+        np.multiply(act[:, 2 * h:s], tc[t], out=hs[t + 1])
 
-    def rule(g):
-        gm = g if mask is None else g * mask
-        du = np.empty_like(gm)
-        sg, tg = act[:, :s], act[:, s:]
-        du[:, :s] = gm[:, :s] * sg * (1.0 - sg)
-        du[:, s:] = gm[:, s:] * (1.0 - tg * tg)
+    def rule(grad):
+        gout = grad.transpose(1, 0, 2)
+        # d act / du is (1 - th^2) * half^2 on u = alpha * pre; times the mask
+        slope = half * scale_out
+        wa = Wd * a                      # d pre / d(inputs), alpha folded in
+        w_haT = np.ascontiguousarray(wa[:h].T)
+        du = np.empty((T, B, 4 * h))     # gradient on u
+        ga, tmp, act = np.empty((B, 4 * h)), np.empty((B, 4 * h)), np.empty((B, 4 * h))
+        g_th, g_sum = np.zeros((B, 4 * h)), np.zeros((B, 4 * h))
+        dh, dc, via_h = np.zeros((B, h)), np.zeros((B, h)), np.empty((B, h))
+        for t in range(T - 1, -1, -1):
+            y, d = th[t], du[t]
+            np.multiply(y, scale_out, out=act)
+            act += shift
+            dh += gout[t]
+            # through h_t = o * tanh(c_t)
+            np.multiply(tc[t], tc[t], out=via_h)
+            np.subtract(1.0, via_h, out=via_h)
+            via_h *= act[:, 2 * h:s]
+            via_h *= dh
+            dc += via_h
+            # the gradient on the masked activations f, i, o, g
+            np.multiply(dc, cs[t], out=ga[:, :h])
+            np.multiply(dc, act[:, 3 * h:], out=ga[:, h:2 * h])
+            np.multiply(dh, tc[t], out=ga[:, 2 * h:s])
+            np.multiply(dc, act[:, h:2 * h], out=ga[:, s:])
+            dc *= act[:, :h]
+            np.multiply(y, y, out=d)
+            np.subtract(1.0, d, out=d)
+            d *= slope
+            d *= ga
+            if alpha is not None:
+                np.multiply(ga, y, out=tmp)
+                g_th += tmp
+                g_sum += ga
+            dh = d @ w_haT
+        # every row at once: z^T du, with z = [h_{t-1}, x_t] the GEMM input
+        rows = du.reshape(T * B, 4 * h)
+        zdu = np.concatenate([hs[:-1].reshape(T * B, h).T @ rows, x_rows.T @ rows])
+        du_sum = rows.sum(axis=0)
+        dxs = (rows @ wa[h:].T).reshape(T, B, e).transpose(1, 0, 2)
+        grads = (dxs, zdu * a, du_sum * a)
         if alpha is None:
-            return (du,)
-        return du * alpha.data, np.sum(du * x, axis=0) + coeff * np.sum(g * act, axis=0)
+            return grads
+        # sum(du * pre) from z^T du; sum(g * act) with act = half * th + off
+        return (*grads, np.sum(Wd * zdu, axis=0) + b.data * du_sum
+                + coeff * (half * g_th.sum(axis=0) + off * g_sum.sum(axis=0)))
 
-    if alpha is None:
-        return custom_grad(act, (pre,), rule, op="lstm_gates")
-    return custom_grad(act * mask, (pre, alpha), rule, op="lstm_gates")
-
-
-def _cell_state(acts: Tensor, c_prev: Tensor) -> Tensor:
-    """c_t = f * c_{t-1} + i * g from the packed activations."""
-    a, cp = acts.data, c_prev.data
-    h = cp.shape[1]
-    f, i, g_act = a[:, :h], a[:, h:2 * h], a[:, 3 * h:]
-
-    def rule(g):
-        ga = np.zeros_like(a)
-        ga[:, :h] = g * cp
-        ga[:, h:2 * h] = g * g_act
-        ga[:, 3 * h:] = g * i
-        return ga, g * f
-
-    return custom_grad(f * cp + i * g_act, (acts, c_prev), rule, op="lstm_c")
-
-
-def _hidden_state(acts: Tensor, c_t: Tensor) -> Tensor:
-    """h_t = o * tanh(c_t) from the packed activations."""
-    a = acts.data
-    h = c_t.shape[1]
-    o = a[:, 2 * h:3 * h]
-    tc = np.tanh(c_t.data)
-
-    def rule(g):
-        ga = np.zeros_like(a)
-        ga[:, 2 * h:3 * h] = g * tc
-        return ga, g * o * (1.0 - tc * tc)
-
-    return custom_grad(o * tc, (acts, c_t), rule, op="lstm_h")
+    parents = (xs, W, b) if alpha is None else (xs, W, b, alpha)
+    return custom_grad(hs[1:].transpose(1, 0, 2), parents, rule, op="lstm_seq")
 
 
 @dataclass
 class LstmCell(Block):
-    """LSTM cell with optional per-node gates on f/i/g/o.
+    """LSTM layer with optional per-node gates on f/i/g/o.
 
     Gated form scales each pre-activation by its alpha and multiplies the
     post-activation by the hard mask:
@@ -579,8 +625,8 @@ class LstmCell(Block):
         f_t = I(a_f) * sigma(a_f * (W_f [h_{t-1}, x_t] + b_f))
 
     and likewise for i, g (tanh) and o; then c_t = f_t*c_{t-1} + i_t*g_t and
-    h_t = o_t * tanh(c_t).  A masked node index is exactly zero in that
-    recurrence gate for every batch element.
+    h_t = o_t * tanh(c_t), from h and c zero.  A masked node index is exactly
+    zero in that recurrence gate for every batch element and timestep.
 
     The four gates run as one block.  ``bind`` registers ``W_k``, ``b_k`` and
     ``gate_k.alpha`` under their own names and packs them once per forward,
@@ -588,9 +634,10 @@ class LstmCell(Block):
     side), ``b`` and ``alpha`` are [4h], and ``mask`` and ``coeff`` hold the
     hard masks and the straight-through coefficients (``m~'``) of the four
     gates; the packing nodes split their gradients back to the named leaves.
-    Each ``step`` then builds six nodes: ``concat_cols(h_{t-1}, x_t)``, one
-    GEMM with ``W``, the bias add, one gate node (scale, nonlinearity, mask),
-    and one node each for c_t and h_t.  Sigmoid is computed as
+    ``step`` then runs the whole sequence as one graph node
+    (``_lstm_sequence``), so the graph does not grow with T.  It keeps its
+    name from when it ran one timestep: profilers and tests wrap
+    ``LstmCell.step`` to find the cell's work.  Sigmoid is computed as
     ``0.5 * tanh(0.5 * x) + 0.5`` (``tensor.logistic``).
     """
 
@@ -656,10 +703,9 @@ class LstmCell(Block):
                  for a, g in zip(alphas, gates)])
         return nodes
 
-    def step(self, nodes: dict[str, Tensor | np.ndarray], x_t: Tensor, h_prev: Tensor,
-             c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        """One timestep; ``nodes`` is what ``bind`` returned for this tape."""
-        pre = add(matmul(concat_cols(h_prev, x_t), nodes["W"]), nodes["b"])
-        acts = _lstm_gates(pre, nodes.get("alpha"), nodes.get("mask"), nodes.get("coeff"))
-        c_t = _cell_state(acts, c_prev)
-        return _hidden_state(acts, c_t), c_t
+    def step(self, nodes: dict[str, Tensor | np.ndarray], xs: Tensor) -> Tensor:
+        """Every timestep of the [b, T, e] inputs ``xs``, from zero state: the
+        [b, T, h] hidden states.  ``nodes`` is what ``bind`` returned for this
+        tape."""
+        return _lstm_sequence(xs, nodes["W"], nodes["b"], nodes.get("alpha"),
+                              nodes.get("mask"), nodes.get("coeff"))

@@ -12,8 +12,11 @@ block only what the block cannot know: a conv unit's output size, the block
 that reads its output channels and, at each forward, the unit's live input
 channels (the live filters of the unit whose reader it is).  The model
 itself declares only the cost of its global pool, on the last unit's
-``bn.beta`` when those channels can be masked.  ``forward(tape, x, mode)``
-returns [N, classes] logits.
+``bn.beta`` when those channels can be masked.  An LSTM model embeds its
+[b, T] token ids in one lookup and runs each ``LstmCell`` over the whole
+sequence as one graph node, on [b, T, ·] tensors; the LM's head then reads
+the [b*T, hidden] rows in label order, the classifier's the last step.
+``forward(tape, x, mode)`` returns [N, classes] logits.
 
 Construction is deterministic in the seed, and gate scaling factors are
 initialized to a constant so gated and ungated variants of the same seed
@@ -27,7 +30,7 @@ import numpy as np
 from .gate import DEFAULT_BETA, GateParam
 from .layers import (LSTM_GATES, Block, BnState, ConvUnit, Linear, LstmCell, ResidualBlock,
                      avg_pool_full, embedding)
-from .tensor import Tensor, concat_cols, reshape
+from .tensor import Tensor, custom_grad, reshape
 
 
 class Model(Block):
@@ -280,20 +283,23 @@ class _LstmBase(Model):
     def _parts(self):
         return [{"embed": self.embed}, *self.cells, self.head]
 
-    def _run_stack(self, tape, ids: np.ndarray):
-        b, T = ids.shape
-        table = self.bind(tape)["embed"]
-        bound = [cell.bind(tape) for cell in self.cells]
-        h = [tape.leaf(np.zeros((b, self.hidden))) for _ in self.cells]
-        c = [tape.leaf(np.zeros((b, self.hidden))) for _ in self.cells]
-        tops = []
-        for t in range(T):
-            x = embedding(table, ids[:, t])
-            for s, cell in enumerate(self.cells):
-                h[s], c[s] = cell.step(bound[s], x, h[s], c[s])
-                x = h[s]
-            tops.append(x)
-        return tops
+    def _run_stack(self, tape, ids: np.ndarray) -> Tensor:
+        """The top layer's hidden states, [b, T, hidden]: the batch embedded
+        once, then each cell over the whole sequence."""
+        x = embedding(self.bind(tape)["embed"], ids)
+        for cell in self.cells:
+            x = cell.step(cell.bind(tape), x)
+        return x
+
+
+def _last_step(hs: Tensor) -> Tensor:
+    """hs[:, -1] of a [b, T, h] node; the backward fills the other steps with 0."""
+    def rule(g):
+        full = np.zeros(hs.shape)
+        full[:, -1] = g
+        return (full,)
+
+    return custom_grad(hs.data[:, -1], (hs,), rule, op="last_step")
 
 
 class LstmClassifier(_LstmBase):
@@ -307,7 +313,7 @@ class LstmClassifier(_LstmBase):
                          granularity, threshold, beta, alpha_init)
 
     def forward(self, tape, x, mode="train"):
-        return self.head.forward(tape, self._run_stack(tape, np.asarray(x))[-1])
+        return self.head.forward(tape, _last_step(self._run_stack(tape, np.asarray(x))))
 
 
 class LstmLm(_LstmBase):
@@ -326,8 +332,8 @@ class LstmLm(_LstmBase):
         ids = np.asarray(x)
         b, T = ids.shape
         # one head GEMM over every step: rows follow the label order y.reshape(-1)
-        tops = concat_cols(*self._run_stack(tape, ids))
-        return self.head.forward(tape, reshape(tops, (b * T, self.hidden)))
+        return self.head.forward(tape, reshape(self._run_stack(tape, ids),
+                                               (b * T, self.hidden)))
 
     def flatten_labels(self, y):
         return np.asarray(y).reshape(-1)

@@ -9,8 +9,8 @@ from maskprune.layers import (LSTM_GATES, BnState, ConvUnit, LstmCell,
 from maskprune.models import LstmLm, ResNetSmall, stage_sides
 from maskprune.objective import masked_l2
 from maskprune.pruning import PruneManager
-from maskprune.tensor import (Tape, Tensor, _toposort, add, concat_cols, mul, sigmoid,
-                              sum_all, tanh)
+from maskprune.tensor import (Tape, Tensor, _toposort, add, concat_cols, custom_grad, mul,
+                              reshape, sigmoid, sum_all, tanh)
 
 
 def test_conv_identity_kernel():
@@ -298,33 +298,26 @@ def test_lstm_zero_weights_give_zero_state():
         cell.weights[k][:] = 0.0
         cell.biases[k][:] = 0.0
     tape = Tape()
-    nodes = cell.bind(tape)
-    h, c = cell.step(nodes, Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))),
-                     Tensor(np.zeros((2, 4))))
-    assert np.all(c.data == 0.0)
-    assert np.all(h.data == 0.0)
+    hs = cell.step(cell.bind(tape), Tensor(np.ones((2, 5, 3))))
+    assert hs.shape == (2, 5, 4)
+    assert np.all(hs.data == 0.0)
 
 
 def test_lstm_identity_gates_match_plain_equations():
-    x = np.random.default_rng(15).normal(size=(2, 3))
-    h0 = np.zeros((2, 4))
-    c0 = np.zeros((2, 4))
+    xs = np.random.default_rng(15).normal(size=(2, 5, 3))
     gated, plain = _cell(True), _cell(False)
-    tg, tp = Tape(), Tape()
-    hg, cg = gated.step(gated.bind(tg), Tensor(x), Tensor(h0), Tensor(c0))
-    hp, cp = plain.step(plain.bind(tp), Tensor(x), Tensor(h0), Tensor(c0))
+    hg = gated.step(gated.bind(Tape()), Tensor(xs))
+    hp = plain.step(plain.bind(Tape()), Tensor(xs))
     assert np.array_equal(hg.data, hp.data)
-    assert np.array_equal(cg.data, cp.data)
 
 
 def test_lstm_masked_output_node_zeroes_hidden_unit():
     cell = _cell(True, seed=16)
     cell.gates["o"].alpha[1] = 1e-9
-    tape = Tape()
-    h, _ = cell.step(cell.bind(tape), Tensor(np.random.default_rng(17).normal(size=(3, 3))),
-                     Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))
-    assert np.all(h.data[:, 1] == 0.0)
-    assert np.any(h.data[:, 0] != 0.0)
+    hs = cell.step(cell.bind(Tape()),
+                   Tensor(np.random.default_rng(17).normal(size=(3, 5, 3))))
+    assert np.all(hs.data[:, :, 1] == 0.0)
+    assert np.any(hs.data[:, :, 0] != 0.0)
 
 
 def test_lstm_gradcheck():
@@ -335,7 +328,7 @@ def test_lstm_gradcheck():
 def _reference_step(cell, nodes, x_t, h_prev, c_prev):
     """One timestep as the per-gate composition of public ops: a ``linear``
     per gate, then ``mul`` by alpha, ``sigmoid``/``tanh`` and ``apply_mask``,
-    then the c/h update.  The fused ``LstmCell.step`` must match it."""
+    then the c/h update."""
     z = concat_cols(h_prev, x_t)
     acts = {}
     for k in LSTM_GATES:
@@ -348,6 +341,28 @@ def _reference_step(cell, nodes, x_t, h_prev, c_prev):
             acts[k] = apply_mask(nonlin(mul(pre, alpha)), cell.gates[k], AXIS1, alpha=alpha)
     c_t = add(mul(acts["f"], c_prev), mul(acts["i"], acts["g"]))
     return mul(acts["o"], tanh(c_t)), c_t
+
+
+def _column(xs: Tensor, t: int) -> Tensor:
+    """xs[:, t] of a [b, T, e] node; the backward puts g at column t."""
+    def rule(g):
+        full = np.zeros(xs.shape)
+        full[:, t] = g
+        return (full,)
+
+    return custom_grad(xs.data[:, t], (xs,), rule, op="column")
+
+
+def _reference_sequence(cell, nodes, xs):
+    """``_reference_step`` looped over the T columns of ``xs`` from zero
+    state, the h_t side by side as [b, T, h].  ``LstmCell.step`` must match it."""
+    b, T, _ = xs.shape
+    h = c = Tensor(np.zeros((b, cell.hidden_dim)))
+    hs = []
+    for t in range(T):
+        h, c = _reference_step(cell, nodes, _column(xs, t), h, c)
+        hs.append(h)
+    return reshape(concat_cols(*hs), (b, T, cell.hidden_dim))
 
 
 def _assert_close(got, want):
@@ -365,29 +380,19 @@ def test_fused_lstm_step_matches_per_gate_composition(gated):
     if gated:     # one masked node in o and one in i
         cell.gates["o"].alpha[1] = 1e-9
         cell.gates["i"].alpha[2] = -3e-5
-    xs = rng.normal(size=(3, 2, 3))
-    h0, c0 = rng.normal(size=(2, 4)) * 0.5, rng.normal(size=(2, 4)) * 0.5
-    proj_h, proj_c = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+    xs = rng.normal(size=(2, 4, 3))
+    proj = rng.normal(size=(2, 4, 4))
     runs = []
-    for step in (LstmCell.step, _reference_step):
+    for step in (LstmCell.step, _reference_sequence):
         tape = Tape()
-        nodes = cell.bind(tape)
-        h, c = tape.param("h0", h0), tape.param("c0", c0)
-        states = []
-        for t, x in enumerate(xs):
-            h, c = step(cell, nodes, tape.param(f"x{t}", x), h, c)
-            states.append((h.data, c.data))
-        grads = tape.backward(add(sum_all(mul(h, Tensor(proj_h))),
-                                  sum_all(mul(c, Tensor(proj_c)))))
-        runs.append((states, grads))
+        hs = step(cell, cell.bind(tape), tape.param("xs", xs))
+        runs.append((hs.data, tape.backward(sum_all(mul(hs, Tensor(proj))))))
     (fused, fused_grads), (ref, ref_grads) = runs
-    for (h, c), (h_ref, c_ref) in zip(fused, ref):
-        _assert_close(h, h_ref)
-        _assert_close(c, c_ref)
+    assert fused.shape == (2, 4, 4)
+    _assert_close(fused, ref)
     if gated:
-        assert np.all(fused[-1][0][:, 1] == 0.0)
-    assert set(fused_grads) == set(ref_grads) == (
-        set(cell.params()) | {"h0", "c0", "x0", "x1", "x2"})
+        assert np.all(fused[:, :, 1] == 0.0)
+    assert set(fused_grads) == set(ref_grads) == set(cell.params()) | {"xs"}
     for name, g in ref_grads.items():
         _assert_close(fused_grads[name].data, g.data)
     if gated:     # the masked alphas still get the straight-through gradient
@@ -405,7 +410,7 @@ def test_fused_lstm_lm_two_stacks_matches_per_gate_composition(monkeypatch):
     model.cells[1].gates["i"].alpha[0] = 1e-9
     ids = rng.integers(0, 7, size=(3, 4))
     runs = []
-    for step in (LstmCell.step, _reference_step):
+    for step in (LstmCell.step, _reference_sequence):
         monkeypatch.setattr(LstmCell, "step", step)
         tape = Tape()
         logits = model.forward(tape, ids)
@@ -419,17 +424,19 @@ def test_fused_lstm_lm_two_stacks_matches_per_gate_composition(monkeypatch):
 
 
 @pytest.mark.parametrize("gated", [True, False])
-def test_lstm_step_adds_at_most_six_graph_nodes(gated):
+def test_lstm_graph_does_not_grow_with_sequence_length(gated):
     cell = _cell(gated)
-    nodes = cell.bind(Tape())
-    x = Tensor(np.ones((2, 3)))
-    h1, c1 = cell.step(nodes, x, Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
-    h2, c2 = cell.step(nodes, x, h1, c1)
-
-    def reachable(*roots):
-        return {id(n) for r in roots for n in _toposort(r)}
-
-    assert len(reachable(h2, c2) - reachable(h1, c1, x)) <= 6
+    counts = []
+    for T in (2, 16):
+        nodes = cell.bind(Tape())
+        xs = Tensor(np.ones((2, T, 3)))
+        hs = cell.step(nodes, xs)
+        below = {id(n) for v in (*nodes.values(), xs) if isinstance(v, Tensor)
+                 for n in _toposort(v)}
+        # one node on top of the bound parameters and the inputs
+        assert {id(n) for n in _toposort(hs)} - below == {id(hs)}
+        counts.append(len(_toposort(hs)))
+    assert counts[0] == counts[1]
 
 
 def test_linear_examples():
@@ -448,3 +455,26 @@ def test_avg_pool_and_embedding():
     assert np.array_equal(out.data, [[0, 1], [8, 9], [0, 1]])
     with pytest.raises(ValueError):
         embedding(table, np.array([5]))
+
+
+def test_embedding_of_a_batch_of_sequences_matches_per_column_lookups():
+    rng = np.random.default_rng(23)
+    table = rng.normal(size=(5, 3))
+    ids = np.array([[0, 4, 4, 1], [4, 0, 2, 4], [1, 1, 4, 0]])   # repeats across b and T
+    # integer upstream gradients: every scatter-add order gives the same sums
+    g = rng.integers(-4, 5, size=(3, 4, 3)).astype(float)
+    tape = Tape()
+    out = embedding(tape.param("table", table), ids)
+    assert np.array_equal(out.data, table[ids])
+    want = tape.backward(sum_all(mul(out, Tensor(g))))["table"].data
+    tape = Tape()
+    node = tape.param("table", table)
+    cols = [embedding(node, ids[:, t]) for t in range(ids.shape[1])]
+    loss = sum_all(concat_cols(*[mul(c, Tensor(g[:, t])) for t, c in enumerate(cols)]))
+    assert np.array_equal(want, tape.backward(loss)["table"].data)
+    for bad in (5, -1):
+        for pos in [(0, 0), (2, 3), (1, 2)]:
+            wrong = ids.copy()
+            wrong[pos] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                embedding(Tensor(table), wrong)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from maskprune import checkpoint
 from maskprune.checkpoint import load_checkpoint, save_checkpoint
 from maskprune.data import Dataset, synth_classification, synth_sequences
 from maskprune.gate import GateParam
@@ -255,9 +256,31 @@ def test_checkpoint_rejects_corrupt_archive(tmp_path):
         load_checkpoint(str(tmp_path / "ck"))
 
 
+def test_checkpoint_save_cut_short_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    model = _tiny_convnet(True, seed=21)
+    ck = str(tmp_path / "ck")
+    save_checkpoint(ck, model.params(), model.gates(), {"step": 1})
+    first = {k: v.copy() for k, v in model.params().items()}
+    for p in model.params().values():
+        p += 1.0
+
+    def cut(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.json, "dump", cut)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ck, model.params(), model.gates(), {"step": 2})
+    monkeypatch.undo()
+    arrays, manifest = load_checkpoint(ck)
+    assert manifest["meta"]["step"] == 1
+    assert set(arrays) == set(first)
+    for name, arr in first.items():
+        assert np.array_equal(arrays[name], arr), name
+
+
 def test_checkpoint_rejects_archive_under_older_manifest(tmp_path):
-    # a save cut short after the archive: the new tensors, same sizes, under
-    # the previous save's manifest (its step and event log)
+    # a save cut short between the two renames: the new tensors, same sizes,
+    # under the previous save's manifest (its step and event log)
     model = _tiny_convnet(True, seed=20)
     ck = tmp_path / "ck"
     save_checkpoint(str(ck), model.params(), model.gates(), {"step": 1})
