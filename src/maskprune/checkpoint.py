@@ -7,8 +7,10 @@ Both files are written under temporary names in the checkpoint directory and
 then renamed over the old ones, archive first and manifest last, so a save cut
 short before the renames leaves the previous checkpoint whole.  Cut between
 the two renames, it leaves the new archive under the old manifest, which
-loading refuses by the digest.  Loading verifies sizes and returns exact
-bit-for-bit copies.
+loading refuses by the digest.  Each temporary file is fsynced before the
+renames and the directory after them: otherwise a power loss could commit a
+rename before the renamed file's data, and leave neither checkpoint loadable.
+Loading verifies sizes and returns exact bit-for-bit copies.
 """
 
 from __future__ import annotations
@@ -52,11 +54,24 @@ def save_checkpoint(dirpath: str, arrays: dict[str, np.ndarray], gates=(),
             chunk = np.ascontiguousarray(arrays[name], dtype="<f8").tobytes()
             digest.update(chunk)
             fh.write(chunk)
+        _flush_to_disk(fh)
     manifest["archive_sha256"] = digest.hexdigest()
     with open(man + TMP_SUFFIX, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
+        _flush_to_disk(fh)
     os.replace(archive + TMP_SUFFIX, archive)
     os.replace(man + TMP_SUFFIX, man)
+    # the renames are entries of the directory; make them durable too
+    fd = os.open(dirpath, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _flush_to_disk(fh) -> None:
+    fh.flush()
+    os.fsync(fh.fileno())
 
 
 def load_checkpoint(dirpath: str) -> tuple[dict[str, np.ndarray], dict]:

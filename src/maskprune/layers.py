@@ -37,14 +37,22 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
            live_out: np.ndarray | None = None) -> Tensor:
     """Cross-correlate ``x`` [b,n,H,W] with filters ``w`` [m,n,k,k].
 
-    The column matrix ``cols`` is [b, n*k*k, Ho*Wo] in NCHW order: row
-    ``(c, ki, kj)`` holds the input pixels filter tap ``(c, ki, kj)`` reads at
-    each output position.  It is built by one strided copy per kernel offset
-    from a zero-padded copy of ``x``.  With ``w`` as a [m, n*k*k] matrix, the
-    output is ``w @ cols`` (already [b, m, Ho*Wo]), the weight gradient
-    ``sum_b g[b] @ cols[b].T`` and the column gradient ``w.T @ g``: three
-    BLAS GEMMs, none of whose operands is copied to transpose it.  The column
-    gradient goes back to the input one [b, n, Ho, Wo] slab per kernel offset.
+    The convolution is lowered to one column matrix for the whole batch,
+    channel-major: ``cols`` is [n*k*k, b*Ho*Wo], and row ``(c, ki, kj)`` holds
+    the input pixels filter tap ``(c, ki, kj)`` reads at every output position
+    of every sample.  It is built by one strided copy per kernel offset from a
+    [n, b, H+2p, W+2p] zero-padded, channel-major copy of ``x``.  With ``w``
+    as a [m, n*k*k] matrix, the forward ``w @ cols``, the weight gradient
+    ``g @ cols.T`` and the column gradient ``w.T @ g`` (``g`` the upstream
+    gradient as [m, b*Ho*Wo]) are one BLAS GEMM each, none of whose operands
+    is copied to transpose it (Chetlur et al., arXiv:1410.0759).  The column
+    gradient goes back to the input one [n, b, Ho, Wo] slab per kernel offset.
+
+    The output and the input gradient are [b, c, H, W] views over
+    channel-major ([c, b, H, W]) memory.  numpy's elementwise ops keep that
+    order, so batch norm, ReLU and the gate after a conv read each channel
+    contiguously, and the upstream gradient that comes back to this conv's
+    backward is already channel-major.
 
     ``live_in`` and ``live_out`` (sorted channel indices, from the gate
     masks) skip every product that is exactly zero.  ``x`` must be zero on
@@ -77,44 +85,45 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     if live_out is not None and len(live_out) == m:
         live_out = None
 
-    xd = x.data if live_in is None else x.data[:, live_in]
-    n_live = xd.shape[1]
-    xp = xd
+    # the (live) input, channel-major [n_live, b, H, W]
+    xc = x.data.transpose(1, 0, 2, 3)
+    if live_in is not None:
+        xc = xc[live_in]
+    n_live = xc.shape[0]
+    xp = xc
     if padding:
         # one buffer, the (live) input written into its interior
-        xp = np.zeros((b, n_live, H + 2 * padding, W + 2 * padding))
-        xp[:, :, padding:padding + H, padding:padding + W] = xd
+        xp = np.zeros((n_live, b, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding:padding + H, padding:padding + W] = xc
     # output (i, j) reads xp[..., ki + stride*i, kj + stride*j] at offset (ki, kj)
     offsets = [(ki, kj, (..., slice(ki, ki + stride * (Ho - 1) + 1, stride),
                          slice(kj, kj + stride * (Wo - 1) + 1, stride)))
                for ki in range(k) for kj in range(k)]
     wrow = w.data.reshape(m, n * k * k)
     w_in = wrow if live_in is None else w.data[:, live_in].reshape(m, n_live * k * k)
-    cols = np.empty((b, n_live, k, k, Ho, Wo))
+    cols = np.empty((n_live, k, k, b, Ho, Wo))
     for ki, kj, window in offsets:
-        cols[:, :, ki, kj] = xp[window]
-    cols = cols.reshape(b, n_live * k * k, Ho * Wo)
-    out = (w_in @ cols).reshape(b, m, Ho, Wo)
+        cols[:, ki, kj] = xp[window]
+    cols = cols.reshape(n_live * k * k, b * Ho * Wo)
+    out = (w_in @ cols).reshape(m, b, Ho, Wo).transpose(1, 0, 2, 3)
 
     def rule(g):
-        g3 = g.reshape(b, m, Ho * Wo)
-        w_out = wrow
+        gc, w_out = g.transpose(1, 0, 2, 3), wrow
         if live_out is not None:
-            g3, w_out = g3[:, live_out], wrow[live_out]
-        grad_w = g3[0] @ cols[0].T
-        for i in range(1, b):
-            grad_w += g3[i] @ cols[i].T
+            gc, w_out = gc[live_out], wrow[live_out]
+        g2 = gc.reshape(len(w_out), b * Ho * Wo)
+        grad_w = g2 @ cols.T
         if live_in is not None or live_out is not None:
             rows = np.arange(m) if live_out is None else live_out
             chans = np.arange(n) if live_in is None else live_in
             full = np.zeros((m, n, k * k))
             full[np.ix_(rows, chans)] = grad_w.reshape(len(rows), len(chans), k * k)
             grad_w = full
-        gcols = (w_out.T @ g3).reshape(b, n, k, k, Ho, Wo)
-        gxp = np.zeros((b, n, H + 2 * padding, W + 2 * padding))
+        gcols = (w_out.T @ g2).reshape(n, k, k, b, Ho, Wo)
+        gxp = np.zeros((n, b, H + 2 * padding, W + 2 * padding))
         for ki, kj, window in offsets:
-            gxp[window] += gcols[:, :, ki, kj]
-        return (gxp[:, :, padding:padding + H, padding:padding + W],
+            gxp[window] += gcols[:, ki, kj]
+        return (gxp[:, :, padding:padding + H, padding:padding + W].transpose(1, 0, 2, 3),
                 grad_w.reshape(m, n, k, k))
 
     return custom_grad(out, (x, w), rule, op="conv2d")
@@ -208,16 +217,23 @@ def avg_pool_full(x: Tensor) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup [V,e][ids] with scatter-add backward."""
+    """Row lookup [V,e][ids] with scatter-add backward.
+
+    The backward scatters with one ``np.bincount`` per table column: it adds
+    the rows in ``np.add.at``'s order, so the sums are bit-equal, in less time.
+    """
     ids = np.asarray(ids)
-    if ids.min() < 0 or ids.max() >= table.shape[0]:
-        raise ValueError(f"embedding: token id out of range [0, {table.shape[0]})")
+    V = table.shape[0]
+    if ids.min() < 0 or ids.max() >= V:
+        raise ValueError(f"embedding: token id out of range [0, {V})")
     out = table.data[ids]
+    flat = ids.ravel()
 
     def rule(g):
-        grad = np.zeros_like(table.data)
-        np.add.at(grad, ids, g)
-        return (grad,)
+        rows = g.reshape(flat.size, -1)
+        cols = [np.bincount(flat, weights=rows[:, j], minlength=V)
+                for j in range(rows.shape[1])]
+        return (np.stack(cols, axis=1).reshape(table.shape),)
 
     return custom_grad(out, (table,), rule, op="embedding")
 

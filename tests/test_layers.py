@@ -113,6 +113,27 @@ def test_conv_live_indices_match_direct_loop(live_in, live_out, mode, stride, pa
     np.testing.assert_allclose(grads["w"].data, ref_gw, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (1, 2, 0)])
+@pytest.mark.parametrize("live_in", [None, [0, 2]])
+def test_conv_neither_writes_nor_aliases_its_operands(k, stride, padding, live_in):
+    # unpadded 1x1/s2: the channel-major input conv2d reads is a view of x
+    rng = np.random.default_rng(25)
+    x, w = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(4, 3, k, k))
+    if live_in is not None:
+        x[:, 1] = 0.0
+        live_in = np.array(live_in)
+    x0, w0 = x.copy(), w.copy()
+    tape = Tape()
+    xt, wt = tape.param("x", x), tape.param("w", w)
+    out = conv2d(xt, wt, stride, padding, live_in=live_in)
+    g = rng.normal(size=out.shape)
+    grads = tape.backward(sum_all(mul(out, Tensor(g))))
+    assert xt.data is x and wt.data is w
+    assert np.array_equal(x, x0) and np.array_equal(w, w0)
+    for arr in (out.data, grads["x"].data, grads["w"].data):
+        assert not np.shares_memory(arr, x) and not np.shares_memory(arr, w)
+
+
 def test_conv_and_bn_gradients():
     results = dict((n, e) for n, e, ok in run_checks(["conv2d", "batchnorm"]))
     assert results["conv2d"] < 1e-4
@@ -478,3 +499,19 @@ def test_embedding_of_a_batch_of_sequences_matches_per_column_lookups():
             wrong[pos] = bad
             with pytest.raises(ValueError, match="out of range"):
                 embedding(Tensor(table), wrong)
+
+
+def test_embedding_backward_equals_add_at_scatter():
+    # float upstream gradients: the sums depend on the order rows are added in,
+    # and the backward must add them in np.add.at's order
+    rng = np.random.default_rng(24)
+    table = rng.normal(size=(32, 16))
+    ids = rng.integers(0, 32, size=(16, 64))
+    ids[0, :3] = 31                          # a repeated id; id 0 may be absent
+    g = rng.normal(size=(16, 64, 16))
+    tape = Tape()
+    out = embedding(tape.param("table", table), ids)
+    got = tape.backward(sum_all(mul(out, Tensor(g))))["table"].data
+    want = np.zeros_like(table)
+    np.add.at(want, ids, g)
+    assert np.array_equal(got, want)

@@ -278,6 +278,35 @@ def test_checkpoint_save_cut_short_keeps_previous_checkpoint(tmp_path, monkeypat
         assert np.array_equal(arrays[name], arr), name
 
 
+def test_checkpoint_save_syncs_files_before_renames_and_directory_after(tmp_path,
+                                                                      monkeypatch):
+    # fsyncs are recorded by inode: a rename keeps the file's inode
+    model = _tiny_convnet(True, seed=22)
+    ck = tmp_path / "ck"
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def spy_replace(src, dst):
+        calls.append(("replace", os.path.basename(src), os.path.basename(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", spy_fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", spy_replace)
+    for step in (1, 2):                      # a fresh directory, then an overwrite
+        calls.clear()
+        save_checkpoint(str(ck), model.params(), model.gates(), {"step": step})
+        ino = {p: os.stat(ck / p).st_ino for p in ("tensors.bin", "manifest.json")}
+        assert calls == [("fsync", ino["tensors.bin"]), ("fsync", ino["manifest.json"]),
+                         ("replace", "tensors.bin.tmp", "tensors.bin"),
+                         ("replace", "manifest.json.tmp", "manifest.json"),
+                         ("fsync", os.stat(ck).st_ino)]
+    assert load_checkpoint(str(ck))[1]["meta"]["step"] == 2
+
+
 def test_checkpoint_rejects_archive_under_older_manifest(tmp_path):
     # a save cut short between the two renames: the new tensors, same sizes,
     # under the previous save's manifest (its step and event log)
