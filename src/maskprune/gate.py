@@ -25,13 +25,24 @@ A gate's d components meet a tensor under one membership mode (``AXIS0``,
 that turns a per-component vector into a view over the tensor: the forward
 ops, the masked-l2 term and the prune accounting all go through it.  (An
 LSTM layer's sequence node meets its [b, 4h] gate block of each timestep
-under ``AXIS1`` by plain row broadcasting.)  ``straight_through_coeff`` is the
-one statement of the straight-through alpha gradient.
+under ``AXIS1`` by plain row broadcasting.)
+
+A gate is evaluated once per tape.  ``evaluation`` keeps a ``GateEval``
+record on the gate's alpha node: the hard mask, computed at forward time,
+and the surrogate terms m~, m~' and m~ + alpha m~', computed on their first
+(backward) use by one ``surrogate_terms`` pass, so an eval forward never
+computes them.  The gated ops, the LSTM layer, the conv units' live filters,
+the residual skip and the masked-l2 and hinge terms all read that record.
+It dies with the tape: the optimizer updates alpha in place after the step,
+and the prune accounting computes its masks from the updated alphas.
+``GateEval.coeff`` is the one statement of the straight-through alpha
+gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +55,13 @@ DEFAULT_ALPHA_INIT = 1.0
 
 
 def hard_mask(alpha, t: float):
-    """0/1 indicator of |alpha| > t, elementwise."""
+    """Indicator of |alpha| > t, elementwise, as booleans.
+
+    Booleans multiply a float array as exact 0.0 and 1.0; they take an eighth
+    of float64's memory for the tape that keeps a gate's mask (``GateEval``).
+    """
     alpha = np.asarray(alpha, dtype=np.float64)
-    return (np.abs(alpha) > t).astype(np.float64)
+    return np.abs(alpha) > t
 
 
 def _sech2(u):
@@ -56,31 +71,58 @@ def _sech2(u):
     return s * s
 
 
+def _foothill(x, beta: float):
+    """``foothill_fd`` and ``foothill_fd_grad`` at x, from one tanh u and one
+    sech^2 u."""
+    u = 0.5 * beta * np.asarray(x, dtype=np.float64)
+    th, s2 = np.tanh(u), _sech2(u)
+    return th + u * s2, 0.5 * beta * s2 * (2.0 - 2.0 * u * th)
+
+
 def foothill_fd(x, beta: float):
     """First derivative of the foothill function with unit shape parameter.
 
     Odd in x, asymptotically +-1, with a mild overshoot (max ~1.1996 near
     beta*x/2 ~ 1.2) before settling to the asymptote.
     """
-    u = 0.5 * beta * np.asarray(x, dtype=np.float64)
-    return np.tanh(u) + u * _sech2(u)
+    return _foothill(x, beta)[0]
 
 
 def foothill_fd_grad(x, beta: float):
     """Derivative of ``foothill_fd`` in x: (beta/2) sech^2(u) (2 - 2u tanh u)."""
-    u = 0.5 * beta * np.asarray(x, dtype=np.float64)
-    return 0.5 * beta * _sech2(u) * (2.0 - 2.0 * u * np.tanh(u))
+    return _foothill(x, beta)[1]
+
+
+class Surrogate(NamedTuple):
+    """The surrogate terms of a gate's alpha, elementwise."""
+
+    m: np.ndarray        # m~(alpha)
+    dm: np.ndarray       # m~'(alpha)
+    coeff: np.ndarray    # m~ + alpha * m~', the scaled straight-through factor
+
+
+def surrogate_terms(alpha, t: float, beta: float) -> Surrogate:
+    """m~, m~' and m~ + alpha * m~' of alpha, in one pass.
+
+    m~(a) = (f(|a| - t, beta) + 1) / 2 is the smooth stand-in for the hard
+    mask: 0.5 at |a| = t, -> 1 far above.  Its derivative m~' is odd in a and
+    0 at a = 0.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    f, df = _foothill(np.abs(alpha) - t, beta)
+    m = 0.5 * (f + 1.0)
+    dm = 0.5 * df * np.sign(alpha)
+    return Surrogate(m, dm, m + alpha * dm)
 
 
 def surrogate_mask(alpha, t: float, beta: float):
-    """Smooth stand-in for the hard mask: 0.5 at |alpha| = t, -> 1 far above."""
-    return 0.5 * (foothill_fd(np.abs(alpha) - t, beta) + 1.0)
+    """m~(alpha), as ``surrogate_terms`` computes it."""
+    return surrogate_terms(alpha, t, beta).m
 
 
 def surrogate_mask_grad(alpha, t: float, beta: float):
-    """d/d(alpha) of ``surrogate_mask``; odd in alpha, 0 at alpha = 0."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return 0.5 * foothill_fd_grad(np.abs(alpha) - t, beta) * np.sign(alpha)
+    """m~'(alpha), as ``surrogate_terms`` computes it."""
+    return surrogate_terms(alpha, t, beta).dm
 
 
 @dataclass
@@ -88,8 +130,10 @@ class GateParam:
     """Scaling factor, threshold and surrogate sharpness for one entity.
 
     ``alpha`` has one component per prunable sub-entity (d = 1 for a whole
-    subnetwork).  The hard mask is recomputed from ``alpha`` on every use, so
-    there is no stale mask state to invalidate.
+    subnetwork).  The gate keeps no mask: a training or eval pass reads the
+    per-tape ``evaluation`` of its alpha node, and ``mask`` computes the hard
+    mask from the current ``alpha``, so there is no stale mask state to
+    invalidate.
     """
 
     alpha: np.ndarray
@@ -158,18 +202,55 @@ def broadcast_mask(m: np.ndarray, shape: tuple, mode: str) -> np.ndarray:
     raise ValueError(f"unknown membership mode {mode!r}")
 
 
-def straight_through_coeff(a: np.ndarray, gate: GateParam, scaled: bool) -> np.ndarray:
-    """Per-component factor of the straight-through alpha gradient.
+class GateEval:
+    """One gate's values on one tape; ``evaluation`` makes and keeps it.
 
-    The backward treats the hard factor ``alpha * I(alpha)`` (``scaled``) or
-    ``I(alpha)`` as the smooth ``alpha * m~(alpha)`` or ``m~(alpha)``, so the
-    gradient on ``alpha = a`` is the upstream-times-input sum over each
-    component's entries times this derivative: ``m~ + a * m~'`` when
-    ``scaled``, else ``m~'``.  Every gated op takes its alpha gradient from
-    here.
+    ``mask`` is the hard mask of ``alpha``, computed when the record is made.
+    ``terms`` are the surrogate terms, from one ``surrogate_terms`` pass on
+    first use.
     """
-    dm = surrogate_mask_grad(a, gate.threshold, gate.beta)
-    return surrogate_mask(a, gate.threshold, gate.beta) + a * dm if scaled else dm
+
+    __slots__ = ("gate", "alpha", "mask", "_terms")
+
+    def __init__(self, gate: GateParam, alpha: np.ndarray):
+        self.gate, self.alpha = gate, alpha
+        self.mask = hard_mask(alpha, gate.threshold)
+        self._terms: Surrogate | None = None
+
+    @property
+    def terms(self) -> Surrogate:
+        if self._terms is None:
+            self._terms = surrogate_terms(self.alpha, self.gate.threshold, self.gate.beta)
+        return self._terms
+
+    def coeff(self, scaled: bool) -> np.ndarray:
+        """Per-component factor of the straight-through alpha gradient.
+
+        The backward treats the hard factor ``alpha * I(alpha)`` (``scaled``)
+        or ``I(alpha)`` as the smooth ``alpha * m~(alpha)`` or ``m~(alpha)``,
+        so the gradient on alpha is the upstream-times-input sum over each
+        component's entries times this derivative: ``m~ + alpha * m~'`` when
+        ``scaled``, else ``m~'``.  Every gated op takes its alpha gradient
+        from here.
+        """
+        return self.terms.coeff if scaled else self.terms.dm
+
+    def live(self) -> np.ndarray | None:
+        """Indices of the live components; None when every one is live."""
+        return None if self.mask.all() else np.flatnonzero(self.mask)
+
+
+def evaluation(gate: GateParam, alpha: Tensor) -> GateEval:
+    """The ``GateEval`` of ``gate`` on this tape, made on first use.
+
+    ``alpha`` is the tape node carrying ``gate.alpha``; the record lives in
+    its ``memo``, so every reader of that node on this tape shares it.
+    """
+    if alpha.memo is None:
+        if alpha.shape != (gate.dim,):
+            raise ShapeError(f"alpha node shape {alpha.shape} != gate dim ({gate.dim},)")
+        alpha.memo = GateEval(gate, alpha.data)
+    return alpha.memo
 
 
 def apply_gate(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tensor:
@@ -206,20 +287,17 @@ def apply_mask(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tenso
 def _gated(x: Tensor, gate: GateParam, mode: str, alpha: Tensor,
            scaled: bool, op: str) -> Tensor:
     """Shared body: forward scale ``alpha * I`` (``scaled``) or ``I``."""
-    if alpha.shape != (gate.dim,):
-        raise ShapeError(f"alpha node shape {alpha.shape} != gate dim ({gate.dim},)")
-    a = alpha.data
-    s = hard_mask(a, gate.threshold)
+    ev = evaluation(gate, alpha)
+    s = ev.mask
     if scaled:
-        s = a * s
+        s = ev.alpha * s
     xd = x.data
     s_b = broadcast_mask(s, xd.shape, mode)
 
     def rule(g):
-        coeff = straight_through_coeff(a, gate, scaled)
         # with every component masked, x's gradient is all zero: pass none, so
         # the backward of whatever computed x is skipped
         gx = g * s_b if s.any() else None
-        return gx, _unbroadcast(g * xd, s_b.shape).reshape(gate.dim) * coeff
+        return gx, _unbroadcast(g * xd, s_b.shape).reshape(gate.dim) * ev.coeff(scaled)
 
     return custom_grad(s_b * xd, (x, alpha), rule, op=op)

@@ -205,7 +205,7 @@ def _cross_entropy_cases(rng):
 def _masked_l2_cases(rng):
     gate = GateParam.create("filter", 3)
     gate.alpha[:] = [1.0, 1e-6, -0.7]   # middle entity pruned
-    yield (lambda w: objective.masked_l2([(gate, [(w, AXIS0)])]),
+    yield (lambda w: objective.masked_l2([(gate, Tensor(gate.alpha), [(w, AXIS0)])]),
            {"w": rng.normal(size=(3, 2, 2))})
 
 

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import (AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, apply_gate, hard_mask,
-                   straight_through_coeff)
+from .gate import (AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateEval, GateParam, apply_gate,
+                   evaluation)
 from .pruning import GateDecl, conv_macs
-from .tensor import ShapeError, Tensor, Tape, add, custom_grad, matmul, relu, transpose
+from .tensor import (ShapeError, Tensor, Tape, add, custom_grad, is_data, matmul, relu,
+                     transpose)
 
 # FLOPs per output element, beside 2 per multiply-accumulate
 BN_FLOPS_PER_ELEM = 2
@@ -63,7 +64,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     outputs x live inputs and is 0 elsewhere; the input gradient covers live
     outputs x every input channel, since a masked input channel's alpha still
     needs its gradient.  With neither given, or with every channel live, this
-    is the dense conv.
+    is the dense conv.  An ``x`` that is data (``tensor.is_data``), such as
+    the input batch of a stem conv, gets no input gradient.
 
     Output geometry is floor, as in PyTorch: ``Ho = (H + 2*padding - k) //
     stride + 1``, and likewise ``Wo``.  When ``stride`` leaves a remainder,
@@ -106,6 +108,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
         cols[:, ki, kj] = xp[window]
     cols = cols.reshape(n_live * k * k, b * Ho * Wo)
     out = (w_in @ cols).reshape(m, b, Ho, Wo).transpose(1, 0, 2, 3)
+    skip_x = is_data(x)
 
     def rule(g):
         gc, w_out = g.transpose(1, 0, 2, 3), wrow
@@ -119,12 +122,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
             full = np.zeros((m, n, k * k))
             full[np.ix_(rows, chans)] = grad_w.reshape(len(rows), len(chans), k * k)
             grad_w = full
+        grad_w = grad_w.reshape(m, n, k, k)
+        if skip_x:
+            return None, grad_w
         gcols = (w_out.T @ g2).reshape(n, k, k, b, Ho, Wo)
         gxp = np.zeros((n, b, H + 2 * padding, W + 2 * padding))
         for ki, kj, window in offsets:
             gxp[window] += gcols[:, ki, kj]
         return (gxp[:, :, padding:padding + H, padding:padding + W].transpose(1, 0, 2, 3),
-                grad_w.reshape(m, n, k, k))
+                grad_w)
 
     return custom_grad(out, (x, w), rule, op="conv2d")
 
@@ -361,7 +367,7 @@ class ConvUnit(Block):
     before the ReLU would see relu's zero derivative at that exact zero, and
     a pruned filter could not come back.
 
-    The conv reads only ``live_in``, the ``live_filters()`` of the unit
+    The conv reads only ``live_in``, the ``live_filters(tape)`` of the unit
     whose ``reader`` this unit is.  In training a masked filter is still
     computed forward, for its alpha's gradient and its batch-norm running
     statistics, but gets no conv backward (its gate's live filters are the
@@ -415,17 +421,18 @@ class ConvUnit(Block):
                 self.pname("bn.gamma"): area * (BN_FLOPS_PER_ELEM
                                                 + RELU_FLOPS_PER_ELEM * self.relu)}, 0
 
-    def live_filters(self) -> np.ndarray | None:
-        """Indices of the filters the gate leaves live; None when ungated or
+    def live_filters(self, tape: Tape) -> np.ndarray | None:
+        """Indices of the filters the gate leaves live, from its evaluation on
+        ``tape`` (this unit's forward binds it there); None when ungated or
         none is masked."""
         if self.gate is None:
             return None
-        mask = self.gate.mask()
-        return None if mask.all() else np.flatnonzero(mask)
+        return evaluation(self.gate, tape.params[self.pname("gate.alpha")]).live()
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train", *,
                 live_in: np.ndarray | None = None) -> Tensor:
-        live = self.live_filters()
+        p = self.bind(tape)
+        live = self.live_filters(tape)
         pad = self.weights.shape[2] // 2
         if mode == "eval" and live is not None:
             bn = BnState(self.bn.running_mean[live], self.bn.running_var[live],
@@ -438,7 +445,6 @@ class ConvUnit(Block):
             out = np.zeros((y.shape[0], self.out_channels, *y.shape[2:]))
             out[:, live] = y.data * self.gate.alpha[live].reshape(1, -1, 1, 1)
             return tape.leaf(out)
-        p = self.bind(tape)
         y = conv2d(x, p["w"], self.stride, pad, live_in=live_in, live_out=live)
         y = batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode)
         if self.relu:
@@ -497,10 +503,12 @@ class ResidualBlock(Block):
                 live_in: np.ndarray | None = None) -> Tensor:
         p = self.bind(tape)
         skip = x if self.down is None else self.down.forward(tape, x, mode)
-        if mode == "eval" and self.gate is not None and not self.gate.mask()[0]:
+        # a scalar gate reports live indices (none) only when it is masked
+        if (mode == "eval" and self.gate is not None
+                and evaluation(self.gate, p["gate.alpha"]).live() is not None):
             return skip
         h = self.unit1.forward(tape, x, mode, live_in=live_in)
-        branch = self.unit2.forward(tape, h, mode, live_in=self.unit1.live_filters())
+        branch = self.unit2.forward(tape, h, mode, live_in=self.unit1.live_filters(tape))
         if self.gate is not None:
             branch = apply_gate(branch, self.gate, WHOLE, alpha=p["gate.alpha"])
         return add(branch, skip)
@@ -522,17 +530,20 @@ def _pack(parts: list[Tensor]) -> Tensor:
 
 
 def _lstm_sequence(xs: Tensor, W: Tensor, b: Tensor, alpha: Tensor | None,
-                   mask: np.ndarray | None, coeff: np.ndarray | None) -> Tensor:
+                   gates: list[GateEval] | None) -> Tensor:
     """Every timestep of one LSTM layer from zero state, as one node.
 
     ``xs`` is [b, T, e]; ``W`` [h+e, 4h] has the recurrent rows first, and
-    ``W``, ``b``, ``alpha``, ``mask`` and ``coeff`` have their columns in
-    ``_PACKED`` order.  The input projection of all b*T rows is one GEMM
-    before the time loop; each step adds ``h_{t-1} @ W[:h]``, scales by
-    alpha (gated), applies sigmoid to the first 3h columns and tanh to the
-    last h, multiplies by the hard ``mask`` and updates c and h.  The output
-    is h_t for every t, [b, T, h].  The node keeps each step's tanh values
-    (the activations follow from them), c_t and tanh(c_t).
+    ``W``, ``b`` and ``alpha`` have their columns in ``_PACKED`` order, as
+    ``gates`` (the four gates' ``GateEval``s) has its entries.  The hard
+    ``mask`` is their masks side by side, and ``coeff``, which the backward
+    reads, their straight-through coefficients (``m~'``).  The input
+    projection of all b*T rows is one GEMM before the time loop; each step
+    adds ``h_{t-1} @ W[:h]``, scales by alpha (gated), applies sigmoid to the
+    first 3h columns and tanh to the last h, multiplies by the hard ``mask``
+    and updates c and h.  The output is h_t for every t, [b, T, h].  The node
+    keeps each step's tanh values (the activations follow from them), c_t
+    and tanh(c_t).
 
     The backward's reverse loop only finds each step's gradient ``du`` on
     the scaled pre-activation ``u = alpha * pre`` and ``dh_{t-1}``; the
@@ -551,7 +562,7 @@ def _lstm_sequence(xs: Tensor, W: Tensor, b: Tensor, alpha: Tensor | None,
     B, T, e = xs.shape
     s = 3 * h
     a = np.ones(4 * h) if alpha is None else alpha.data
-    m = np.ones(4 * h) if mask is None else mask
+    m = np.ones(4 * h) if gates is None else np.concatenate([ev.mask for ev in gates])
     # sigmoid(u) = 0.5 * tanh(0.5 * u) + 0.5 (``tensor.logistic``), so one tanh
     # covers the block: u is scaled by ``half`` before it, the result after
     half, off = np.repeat([0.5, 1.0], [s, h]), np.repeat([0.5, 0.0], [s, h])
@@ -623,6 +634,7 @@ def _lstm_sequence(xs: Tensor, W: Tensor, b: Tensor, alpha: Tensor | None,
         grads = (dxs, zdu * a, du_sum * a)
         if alpha is None:
             return grads
+        coeff = np.concatenate([ev.coeff(scaled=False) for ev in gates])
         # sum(du * pre) from z^T du; sum(g * act) with act = half * th + off
         return (*grads, np.sum(Wd * zdu, axis=0) + b.data * du_sum
                 + coeff * (half * g_th.sum(axis=0) + off * g_sum.sum(axis=0)))
@@ -647,9 +659,11 @@ class LstmCell(Block):
     The four gates run as one block.  ``bind`` registers ``W_k``, ``b_k`` and
     ``gate_k.alpha`` under their own names and packs them once per forward,
     in ``_PACKED`` order: ``W`` is [h+e, 4h] (the ``W_k`` transposed side by
-    side), ``b`` and ``alpha`` are [4h], and ``mask`` and ``coeff`` hold the
-    hard masks and the straight-through coefficients (``m~'``) of the four
-    gates; the packing nodes split their gradients back to the named leaves.
+    side), ``b`` and ``alpha`` are [4h], and ``gates`` holds the four gates'
+    evaluations on the tape (``gate.evaluation``), whose hard masks the
+    forward reads and whose straight-through coefficients (``m~'``) the
+    backward reads; the packing nodes split their gradients back to the named
+    leaves.
     ``step`` then runs the whole sequence as one graph node
     (``_lstm_sequence``), so the graph does not grow with T.  It keeps its
     name from when it ran one timestep: profilers and tests wrap
@@ -702,26 +716,21 @@ class LstmCell(Block):
         return ({self.pname(f"{p}_{k}"): 2 for k in LSTM_GATES for p in ("W", "b")},
                 4 * self.hidden_dim)
 
-    def bind(self, tape: Tape) -> dict[str, Tensor | np.ndarray]:
+    def bind(self, tape: Tape) -> dict[str, Tensor | list[GateEval]]:
         """The named parameter nodes plus the packed ``W``, ``b`` (and, gated,
-        ``alpha``, ``mask`` and ``coeff``) that ``step`` reads."""
+        ``alpha`` and the ``gates`` evaluations) that ``step`` reads."""
         nodes = super().bind(tape)
         nodes["W"] = transpose(_pack([nodes[f"W_{k}"] for k in _PACKED]))
         nodes["b"] = _pack([nodes[f"b_{k}"] for k in _PACKED])
         if self.gates is not None:
             alphas = [nodes[f"gate_{k}.alpha"] for k in _PACKED]
-            gates = [self.gates[k] for k in _PACKED]
             nodes["alpha"] = _pack(alphas)
-            nodes["mask"] = np.concatenate(
-                [hard_mask(a.data, g.threshold) for a, g in zip(alphas, gates)])
-            nodes["coeff"] = np.concatenate(
-                [straight_through_coeff(a.data, g, scaled=False)
-                 for a, g in zip(alphas, gates)])
+            nodes["gates"] = [evaluation(self.gates[k], a) for k, a in zip(_PACKED, alphas)]
         return nodes
 
-    def step(self, nodes: dict[str, Tensor | np.ndarray], xs: Tensor) -> Tensor:
+    def step(self, nodes: dict[str, Tensor | list[GateEval]], xs: Tensor) -> Tensor:
         """Every timestep of the [b, T, e] inputs ``xs``, from zero state: the
         [b, T, h] hidden states.  ``nodes`` is what ``bind`` returned for this
         tape."""
         return _lstm_sequence(xs, nodes["W"], nodes["b"], nodes.get("alpha"),
-                              nodes.get("mask"), nodes.get("coeff"))
+                              nodes.get("gates"))

@@ -171,7 +171,7 @@ class ToyConvNet(Model):
         for u in self.units:
             # each unit reads the previous one's live filters
             h = u.forward(tape, h, mode, live_in=live)
-            live = u.live_filters()
+            live = u.live_filters(tape)
         return self.head.forward(tape, avg_pool_full(h))
 
 
@@ -245,7 +245,7 @@ class ResNetSmall(Model):
         h = self.stem.forward(tape, tape.leaf(x) if not isinstance(x, Tensor) else x,
                               mode)
         # only the first block reads the stem; the others read a residual sum
-        h = self.blocks[0].forward(tape, h, mode, live_in=self.stem.live_filters())
+        h = self.blocks[0].forward(tape, h, mode, live_in=self.stem.live_filters(tape))
         for blk in self.blocks[1:]:
             h = blk.forward(tape, h, mode)
         return self.head.forward(tape, avg_pool_full(h))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gate import GateParam, broadcast_mask, surrogate_mask_grad
+from .gate import GateParam, broadcast_mask, evaluation
 from .tensor import ShapeError, Tensor, absolute, add, custom_grad, scale, sum_all
 
 
@@ -67,17 +67,21 @@ def l1_alpha(alpha_nodes: Sequence[Tensor]) -> Tensor:
     return total if total is not None else Tensor(0.0)
 
 
-def masked_l2(groups: Sequence[tuple[GateParam, Sequence[tuple[Tensor, str]]]]) -> Tensor:
+L2Group = tuple[GateParam, Tensor, Sequence[tuple[Tensor, str]]]
+
+
+def masked_l2(groups: Sequence[L2Group]) -> Tensor:
     """Sum of squared weights over entities whose hard mask is active.
 
-    ``groups`` pairs each gate with the weight nodes it owns and the
-    membership mode tying mask components to tensor entries.  Pruned
+    ``groups`` gives each gate with its alpha node, whose ``gate.evaluation``
+    on this tape supplies the mask, and the weight nodes the gate owns with
+    the membership mode tying mask components to tensor entries.  Pruned
     entities contribute nothing and their weights receive zero gradient;
     the mask itself is a constant here (no gradient flows to alpha).
     """
     terms = []
-    for gate, members in groups:
-        m = gate.mask()
+    for gate, alpha, members in groups:
+        m = evaluation(gate, alpha).mask
         terms += [(node, broadcast_mask(m, node.shape, mode)) for node, mode in members]
 
     value = 0.0
@@ -94,35 +98,36 @@ def ratio_hinge(gates: Sequence[tuple[GateParam, Tensor]], c: float) -> Tensor:
     """max(0, active_fraction - c) over all K components of ``gates``.
 
     Forward counts hard-mask ones; backward substitutes the surrogate mask
-    derivative m~', so an over-budget network pushes its scaling factors
-    down, but only near the threshold: the foothill derivative overshoots,
-    and with u* ~ 1.19968 solving u tanh u = 1, m~'(alpha) > 0 for
-    t < |alpha| < t + 2u*/beta and < 0 beyond (0.47997 at t = 1e-4,
-    beta = 5).  Above that boundary, the default ``alpha_init`` of 1.0
-    included, descent on this term raises |alpha|.  Once the active fraction
-    reaches the target the term and all its gradients are exactly zero.
+    derivative m~'.  Both are read from each gate's ``gate.evaluation`` on
+    this tape, which the gated ops share.  So an over-budget network pushes
+    its scaling factors down, but only near the threshold: the foothill
+    derivative overshoots, and with u* ~ 1.19968 solving u tanh u = 1,
+    m~'(alpha) > 0 for t < |alpha| < t + 2u*/beta and < 0 beyond (0.47997 at
+    t = 1e-4, beta = 5).  Above that boundary, the default ``alpha_init`` of
+    1.0 included, descent on this term raises |alpha|.  Once the active
+    fraction reaches the target the term and all its gradients are exactly
+    zero.
     """
     K = sum(g.dim for g, _ in gates)
     if K == 0:
         raise ValueError("ratio_hinge: no gate components")
     if not (0.0 < c <= 1.0):
         raise ValueError(f"ratio_hinge: c must lie in (0, 1], got {c}")
-    active = sum(g.active_count() for g, _ in gates)
+    evals = [evaluation(gate, node) for gate, node in gates]
+    active = sum(int(ev.mask.sum()) for ev in evals)
     value = max(0.0, active / K - c)
 
     def rule(g):
         if value <= 0.0:
             return tuple(np.zeros_like(node.data) for _, node in gates)
-        return tuple(
-            (float(g) / K) * surrogate_mask_grad(node.data, gate.threshold, gate.beta)
-            for gate, node in gates)
+        return tuple((float(g) / K) * ev.terms.dm for ev in evals)
 
     return custom_grad(value, tuple(node for _, node in gates), rule, op="ratio_hinge")
 
 
 def total_objective(task_loss: Tensor,
                     alpha_nodes: Sequence[Tensor],
-                    l2_groups: Sequence[tuple[GateParam, Sequence[tuple[Tensor, str]]]],
+                    l2_groups: Sequence[L2Group],
                     hinge_gates: Sequence[tuple[GateParam, Tensor]],
                     cfg: ObjectiveConfig) -> tuple[Tensor, dict[str, float]]:
     """Assemble the full objective; returns the loss node and a breakdown.

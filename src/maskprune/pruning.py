@@ -170,7 +170,7 @@ class PruneManager:
     def snapshot(self, step: int = 0) -> PruneReport:
         """Recompute masks, account params/FLOPs, log mask flips since last call."""
         params = self.model.params()
-        masks = [d.gate.mask() > 0 for d in self.decls]
+        masks = [d.gate.mask() for d in self.decls]
 
         for off, was, now in zip(self._offsets, self._last, masks):
             flips = np.flatnonzero(was != now)

@@ -14,7 +14,8 @@ used for straight-through gradients.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,10 +31,14 @@ class Tensor:
     """One graph node: a float64 array plus the backward rule that made it.
 
     Leaves have no parents and no backward rule.  ``grad`` is populated by
-    ``Tape.backward`` for every node reachable from the loss.
+    ``Tape.backward`` for every node reachable from the loss.  ``memo`` holds
+    what the ops reading a node derive from its data once for all of them
+    (``gate.evaluation`` keeps a gate's per-tape record there); it lives as
+    long as the node, so for a parameter node one tape.
     """
 
-    __slots__ = ("data", "op", "parents", "backward_rule", "seq", "grad", "param_id")
+    __slots__ = ("data", "op", "parents", "backward_rule", "seq", "grad", "param_id",
+                 "memo")
 
     def __init__(self, data, op: str = "leaf", parents: Sequence["Tensor"] = (),
                  backward_rule: Optional[Callable] = None):
@@ -44,6 +49,7 @@ class Tensor:
         self.seq = next(_SEQ)
         self.grad: Optional[np.ndarray] = None
         self.param_id: Optional[str] = None
+        self.memo = None
 
     @property
     def shape(self) -> tuple:
@@ -62,6 +68,12 @@ class Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def is_data(x: Tensor) -> bool:
+    """A leaf that is no parameter, such as an input batch: ``Tape.backward``
+    returns no gradient for it, so a backward rule may skip computing one."""
+    return not x.parents and x.param_id is None
 
 
 def _broadcast_check(sa: tuple, sb: tuple, op: str) -> tuple:
@@ -174,9 +186,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions {a.shape} x {b.shape} do not agree")
     ad, bd = a.data, b.data
+    skip_a, skip_b = is_data(a), is_data(b)
 
     def rule(g):
-        return g @ bd.T, ad.T @ g
+        return None if skip_a else g @ bd.T, None if skip_b else ad.T @ g
 
     return Tensor(ad @ bd, "matmul", (a, b), rule)
 
@@ -286,8 +299,9 @@ class Tape:
         return Tensor(value)
 
     @property
-    def params(self) -> dict[str, Tensor]:
-        return dict(self._params)
+    def params(self) -> Mapping[str, Tensor]:
+        """The registered nodes by name, as a read-only view."""
+        return MappingProxyType(self._params)
 
     def backward(self, loss: Tensor) -> dict[str, Tensor]:
         """Accumulate gradients from ``loss`` into every reachable node.

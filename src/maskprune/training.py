@@ -88,7 +88,8 @@ def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
     task = cross_entropy(logits, model.flatten_labels(yb))
     nodes, decls = tape.params, model.gate_decls()
     alphas = [nodes[f"{d.gate.name}.alpha"] for d in decls]
-    l2_groups = [(d.gate, [(nodes[n], mode) for n, mode in d.decayed]) for d in decls]
+    l2_groups = [(d.gate, a, [(nodes[n], mode) for n, mode in d.decayed])
+                 for d, a in zip(decls, alphas)]
     total, parts = total_objective(task, alphas, l2_groups,
                                    [(d.gate, a) for d, a in zip(decls, alphas)],
                                    cfg.objective)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskprune import gate as gate_mod
-from maskprune import objective
 from maskprune.gate import (AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, apply_gate,
                             apply_mask, foothill_fd, foothill_fd_grad, hard_mask,
                             surrogate_mask, surrogate_mask_grad)
@@ -182,6 +181,49 @@ def test_apply_mask_exact_forward_and_surrogate_alpha_grad():
     assert np.isclose(grads["a"].data[1], expected)
 
 
+def _reference_terms(alpha, t, beta):
+    """The hard mask, m~, m~' and both straight-through coefficients, each
+    written out formula by formula as separate functions computed them before
+    one pass shared u, tanh u and sech^2 u."""
+    def sech2(u):
+        e = np.exp(-np.abs(u))
+        s = 2.0 * e / (1.0 + e * e)
+        return s * s
+
+    def fd(x):
+        u = 0.5 * beta * np.asarray(x, dtype=np.float64)
+        return np.tanh(u) + u * sech2(u)
+
+    def fd_grad(x):
+        u = 0.5 * beta * np.asarray(x, dtype=np.float64)
+        return 0.5 * beta * sech2(u) * (2.0 - 2.0 * u * np.tanh(u))
+
+    mask = (np.abs(alpha) > t).astype(np.float64)
+    m = 0.5 * (fd(np.abs(alpha) - t) + 1.0)
+    dm = 0.5 * fd_grad(np.abs(alpha) - t) * np.sign(alpha)
+    return mask, m, dm, m + alpha * dm, dm
+
+
+@pytest.mark.parametrize("t,beta", [(1e-4, 5.0), (0.1, 2.5)])
+def test_shared_pass_is_bit_equal_to_the_separate_formulas(t, beta):
+    special = [0.0, t, t * (1 + 1e-12), t * (1 - 1e-12), t + 0.48, 1.0, 1e3]
+    rng = np.random.default_rng(8)
+    alpha = np.concatenate([special, np.negative(special), [1e-300],
+                            rng.normal(size=200) * rng.choice([1e-5, t, 0.1, 1.0, 30.0],
+                                                              size=200)])
+    gate = GateParam(alpha.copy(), t, beta, "filter")
+    ev = gate_mod.evaluation(gate, Tensor(gate.alpha))
+    # the record keeps the mask as booleans, which multiply as exact 0.0 and 1.0
+    assert ev.mask.dtype == bool
+    got = (ev.mask.astype(np.float64), ev.terms.m, ev.terms.dm, ev.coeff(scaled=True),
+           ev.coeff(scaled=False))
+    for name, g, want in zip(("mask", "m~", "m~'", "coeff", "unscaled coeff"), got,
+                             _reference_terms(alpha, t, beta)):
+        assert g.tobytes() == want.tobytes(), name
+    assert surrogate_mask(alpha, t, beta).tobytes() == ev.terms.m.tobytes()
+    assert surrogate_mask_grad(alpha, t, beta).tobytes() == ev.terms.dm.tobytes()
+
+
 def test_gate_param_validation():
     with pytest.raises(ValueError):
         GateParam(np.ones(3), threshold=0.0, beta=5.0, granularity="filter")
@@ -207,10 +249,12 @@ def test_straight_through_alpha_gradients_match_surrogate_forward():
 
 
 def test_straight_through_checks_fail_without_surrogate_derivative(monkeypatch):
-    def zeros(alpha, t, beta):
-        return np.zeros_like(np.asarray(alpha, dtype=np.float64))
+    foothill = gate_mod._foothill
 
-    # objective imports the function by name, so its binding is patched too
-    for mod in (gate_mod, objective):
-        monkeypatch.setattr(mod, "surrogate_mask_grad", zeros)
+    def flat(x, beta):
+        f, df = foothill(x, beta)
+        return f, np.zeros_like(df)
+
+    # the one surrogate pass then yields m~' = 0, and m~ + alpha * m~' = m~
+    monkeypatch.setattr(gate_mod, "_foothill", flat)
     assert not any(ok for _, _, ok in run_checks(STRAIGHT_THROUGH))

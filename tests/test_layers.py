@@ -6,11 +6,11 @@ from maskprune.gradcheck import run_checks
 from maskprune.layers import (LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
                               embedding, linear)
-from maskprune.models import LstmLm, ResNetSmall, stage_sides
-from maskprune.objective import masked_l2
+from maskprune.models import LstmLm, Mlp, ResNetSmall, stage_sides
+from maskprune.objective import cross_entropy, masked_l2
 from maskprune.pruning import PruneManager
-from maskprune.tensor import (Tape, Tensor, _toposort, add, concat_cols, custom_grad, mul,
-                              reshape, sigmoid, sum_all, tanh)
+from maskprune.tensor import (Tape, Tensor, _toposort, add, concat_cols, custom_grad,
+                              matmul, mul, reshape, sigmoid, sum_all, tanh)
 
 
 def test_conv_identity_kernel():
@@ -199,6 +199,43 @@ def test_conv_unit_identity_gate_matches_ungated_bitwise():
     assert np.array_equal(out_gated.data, out_plain.data)
 
 
+def test_conv_and_matmul_rules_skip_the_gradient_of_a_data_input():
+    rng = np.random.default_rng(40)
+    x, w = rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(4, 3, 3, 3))
+    a = rng.normal(size=(4, 6))
+    tape = Tape()
+    out = conv2d(tape.leaf(x), tape.param("w", w), 1, 1)
+    gx, gw = out.backward_rule(np.ones(out.shape))
+    assert gx is None and gw.shape == w.shape
+    assert conv2d(tape.param("x", x), Tensor(w), 1, 1).backward_rule(
+        np.ones(out.shape))[0].shape == x.shape
+    gx, gw = matmul(tape.leaf(a), tape.param("m", w.reshape(6, 18))).backward_rule(
+        np.ones((4, 18)))
+    assert gx is None and gw.shape == (6, 18)
+    gx, gw = matmul(tape.param("a", a), tape.leaf(w.reshape(6, 18))).backward_rule(
+        np.ones((4, 18)))
+    assert gx.shape == (4, 6) and gw is None
+
+
+@pytest.mark.parametrize("make,x", [
+    (lambda: Mlp(6, (5,), 3, seed=1, granularity="weight"), (4, 6)),
+    (lambda: ResNetSmall((3, 4), 1, in_channels=2, input_hw=(5, 5), classes=3, seed=1,
+                         granularity="filter"), (4, 2, 5, 5))], ids=["mlp", "resnet"])
+def test_skipping_the_data_gradient_leaves_every_parameter_gradient_bit_equal(make, x):
+    """The input batch as data against the same batch registered as a
+    parameter, whose gradient the first layer must then compute."""
+    x = np.random.default_rng(41).normal(size=x)
+    y = np.array([0, 2, 1, 2])
+    grads = []
+    for as_param in (False, True):
+        model, tape = make(), Tape()
+        xs = tape.param("x", x) if as_param else tape.leaf(x)
+        grads.append(tape.backward(cross_entropy(model.forward(tape, xs), y)))
+    assert set(grads[1]) - set(grads[0]) == {"x"} and np.any(grads[1]["x"].data != 0.0)
+    for name, g in grads[0].items():
+        assert g.data.tobytes() == grads[1][name].data.tobytes(), name
+
+
 def test_conv_unit_masked_filter_zero_channel_and_excluded_from_l2():
     unit = _unit(True)
     unit.gate.alpha[2] = 1e-9
@@ -207,7 +244,7 @@ def test_conv_unit_masked_filter_zero_channel_and_excluded_from_l2():
     out = unit.forward(tape, x, "train")
     assert np.all(out.data[:, 2] == 0.0)
     w_node = tape.params["u.w"]
-    val = masked_l2([(unit.gate, [(w_node, AXIS0)])])
+    val = masked_l2([(unit.gate, tape.params["u.gate.alpha"], [(w_node, AXIS0)])])
     expected = sum(np.sum(unit.weights[i] ** 2) for i in (0, 1, 3))
     assert np.isclose(val.item(), expected)
 

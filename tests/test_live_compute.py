@@ -3,12 +3,12 @@
 On random prunings, drawn like the accounting oracles draw them (each gate
 component's alpha set to 0 or 1, ``test_accounting_equivalence``), a train
 step and an eval forward must match the same model run with every channel
-treated as live: ``GateParam.mask`` patched to all ones, so ``conv2d`` gets
-no live indices, eval runs every filter of every unit and every residual
-branch runs, while the gates still apply their hard masks.  Spies check that
-in eval a unit with masked filters runs ``conv2d`` and ``batchnorm`` on its
-live filters alone, and that a masked residual branch runs no conv backward
-in training and no forward in eval.
+treated as live: ``GateEval.live`` patched to report every component live,
+so ``conv2d`` gets no live indices, eval runs every filter of every unit and
+every residual branch runs, while the gates still apply their hard masks.
+Spies check that in eval a unit with masked filters runs ``conv2d`` and
+``batchnorm`` on its live filters alone, and that a masked residual branch
+runs no conv backward in training and no forward in eval.
 """
 
 from collections import Counter
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from maskprune import layers
-from maskprune.gate import GateParam
+from maskprune.gate import GateEval
 from maskprune.objective import cross_entropy
 from maskprune.tensor import Tape
 from test_accounting_equivalence import MODELS
@@ -52,7 +52,7 @@ def test_pruned_step_matches_all_live_computation(name, monkeypatch):
         x, y = _batch(pruned, rng)
         loss, grads, state, logits = _run(pruned, x, y)
         with monkeypatch.context() as patch:
-            patch.setattr(GateParam, "mask", lambda gate: np.ones(gate.dim))
+            patch.setattr(GateEval, "live", lambda ev: None)
             ref_loss, ref_grads, ref_state, ref_logits = _run(reference, x, y)
         assert abs(loss - ref_loss) <= TOL
         for n in ref_grads:
@@ -92,11 +92,12 @@ def test_eval_runs_a_masked_unit_on_its_live_filters_alone(name, monkeypatch):
     for p in (0.5, 1.0):
         for g in model.gates():
             g.alpha[:] = np.where(rng.random(g.dim) < p, 0.0, 1.0)
-        model.forward(Tape(), _batch(model, rng)[0], "eval")
-        masked = [u for u in units if u.live_filters() is not None]
+        tape = Tape()
+        model.forward(tape, _batch(model, rng)[0], "eval")
+        masked = [u for u in units if u.live_filters(tape) is not None]
         assert masked
         for u in masked:
-            live = u.live_filters()
+            live = u.live_filters(tape)
             assert calls[u.name] == [("conv2d", len(live)), ("batchnorm", len(live))], u.name
             dead = np.setdiff1d(np.arange(u.out_channels), live)
             assert np.all(outputs[u.name][:, dead] == 0.0), u.name

@@ -49,7 +49,7 @@ def _one_entity(alpha_val, theta):
     gate = GateParam(np.array([alpha_val]), 1e-3, 5.0, "subnetwork")
     tape = Tape()
     node = tape.param("w", np.asarray(theta, dtype=float))
-    val = masked_l2([(gate, [(node, WHOLE)])])
+    val = masked_l2([(gate, Tensor(gate.alpha), [(node, WHOLE)])])
     grads = tape.backward(val)
     return val.item(), grads["w"].data
 
@@ -72,7 +72,7 @@ def test_masked_l2_mixed_matches_plain_l2_on_active_slices():
     gate = GateParam(np.array([1.0, 1e-9, 0.5]), 1e-3, 5.0, "filter")
     tape = Tape()
     node = tape.param("w", w)
-    val = masked_l2([(gate, [(node, AXIS0)])])
+    val = masked_l2([(gate, Tensor(gate.alpha), [(node, AXIS0)])])
     assert np.isclose(val.item(), np.sum(w[0] ** 2) + np.sum(w[2] ** 2))
     grads = tape.backward(val)["w"].data
     assert np.all(grads[1] == 0.0)
@@ -86,7 +86,8 @@ def test_masked_l2_perturbing_pruned_weights_changes_nothing():
 
     def value(arr):
         tape = Tape()
-        return masked_l2([(gate, [(tape.param("w", arr), AXIS0)])]).item()
+        w = tape.param("w", arr)
+        return masked_l2([(gate, Tensor(gate.alpha), [(w, AXIS0)])]).item()
 
     base = value(w)
     w2 = w.copy()
@@ -102,7 +103,7 @@ def test_masked_l2_elementwise_mode():
     gate = GateParam(np.array([1.0, 1e-9, 1.0, 1.0]), 1e-3, 5.0, "weight")
     tape = Tape()
     node = tape.param("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
-    val = masked_l2([(gate, [(node, ELEMENTWISE)])])
+    val = masked_l2([(gate, Tensor(gate.alpha), [(node, ELEMENTWISE)])])
     assert val.item() == 1.0 + 9.0 + 16.0
 
 
@@ -179,7 +180,7 @@ def _toy_setup():
     w1 = tape.param("w1", np.array([[1.0], [2.0]]))
     w2 = tape.param("w2", np.array([3.0]))
     task = sum_all(Tensor(np.array([0.75])))
-    groups = [(g1, [(w1, AXIS0)]), (g2, [(w2, WHOLE)])]
+    groups = [(g1, a1, [(w1, AXIS0)]), (g2, a2, [(w2, WHOLE)])]
     hinge = [(g1, a1), (g2, a2)]
     return tape, task, [a1, a2], groups, hinge
 
@@ -199,7 +200,7 @@ def test_total_objective_l2_reduces_to_plain_when_all_active():
     a = tape.param("g.alpha", g.alpha)
     w = tape.param("w", np.array([[1.0], [2.0]]))
     task = sum_all(Tensor(np.array([0.0])))
-    total, parts = total_objective(task, [a], [(g, [(w, AXIS0)])], [(g, a)],
+    total, parts = total_objective(task, [a], [(g, a, [(w, AXIS0)])], [(g, a)],
                                    ObjectiveConfig(lambda2=0.1))
     assert np.isclose(parts["l2_term"], 0.1 * 5.0)
     assert np.isclose(total.item(), 0.5)
@@ -228,7 +229,7 @@ def test_objective_terms_nonnegative():
         a = tape.param("a", g.alpha)
         w = tape.param("w", rng.normal(size=(4, 2)))
         assert l1_alpha([a]).item() >= 0.0
-        assert masked_l2([(g, [(w, AXIS0)])]).item() >= 0.0
+        assert masked_l2([(g, a, [(w, AXIS0)])]).item() >= 0.0
         assert ratio_hinge([(g, a)], c=rng.uniform(0.1, 1.0)).item() >= 0.0
 
 

@@ -1,14 +1,17 @@
 import json
 import os
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from maskprune import checkpoint
+from maskprune import gate as gate_mod
 from maskprune.checkpoint import load_checkpoint, save_checkpoint
 from maskprune.data import Dataset, synth_classification, synth_sequences
 from maskprune.gate import GateParam
-from maskprune.models import LstmClassifier, LstmLm, Mlp, ToyConvNet
+from maskprune.models import LstmClassifier, LstmLm, Mlp, ResNetSmall, ToyConvNet
 from maskprune.objective import ObjectiveConfig, l1_alpha
 from maskprune.tensor import Tape, Tensor, add, custom_grad
 from maskprune.training import (TrainConfig, TrainDivergence, evaluate, lr_at,
@@ -333,3 +336,60 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{key: value})
     TrainConfig(snapshot_every=1, momentum=0.0)
+
+
+def _counted_models():
+    """One small model per gated kind the count test covers, with some gate
+    components masked, and a batch for it."""
+    rng = np.random.default_rng(31)
+    images = rng.normal(size=(8, 2, 5, 5))
+    labels = rng.integers(0, 3, size=8)
+    mlp = Mlp(6, (5,), 3, seed=0, granularity="weight")
+    toy = ToyConvNet((3, 4), in_channels=2, input_hw=(5, 5), classes=3, seed=0,
+                     granularity="filter")
+    resnet = ResNetSmall((3, 4), 2, in_channels=2, input_hw=(5, 5), classes=3, seed=0,
+                         granularity="subnetwork")
+    lstm = LstmClassifier(vocab=6, embed_dim=3, hidden=4, classes=3, stacks=2, seed=0,
+                          granularity="node")
+    for model in (mlp, toy, resnet, lstm):
+        for g in model.gates()[::2]:
+            g.alpha[0] = 0.0
+    return {"mlp/weight": (mlp, rng.normal(size=(8, 6)), labels),
+            "toy-convnet/filter": (toy, images, labels),
+            "resnet-small/subnetwork": (resnet, images, labels),
+            "lstm-classifier/node": (lstm, rng.integers(0, 6, size=(8, 5)), labels)}
+
+
+@pytest.mark.parametrize("name", ["mlp/weight", "toy-convnet/filter",
+                                  "resnet-small/subnetwork", "lstm-classifier/node"])
+def test_each_gate_is_evaluated_once_per_step_and_eval_computes_no_surrogate(
+        name, monkeypatch):
+    model, x, y = _counted_models()[name]
+    owner = {id(g.alpha): g.name for g in model.gates()}
+    masks, terms = Counter(), Counter()
+    hard_mask, surrogate_terms = gate_mod.hard_mask, gate_mod.surrogate_terms
+
+    def spy_mask(alpha, t):
+        masks[owner[id(alpha)]] += 1
+        return hard_mask(alpha, t)
+
+    def spy_terms(alpha, t, beta):
+        terms[owner[id(alpha)]] += 1
+        return surrogate_terms(alpha, t, beta)
+
+    # wherever a module binds the function, so a second call site is counted too
+    for mod in [m for n, m in sys.modules.items() if n.startswith("maskprune")]:
+        for fn, spy in ((hard_mask, spy_mask), (surrogate_terms, spy_terms)):
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, spy)
+    # every term on, the hinge over budget: each gate's mask and m~' have
+    # several readers
+    cfg = TrainConfig(objective=ObjectiveConfig(lambda1=1e-3, lambda2=1e-3, lambda3=1.0,
+                                                target_c=0.25))
+    parts = train_step(model, x, y, cfg, {}, 0.1, 0)
+    assert parts["hinge_term"] > 0.0
+    assert terms == {name: 1 for name in owner.values()}
+    assert masks == {name: 1 for name in owner.values()}
+    terms.clear()
+    evaluate(model, Dataset(x, y), batch_size=3)
+    assert not terms
