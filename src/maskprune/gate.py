@@ -25,14 +25,17 @@ A gate's d components meet a tensor under one membership mode (``AXIS0``,
 that turns a per-component vector into a view over the tensor: the forward
 ops, the masked-l2 term and the prune accounting all go through it.  (An
 LSTM layer's sequence node meets its [b, 4h] gate block of each timestep
-under ``AXIS1`` by plain row broadcasting.)
+under ``AXIS1`` by plain row broadcasting, and a conv unit's epilogue node
+its filters as the rows of channel-major [c, b*H*W] memory.)
 
 A gate is evaluated once per tape.  ``evaluation`` keeps a ``GateEval``
 record on the gate's alpha node: the hard mask, computed at forward time,
 and the surrogate terms m~, m~' and m~ + alpha m~', computed on their first
 (backward) use by one ``surrogate_terms`` pass, so an eval forward never
-computes them.  The gated ops, the LSTM layer, the conv units' live filters,
-the residual skip and the masked-l2 and hinge terms all read that record.
+computes them.  The gated ops, the conv units' epilogue node
+(``layers.batchnorm``, which applies a filter gate after batch norm and ReLU)
+and live filters, the LSTM layer, the residual skip and the masked-l2 and
+hinge terms all read that record.
 It dies with the tape: the optimizer updates alpha in place after the step,
 and the prune accounting computes its masks from the updated alphas.
 ``GateEval.coeff`` is the one statement of the straight-through alpha
@@ -165,9 +168,6 @@ class GateParam:
 
     def mask(self) -> np.ndarray:
         return hard_mask(self.alpha, self.threshold)
-
-    def active_count(self) -> int:
-        return int(self.mask().sum())
 
 
 # membership: how the d components of a gate meet a tensor's entries

@@ -13,14 +13,15 @@ check reports its worst case.  The surrogate pair (``foothill``,
 against central differences of the function itself.
 
 The straight-through rules (the alpha gradients of ``apply_gate``,
-``apply_mask``, the LSTM layer's sequence node and ``ratio_hinge``) are not
-derivatives of their hard forward pass.  Their checks difference the forward
-pass they stand in for instead: the same computation with every hard mask
-I(.) replaced by the surrogate m~(.), at alphas on both sides of the
-threshold and clear of 0.  That is the defining property of the estimator
-(Bengio et al., 2013, arXiv:1308.3432).  Where the loss is not linear in the
-masked output (the LSTM cell), m~ is shifted by a constant to equal I at the
-checked alphas, so the values downstream of each mask stay the hard ones.
+``apply_mask``, the conv epilogue node ``batchnorm``, the LSTM layer's
+sequence node and ``ratio_hinge``) are not derivatives of their hard forward
+pass.  Their checks difference the forward pass they stand in for instead:
+the same computation with every hard mask I(.) replaced by the surrogate
+m~(.), at alphas on both sides of the threshold and clear of 0.  That is the
+defining property of the estimator (Bengio et al., 2013, arXiv:1308.3432).
+Where the loss is not linear in the masked output (the LSTM cell), m~ is
+shifted by a constant to equal I at the checked alphas, so the values
+downstream of each mask stay the hard ones.
 """
 
 from __future__ import annotations
@@ -178,12 +179,25 @@ def _conv_cases(rng):
 
 
 def _batchnorm_cases(rng):
+    """The conv epilogue node with and without ReLU and a filter gate, one of
+    whose filters is masked, in both modes: the hard-forward gradients of x,
+    gamma and beta (``batchnorm-alpha`` checks the gate's alpha).  In eval the
+    input holds the live filters' channels alone, as a conv unit gives it."""
     for mode in ("train", "eval"):
         for (b, c, hw) in [(3, 2, 4), (2, 3, 3)]:
-            state = layers.BnState(rng.normal(size=c) * 0.1, rng.random(size=c) + 0.5)
-            yield (partial(layers.batchnorm, state=state, mode=mode),
-                   {"x": rng.normal(size=(b, c, hw, hw)), "gamma": rng.normal(size=c) + 1.5,
-                    "beta": rng.normal(size=c)})
+            for relu, gated in [(False, False), (True, False), (False, True), (True, True)]:
+                state = layers.BnState(rng.normal(size=c) * 0.1, rng.random(size=c) + 0.5)
+                gate, channels = None, c
+                if gated:
+                    gate = GateParam.create("filter", c, threshold=0.2)
+                    gate.alpha[:] = rng.uniform(0.5, 1.5, size=c)
+                    gate.alpha[c - 1] = 0.05          # masked
+                    if mode == "eval":
+                        channels = c - 1
+                yield (partial(layers.batchnorm, state=state, mode=mode, relu=relu,
+                               gate=gate, alpha=None if gate is None else Tensor(gate.alpha)),
+                       {"x": rng.normal(size=(b, channels, hw, hw)),
+                        "gamma": rng.normal(size=c) + 1.5, "beta": rng.normal(size=c)})
 
 
 def _linear_cases(rng):
@@ -263,6 +277,44 @@ def _gate_alpha_check(apply: Callable, scaled: bool):
         return worst
 
     return run
+
+
+def _batchnorm_alpha_check(rng):
+    """Alpha gradient of the gated conv epilogue against its forward with I -> m~.
+
+    Train mode, where the node computes every filter, with and without ReLU;
+    the loss is linear in the gated output, so the smooth forward scales the
+    pre-gate output by ``alpha * m~(alpha)``.
+    """
+    alphas = next(a for mode, _, a in _ALPHA_CASES if mode == AXIS1)
+    c = len(alphas)
+    gate = GateParam.create("filter", c, threshold=0.2)
+    worst = 0.0
+    for relu in (True, False):
+        x = rng.normal(size=(2, c, 3, 3))
+        gamma, beta = rng.normal(size=c) + 1.5, rng.normal(size=c)
+        proj = rng.normal(size=x.shape)
+
+        def build(tape, arrays, relu=relu, x=x, gamma=gamma, beta=beta, proj=proj):
+            out = layers.batchnorm(tape.leaf(x), tape.leaf(gamma), tape.leaf(beta),
+                                   layers.BnState.create(c), relu=relu, gate=gate,
+                                   alpha=tape.param("alpha", arrays["alpha"]))
+            return sum_all(mul(out, tape.leaf(proj)))
+
+        def smooth(arrays, relu=relu, x=x, gamma=gamma, beta=beta, proj=proj):
+            a = arrays["alpha"]
+            axes = (0, 2, 3)
+            xhat = ((x - x.mean(axis=axes, keepdims=True))
+                    / np.sqrt(x.var(axis=axes, keepdims=True) + 1e-5))
+            r = broadcast_mask(gamma, x.shape, AXIS1) * xhat + broadcast_mask(beta, x.shape,
+                                                                               AXIS1)
+            if relu:
+                r = np.maximum(r, 0.0)
+            m = gate_mod.surrogate_mask(a, gate.threshold, gate.beta)
+            return float(np.sum(broadcast_mask(a * m, x.shape, AXIS1) * r * proj))
+
+        worst = max(worst, check_loss(build, {"alpha": np.array(alphas)}, smooth=smooth))
+    return worst
 
 
 def _ratio_hinge_alpha_check(rng):
@@ -406,6 +458,7 @@ CHECKS: dict[str, Callable] = {
     "apply-gate-x": _cases(_apply_gate_x_cases),
     "apply-gate-alpha": _gate_alpha_check(gate_mod.apply_gate, scaled=True),
     "apply-mask-alpha": _gate_alpha_check(gate_mod.apply_mask, scaled=False),
+    "batchnorm-alpha": _batchnorm_alpha_check,
     "ratio-hinge-alpha": _ratio_hinge_alpha_check,
     "masked-l2": _cases(_masked_l2_cases),
     "lstm-cell": _lstm_cell_check,

@@ -50,10 +50,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     gradient goes back to the input one [n, b, Ho, Wo] slab per kernel offset.
 
     The output and the input gradient are [b, c, H, W] views over
-    channel-major ([c, b, H, W]) memory.  numpy's elementwise ops keep that
-    order, so batch norm, ReLU and the gate after a conv read each channel
-    contiguously, and the upstream gradient that comes back to this conv's
-    backward is already channel-major.
+    channel-major ([c, b, H, W]) memory.  A conv unit's epilogue node
+    (``batchnorm``: batch norm, ReLU and the filter gate) reads the output as
+    contiguous [c, b*H*W] rows and returns its own output and input gradient
+    in that layout, as ``avg_pool_full`` returns its gradient; numpy's
+    elementwise ops, such as the residual add, keep the order.  So the
+    upstream gradient that comes back to this conv's backward is already
+    channel-major.
 
     ``live_in`` and ``live_out`` (sorted channel indices, from the gate
     masks) skip every product that is exactly zero.  ``x`` must be zero on
@@ -154,53 +157,128 @@ class BnState:
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
-              mode: str = "train") -> Tensor:
-    """Per-channel normalization of a [b,c,H,W] tensor.
+              mode: str = "train", *, relu: bool = False, gate: GateParam | None = None,
+              alpha: Tensor | None = None) -> Tensor:
+    """A conv unit's epilogue as one node: per-channel batch norm of a
+    [b,c,H,W] tensor, then ReLU when ``relu``, then, with ``gate``, the
+    filter gate ``alpha * I(alpha)`` (``alpha`` is the tape node carrying
+    ``gate.alpha``; the hard mask and the straight-through coefficient come
+    from its ``gate.evaluation``).  With neither, this is batch norm alone.
 
     Train mode normalizes with batch statistics and folds them into the
-    running averages; eval mode normalizes with the running statistics.
+    running averages; eval mode normalizes with the running statistics.  The
+    node works on [c, b*H*W] channel-major rows, the memory ``conv2d``
+    returns its output in (any other layout is copied to it), and its output
+    and input gradient are [b, c, H, W] views over such memory too.
+
+    Training computes every filter forward: a masked filter's ReLU output
+    feeds its alpha's gradient, and its statistics the running averages.  The
+    node keeps the normalized ``xhat`` and the pre-gate output ``r``.  The
+    backward gives each alpha ``coeff * sum(g * r)`` over its row, with
+    ``coeff`` the straight-through factor ``m~ + alpha * m~'``, and computes
+    the batch-norm gradients of x, gamma and beta on the live rows alone: a
+    masked filter's are exact zeros, since the gate passes it none.  In eval,
+    with a filter masked, ``x`` holds the live filters' channels alone (a
+    conv unit computes no others); the node computes only those rows and
+    places them among zeros of every channel.  Their alphas' gradients are
+    then the only nonzero ones, as a masked row has no ``r``.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"batchnorm: expected rank-4 input, got {x.shape}")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"batchnorm: affine shape {gamma.shape} != channels ({c},)")
+    if x.data.ndim != 4 or gamma.data.ndim != 1 or beta.shape != gamma.shape:
+        raise ShapeError(f"batchnorm: expected a rank-4 input and [c] affine, got "
+                         f"{x.shape}, {gamma.shape} and {beta.shape}")
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm: unknown mode {mode!r}")
-    axes = (0, 2, 3)
-    xd = x.data
-    gd = gamma.data.reshape(1, c, 1, 1)
+    if (gate is None) != (alpha is None):
+        raise ValueError("batchnorm: gate and alpha go together")
+    c = gamma.shape[0]
+    ev = None if gate is None else evaluation(gate, alpha)
+    live = None if ev is None else ev.live()
+    # the rows the forward computes: in eval only the live ones (None: all)
+    rows = live if mode == "eval" else None
+    b, cx, H, W = x.shape
+    if (cx != (c if rows is None else len(rows))) or (ev is not None and gate.dim != c):
+        raise ShapeError(f"batchnorm: {cx} input channels for {c} filters"
+                         + ("" if rows is None else f", {len(rows)} of them live"))
+    n = b * H * W
+    xc = x.data.transpose(1, 0, 2, 3).reshape(cx, n)
+    gd, bd, mean, var = gamma.data, beta.data, state.running_mean, state.running_var
+    s = None if ev is None else ev.alpha * ev.mask
+    if rows is not None:
+        gd, bd, mean, var, s = gd[rows], bd[rows], mean[rows], var[rows], s[rows]
 
     if mode == "train":
-        mu = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
-        inv = 1.0 / np.sqrt(var + state.eps)
-        xhat = (xd - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+        mean = xc.sum(axis=1) / n
+        xhat = xc - mean[:, None]
+        r = np.square(xhat)              # scratch for the variance first
+        var = r.sum(axis=1) / n
         state.running_mean *= 1.0 - state.momentum
-        state.running_mean += state.momentum * mu
+        state.running_mean += state.momentum * mean
         state.running_var *= 1.0 - state.momentum
         state.running_var += state.momentum * var
-        n = xd.shape[0] * xd.shape[2] * xd.shape[3]
-
-        def rule(g):
-            # mean(g*gamma) = gamma*dbeta/n and mean(g*gamma*xhat) = gamma*dgamma/n
-            dgamma = np.sum(g * xhat, axis=axes)
-            dbeta = np.sum(g, axis=axes)
-            dx = (gd * inv.reshape(1, c, 1, 1)) * (
-                g - (dbeta / n).reshape(1, c, 1, 1)
-                - xhat * (dgamma / n).reshape(1, c, 1, 1))
-            return dx, dgamma, dbeta
     else:
-        inv = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (xd - state.running_mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+        xhat = xc - mean[:, None]
+        r = np.empty_like(xhat)
+    inv = 1.0 / np.sqrt(var + state.eps)
+    xhat *= inv[:, None]
+    np.multiply(xhat, gd[:, None], out=r)
+    r += bd[:, None]
+    if relu:
+        np.maximum(r, 0.0, out=r)
+    out = r if s is None else r * s[:, None]
+    out = _scatter_rows(out, rows, c).reshape(c, b, H, W).transpose(1, 0, 2, 3)
+    # the rows that get a batch-norm gradient, among the computed ones
+    pick = live if mode == "train" else None
 
-        def rule(g):
-            dgamma = np.sum(g * xhat, axis=axes)
-            dbeta = np.sum(g, axis=axes)
-            return g * gd * inv.reshape(1, c, 1, 1), dgamma, dbeta
+    def sel(v):
+        return v if pick is None else v[pick]
 
-    out = gd * xhat + beta.data.reshape(1, c, 1, 1)
-    return custom_grad(out, (x, gamma, beta), rule, op="batchnorm")
+    def rule(g):
+        gc = g.transpose(1, 0, 2, 3).reshape(c, n)
+        if rows is not None:
+            gc = gc[rows]
+        scratch, tail = None, ()
+        if ev is not None:
+            coeff = ev.coeff(scaled=True)
+            scratch = np.multiply(gc, r)
+            d_alpha = scratch.sum(axis=1) * (coeff if rows is None else coeff[rows])
+            tail = (_scatter_rows(d_alpha, rows, c),)
+        if pick is not None and not len(pick):
+            return (None, None, None, *tail)
+        # t, the gradient on the batch-norm output, may be g itself, which
+        # other nodes read: written in place only once it is a copy
+        t, own = sel(gc), pick is not None
+        if s is not None:
+            t, own = np.multiply(t, sel(s)[:, None], out=t if own else None), True
+        if relu:
+            t, own = np.multiply(t, sel(r) > 0, out=t if own else None), True
+        xh = sel(xhat)
+        dbeta = t.sum(axis=1)
+        p = np.multiply(t, xh, out=None if scratch is None else scratch[:len(t)])
+        dgamma = p.sum(axis=1)
+        if mode == "train":
+            # mean(t*gamma) = gamma*dbeta/n and mean(t*gamma*xhat) = gamma*dgamma/n
+            np.multiply(xh, (dgamma / n)[:, None], out=p)
+            dx = np.subtract(t, (dbeta / n)[:, None], out=t if own else None)
+            dx -= p
+            dx *= sel(gd * inv)[:, None]
+        else:
+            dx = np.multiply(t, gd[:, None], out=t if own else None)
+            dx *= inv[:, None]
+        dx = _scatter_rows(dx, pick, c).reshape(cx, b, H, W).transpose(1, 0, 2, 3)
+        return (dx, _scatter_rows(dgamma, live, c), _scatter_rows(dbeta, live, c), *tail)
+
+    parents = (x, gamma, beta) if ev is None else (x, gamma, beta, alpha)
+    return custom_grad(out, parents, rule, op="batchnorm")
+
+
+def _scatter_rows(v: np.ndarray, idx: np.ndarray | None, c: int) -> np.ndarray:
+    """The rows of ``v`` at indices ``idx`` of ``c`` zero rows; ``v`` itself
+    when ``idx`` is None."""
+    if idx is None:
+        return v
+    full = np.zeros((c, *v.shape[1:]))
+    full[idx] = v
+    return full
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -217,7 +295,10 @@ def avg_pool_full(x: Tensor) -> Tensor:
     out = x.data.mean(axis=(2, 3))
 
     def rule(g):
-        return (np.broadcast_to(g[:, :, None, None] / (H * W), (b, c, H, W)),)
+        # channel-major memory, as conv2d and batchnorm return theirs
+        gx = np.empty((c, b, H, W))
+        gx[...] = (g.T / (H * W))[:, :, None, None]
+        return (gx.transpose(1, 0, 2, 3),)
 
     return custom_grad(out, (x,), rule, op="avg_pool")
 
@@ -357,7 +438,7 @@ def _conv_slices(units, mode: str) -> dict[str, tuple]:
 
 @dataclass
 class ConvUnit(Block):
-    """Conv -> batch norm -> ReLU -> (filter gate).
+    """Conv -> batch norm -> ReLU -> (filter gate), as two graph nodes.
 
     The k x k conv pads ``k // 2`` on each side, so for odd k it keeps the
     input size at stride 1.  The gate sits after batch norm, where a
@@ -367,13 +448,17 @@ class ConvUnit(Block):
     before the ReLU would see relu's zero derivative at that exact zero, and
     a pruned filter could not come back.
 
-    The conv reads only ``live_in``, the ``live_filters(tape)`` of the unit
-    whose ``reader`` this unit is.  In training a masked filter is still
-    computed forward, for its alpha's gradient and its batch-norm running
-    statistics, but gets no conv backward (its gate's live filters are the
-    conv's ``live_out``).  In eval, with a filter masked, the unit runs its
-    live filters alone: their conv rows, batch norm, ReLU and alphas, placed
-    in zeros of every channel as a new leaf, since eval takes no gradient.
+    ``forward`` is ``conv2d`` followed by one ``batchnorm`` node for batch
+    norm, the ReLU and the gate, in both modes.  The conv reads only
+    ``live_in``, the ``live_filters(tape)`` of the unit whose ``reader``
+    this unit is.  In training a masked filter is still computed forward,
+    for its alpha's gradient and its batch-norm running statistics, but gets
+    no conv or batch-norm backward (its gate's live filters are the conv's
+    ``live_out``).  In eval, with a filter masked, the conv multiplies the
+    live filters' weight rows alone, and ``batchnorm`` computes their rows
+    and places them among zeros of every channel.  Eval takes no gradient,
+    so there the unit returns its output as a leaf, which frees the conv's
+    column matrix at once instead of at the end of the forward.
     """
 
     weights: np.ndarray                # [m, n, k, k]
@@ -433,25 +518,16 @@ class ConvUnit(Block):
                 live_in: np.ndarray | None = None) -> Tensor:
         p = self.bind(tape)
         live = self.live_filters(tape)
-        pad = self.weights.shape[2] // 2
+        w, live_out = p["w"], live
         if mode == "eval" and live is not None:
-            bn = BnState(self.bn.running_mean[live], self.bn.running_var[live],
-                         self.bn.momentum, self.bn.eps)
-            y = conv2d(x, Tensor(self.weights[live]), self.stride, pad, live_in=live_in)
-            y = batchnorm(y, Tensor(self.bn_gamma[live]), Tensor(self.bn_beta[live]), bn,
-                          mode)
-            if self.relu:
-                y = relu(y)
-            out = np.zeros((y.shape[0], self.out_channels, *y.shape[2:]))
-            out[:, live] = y.data * self.gate.alpha[live].reshape(1, -1, 1, 1)
-            return tape.leaf(out)
-        y = conv2d(x, p["w"], self.stride, pad, live_in=live_in, live_out=live)
-        y = batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode)
-        if self.relu:
-            y = relu(y)
-        if self.gate is not None:
-            y = apply_gate(y, self.gate, AXIS1, alpha=p["gate.alpha"])
-        return y
+            # the live filters' conv rows alone; batchnorm places their outputs
+            w, live_out = tape.leaf(self.weights[live]), None
+        y = conv2d(x, w, self.stride, self.weights.shape[2] // 2, live_in=live_in,
+                   live_out=live_out)
+        out = batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode, relu=self.relu,
+                        gate=self.gate, alpha=p.get("gate.alpha"))
+        # eval takes no gradient: a leaf frees the conv's column matrix now
+        return tape.leaf(out.data) if mode == "eval" else out
 
 
 @dataclass

@@ -238,14 +238,15 @@ def test_mask_recomputed_from_alpha():
     assert np.array_equal(gate.mask(), [1.0, 1.0])
     gate.alpha[1] = 0.0
     assert np.array_equal(gate.mask(), [1.0, 0.0])
-    assert gate.active_count() == 1
+    assert gate.mask().sum() == 1
 
 
-STRAIGHT_THROUGH = ["apply-gate-alpha", "apply-mask-alpha", "ratio-hinge-alpha"]
+STRAIGHT_THROUGH = ["apply-gate-alpha", "apply-mask-alpha", "batchnorm-alpha",
+                    "ratio-hinge-alpha"]
 
 
 def test_straight_through_alpha_gradients_match_surrogate_forward():
-    assert [ok for _, _, ok in run_checks(STRAIGHT_THROUGH)] == [True] * 3
+    assert [ok for _, _, ok in run_checks(STRAIGHT_THROUGH)] == [True] * 4
 
 
 def test_straight_through_checks_fail_without_surrogate_derivative(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskprune.gate import AXIS0, AXIS1, GateParam, apply_mask
+from maskprune.gate import AXIS0, AXIS1, GateParam, apply_gate, apply_mask
 from maskprune.gradcheck import run_checks
 from maskprune.layers import (LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
@@ -9,8 +9,9 @@ from maskprune.layers import (LSTM_GATES, BnState, ConvUnit, LstmCell,
 from maskprune.models import LstmLm, Mlp, ResNetSmall, stage_sides
 from maskprune.objective import cross_entropy, masked_l2
 from maskprune.pruning import PruneManager
-from maskprune.tensor import (Tape, Tensor, _toposort, add, concat_cols, custom_grad,
-                              matmul, mul, reshape, sigmoid, sum_all, tanh)
+from maskprune.tensor import (ShapeError, Tape, Tensor, _toposort, add, concat_cols,
+                              custom_grad, matmul, mul, reshape, sigmoid, sum_all, tanh)
+from maskprune.tensor import relu as relu_op
 
 
 def test_conv_identity_kernel():
@@ -183,6 +184,115 @@ def test_batchnorm_scale_invariance_motivates_gate_placement():
     assert np.allclose(outs[0], outs[1], atol=1e-6)
 
 
+def _reference_batchnorm(x, gamma, beta, state, mode="train"):
+    """Batch norm alone as one node, on any layout: the rule ``batchnorm``
+    had before it took in the ReLU and the gate."""
+    c = x.shape[1]
+    axes = (0, 2, 3)
+    xd = x.data
+    gd = gamma.data.reshape(1, c, 1, 1)
+    if mode == "train":
+        mu = xd.mean(axis=axes)
+        var = xd.var(axis=axes)
+        inv = 1.0 / np.sqrt(var + state.eps)
+        xhat = (xd - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+        state.running_mean *= 1.0 - state.momentum
+        state.running_mean += state.momentum * mu
+        state.running_var *= 1.0 - state.momentum
+        state.running_var += state.momentum * var
+        n = xd.shape[0] * xd.shape[2] * xd.shape[3]
+
+        def rule(g):
+            dgamma = np.sum(g * xhat, axis=axes)
+            dbeta = np.sum(g, axis=axes)
+            dx = (gd * inv.reshape(1, c, 1, 1)) * (
+                g - (dbeta / n).reshape(1, c, 1, 1)
+                - xhat * (dgamma / n).reshape(1, c, 1, 1))
+            return dx, dgamma, dbeta
+    else:
+        inv = 1.0 / np.sqrt(state.running_var + state.eps)
+        xhat = (xd - state.running_mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+
+        def rule(g):
+            dgamma = np.sum(g * xhat, axis=axes)
+            dbeta = np.sum(g, axis=axes)
+            return g * gd * inv.reshape(1, c, 1, 1), dgamma, dbeta
+
+    out = gd * xhat + beta.data.reshape(1, c, 1, 1)
+    return custom_grad(out, (x, gamma, beta), rule, op="reference_batchnorm")
+
+
+def _reference_epilogue(x, gamma, beta, state, mode, *, relu, gate, alpha):
+    """A conv unit's epilogue as three nodes: ``_reference_batchnorm``, then
+    ``tensor.relu``, then ``apply_gate`` over the filters."""
+    y = _reference_batchnorm(x, gamma, beta, state, mode)
+    if relu:
+        y = relu_op(y)
+    return y if gate is None else apply_gate(y, gate, AXIS1, alpha=alpha)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("use_relu", [True, False], ids=["relu", "no-relu"])
+@pytest.mark.parametrize("masked", [None, [], [1, 4], [0, 1, 2, 3, 4]],
+                         ids=["ungated", "none-masked", "some-masked", "all-masked"])
+def test_epilogue_node_matches_batchnorm_relu_gate_composition(mode, use_relu, masked):
+    rng = np.random.default_rng(26)
+    b, c, hw = 3, 5, 4
+    # channel-major memory, as conv2d returns it
+    x = np.ascontiguousarray(rng.normal(1.0, 2.0, size=(c, b, hw, hw)))
+    x = x.transpose(1, 0, 2, 3)
+    gamma, beta = rng.normal(size=c) + 1.0, rng.normal(size=c)
+    mean, var = rng.normal(size=c) * 0.3, rng.random(size=c) + 0.5
+    proj = rng.normal(size=x.shape)
+    gate = None
+    if masked is not None:
+        gate = GateParam.create("filter", c, name="u.gate")
+        gate.alpha[:] = rng.uniform(0.5, 1.5, size=c) * rng.choice([-1.0, 1.0], size=c)
+        gate.alpha[masked] = rng.uniform(-1e-5, 1e-5, size=len(masked))
+    live = np.setdiff1d(np.arange(c), masked or [])
+    # in eval a unit with a filter masked passes the live channels alone
+    rows = live if mode == "eval" and len(live) < c else slice(None)
+    runs = []
+    for epilogue in (batchnorm, _reference_epilogue):
+        state, tape = BnState(mean.copy(), var.copy()), Tape()
+        nodes = [tape.param("x", x[:, rows] if epilogue is batchnorm else x),
+                 tape.param("gamma", gamma), tape.param("beta", beta)]
+        alpha = None if gate is None else tape.param("alpha", gate.alpha)
+        out = epilogue(*nodes, state, mode, relu=use_relu, gate=gate, alpha=alpha)
+        grads = tape.backward(sum_all(mul(out, Tensor(proj))))
+        runs.append((out.data, {k: g.data for k, g in grads.items()}, state))
+    (got, got_grads, got_state), (want, want_grads, want_state) = runs
+    _assert_close(got, want)
+    assert np.all(got[:, np.setdiff1d(np.arange(c), live)] == 0.0)
+    _assert_close(got_state.running_mean, want_state.running_mean)
+    _assert_close(got_state.running_var, want_state.running_var)
+    # the reference's masked rows get exact zeros, which the node skips
+    assert np.all(want_grads["x"][:, np.setdiff1d(np.arange(c), live)] == 0.0)
+    _assert_close(got_grads["x"], want_grads["x"][:, rows])
+    for name in ("gamma", "beta"):
+        _assert_close(got_grads[name], want_grads[name])
+    if gate is not None:
+        # eval computes no masked row, so those alphas get no gradient there
+        computed = live if mode == "eval" else np.arange(c)
+        _assert_close(got_grads["alpha"][computed], want_grads["alpha"][computed])
+        assert np.all(np.delete(got_grads["alpha"], computed) == 0.0)
+        if mode == "train" and masked:
+            assert np.any(got_grads["alpha"][masked] != 0.0)    # rejuvenation
+
+
+def test_epilogue_node_checks_its_channels():
+    x = Tensor(np.zeros((2, 4, 3, 3)))
+    gate = GateParam.create("filter", 4)
+    gate.alpha[1] = 0.0
+    with pytest.raises(ShapeError):
+        batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), BnState.create(3))
+    with pytest.raises(ShapeError):      # eval takes the 3 live channels alone
+        batchnorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), BnState.create(4), "eval",
+                  gate=gate, alpha=Tensor(gate.alpha))
+    with pytest.raises(ValueError):
+        batchnorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), BnState.create(4), gate=gate)
+
+
 def _unit(gated: bool, seed: int = 5, m: int = 4) -> ConvUnit:
     rng = np.random.default_rng(seed)
     gate = GateParam.create("filter", m, name="u.gate") if gated else None
@@ -197,6 +307,19 @@ def test_conv_unit_identity_gate_matches_ungated_bitwise():
     out_gated = _unit(True).forward(Tape(), Tensor(x), "train")
     out_plain = _unit(False).forward(Tape(), Tensor(x), "train")
     assert np.array_equal(out_gated.data, out_plain.data)
+
+
+@pytest.mark.parametrize("masked", [[], [2], [0, 1, 2, 3]], ids=["none", "one", "all"])
+def test_gated_conv_unit_trains_as_a_conv_node_and_an_epilogue_node(masked):
+    unit = _unit(True)
+    unit.gate.alpha[masked] = 1e-9
+    tape = Tape()
+    x = tape.leaf(np.random.default_rng(27).normal(size=(2, 3, 8, 8)))
+    out = unit.forward(tape, x, "train")
+    below = {id(n) for v in (*tape.params.values(), x) for n in _toposort(v)}
+    assert [n.op for n in _toposort(out) if id(n) not in below] == ["conv2d", "batchnorm"]
+    # eval takes no gradient: the unit's output is a leaf
+    assert unit.forward(Tape(), x, "eval").parents == ()
 
 
 def test_conv_and_matmul_rules_skip_the_gradient_of_a_data_input():
@@ -503,6 +626,15 @@ def test_linear_examples():
     assert np.array_equal(out.data, [[5.5]])
     eye = linear(Tensor(np.eye(3)), Tensor(np.eye(3)), Tensor(np.zeros(3)))
     assert np.array_equal(eye.data, np.eye(3))
+
+
+def test_avg_pool_gradient_is_channel_major():
+    rng = np.random.default_rng(28)
+    x = Tape().param("x", rng.normal(size=(2, 3, 4, 5)))
+    g = rng.normal(size=(2, 3))
+    gx = avg_pool_full(x).backward_rule(g)[0]
+    assert gx.shape == x.shape and gx.transpose(1, 0, 2, 3).flags.c_contiguous
+    assert np.array_equal(gx, np.broadcast_to(g[:, :, None, None] / 20, x.shape))
 
 
 def test_avg_pool_and_embedding():
