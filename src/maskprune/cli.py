@@ -46,7 +46,7 @@ def load_checkpoint_model(checkpoint: str):
     meta = manifest["meta"]
     if meta.get("run_config") is None:
         raise ValueError("checkpoint carries no run_config; cannot rebuild model")
-    model = build_model(meta["run_config"])
+    model = build_model(validate_config(meta["run_config"]))
     model.load_params(arrays)
     return model, meta
 

@@ -155,8 +155,10 @@ _SCHEMA: dict[str, tuple] = {
 }
 
 
-def validate_config(raw: dict[str, Any]) -> dict[str, Any]:
+def validate_config(raw: Any) -> dict[str, Any]:
     """Fill defaults, reject unknown keys and invalid values."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a flat JSON object")
     unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}; "
@@ -206,8 +208,6 @@ def load_config(path: str) -> dict[str, Any]:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a flat JSON object")
     return validate_config(raw)
 
 

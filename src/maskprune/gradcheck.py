@@ -8,9 +8,11 @@ Most checks are case tables.  A generator draws ``(op, arrays)`` cases, and
 ``_projected`` runs each one: it registers every array on the tape under its
 key and checks the loss ``sum(op(*arrays) * proj)``, with a random ``proj``
 of the output's shape, so each output entry counts with its own weight.  A
-check reports its worst case.  The surrogate pair (``foothill``,
-``surrogate-mask``) is closed-form; ``_closed_form`` checks each derivative
-against central differences of the function itself.
+check reports its worst case.  The conv epilogue node ``batchnorm`` is
+checked in train mode alone: in eval it returns a leaf, as eval takes no
+gradient.  The surrogate pair (``foothill``, ``surrogate-mask``) is
+closed-form; ``_closed_form`` checks each derivative against central
+differences of the function itself.
 
 The straight-through rules (the alpha gradients of ``apply_gate``,
 ``apply_mask``, the conv epilogue node ``batchnorm``, the LSTM layer's
@@ -179,25 +181,22 @@ def _conv_cases(rng):
 
 
 def _batchnorm_cases(rng):
-    """The conv epilogue node with and without ReLU and a filter gate, one of
-    whose filters is masked, in both modes: the hard-forward gradients of x,
-    gamma and beta (``batchnorm-alpha`` checks the gate's alpha).  In eval the
-    input holds the live filters' channels alone, as a conv unit gives it."""
-    for mode in ("train", "eval"):
-        for (b, c, hw) in [(3, 2, 4), (2, 3, 3)]:
-            for relu, gated in [(False, False), (True, False), (False, True), (True, True)]:
-                state = layers.BnState(rng.normal(size=c) * 0.1, rng.random(size=c) + 0.5)
-                gate, channels = None, c
-                if gated:
-                    gate = GateParam.create("filter", c, threshold=0.2)
-                    gate.alpha[:] = rng.uniform(0.5, 1.5, size=c)
-                    gate.alpha[c - 1] = 0.05          # masked
-                    if mode == "eval":
-                        channels = c - 1
-                yield (partial(layers.batchnorm, state=state, mode=mode, relu=relu,
-                               gate=gate, alpha=None if gate is None else Tensor(gate.alpha)),
-                       {"x": rng.normal(size=(b, channels, hw, hw)),
-                        "gamma": rng.normal(size=c) + 1.5, "beta": rng.normal(size=c)})
+    """The conv epilogue node in train mode (eval takes no gradient) with and
+    without ReLU and a filter gate, one of whose filters is masked: the
+    hard-forward gradients of x, gamma and beta (``batchnorm-alpha`` checks
+    the gate's alpha)."""
+    for (b, c, hw) in [(3, 2, 4), (2, 3, 3)]:
+        for relu, gated in [(False, False), (True, False), (False, True), (True, True)]:
+            state = layers.BnState(rng.normal(size=c) * 0.1, rng.random(size=c) + 0.5)
+            gate = None
+            if gated:
+                gate = GateParam.create("filter", c, threshold=0.2)
+                gate.alpha[:] = rng.uniform(0.5, 1.5, size=c)
+                gate.alpha[c - 1] = 0.05          # masked
+            yield (partial(layers.batchnorm, state=state, relu=relu, gate=gate,
+                           alpha=None if gate is None else Tensor(gate.alpha)),
+                   {"x": rng.normal(size=(b, c, hw, hw)),
+                    "gamma": rng.normal(size=c) + 1.5, "beta": rng.normal(size=c)})
 
 
 def _linear_cases(rng):
@@ -349,7 +348,7 @@ def _lstm_sequence_loss(tape, arrays, gates, xs, proj):
     cell = layers.LstmCell({k: arrays[f"cell.W_{k}"] for k in layers.LSTM_GATES},
                            {k: arrays[f"cell.b_{k}"] for k in layers.LSTM_GATES},
                            gates, name="cell")
-    return sum_all(mul(cell.step(cell.bind(tape), xs), tape.leaf(proj)))
+    return sum_all(mul(cell.step(tape, xs), tape.leaf(proj)))
 
 
 def _lstm_cell_check(rng):

@@ -13,6 +13,12 @@ stand for (``_costs``).  ``params()``, ``state()``, the per-step
 ``bind(tape)`` that ``forward``/``step`` use, ``gate_decls()`` and
 ``flop_costs()`` walk those, so the checkpoint, the optimizer, the gradient
 map and the prune accounting agree on every name.
+
+A block binds its own arrays inside ``forward`` (``LstmCell``: ``step``), so
+a profiler that wraps those methods charges the block every node it makes.
+The conv epilogue (``batchnorm``) and the LSTM layer (``_lstm_sequence``)
+each run as one node; in eval, which takes no gradient, the epilogue's is a
+leaf.
 """
 
 from __future__ import annotations
@@ -85,10 +91,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     Wo = (W + 2 * padding - k) // stride + 1
     if Ho <= 0 or Wo <= 0:
         raise ShapeError(f"conv2d: non-positive output size {Ho}x{Wo}")
-    if live_in is not None and len(live_in) == n:
-        live_in = None
-    if live_out is not None and len(live_out) == m:
-        live_out = None
 
     # the (live) input, channel-major [n_live, b, H, W]
     xc = x.data.transpose(1, 0, 2, 3)
@@ -177,11 +179,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
     backward gives each alpha ``coeff * sum(g * r)`` over its row, with
     ``coeff`` the straight-through factor ``m~ + alpha * m~'``, and computes
     the batch-norm gradients of x, gamma and beta on the live rows alone: a
-    masked filter's are exact zeros, since the gate passes it none.  In eval,
-    with a filter masked, ``x`` holds the live filters' channels alone (a
-    conv unit computes no others); the node computes only those rows and
-    places them among zeros of every channel.  Their alphas' gradients are
-    then the only nonzero ones, as a masked row has no ``r``.
+    masked filter's are exact zeros, since the gate passes it none.  Eval
+    takes no gradient, so there the output is a leaf: no parents, no rule.
+    With a filter masked, ``x`` then holds the live filters' channels alone
+    (a conv unit computes no others); the node computes only those rows and
+    places them among zeros of every channel.
     """
     if x.data.ndim != 4 or gamma.data.ndim != 1 or beta.shape != gamma.shape:
         raise ShapeError(f"batchnorm: expected a rank-4 input and [c] affine, got "
@@ -226,27 +228,23 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         np.maximum(r, 0.0, out=r)
     out = r if s is None else r * s[:, None]
     out = _scatter_rows(out, rows, c).reshape(c, b, H, W).transpose(1, 0, 2, 3)
-    # the rows that get a batch-norm gradient, among the computed ones
-    pick = live if mode == "train" else None
+    if mode == "eval":
+        return Tensor(out)          # eval takes no gradient
 
     def sel(v):
-        return v if pick is None else v[pick]
+        return v if live is None else v[live]
 
     def rule(g):
         gc = g.transpose(1, 0, 2, 3).reshape(c, n)
-        if rows is not None:
-            gc = gc[rows]
         scratch, tail = None, ()
         if ev is not None:
-            coeff = ev.coeff(scaled=True)
             scratch = np.multiply(gc, r)
-            d_alpha = scratch.sum(axis=1) * (coeff if rows is None else coeff[rows])
-            tail = (_scatter_rows(d_alpha, rows, c),)
-        if pick is not None and not len(pick):
+            tail = (scratch.sum(axis=1) * ev.coeff(scaled=True),)
+        if live is not None and not len(live):
             return (None, None, None, *tail)
         # t, the gradient on the batch-norm output, may be g itself, which
         # other nodes read: written in place only once it is a copy
-        t, own = sel(gc), pick is not None
+        t, own = sel(gc), live is not None
         if s is not None:
             t, own = np.multiply(t, sel(s)[:, None], out=t if own else None), True
         if relu:
@@ -255,16 +253,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         dbeta = t.sum(axis=1)
         p = np.multiply(t, xh, out=None if scratch is None else scratch[:len(t)])
         dgamma = p.sum(axis=1)
-        if mode == "train":
-            # mean(t*gamma) = gamma*dbeta/n and mean(t*gamma*xhat) = gamma*dgamma/n
-            np.multiply(xh, (dgamma / n)[:, None], out=p)
-            dx = np.subtract(t, (dbeta / n)[:, None], out=t if own else None)
-            dx -= p
-            dx *= sel(gd * inv)[:, None]
-        else:
-            dx = np.multiply(t, gd[:, None], out=t if own else None)
-            dx *= inv[:, None]
-        dx = _scatter_rows(dx, pick, c).reshape(cx, b, H, W).transpose(1, 0, 2, 3)
+        # mean(t*gamma) = gamma*dbeta/n and mean(t*gamma*xhat) = gamma*dgamma/n
+        np.multiply(xh, (dgamma / n)[:, None], out=p)
+        dx = np.subtract(t, (dbeta / n)[:, None], out=t if own else None)
+        dx -= p
+        dx *= sel(gd * inv)[:, None]
+        dx = _scatter_rows(dx, live, c).reshape(c, b, H, W).transpose(1, 0, 2, 3)
         return (dx, _scatter_rows(dgamma, live, c), _scatter_rows(dbeta, live, c), *tail)
 
     parents = (x, gamma, beta) if ev is None else (x, gamma, beta, alpha)
@@ -457,8 +451,8 @@ class ConvUnit(Block):
     ``live_out``).  In eval, with a filter masked, the conv multiplies the
     live filters' weight rows alone, and ``batchnorm`` computes their rows
     and places them among zeros of every channel.  Eval takes no gradient,
-    so there the unit returns its output as a leaf, which frees the conv's
-    column matrix at once instead of at the end of the forward.
+    so there ``batchnorm`` returns a leaf, and the conv's column matrix is
+    freed when the unit returns instead of at the end of the forward.
     """
 
     weights: np.ndarray                # [m, n, k, k]
@@ -524,10 +518,8 @@ class ConvUnit(Block):
             w, live_out = tape.leaf(self.weights[live]), None
         y = conv2d(x, w, self.stride, self.weights.shape[2] // 2, live_in=live_in,
                    live_out=live_out)
-        out = batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode, relu=self.relu,
-                        gate=self.gate, alpha=p.get("gate.alpha"))
-        # eval takes no gradient: a leaf frees the conv's column matrix now
-        return tape.leaf(out.data) if mode == "eval" else out
+        return batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode, relu=self.relu,
+                         gate=self.gate, alpha=p.get("gate.alpha"))
 
 
 @dataclass
@@ -595,31 +587,23 @@ LSTM_GATES = ("f", "i", "g", "o")
 _PACKED = ("f", "i", "o", "g")
 
 
-def _pack(parts: list[Tensor]) -> Tensor:
-    """Stack same-shape arrays along axis 0; the backward splits the rows."""
-    n = parts[0].shape[0]
-
-    def rule(g):
-        return tuple(g[j * n:(j + 1) * n] for j in range(len(parts)))
-
-    return custom_grad(np.concatenate([p.data for p in parts]), parts, rule, op="pack")
-
-
-def _lstm_sequence(xs: Tensor, W: Tensor, b: Tensor, alpha: Tensor | None,
-                   gates: list[GateEval] | None) -> Tensor:
+def _lstm_sequence(xs: Tensor, W: list[Tensor], b: list[Tensor],
+                   alpha: list[Tensor] | None, gates: list[GateEval] | None) -> Tensor:
     """Every timestep of one LSTM layer from zero state, as one node.
 
-    ``xs`` is [b, T, e]; ``W`` [h+e, 4h] has the recurrent rows first, and
-    ``W``, ``b`` and ``alpha`` have their columns in ``_PACKED`` order, as
-    ``gates`` (the four gates' ``GateEval``s) has its entries.  The hard
-    ``mask`` is their masks side by side, and ``coeff``, which the backward
-    reads, their straight-through coefficients (``m~'``).  The input
-    projection of all b*T rows is one GEMM before the time loop; each step
-    adds ``h_{t-1} @ W[:h]``, scales by alpha (gated), applies sigmoid to the
-    first 3h columns and tanh to the last h, multiplies by the hard ``mask``
-    and updates c and h.  The output is h_t for every t, [b, T, h].  The node
-    keeps each step's tanh values (the activations follow from them), c_t
-    and tanh(c_t).
+    ``xs`` is [b, T, e].  ``W``, ``b`` and ``alpha`` are the layer's named
+    ``W_k`` [h, h+e], ``b_k`` and ``gate_k.alpha`` leaves, and ``gates`` the
+    four gates' ``GateEval``s, each list in ``_PACKED`` order.  The node's
+    parents are ``xs`` and those leaves.  It concatenates them once: ``W``
+    [h+e, 4h] is the ``W_k`` transposed side by side, recurrent rows first;
+    ``b`` and ``alpha`` are [4h]; the hard ``mask`` is the gates' masks side
+    by side, and ``coeff``, which the backward reads, their straight-through
+    coefficients (``m~'``).  The input projection of all b*T rows is one
+    GEMM before the time loop; each step adds ``h_{t-1} @ W[:h]``, scales by
+    alpha (gated), applies sigmoid to the first 3h columns and tanh to the
+    last h, multiplies by the hard ``mask`` and updates c and h.  The output
+    is h_t for every t, [b, T, h].  The node keeps each step's tanh values
+    (the activations follow from them), c_t and tanh(c_t).
 
     The backward's reverse loop only finds each step's gradient ``du`` on
     the scaled pre-activation ``u = alpha * pre`` and ``dh_{t-1}``; the
@@ -630,14 +614,16 @@ def _lstm_sequence(xs: Tensor, W: Tensor, b: Tensor, alpha: Tensor | None,
     ``act`` the unmasked ones.  ``pre = z @ W + b`` for the GEMM input
     ``z = [h_{t-1}, x_t]``, so the first sum is taken as ``sum_k W * (z^T du)
     + b * sum(du)`` from the weight gradient's GEMM, and ``pre`` is not kept.
+    Each packed gradient is split back into its four leaves' rows.
     """
-    Wd = W.data
+    Wd = np.concatenate([w.data for w in W]).T
+    bd = np.concatenate([v.data for v in b])
     h = Wd.shape[1] // 4
     if xs.data.ndim != 3 or Wd.shape[0] != h + xs.shape[2]:
         raise ShapeError(f"lstm: inputs {xs.shape} do not fit packed weights {Wd.shape}")
     B, T, e = xs.shape
     s = 3 * h
-    a = np.ones(4 * h) if alpha is None else alpha.data
+    a = np.ones(4 * h) if alpha is None else np.concatenate([v.data for v in alpha])
     m = np.ones(4 * h) if gates is None else np.concatenate([ev.mask for ev in gates])
     # sigmoid(u) = 0.5 * tanh(0.5 * u) + 0.5 (``tensor.logistic``), so one tanh
     # covers the block: u is scaled by ``half`` before it, the result after
@@ -647,7 +633,7 @@ def _lstm_sequence(xs: Tensor, W: Tensor, b: Tensor, alpha: Tensor | None,
     x_rows = np.ascontiguousarray(xs.data.transpose(1, 0, 2)).reshape(T * B, e)
     # th[t] starts as step t's scaled input projection and ends as its tanh
     th = x_rows @ w[h:]
-    th += b.data * (a * half)
+    th += bd * (a * half)
     th = th.reshape(T, B, 4 * h)
     # time-major; hs[t] and cs[t] hold the state before step t, zero at t = 0
     hs, cs = np.zeros((T + 1, B, h)), np.zeros((T + 1, B, h))
@@ -707,15 +693,15 @@ def _lstm_sequence(xs: Tensor, W: Tensor, b: Tensor, alpha: Tensor | None,
         zdu = np.concatenate([hs[:-1].reshape(T * B, h).T @ rows, x_rows.T @ rows])
         du_sum = rows.sum(axis=0)
         dxs = (rows @ wa[h:].T).reshape(T, B, e).transpose(1, 0, 2)
-        grads = (dxs, zdu * a, du_sum * a)
-        if alpha is None:
-            return grads
-        coeff = np.concatenate([ev.coeff(scaled=False) for ev in gates])
-        # sum(du * pre) from z^T du; sum(g * act) with act = half * th + off
-        return (*grads, np.sum(Wd * zdu, axis=0) + b.data * du_sum
-                + coeff * (half * g_th.sum(axis=0) + off * g_sum.sum(axis=0)))
+        packed = [(zdu * a).T, du_sum * a]
+        if alpha is not None:
+            coeff = np.concatenate([ev.coeff(scaled=False) for ev in gates])
+            # sum(du * pre) from z^T du; sum(g * act) with act = half * th + off
+            packed.append(np.sum(Wd * zdu, axis=0) + bd * du_sum
+                          + coeff * (half * g_th.sum(axis=0) + off * g_sum.sum(axis=0)))
+        return (dxs, *(v[j * h:(j + 1) * h] for v in packed for j in range(4)))
 
-    parents = (xs, W, b) if alpha is None else (xs, W, b, alpha)
+    parents = (xs, *W, *b, *(alpha or ()))
     return custom_grad(hs[1:].transpose(1, 0, 2), parents, rule, op="lstm_seq")
 
 
@@ -732,17 +718,12 @@ class LstmCell(Block):
     h_t = o_t * tanh(c_t), from h and c zero.  A masked node index is exactly
     zero in that recurrence gate for every batch element and timestep.
 
-    The four gates run as one block.  ``bind`` registers ``W_k``, ``b_k`` and
-    ``gate_k.alpha`` under their own names and packs them once per forward,
-    in ``_PACKED`` order: ``W`` is [h+e, 4h] (the ``W_k`` transposed side by
-    side), ``b`` and ``alpha`` are [4h], and ``gates`` holds the four gates'
-    evaluations on the tape (``gate.evaluation``), whose hard masks the
-    forward reads and whose straight-through coefficients (``m~'``) the
-    backward reads; the packing nodes split their gradients back to the named
-    leaves.
-    ``step`` then runs the whole sequence as one graph node
-    (``_lstm_sequence``), so the graph does not grow with T.  It keeps its
-    name from when it ran one timestep: profilers and tests wrap
+    The four gates run as one block.  ``step(tape, xs)`` binds ``W_k``,
+    ``b_k`` and ``gate_k.alpha`` under their own names, evaluates the four
+    gates on the tape (``gate.evaluation``) and runs the whole sequence as
+    one graph node on those leaves (``_lstm_sequence``), so the graph does
+    not grow with T and all of the layer's work happens inside ``step``.  It
+    keeps its name from when it ran one timestep: profilers and tests wrap
     ``LstmCell.step`` to find the cell's work.  Sigmoid is computed as
     ``0.5 * tanh(0.5 * x) + 0.5`` (``tensor.logistic``).
     """
@@ -792,21 +773,13 @@ class LstmCell(Block):
         return ({self.pname(f"{p}_{k}"): 2 for k in LSTM_GATES for p in ("W", "b")},
                 4 * self.hidden_dim)
 
-    def bind(self, tape: Tape) -> dict[str, Tensor | list[GateEval]]:
-        """The named parameter nodes plus the packed ``W``, ``b`` (and, gated,
-        ``alpha`` and the ``gates`` evaluations) that ``step`` reads."""
-        nodes = super().bind(tape)
-        nodes["W"] = transpose(_pack([nodes[f"W_{k}"] for k in _PACKED]))
-        nodes["b"] = _pack([nodes[f"b_{k}"] for k in _PACKED])
-        if self.gates is not None:
-            alphas = [nodes[f"gate_{k}.alpha"] for k in _PACKED]
-            nodes["alpha"] = _pack(alphas)
-            nodes["gates"] = [evaluation(self.gates[k], a) for k, a in zip(_PACKED, alphas)]
-        return nodes
-
-    def step(self, nodes: dict[str, Tensor | list[GateEval]], xs: Tensor) -> Tensor:
+    def step(self, tape: Tape, xs: Tensor) -> Tensor:
         """Every timestep of the [b, T, e] inputs ``xs``, from zero state: the
-        [b, T, h] hidden states.  ``nodes`` is what ``bind`` returned for this
-        tape."""
-        return _lstm_sequence(xs, nodes["W"], nodes["b"], nodes.get("alpha"),
-                              nodes.get("gates"))
+        [b, T, h] hidden states.  Binds this layer's parameters on ``tape``."""
+        p = self.bind(tape)
+        W, b = ([p[f"{q}_{k}"] for k in _PACKED] for q in ("W", "b"))
+        if self.gates is None:
+            return _lstm_sequence(xs, W, b, None, None)
+        alpha = [p[f"gate_{k}.alpha"] for k in _PACKED]
+        return _lstm_sequence(xs, W, b, alpha,
+                              [evaluation(self.gates[k], a) for k, a in zip(_PACKED, alpha)])

@@ -288,7 +288,7 @@ class _LstmBase(Model):
         once, then each cell over the whole sequence."""
         x = embedding(self.bind(tape)["embed"], ids)
         for cell in self.cells:
-            x = cell.step(cell.bind(tape), x)
+            x = cell.step(tape, x)
         return x
 
 

@@ -262,6 +262,17 @@ def test_report_rejects_missing_checkpoint(tmp_path):
     assert main(["report", "--checkpoint", str(tmp_path / "nope")]) == 2
 
 
+@pytest.mark.parametrize("run_config", ["mlp", ["x"]], ids=["string", "list"])
+def test_report_rejects_a_run_config_that_is_no_object(tmp_path, capsys, run_config):
+    ck = str(tmp_path / "ck")
+    save_checkpoint(ck, {"w": np.zeros(2)}, meta={"run_config": run_config})
+    assert main(["report", "--checkpoint", ck]) == 2
+    assert "error reading checkpoint: config must be a flat JSON object" in \
+        capsys.readouterr().err
+    with pytest.raises(ConfigError, match="flat JSON object"):
+        validate_config(run_config)
+
+
 def test_report_fractions_match_manager(tmp_path, capsys):
     from maskprune.pruning import PruneManager
     raw = {

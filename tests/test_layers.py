@@ -259,25 +259,24 @@ def test_epilogue_node_matches_batchnorm_relu_gate_composition(mode, use_relu, m
                  tape.param("gamma", gamma), tape.param("beta", beta)]
         alpha = None if gate is None else tape.param("alpha", gate.alpha)
         out = epilogue(*nodes, state, mode, relu=use_relu, gate=gate, alpha=alpha)
-        grads = tape.backward(sum_all(mul(out, Tensor(proj))))
-        runs.append((out.data, {k: g.data for k, g in grads.items()}, state))
-    (got, got_grads, got_state), (want, want_grads, want_state) = runs
-    _assert_close(got, want)
-    assert np.all(got[:, np.setdiff1d(np.arange(c), live)] == 0.0)
+        grads = None if mode == "eval" else tape.backward(sum_all(mul(out, Tensor(proj))))
+        runs.append((out, grads, state))
+    (got_node, got_grads, got_state), (want_node, want_grads, want_state) = runs
+    got, dead = got_node.data, np.setdiff1d(np.arange(c), live)
+    _assert_close(got, want_node.data)
+    assert np.all(got[:, dead] == 0.0)
     _assert_close(got_state.running_mean, want_state.running_mean)
     _assert_close(got_state.running_var, want_state.running_var)
+    if mode == "eval":
+        # eval takes no gradient: the node has no parents and no rule
+        assert got_node.parents == () and got_node.backward_rule is None
+        return
     # the reference's masked rows get exact zeros, which the node skips
-    assert np.all(want_grads["x"][:, np.setdiff1d(np.arange(c), live)] == 0.0)
-    _assert_close(got_grads["x"], want_grads["x"][:, rows])
-    for name in ("gamma", "beta"):
-        _assert_close(got_grads[name], want_grads[name])
-    if gate is not None:
-        # eval computes no masked row, so those alphas get no gradient there
-        computed = live if mode == "eval" else np.arange(c)
-        _assert_close(got_grads["alpha"][computed], want_grads["alpha"][computed])
-        assert np.all(np.delete(got_grads["alpha"], computed) == 0.0)
-        if mode == "train" and masked:
-            assert np.any(got_grads["alpha"][masked] != 0.0)    # rejuvenation
+    assert np.all(want_grads["x"].data[:, dead] == 0.0)
+    for name in ("x", "gamma", "beta", *(() if gate is None else ("alpha",))):
+        _assert_close(got_grads[name].data, want_grads[name].data)
+    if masked:
+        assert np.any(got_grads["alpha"].data[masked] != 0.0)    # rejuvenation
 
 
 def test_epilogue_node_checks_its_channels():
@@ -479,7 +478,7 @@ def test_lstm_zero_weights_give_zero_state():
         cell.weights[k][:] = 0.0
         cell.biases[k][:] = 0.0
     tape = Tape()
-    hs = cell.step(cell.bind(tape), Tensor(np.ones((2, 5, 3))))
+    hs = cell.step(tape, Tensor(np.ones((2, 5, 3))))
     assert hs.shape == (2, 5, 4)
     assert np.all(hs.data == 0.0)
 
@@ -487,16 +486,15 @@ def test_lstm_zero_weights_give_zero_state():
 def test_lstm_identity_gates_match_plain_equations():
     xs = np.random.default_rng(15).normal(size=(2, 5, 3))
     gated, plain = _cell(True), _cell(False)
-    hg = gated.step(gated.bind(Tape()), Tensor(xs))
-    hp = plain.step(plain.bind(Tape()), Tensor(xs))
+    hg = gated.step(Tape(), Tensor(xs))
+    hp = plain.step(Tape(), Tensor(xs))
     assert np.array_equal(hg.data, hp.data)
 
 
 def test_lstm_masked_output_node_zeroes_hidden_unit():
     cell = _cell(True, seed=16)
     cell.gates["o"].alpha[1] = 1e-9
-    hs = cell.step(cell.bind(Tape()),
-                   Tensor(np.random.default_rng(17).normal(size=(3, 5, 3))))
+    hs = cell.step(Tape(), Tensor(np.random.default_rng(17).normal(size=(3, 5, 3))))
     assert np.all(hs.data[:, :, 1] == 0.0)
     assert np.any(hs.data[:, :, 0] != 0.0)
 
@@ -534,9 +532,11 @@ def _column(xs: Tensor, t: int) -> Tensor:
     return custom_grad(xs.data[:, t], (xs,), rule, op="column")
 
 
-def _reference_sequence(cell, nodes, xs):
+def _reference_sequence(cell, tape, xs):
     """``_reference_step`` looped over the T columns of ``xs`` from zero
-    state, the h_t side by side as [b, T, h].  ``LstmCell.step`` must match it."""
+    state, the h_t side by side as [b, T, h], on the parameter nodes
+    ``Block.bind`` registers on ``tape``.  ``LstmCell.step`` must match it."""
+    nodes = cell.bind(tape)
     b, T, _ = xs.shape
     h = c = Tensor(np.zeros((b, cell.hidden_dim)))
     hs = []
@@ -566,7 +566,7 @@ def test_fused_lstm_step_matches_per_gate_composition(gated):
     runs = []
     for step in (LstmCell.step, _reference_sequence):
         tape = Tape()
-        hs = step(cell, cell.bind(tape), tape.param("xs", xs))
+        hs = step(cell, tape, tape.param("xs", xs))
         runs.append((hs.data, tape.backward(sum_all(mul(hs, Tensor(proj))))))
     (fused, fused_grads), (ref, ref_grads) = runs
     assert fused.shape == (2, 4, 4)
@@ -609,15 +609,27 @@ def test_lstm_graph_does_not_grow_with_sequence_length(gated):
     cell = _cell(gated)
     counts = []
     for T in (2, 16):
-        nodes = cell.bind(Tape())
+        tape = Tape()
         xs = Tensor(np.ones((2, T, 3)))
-        hs = cell.step(nodes, xs)
-        below = {id(n) for v in (*nodes.values(), xs) if isinstance(v, Tensor)
-                 for n in _toposort(v)}
-        # one node on top of the bound parameters and the inputs
-        assert {id(n) for n in _toposort(hs)} - below == {id(hs)}
+        hs = cell.step(tape, xs)
+        leaves = (*tape.params.values(), xs)
+        assert len(leaves) == (13 if gated else 9)
+        # one node on top of the parameter leaves and the inputs, and those
+        # its parents
+        assert {id(n) for n in _toposort(hs)} - {id(v) for v in leaves} == {id(hs)}
+        assert {id(p) for p in hs.parents} == {id(v) for v in leaves}
         counts.append(len(_toposort(hs)))
     assert counts[0] == counts[1]
+
+
+def test_two_stack_lstm_lm_forward_is_one_sequence_node_per_layer():
+    model = LstmLm(vocab=7, embed_dim=5, hidden=6, stacks=2, seed=20, granularity="node")
+    model.cells[1].gates["o"].alpha[2] = 1e-9
+    tape = Tape()
+    logits = model.forward(tape, np.random.default_rng(29).integers(0, 7, size=(3, 4)))
+    assert all(not n.parents for n in tape.params.values())
+    assert sorted(n.op for n in _toposort(logits) if n.parents) == sorted(
+        ["embedding", "lstm_seq", "lstm_seq", "reshape", "transpose", "matmul", "add"])
 
 
 def test_linear_examples():
