@@ -82,6 +82,8 @@ def load_checkpoint(dirpath: str) -> tuple[dict[str, np.ndarray], dict]:
         raise FileNotFoundError(f"{dirpath} is not a checkpoint directory")
     with open(man_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError("corrupt checkpoint: the manifest is not a JSON object")
     if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"unsupported checkpoint schema "
                          f"{manifest.get('schema_version')!r}")

@@ -44,6 +44,8 @@ def load_checkpoint_model(checkpoint: str):
     """Rebuild the model a checkpoint was saved from; returns it and the meta."""
     arrays, manifest = load_checkpoint(checkpoint)
     meta = manifest["meta"]
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint meta is not a JSON object")
     if meta.get("run_config") is None:
         raise ValueError("checkpoint carries no run_config; cannot rebuild model")
     model = build_model(validate_config(meta["run_config"]))

@@ -14,8 +14,10 @@ derivative of the foothill function,
     f(x, beta) = tanh(beta*x/2) + (beta*x/2) * sech(beta*x/2)^2,
 
 shifted to the threshold: m~(a) = (f(|a| - t, beta) + 1) / 2.  The surrogate
-keeps gradient flowing to scaling factors on both sides of the threshold,
-which is what lets a pruned entity rejuvenate during training.  That needs
+has two entry points: ``foothill`` returns f and f', and ``surrogate_terms``
+m~, m~' and m~ + alpha m~' from them.  The surrogate keeps gradient flowing
+to scaling factors on both sides of the threshold, which is what lets a
+pruned entity rejuvenate during training.  That needs
 the gated output to reach the loss through a nonzero derivative at the
 masked, exactly-zero value, so a gate never sits just before a ReLU: conv
 units gate after theirs.
@@ -74,26 +76,18 @@ def _sech2(u):
     return s * s
 
 
-def _foothill(x, beta: float):
-    """``foothill_fd`` and ``foothill_fd_grad`` at x, from one tanh u and one
-    sech^2 u."""
+def foothill(x, beta: float):
+    """(f, f') at x: f the first derivative of the foothill function with
+    unit shape parameter, f' its derivative in x, from one tanh u and one
+    sech^2 u (u = beta*x/2).
+
+    f is odd in x, asymptotically +-1, with a mild overshoot (max ~1.1996
+    near u ~ 1.2) before settling to the asymptote; f' = (beta/2) sech^2(u)
+    (2 - 2u tanh u) is even.
+    """
     u = 0.5 * beta * np.asarray(x, dtype=np.float64)
     th, s2 = np.tanh(u), _sech2(u)
     return th + u * s2, 0.5 * beta * s2 * (2.0 - 2.0 * u * th)
-
-
-def foothill_fd(x, beta: float):
-    """First derivative of the foothill function with unit shape parameter.
-
-    Odd in x, asymptotically +-1, with a mild overshoot (max ~1.1996 near
-    beta*x/2 ~ 1.2) before settling to the asymptote.
-    """
-    return _foothill(x, beta)[0]
-
-
-def foothill_fd_grad(x, beta: float):
-    """Derivative of ``foothill_fd`` in x: (beta/2) sech^2(u) (2 - 2u tanh u)."""
-    return _foothill(x, beta)[1]
 
 
 class Surrogate(NamedTuple):
@@ -112,20 +106,10 @@ def surrogate_terms(alpha, t: float, beta: float) -> Surrogate:
     0 at a = 0.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    f, df = _foothill(np.abs(alpha) - t, beta)
+    f, df = foothill(np.abs(alpha) - t, beta)
     m = 0.5 * (f + 1.0)
     dm = 0.5 * df * np.sign(alpha)
     return Surrogate(m, dm, m + alpha * dm)
-
-
-def surrogate_mask(alpha, t: float, beta: float):
-    """m~(alpha), as ``surrogate_terms`` computes it."""
-    return surrogate_terms(alpha, t, beta).m
-
-
-def surrogate_mask_grad(alpha, t: float, beta: float):
-    """m~'(alpha), as ``surrogate_terms`` computes it."""
-    return surrogate_terms(alpha, t, beta).dm
 
 
 @dataclass

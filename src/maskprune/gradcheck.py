@@ -4,15 +4,16 @@ Each check compares the tape's gradients of a scalar loss, built from seeded
 random inputs, with central differences computed by re-running the forward as
 a pure function of the perturbed arrays (``check_loss``).
 
-Most checks are case tables.  A generator draws ``(op, arrays)`` cases, and
-``_projected`` runs each one: it registers every array on the tape under its
-key and checks the loss ``sum(op(*arrays) * proj)``, with a random ``proj``
-of the output's shape, so each output entry counts with its own weight.  A
-check reports its worst case.  The conv epilogue node ``batchnorm`` is
-checked in train mode alone: in eval it returns a leaf, as eval takes no
-gradient.  The surrogate pair (``foothill``, ``surrogate-mask``) is
-closed-form; ``_closed_form`` checks each derivative against central
-differences of the function itself.
+Every check but the LSTM pair (``lstm-cell``, ``lstm-cell-alpha``) and the
+closed-form pair is a case table.  A generator draws ``(op, arrays[, ref])``
+cases, and ``_projected`` runs each one: it registers every array on the tape
+under its key and checks the loss ``sum(op(*arrays) * proj)``, with a random
+``proj`` of the output's shape, so each output entry counts with its own
+weight.  A check reports its worst case.  The conv epilogue node
+``batchnorm`` is checked in train mode alone: in eval it returns a leaf, as
+eval takes no gradient.  The surrogate pair (``foothill``,
+``surrogate-mask``) is closed-form; ``_closed_form`` checks each derivative
+against central differences of the function itself.
 
 The straight-through rules (the alpha gradients of ``apply_gate``,
 ``apply_mask``, the conv epilogue node ``batchnorm``, the LSTM layer's
@@ -21,9 +22,10 @@ pass.  Their checks difference the forward pass they stand in for instead:
 the same computation with every hard mask I(.) replaced by the surrogate
 m~(.), at alphas on both sides of the threshold and clear of 0.  That is the
 defining property of the estimator (Bengio et al., 2013, arXiv:1308.3432).
-Where the loss is not linear in the masked output (the LSTM cell), m~ is
-shifted by a constant to equal I at the checked alphas, so the values
-downstream of each mask stay the hard ones.
+In the case tables that smooth forward is the case's ``ref``.  Where the
+loss is not linear in the masked output (the LSTM cell), m~ is shifted by a
+constant to equal I at the checked alphas, so the values downstream of each
+mask stay the hard ones.
 """
 
 from __future__ import annotations
@@ -106,8 +108,10 @@ def _projected(rng: np.random.Generator, op: Callable[..., Tensor],
     on plain tensors finds.  A train-mode batchnorm updates its running
     statistics on that call, as on every finite-difference call; its output
     reads the batch statistics only, so no loss changes.  With ``ref``, the
-    finite differences are of ``sum(ref(*arrays) * proj)``: the computation
-    that ``op``, which skips exactly-zero products, stands in for.
+    finite differences are of ``sum(ref(*arrays) * proj)``, ``ref`` being the
+    computation ``op`` stands in for: the dense conv for a conv with live
+    indices, which skips exactly-zero products, and the forward with I -> m~
+    for a straight-through rule.
     """
     proj = rng.normal(size=op(*map(Tensor, arrays.values())).shape)
 
@@ -246,77 +250,52 @@ _ALPHA_CASES = [(AXIS0, (5, 3), [0.6, -0.35, 0.12, -0.07, 1.1]),
                                        0.09, 0.3, -0.15, 0.25, -0.9, 0.16])]
 
 
-def _gate_alpha_check(apply: Callable, scaled: bool):
-    """Alpha gradient of ``apply`` against its forward with I -> m~.
+def _smooth(gate: GateParam, alpha: np.ndarray, scaled: bool) -> np.ndarray:
+    """The smooth stand-in for the hard factor: ``alpha * m~(alpha)`` when
+    ``scaled``, else ``m~(alpha)``."""
+    m = gate_mod.surrogate_terms(alpha, gate.threshold, gate.beta).m
+    return alpha * m if scaled else m
 
-    The surrogate forward scales by ``alpha * m~(alpha)`` when ``scaled``
-    (``apply_gate``), else by ``m~(alpha)`` (``apply_mask``).
-    """
 
-    def run(rng: np.random.Generator) -> float:
-        worst = 0.0
+def _gate_alpha_cases(apply: Callable, scaled: bool):
+    """Alpha gradient of ``apply`` (``apply_gate`` when ``scaled``, else
+    ``apply_mask``) against its forward with I -> m~."""
+
+    def draw(rng):
         for mode, shape, alphas in _ALPHA_CASES:
             gate = GateParam.create(_GRANULARITY[mode], len(alphas), threshold=0.2)
             x = rng.normal(size=shape)
-            proj = rng.normal(size=shape)
+            yield (lambda alpha, x=x, gate=gate, mode=mode:
+                   apply(Tensor(x), gate, mode, alpha=alpha),
+                   {"alpha": np.array(alphas)},
+                   lambda alpha, x=x, gate=gate, mode=mode: Tensor(
+                       broadcast_mask(_smooth(gate, alpha.data, scaled), x.shape, mode) * x))
 
-            def build(tape, arrays):
-                alpha = tape.param("alpha", arrays["alpha"])
-                out = apply(tape.leaf(x), gate, mode, alpha=alpha)
-                return sum_all(mul(out, tape.leaf(proj)))
-
-            def smooth(arrays):
-                a = arrays["alpha"]
-                m = gate_mod.surrogate_mask(a, gate.threshold, gate.beta)
-                scale_b = broadcast_mask(a * m if scaled else m, shape, mode)
-                return float(np.sum(scale_b * x * proj))
-
-            worst = max(worst, check_loss(build, {"alpha": np.array(alphas)},
-                                          smooth=smooth))
-        return worst
-
-    return run
+    return draw
 
 
-def _batchnorm_alpha_check(rng):
+def _batchnorm_alpha_cases(rng):
     """Alpha gradient of the gated conv epilogue against its forward with I -> m~.
 
-    Train mode, where the node computes every filter, with and without ReLU;
-    the loss is linear in the gated output, so the smooth forward scales the
-    pre-gate output by ``alpha * m~(alpha)``.
+    Train mode, where the node computes every filter, with and without ReLU.
+    The loss is linear in the gated output, so the smooth forward may scale
+    the pre-gate output, the ungated node's, by ``alpha * m~(alpha)``.
     """
     alphas = next(a for mode, _, a in _ALPHA_CASES if mode == AXIS1)
     c = len(alphas)
     gate = GateParam.create("filter", c, threshold=0.2)
-    worst = 0.0
+    shape = (2, c, 3, 3)
     for relu in (True, False):
-        x = rng.normal(size=(2, c, 3, 3))
-        gamma, beta = rng.normal(size=c) + 1.5, rng.normal(size=c)
-        proj = rng.normal(size=x.shape)
-
-        def build(tape, arrays, relu=relu, x=x, gamma=gamma, beta=beta, proj=proj):
-            out = layers.batchnorm(tape.leaf(x), tape.leaf(gamma), tape.leaf(beta),
-                                   layers.BnState.create(c), relu=relu, gate=gate,
-                                   alpha=tape.param("alpha", arrays["alpha"]))
-            return sum_all(mul(out, tape.leaf(proj)))
-
-        def smooth(arrays, relu=relu, x=x, gamma=gamma, beta=beta, proj=proj):
-            a = arrays["alpha"]
-            axes = (0, 2, 3)
-            xhat = ((x - x.mean(axis=axes, keepdims=True))
-                    / np.sqrt(x.var(axis=axes, keepdims=True) + 1e-5))
-            r = broadcast_mask(gamma, x.shape, AXIS1) * xhat + broadcast_mask(beta, x.shape,
-                                                                               AXIS1)
-            if relu:
-                r = np.maximum(r, 0.0)
-            m = gate_mod.surrogate_mask(a, gate.threshold, gate.beta)
-            return float(np.sum(broadcast_mask(a * m, x.shape, AXIS1) * r * proj))
-
-        worst = max(worst, check_loss(build, {"alpha": np.array(alphas)}, smooth=smooth))
-    return worst
+        x = Tensor(rng.normal(size=shape))
+        gamma, beta = Tensor(rng.normal(size=c) + 1.5), Tensor(rng.normal(size=c))
+        bn = partial(layers.batchnorm, x, gamma, beta, relu=relu)
+        yield (lambda alpha, bn=bn: bn(layers.BnState.create(c), gate=gate, alpha=alpha),
+               {"alpha": np.array(alphas)},
+               lambda alpha, bn=bn: mul(bn(layers.BnState.create(c)), Tensor(
+                   broadcast_mask(_smooth(gate, alpha.data, True), shape, AXIS1))))
 
 
-def _ratio_hinge_alpha_check(rng):
+def _ratio_hinge_alpha_cases(rng):
     """Hinge alpha gradient against the hinge of the surrogate count."""
     gates = [GateParam.create("node", 4, threshold=0.2, name="g0"),
              GateParam.create("node", 3, threshold=0.2, name="g1")]
@@ -324,16 +303,12 @@ def _ratio_hinge_alpha_check(rng):
     gates[1].alpha[:] = [1.1, -0.5, 0.3]
     c = 0.25      # 5 of 7 active: hard and surrogate fractions both exceed c
 
-    def build(tape, arrays):
-        return objective.ratio_hinge(
-            [(g, tape.param(g.name, arrays[g.name])) for g in gates], c)
+    def ref(*alphas):
+        active = sum(np.sum(_smooth(g, a.data, False)) for g, a in zip(gates, alphas))
+        return Tensor(max(0.0, active / 7 - c))
 
-    def smooth(arrays):
-        active = sum(np.sum(gate_mod.surrogate_mask(arrays[g.name], g.threshold, g.beta))
-                     for g in gates)
-        return max(0.0, active / 7 - c)
-
-    return check_loss(build, {g.name: g.alpha for g in gates}, smooth=smooth)
+    yield (lambda *alphas: objective.ratio_hinge(list(zip(gates, alphas)), c),
+           {g.name: g.alpha for g in gates}, ref)
 
 
 def _lstm_cell_arrays(rng, h: int, e: int) -> dict[str, np.ndarray]:
@@ -407,8 +382,8 @@ def _lstm_cell_alpha_check(rng):
             for k in layers.LSTM_GATES:
                 a = arrays[f"cell.gate_{k}.alpha"]
                 u = a * (z @ arrays[f"cell.W_{k}"].T + arrays[f"cell.b_{k}"])
-                m = (gate_mod.hard_mask(base[k], t) + gate_mod.surrogate_mask(a, t, beta)
-                     - gate_mod.surrogate_mask(base[k], t, beta))
+                m = (gate_mod.hard_mask(base[k], t) + gate_mod.surrogate_terms(a, t, beta).m
+                     - gate_mod.surrogate_terms(base[k], t, beta).m)
                 act[k] = m * (np.tanh(u) if k == "g" else 1.0 / (1.0 + np.exp(-u)))
             cs = act["f"] * cs + act["i"] * act["g"]
             hs = act["o"] * np.tanh(cs)
@@ -419,22 +394,21 @@ def _lstm_cell_alpha_check(rng):
                       smooth=smooth)
 
 
-def _closed_form(f: Callable, df: Callable, xs: np.ndarray, step: float) -> float:
-    """Max relative error of ``df(xs)`` against central differences of ``f``."""
-    return rel_error(df(xs), (f(xs + step) - f(xs - step)) / (2 * step))
+def _closed_form(fn: Callable, xs: np.ndarray, step: float) -> float:
+    """Max relative error of the derivative ``fn(xs)[1]`` against central
+    differences of the function ``fn(xs)[0]``."""
+    return rel_error(fn(xs)[1], (fn(xs + step)[0] - fn(xs - step)[0]) / (2 * step))
 
 
 def _foothill_check(rng):
     xs = np.concatenate([rng.uniform(-2.0, 2.0, size=14), [0.1, 0.5, 1.0, -0.5,
                                                            0.02, -0.02]])
-    return _closed_form(lambda x: gate_mod.foothill_fd(x, 5.0),
-                        lambda x: gate_mod.foothill_fd_grad(x, 5.0), xs, 1e-6)
+    return _closed_form(lambda x: gate_mod.foothill(x, 5.0), xs, 1e-6)
 
 
 def _surrogate_check(rng):
     alphas = rng.uniform(-2.0, 2.0, size=20)
-    return _closed_form(lambda a: gate_mod.surrogate_mask(a, 0.2, 5.0),
-                        lambda a: gate_mod.surrogate_mask_grad(a, 0.2, 5.0),
+    return _closed_form(lambda a: gate_mod.surrogate_terms(a, 0.2, 5.0)[:2],
                         alphas[np.abs(alphas) > 1e-4], 1e-7)
 
 
@@ -455,10 +429,10 @@ CHECKS: dict[str, Callable] = {
     "pool-embed": _cases(_pool_embed_cases),
     "cross-entropy": _cases(_cross_entropy_cases),
     "apply-gate-x": _cases(_apply_gate_x_cases),
-    "apply-gate-alpha": _gate_alpha_check(gate_mod.apply_gate, scaled=True),
-    "apply-mask-alpha": _gate_alpha_check(gate_mod.apply_mask, scaled=False),
-    "batchnorm-alpha": _batchnorm_alpha_check,
-    "ratio-hinge-alpha": _ratio_hinge_alpha_check,
+    "apply-gate-alpha": _cases(_gate_alpha_cases(gate_mod.apply_gate, scaled=True)),
+    "apply-mask-alpha": _cases(_gate_alpha_cases(gate_mod.apply_mask, scaled=False)),
+    "batchnorm-alpha": _cases(_batchnorm_alpha_cases),
+    "ratio-hinge-alpha": _cases(_ratio_hinge_alpha_cases),
     "masked-l2": _cases(_masked_l2_cases),
     "lstm-cell": _lstm_cell_check,
     "lstm-cell-alpha": _lstm_cell_alpha_check,

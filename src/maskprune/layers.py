@@ -33,6 +33,9 @@ from .pruning import GateDecl, conv_macs
 from .tensor import (ShapeError, Tensor, Tape, add, custom_grad, is_data, matmul, relu,
                      transpose)
 
+# batch norm's running-average momentum and variance epsilon
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 # FLOPs per output element, beside 2 per multiply-accumulate
 BN_FLOPS_PER_ELEM = 2
 RELU_FLOPS_PER_ELEM = 1
@@ -142,20 +145,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
 
 @dataclass
 class BnState:
-    """Per-channel batch-norm statistics and hyperparameters.
+    """Per-channel batch-norm running statistics.
 
-    Running statistics are plain arrays mutated by train-mode forwards; the
-    affine gamma/beta are trainable and travel through the tape.
+    Plain arrays mutated by train-mode forwards (momentum ``BN_MOMENTUM``);
+    the affine gamma/beta are trainable and travel through the tape.
     """
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, channels: int, momentum: float = 0.1, eps: float = 1e-5) -> "BnState":
-        return cls(np.zeros(channels), np.ones(channels), momentum, eps)
+    def create(cls, channels: int) -> "BnState":
+        return cls(np.zeros(channels), np.ones(channels))
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
@@ -213,14 +214,14 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         xhat = xc - mean[:, None]
         r = np.square(xhat)              # scratch for the variance first
         var = r.sum(axis=1) / n
-        state.running_mean *= 1.0 - state.momentum
-        state.running_mean += state.momentum * mean
-        state.running_var *= 1.0 - state.momentum
-        state.running_var += state.momentum * var
+        state.running_mean *= 1.0 - BN_MOMENTUM
+        state.running_mean += BN_MOMENTUM * mean
+        state.running_var *= 1.0 - BN_MOMENTUM
+        state.running_var += BN_MOMENTUM * var
     else:
         xhat = xc - mean[:, None]
         r = np.empty_like(xhat)
-    inv = 1.0 / np.sqrt(var + state.eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv[:, None]
     np.multiply(xhat, gd[:, None], out=r)
     r += bd[:, None]

@@ -121,7 +121,7 @@ class Mlp(Model):
         return self.layers
 
     def forward(self, tape, x, mode="train"):
-        h = tape.leaf(x) if not isinstance(x, Tensor) else x
+        h = tape.leaf(x)
         for layer in self.layers:
             h = layer.forward(tape, h)
         return h
@@ -166,7 +166,7 @@ class ToyConvNet(Model):
         return {}, self.in_channels * area
 
     def forward(self, tape, x, mode="train"):
-        h = tape.leaf(x) if not isinstance(x, Tensor) else x
+        h = tape.leaf(x)
         live = None
         for u in self.units:
             # each unit reads the previous one's live filters
@@ -242,8 +242,7 @@ class ResNetSmall(Model):
         return {}, last.out_channels * last.out_hw[0] * last.out_hw[1]
 
     def forward(self, tape, x, mode="train"):
-        h = self.stem.forward(tape, tape.leaf(x) if not isinstance(x, Tensor) else x,
-                              mode)
+        h = self.stem.forward(tape, tape.leaf(x), mode)
         # only the first block reads the stem; the others read a residual sum
         h = self.blocks[0].forward(tape, h, mode, live_in=self.stem.live_filters(tape))
         for blk in self.blocks[1:]:

@@ -273,6 +273,18 @@ def test_report_rejects_a_run_config_that_is_no_object(tmp_path, capsys, run_con
         validate_config(run_config)
 
 
+
+@pytest.mark.parametrize("meta,manifest", [("x", None), (["y"], None), (None, ["z"])],
+                         ids=["meta-string", "meta-list", "manifest-list"])
+def test_report_rejects_a_manifest_or_meta_that_is_no_object(tmp_path, capsys, meta,
+                                                             manifest):
+    ck = tmp_path / "ck"
+    save_checkpoint(str(ck), {"w": np.zeros(2)}, meta=meta)
+    if manifest is not None:
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", "--checkpoint", str(ck)]) == 2
+    assert "error reading checkpoint" in capsys.readouterr().err
+
 def test_report_fractions_match_manager(tmp_path, capsys):
     from maskprune.pruning import PruneManager
     raw = {

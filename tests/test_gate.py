@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from maskprune import gate as gate_mod
 from maskprune.gate import (AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, apply_gate,
-                            apply_mask, foothill_fd, foothill_fd_grad, hard_mask,
-                            surrogate_mask, surrogate_mask_grad)
+                            apply_mask, foothill, hard_mask, surrogate_terms)
 from maskprune.gradcheck import run_checks
 from maskprune.tensor import ShapeError, Tape, Tensor, sum_all, mul
 
@@ -22,57 +21,58 @@ def test_hard_mask_examples():
 
 
 def test_foothill_values():
-    assert foothill_fd(0.0, 5.0) == 0.0
-    assert abs(foothill_fd(0.2, 5.0) - F_AT_02_B5) < 1e-12
-    assert abs(foothill_fd(10.0, 5.0) - 1.0) < 1e-9
+    assert foothill(0.0, 5.0)[0] == 0.0
+    assert abs(foothill(0.2, 5.0)[0] - F_AT_02_B5) < 1e-12
+    assert abs(foothill(10.0, 5.0)[0] - 1.0) < 1e-9
 
 
 @given(st.floats(-50, 50), st.floats(0.1, 20))
 def test_foothill_odd_and_bounded(x, beta):
-    f = foothill_fd(x, beta)
-    assert np.isclose(f, -foothill_fd(-x, beta), atol=1e-12)
+    f = foothill(x, beta)[0]
+    assert np.isclose(f, -foothill(-x, beta)[0], atol=1e-12)
     assert abs(f) < 1.2
 
 
 def test_foothill_grad_values():
-    assert foothill_fd_grad(0.0, 5.0) == 5.0
+    assert foothill(0.0, 5.0)[1] == 5.0
     for x in (0.3, 1.7, -0.9):
-        assert foothill_fd_grad(x, 5.0) == foothill_fd_grad(-x, 5.0)
+        assert foothill(x, 5.0)[1] == foothill(-x, 5.0)[1]
 
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0])
 def test_foothill_grad_matches_finite_difference(x):
     beta = 5.0
-    num = (foothill_fd(x + 1e-6, beta) - foothill_fd(x - 1e-6, beta)) / 2e-6
-    assert abs(foothill_fd_grad(x, beta) - num) / abs(num) < 1e-6
+    num = (foothill(x + 1e-6, beta)[0] - foothill(x - 1e-6, beta)[0]) / 2e-6
+    assert abs(foothill(x, beta)[1] - num) / abs(num) < 1e-6
 
 
 def test_surrogate_mask_values():
     for beta in (1.0, 5.0, 12.0):
-        assert surrogate_mask(0.2, 0.2, beta) == 0.5
-    assert abs(surrogate_mask(10.0, 0.2, 5.0) - 1.0) < 1e-9
-    assert abs(surrogate_mask(0.0, 0.2, 5.0) - SURROGATE_AT_0_T02_B5) < 1e-12
-    assert abs(surrogate_mask(0.0, 0.2, 5.0) - 0.0723) < 1e-3
+        assert surrogate_terms(0.2, 0.2, beta).m == 0.5
+    assert abs(surrogate_terms(10.0, 0.2, 5.0).m - 1.0) < 1e-9
+    assert abs(surrogate_terms(0.0, 0.2, 5.0).m - SURROGATE_AT_0_T02_B5) < 1e-12
+    assert abs(surrogate_terms(0.0, 0.2, 5.0).m - 0.0723) < 1e-3
 
 
 def test_surrogate_mask_grad_values():
-    assert surrogate_mask_grad(0.0, 0.1, 5.0) == 0.0
-    assert surrogate_mask_grad(0.2, 0.2, 5.0) == 2.5
+    assert surrogate_terms(0.0, 0.1, 5.0).dm == 0.0
+    assert surrogate_terms(0.2, 0.2, 5.0).dm == 2.5
 
 
 @given(st.floats(1e-3, 3.0))
 def test_surrogate_mask_grad_is_odd(alpha):
     t, beta = 0.1, 5.0
-    assert np.isclose(surrogate_mask_grad(-alpha, t, beta),
-                      -surrogate_mask_grad(alpha, t, beta), atol=1e-12)
+    assert np.isclose(surrogate_terms(-alpha, t, beta).dm,
+                      -surrogate_terms(alpha, t, beta).dm, atol=1e-12)
 
 
 @given(st.floats(-3, 3).filter(lambda a: abs(a) > 1e-7))
 @settings(max_examples=200)
 def test_surrogate_consistency_with_finite_difference(alpha):
     t, beta, h = 0.15, 5.0, 1e-7
-    num = (surrogate_mask(alpha + h, t, beta) - surrogate_mask(alpha - h, t, beta)) / (2 * h)
-    ana = surrogate_mask_grad(alpha, t, beta)
+    num = (surrogate_terms(alpha + h, t, beta).m
+           - surrogate_terms(alpha - h, t, beta).m) / (2 * h)
+    ana = surrogate_terms(alpha, t, beta).dm
     assert abs(ana - num) <= 1e-5 * max(1.0, abs(num))
 
 
@@ -81,7 +81,7 @@ def test_surrogate_rounds_to_hard_mask_away_from_threshold(alpha, t):
     beta = 5.0
     if abs((abs(alpha) - t) * beta) <= 5.0:
         return
-    assert round(surrogate_mask(alpha, t, beta)) == hard_mask([alpha], t)[0]
+    assert round(surrogate_terms(alpha, t, beta).m) == hard_mask([alpha], t)[0]
 
 
 def _gate_backward(x, alpha, t=1e-3, beta=5.0, upstream=None):
@@ -177,7 +177,7 @@ def test_apply_mask_exact_forward_and_surrogate_alpha_grad():
     assert np.array_equal(out.data, [[2.0, 0.0]])
     grads = tape.backward(sum_all(out))
     assert np.array_equal(grads["x"].data, [[1.0, 0.0]])
-    expected = 3.0 * surrogate_mask_grad(1e-9, 1e-3, 5.0)
+    expected = 3.0 * surrogate_terms(1e-9, 1e-3, 5.0).dm
     assert np.isclose(grads["a"].data[1], expected)
 
 
@@ -220,8 +220,8 @@ def test_shared_pass_is_bit_equal_to_the_separate_formulas(t, beta):
     for name, g, want in zip(("mask", "m~", "m~'", "coeff", "unscaled coeff"), got,
                              _reference_terms(alpha, t, beta)):
         assert g.tobytes() == want.tobytes(), name
-    assert surrogate_mask(alpha, t, beta).tobytes() == ev.terms.m.tobytes()
-    assert surrogate_mask_grad(alpha, t, beta).tobytes() == ev.terms.dm.tobytes()
+    for fresh, kept in zip(surrogate_terms(alpha, t, beta), ev.terms):
+        assert fresh.tobytes() == kept.tobytes()
 
 
 def test_gate_param_validation():
@@ -242,20 +242,18 @@ def test_mask_recomputed_from_alpha():
 
 
 STRAIGHT_THROUGH = ["apply-gate-alpha", "apply-mask-alpha", "batchnorm-alpha",
-                    "ratio-hinge-alpha"]
+                    "ratio-hinge-alpha", "lstm-cell-alpha"]
 
 
 def test_straight_through_alpha_gradients_match_surrogate_forward():
-    assert [ok for _, _, ok in run_checks(STRAIGHT_THROUGH)] == [True] * 4
+    assert [ok for _, _, ok in run_checks(STRAIGHT_THROUGH)] == [True] * 5
 
 
 def test_straight_through_checks_fail_without_surrogate_derivative(monkeypatch):
-    foothill = gate_mod._foothill
-
     def flat(x, beta):
         f, df = foothill(x, beta)
         return f, np.zeros_like(df)
 
     # the one surrogate pass then yields m~' = 0, and m~ + alpha * m~' = m~
-    monkeypatch.setattr(gate_mod, "_foothill", flat)
+    monkeypatch.setattr(gate_mod, "foothill", flat)
     assert not any(ok for _, _, ok in run_checks(STRAIGHT_THROUGH))

@@ -3,7 +3,7 @@ import pytest
 
 from maskprune.gate import AXIS0, AXIS1, GateParam, apply_gate, apply_mask
 from maskprune.gradcheck import run_checks
-from maskprune.layers import (LSTM_GATES, BnState, ConvUnit, LstmCell,
+from maskprune.layers import (BN_EPS, BN_MOMENTUM, LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
                               embedding, linear)
 from maskprune.models import LstmLm, Mlp, ResNetSmall, stage_sides
@@ -153,20 +153,22 @@ def test_batchnorm_train_normalizes():
 
 
 def test_batchnorm_eval_identity():
+    # fresh running statistics (mean 0, variance 1) scale by 1 / sqrt(1 + eps) alone
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(4, 2, 3, 3)))
-    state = BnState(np.zeros(2), np.ones(2), eps=1e-12)
+    state = BnState.create(2)
     out = batchnorm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, "eval")
-    assert np.allclose(out.data, x.data, atol=1e-9)
+    assert np.allclose(out.data, x.data / np.sqrt(1.0 + BN_EPS), rtol=1e-12, atol=0)
 
 
 def test_batchnorm_running_stats_update():
+    # one step of the running averages from their initial zeros and ones
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(2.0, 1.0, size=(16, 2, 4, 4)))
-    state = BnState.create(2, momentum=1.0)   # running <- batch stats exactly
+    state = BnState.create(2)
     batchnorm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, "train")
-    assert np.allclose(state.running_mean, x.data.mean(axis=(0, 2, 3)))
-    assert np.allclose(state.running_var, x.data.var(axis=(0, 2, 3)))
+    assert np.allclose(state.running_mean, 0.1 * x.data.mean(axis=(0, 2, 3)))
+    assert np.allclose(state.running_var, 0.9 + 0.1 * x.data.var(axis=(0, 2, 3)))
 
 
 def test_batchnorm_scale_invariance_motivates_gate_placement():
@@ -194,12 +196,12 @@ def _reference_batchnorm(x, gamma, beta, state, mode="train"):
     if mode == "train":
         mu = xd.mean(axis=axes)
         var = xd.var(axis=axes)
-        inv = 1.0 / np.sqrt(var + state.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (xd - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-        state.running_mean *= 1.0 - state.momentum
-        state.running_mean += state.momentum * mu
-        state.running_var *= 1.0 - state.momentum
-        state.running_var += state.momentum * var
+        state.running_mean *= 1.0 - BN_MOMENTUM
+        state.running_mean += BN_MOMENTUM * mu
+        state.running_var *= 1.0 - BN_MOMENTUM
+        state.running_var += BN_MOMENTUM * var
         n = xd.shape[0] * xd.shape[2] * xd.shape[3]
 
         def rule(g):
@@ -210,7 +212,7 @@ def _reference_batchnorm(x, gamma, beta, state, mode="train"):
                 - xhat * (dgamma / n).reshape(1, c, 1, 1))
             return dx, dgamma, dbeta
     else:
-        inv = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = (xd - state.running_mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
 
         def rule(g):
@@ -339,6 +341,14 @@ def test_conv_and_matmul_rules_skip_the_gradient_of_a_data_input():
     assert gx.shape == (4, 6) and gw is None
 
 
+class _InputAsParam(Tape):
+    """A tape that registers the input batch, the one array a model binds
+    through ``leaf`` in train mode, as the parameter "x"."""
+
+    def leaf(self, value):
+        return self.param("x", value)
+
+
 @pytest.mark.parametrize("make,x", [
     (lambda: Mlp(6, (5,), 3, seed=1, granularity="weight"), (4, 6)),
     (lambda: ResNetSmall((3, 4), 1, in_channels=2, input_hw=(5, 5), classes=3, seed=1,
@@ -349,10 +359,8 @@ def test_skipping_the_data_gradient_leaves_every_parameter_gradient_bit_equal(ma
     x = np.random.default_rng(41).normal(size=x)
     y = np.array([0, 2, 1, 2])
     grads = []
-    for as_param in (False, True):
-        model, tape = make(), Tape()
-        xs = tape.param("x", x) if as_param else tape.leaf(x)
-        grads.append(tape.backward(cross_entropy(model.forward(tape, xs), y)))
+    for tape in (Tape(), _InputAsParam()):
+        grads.append(tape.backward(cross_entropy(make().forward(tape, x), y)))
     assert set(grads[1]) - set(grads[0]) == {"x"} and np.any(grads[1]["x"].data != 0.0)
     for name, g in grads[0].items():
         assert g.data.tobytes() == grads[1][name].data.tobytes(), name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam, surrogate_mask_grad
+from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam, surrogate_terms
 from maskprune.objective import (ObjectiveConfig, cross_entropy, l1_alpha,
                                  masked_l2, ratio_hinge, total_objective)
 from maskprune.tensor import Tape, Tensor, sum_all
@@ -160,9 +160,9 @@ def test_hinge_gradient_changes_sign_at_the_foothill_overshoot():
     inside = np.linspace(t + 1e-3, edge - 1e-4, 40)
     beyond = np.linspace(edge + 1e-4, 4.0, 40)
     alphas = np.concatenate([inside, beyond, -inside, -beyond])
-    slope = surrogate_mask_grad(alphas, t, beta)
+    slope = surrogate_terms(alphas, t, beta).dm
     assert np.all(np.sign(slope) == np.sign(alphas) * np.repeat([1, -1, 1, -1], 40))
-    np.testing.assert_allclose(surrogate_mask_grad(np.array([0.47, 0.6, 1.0]), t, beta),
+    np.testing.assert_allclose(surrogate_terms(np.array([0.47, 0.6, 1.0]), t, beta).dm,
                                [0.0238, -0.1615, -0.0975], atol=5e-5)
     tape = Tape()
     gate = GateParam(alphas, t, beta, "filter")
