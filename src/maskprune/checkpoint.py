@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -96,9 +97,27 @@ def load_checkpoint(dirpath: str) -> tuple[dict[str, np.ndarray], dict]:
     if flat.size != manifest["total_elements"]:
         raise ValueError(f"corrupt checkpoint: archive holds {flat.size} elements, "
                          f"manifest says {manifest['total_elements']}")
+    if not isinstance(manifest["tensors"], list):
+        raise ValueError("corrupt checkpoint: the tensor directory is not a list")
     arrays = {}
     for entry in manifest["tensors"]:
+        _check_entry(entry, flat.size)
         lo = entry["offset"]
         arr = flat[lo:lo + entry["count"]].reshape(entry["shape"])
         arrays[entry["name"]] = arr.astype(np.float64)
     return arrays, manifest
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_entry(entry, total: int) -> None:
+    """Raises ``ValueError`` unless ``entry`` names a tensor of ``count``
+    elements, the product of its ``shape``, at ``offset`` within ``total``."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list) and all(map(_is_count, entry["shape"]))
+            and _is_count(entry.get("offset")) and _is_count(entry.get("count"))
+            and entry["count"] == math.prod(entry["shape"])
+            and entry["offset"] + entry["count"] <= total):
+        raise ValueError(f"corrupt checkpoint: bad tensor directory entry {entry!r}")

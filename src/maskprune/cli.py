@@ -46,6 +46,12 @@ def load_checkpoint_model(checkpoint: str):
     meta = manifest["meta"]
     if not isinstance(meta, dict):
         raise ValueError("checkpoint meta is not a JSON object")
+    events = meta.get("events", [])
+    if not (isinstance(events, list) and all(
+            isinstance(e, list) and len(e) == 3 and isinstance(e[0], int)
+            and isinstance(e[1], str) and e[2] in ("1->0", "0->1") for e in events)):
+        raise ValueError("checkpoint meta events are not a list of "
+                         "[step, entity, '1->0' | '0->1']")
     if meta.get("run_config") is None:
         raise ValueError("checkpoint carries no run_config; cannot rebuild model")
     model = build_model(validate_config(meta["run_config"]))

@@ -2,18 +2,17 @@
 
 Each check compares the tape's gradients of a scalar loss, built from seeded
 random inputs, with central differences computed by re-running the forward as
-a pure function of the perturbed arrays (``check_loss``).
+a pure function of the perturbed arrays.
 
-Every check but the LSTM pair (``lstm-cell``, ``lstm-cell-alpha``) and the
-closed-form pair is a case table.  A generator draws ``(op, arrays[, ref])``
-cases, and ``_projected`` runs each one: it registers every array on the tape
-under its key and checks the loss ``sum(op(*arrays) * proj)``, with a random
-``proj`` of the output's shape, so each output entry counts with its own
-weight.  A check reports its worst case.  The conv epilogue node
-``batchnorm`` is checked in train mode alone: in eval it returns a leaf, as
-eval takes no gradient.  The surrogate pair (``foothill``,
-``surrogate-mask``) is closed-form; ``_closed_form`` checks each derivative
-against central differences of the function itself.
+Every check but the closed-form pair is a case table.  A generator draws
+``(op, arrays[, ref])`` cases, and ``_projected`` runs each one: it registers
+every array on the tape under its key and checks the loss
+``sum(op(*arrays) * proj)``, with a random ``proj`` of the output's shape, so
+each output entry counts with its own weight.  A check reports its worst
+case.  The conv epilogue node ``batchnorm`` is checked in train mode alone:
+in eval it returns a leaf, as eval takes no gradient.  The surrogate pair
+(``foothill``, ``surrogate-mask``) is closed-form; ``_closed_form`` checks
+each derivative against central differences of the function itself.
 
 The straight-through rules (the alpha gradients of ``apply_gate``,
 ``apply_mask``, the conv epilogue node ``batchnorm``, the LSTM layer's
@@ -22,10 +21,9 @@ pass.  Their checks difference the forward pass they stand in for instead:
 the same computation with every hard mask I(.) replaced by the surrogate
 m~(.), at alphas on both sides of the threshold and clear of 0.  That is the
 defining property of the estimator (Bengio et al., 2013, arXiv:1308.3432).
-In the case tables that smooth forward is the case's ``ref``.  Where the
-loss is not linear in the masked output (the LSTM cell), m~ is shifted by a
-constant to equal I at the checked alphas, so the values downstream of each
-mask stay the hard ones.
+That smooth forward is the case's ``ref``.  Where the loss is not linear in
+the masked output (the LSTM cell), m~ is shifted by a constant to equal I at
+the checked alphas, so the values downstream of each mask stay the hard ones.
 """
 
 from __future__ import annotations
@@ -43,11 +41,12 @@ from .tensor import (Tape, Tensor, absolute, add, concat_cols, matmul, mul,
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
+REL_ERROR_FLOOR = 1e-6       # rel_error's denominator never drops below this
 
 
-def rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
+def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    denom = np.maximum(np.abs(a) + np.abs(b), floor)
+    denom = np.maximum(np.abs(a) + np.abs(b), REL_ERROR_FLOOR)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
@@ -68,31 +67,6 @@ def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
     return g
 
 
-def check_loss(build: Callable[[Tape, dict], Tensor], arrays: dict[str, np.ndarray],
-               wrt: Sequence[str] | None = None, step: float = DEFAULT_STEP,
-               smooth: Callable[[dict], float] | None = None) -> float:
-    """Max relative error between tape gradients and finite differences.
-
-    ``build(tape, arrays)`` must register each checked array under its dict
-    key and return a scalar loss.  ``wrt`` restricts which arrays are checked.
-    The finite differences are of ``build``'s loss, or of ``smooth(arrays)``
-    when given: for a straight-through rule, the same forward pass with I(.)
-    replaced by m~(.).  Without ``smooth``, arrays that reach a straight-through
-    rule must be left out of ``wrt``.
-    """
-    tape = Tape()
-    loss = build(tape, arrays)
-    grads = tape.backward(loss)
-    worst = 0.0
-    for name in (wrt if wrt is not None else arrays):
-        def f(_x):
-            return smooth(arrays) if smooth else build(Tape(), arrays).item()
-
-        num = numeric_grad(f, arrays[name], step)
-        worst = max(worst, rel_error(grads[name].data, num))
-    return worst
-
-
 def _away_from_zero(rng, shape, margin=0.05):
     # keep inputs clear of the relu/abs kinks so finite differences are valid
     x = rng.normal(size=shape)
@@ -102,27 +76,30 @@ def _away_from_zero(rng, shape, margin=0.05):
 def _projected(rng: np.random.Generator, op: Callable[..., Tensor],
                arrays: dict[str, np.ndarray], ref: Callable[..., Tensor] | None = None
                ) -> float:
-    """``check_loss`` of ``sum(op(*nodes) * proj)``, one tape node per array.
+    """Max relative error, over every array, between the tape's gradients of
+    ``sum(op(*nodes) * proj)``, one tape node per array, and central
+    differences; the runner of every tape check.
 
     ``proj`` is drawn with the shape of ``op``'s output, which one extra call
     on plain tensors finds.  A train-mode batchnorm updates its running
     statistics on that call, as on every finite-difference call; its output
-    reads the batch statistics only, so no loss changes.  With ``ref``, the
-    finite differences are of ``sum(ref(*arrays) * proj)``, ``ref`` being the
-    computation ``op`` stands in for: the dense conv for a conv with live
-    indices, which skips exactly-zero products, and the forward with I -> m~
-    for a straight-through rule.
+    reads the batch statistics only, so no loss changes.  The finite
+    differences are of ``sum(op(*arrays) * proj)`` in numpy, or with ``ref``
+    of ``sum(ref(*arrays) * proj)``, ``ref`` being the computation ``op``
+    stands in for: the dense conv for a conv with live indices, which skips
+    exactly-zero products, and the forward with I -> m~ for a straight-through
+    rule.
     """
     proj = rng.normal(size=op(*map(Tensor, arrays.values())).shape)
+    tape = Tape()
+    out = op(*(tape.param(name, a) for name, a in arrays.items()))
+    grads = tape.backward(sum_all(mul(out, tape.leaf(proj))))
+    fwd = ref or op
 
-    def build(tape, arrays):
-        out = op(*(tape.param(name, a) for name, a in arrays.items()))
-        return sum_all(mul(out, tape.leaf(proj)))
+    def loss(_x):
+        return float(np.sum(fwd(*map(Tensor, arrays.values())).data * proj))
 
-    def smooth(arrays):
-        return float(np.sum(ref(*map(Tensor, arrays.values())).data * proj))
-
-    return check_loss(build, arrays, smooth=None if ref is None else smooth)
+    return max(rel_error(grads[name], numeric_grad(loss, a)) for name, a in arrays.items())
 
 
 def _cases(draw: Callable[[np.random.Generator], Iterable[tuple]]):
@@ -311,41 +288,38 @@ def _ratio_hinge_alpha_cases(rng):
            {g.name: g.alpha for g in gates}, ref)
 
 
-def _lstm_cell_arrays(rng, h: int, e: int) -> dict[str, np.ndarray]:
-    arrays = {f"cell.W_{k}": rng.normal(size=(h, h + e)) * 0.5 for k in layers.LSTM_GATES}
-    arrays.update({f"cell.b_{k}": rng.normal(size=h) * 0.1 for k in layers.LSTM_GATES})
+def _lstm_leaves(rng, b: int, T: int, e: int, h: int) -> dict[str, np.ndarray]:
+    """Inputs ``xs`` [b, T, e], then a layer's ``W_k`` and ``b_k`` by ``_PACKED``."""
+    arrays = {"xs": rng.normal(size=(b, T, e))}
+    arrays.update({f"W_{k}": rng.normal(size=(h, h + e)) * 0.5 for k in layers._PACKED})
+    arrays.update({f"b_{k}": rng.normal(size=h) * 0.1 for k in layers._PACKED})
     return arrays
 
 
-def _lstm_sequence_loss(tape, arrays, gates, xs, proj):
-    """sum(H * proj), H the hidden states of a cell built from ``arrays``
-    over the timesteps of ``xs``."""
-    cell = layers.LstmCell({k: arrays[f"cell.W_{k}"] for k in layers.LSTM_GATES},
-                           {k: arrays[f"cell.b_{k}"] for k in layers.LSTM_GATES},
-                           gates, name="cell")
-    return sum_all(mul(cell.step(tape, xs), tape.leaf(proj)))
+def _lstm_node(gates: list[GateParam] | None, xs: Tensor, *leaves: Tensor) -> Tensor:
+    """The LSTM layer's sequence node on ``xs`` and the packed ``W``, ``b``
+    and alpha leaves; without alpha leaves, ``gates`` scale by their own
+    alphas as constants.  The cases call the node, not ``LstmCell.step``:
+    ``step`` registers the layer's parameters under the layer's names, and
+    the harness registers each case array under its own key."""
+    W, b, alpha = leaves[:4], leaves[4:8], leaves[8:]
+    if gates is None:
+        return layers._lstm_sequence(xs, W, b, None, None)
+    alpha = alpha or [Tensor(g.alpha) for g in gates]
+    return layers._lstm_sequence(xs, W, b, alpha, [gate_mod.evaluation(g, a)
+                                                   for g, a in zip(gates, alpha)])
 
 
-def _lstm_cell_check(rng):
+def _lstm_cell_cases(rng):
+    """The sequence node ungated and gated, one node of each recurrence gate
+    masked: the hard-forward gradients of xs, W and b (``lstm-cell-alpha``
+    checks the alphas)."""
     b, T, e, h = 2, 3, 3, 4
-    worst = 0.0
-    for gated in (True, False):
-        gates = None
-        if gated:
-            gates = {k: GateParam.create("node", h) for k in layers.LSTM_GATES}
-            for g in gates.values():
-                g.alpha[:] = rng.normal(size=h) * 0.5 + 1.0
-        arrays = _lstm_cell_arrays(rng, h, e)
-        arrays["xs"] = rng.normal(size=(b, T, e))
-        proj = rng.normal(size=(b, T, h))
-
-        def build(tape, arrays, _gates=gates, _proj=proj):
-            return _lstm_sequence_loss(tape, arrays, _gates, tape.param("xs", arrays["xs"]),
-                                       _proj)
-
-        # the alpha leaves carry a straight-through rule; everything else is exact
-        worst = max(worst, check_loss(build, arrays, wrt=list(arrays)))
-    return worst
+    for gates in ([GateParam.create("node", h, threshold=0.2) for _ in layers._PACKED], None):
+        for j, g in enumerate(gates or ()):
+            g.alpha[:] = rng.uniform(0.5, 1.5, size=h)
+            g.alpha[j] = 0.05         # masked
+        yield partial(_lstm_node, gates), _lstm_leaves(rng, b, T, e, h)
 
 
 # per recurrence gate, alphas around a 0.2 threshold, clear of the |alpha| kink
@@ -353,8 +327,8 @@ _LSTM_ALPHAS = {"f": [0.6, -0.35, 0.12, -0.07], "i": [1.1, 0.09, -0.5, 0.3],
                 "g": [-0.15, 0.25, 0.9, -0.16], "o": [0.45, -0.9, 0.16, 0.05]}
 
 
-def _lstm_cell_alpha_check(rng):
-    """Alpha gradient of a gated LSTM sequence against its forward with I -> m~.
+def _lstm_cell_alpha_cases(rng):
+    """Alpha gradient of the gated sequence node against its forward with I -> m~.
 
     Each hard mask I(alpha) becomes I(alpha_0) + m~(alpha) - m~(alpha_0),
     which equals it at the checked alphas alpha_0 and has derivative m~'.  So
@@ -362,36 +336,31 @@ def _lstm_cell_alpha_check(rng):
     straight-through backward, and only the mask's derivative is replaced.
     """
     b, T, e, h, t, beta = 3, 3, 2, 4, 0.2, gate_mod.DEFAULT_BETA
-    arrays = _lstm_cell_arrays(rng, h, e)
+    gates = [GateParam.create("node", h, threshold=t, beta=beta) for _ in layers._PACKED]
     base = {k: np.array(v) for k, v in _LSTM_ALPHAS.items()}
-    arrays.update({f"cell.gate_{k}.alpha": a.copy() for k, a in base.items()})
-    xs = rng.normal(size=(b, T, e))
-    proj = rng.normal(size=(b, T, h))
+    arrays = _lstm_leaves(rng, b, T, e, h)
+    arrays.update({f"alpha_{k}": base[k].copy() for k in layers._PACKED})
 
-    def build(tape, arrays):
-        gates = {k: GateParam(arrays[f"cell.gate_{k}.alpha"], t, beta, "node")
-                 for k in layers.LSTM_GATES}
-        return _lstm_sequence_loss(tape, arrays, gates, tape.leaf(xs), proj)
-
-    def smooth(arrays):
+    def ref(xs, *leaves):
+        W, bias, alpha = (dict(zip(layers._PACKED, (v.data for v in leaves[i:i + 4])))
+                          for i in (0, 4, 8))
         hs, cs = np.zeros((b, h)), np.zeros((b, h))
-        loss = 0.0
+        out = []
         for step in range(T):
-            z = np.concatenate([hs, xs[:, step]], axis=1)
+            z = np.concatenate([hs, xs.data[:, step]], axis=1)
             act = {}
-            for k in layers.LSTM_GATES:
-                a = arrays[f"cell.gate_{k}.alpha"]
-                u = a * (z @ arrays[f"cell.W_{k}"].T + arrays[f"cell.b_{k}"])
+            for k in layers._PACKED:
+                a = alpha[k]
+                u = a * (z @ W[k].T + bias[k])
                 m = (gate_mod.hard_mask(base[k], t) + gate_mod.surrogate_terms(a, t, beta).m
                      - gate_mod.surrogate_terms(base[k], t, beta).m)
                 act[k] = m * (np.tanh(u) if k == "g" else 1.0 / (1.0 + np.exp(-u)))
             cs = act["f"] * cs + act["i"] * act["g"]
             hs = act["o"] * np.tanh(cs)
-            loss += float(np.sum(hs * proj[:, step]))
-        return loss
+            out.append(hs)
+        return Tensor(np.stack(out, axis=1))
 
-    return check_loss(build, arrays, wrt=[f"cell.gate_{k}.alpha" for k in layers.LSTM_GATES],
-                      smooth=smooth)
+    yield partial(_lstm_node, gates), arrays, ref
 
 
 def _closed_form(fn: Callable, xs: np.ndarray, step: float) -> float:
@@ -434,8 +403,8 @@ CHECKS: dict[str, Callable] = {
     "batchnorm-alpha": _cases(_batchnorm_alpha_cases),
     "ratio-hinge-alpha": _cases(_ratio_hinge_alpha_cases),
     "masked-l2": _cases(_masked_l2_cases),
-    "lstm-cell": _lstm_cell_check,
-    "lstm-cell-alpha": _lstm_cell_alpha_check,
+    "lstm-cell": _cases(_lstm_cell_cases),
+    "lstm-cell-alpha": _cases(_lstm_cell_alpha_cases),
     "foothill": _foothill_check,
     "surrogate-mask": _surrogate_check,
 }

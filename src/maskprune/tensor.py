@@ -303,10 +303,10 @@ class Tape:
         """The registered nodes by name, as a read-only view."""
         return MappingProxyType(self._params)
 
-    def backward(self, loss: Tensor) -> dict[str, Tensor]:
+    def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
         """Accumulate gradients from ``loss`` into every reachable node.
 
-        Returns one gradient per registered parameter; parameters not
+        Returns one gradient array per registered parameter; parameters not
         reachable from the loss get zeros of their own shape.
         """
         if loss.shape not in ((), (1,)):
@@ -332,7 +332,5 @@ class Tape:
                         f"{node.op}: backward rule produced gradient of shape "
                         f"{g.shape} for input of shape {parent.data.shape}")
                 parent.grad = g if parent.grad is None else parent.grad + g
-        return {
-            pid: Tensor(node.grad if node.grad is not None else np.zeros_like(node.data))
-            for pid, node in self._params.items()
-        }
+        return {pid: node.grad if node.grad is not None else np.zeros_like(node.data)
+                for pid, node in self._params.items()}

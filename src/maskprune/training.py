@@ -65,7 +65,7 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                       velocity: dict[str, np.ndarray], lr: float,
-                      momentum: float) -> tuple[dict, dict]:
+                      momentum: float) -> None:
     """Classical momentum: v <- m*v + g; p <- p - lr*v.  Updates in place."""
     for name, p in params.items():
         g = grads[name]
@@ -77,7 +77,6 @@ def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray
         v = momentum * v + g
         velocity[name] = v
         p -= lr * v
-    return params, velocity
 
 
 def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
@@ -101,13 +100,12 @@ def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
     grads = tape.backward(total)
     trainable = {n: p for n, p in model.params().items()
                  if not (cfg.freeze_gates and n.endswith(".alpha"))}
-    grad_arrays = {n: grads[n].data for n in trainable}
-    for name, g in grad_arrays.items():
-        if not np.all(np.isfinite(g)):
+    for name in trainable:
+        if not np.all(np.isfinite(grads[name])):
             raise TrainDivergence(
                 f"non-finite gradient at step {step}: first non-finite parameter "
                 f"gradient is {name!r}")
-    sgd_momentum_step(trainable, grad_arrays, velocity, lr, cfg.momentum)
+    sgd_momentum_step(trainable, grads, velocity, lr, cfg.momentum)
     return parts
 
 

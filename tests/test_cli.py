@@ -217,7 +217,7 @@ def test_every_tape_check_fails_on_gradients_off_by_a_thousandth(monkeypatch):
     # the tape's gradient; only the closed-form pair runs without a tape
     backward = Tape.backward
     monkeypatch.setattr(Tape, "backward", lambda self, loss: {
-        name: Tensor(g.data * 1.001) for name, g in backward(self, loss).items()})
+        name: g * 1.001 for name, g in backward(self, loss).items()})
     passed = [name for name, _, ok in run_checks() if ok]
     assert passed == ["foothill", "surrogate-mask"]
 
@@ -284,6 +284,38 @@ def test_report_rejects_a_manifest_or_meta_that_is_no_object(tmp_path, capsys, m
         (ck / "manifest.json").write_text(json.dumps(manifest))
     assert main(["report", "--checkpoint", str(ck)]) == 2
     assert "error reading checkpoint" in capsys.readouterr().err
+
+
+# edits of a gated model's manifest that the archive's sha256 does not cover
+_BAD_MANIFESTS = {
+    "tensors-string": lambda m: m.update(tensors="x"),
+    "tensors-int": lambda m: m.update(tensors=[1]),
+    "shape-string": lambda m: m["tensors"][0].update(shape="x"),
+    "events-int": lambda m: m["meta"].update(events=5),
+    "event-int": lambda m: m["meta"].update(events=[1]),
+    "event-short": lambda m: m["meta"].update(events=[[1, "a"]]),
+}
+
+
+@pytest.mark.parametrize("edit", _BAD_MANIFESTS.values(), ids=_BAD_MANIFESTS.keys())
+def test_report_rejects_a_malformed_tensor_directory_or_event_log(tmp_path, capsys, edit):
+    cfg = validate_config({
+        "schema_version": 1, "arch": "toy-convnet", "granularity": "filter",
+        "dataset": "synth-images", "image_hw": 6, "image_channels": 2,
+        "conv_channels": [4, 4], "data_classes": 3, "out_dir": "x",
+    })
+    model = build_model(cfg)
+    ck = tmp_path / "ck"
+    save_checkpoint(str(ck), model.persistent_arrays(), model.gates(),
+                    {"run_config": cfg, "step": 0, "events": [[3, "conv0[1]", "1->0"]]})
+    assert main(["report", "--checkpoint", str(ck)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((ck / "manifest.json").read_text())
+    edit(manifest)
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", "--checkpoint", str(ck)]) == 2
+    assert "error reading checkpoint" in capsys.readouterr().err
+
 
 def test_report_fractions_match_manager(tmp_path, capsys):
     from maskprune.pruning import PruneManager
@@ -386,7 +418,7 @@ def _task_alpha_grads(model, x, y) -> dict[str, np.ndarray]:
     """Task-loss gradient of every gate's alpha on one batch."""
     tape = Tape()
     grads = tape.backward(cross_entropy(model.forward(tape, x), y))
-    return {g.name: grads[f"{g.name}.alpha"].data for g in model.gates()}
+    return {g.name: grads[f"{g.name}.alpha"] for g in model.gates()}
 
 
 @pytest.mark.parametrize("arch,granularity", [(a, g) for a, grans in

@@ -70,8 +70,8 @@ def test_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding):
     ref_out, ref_gx, ref_gw = _direct_conv(x, w, g, stride, padding)
     assert out.shape == ref_out.shape
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(grads["x"].data, ref_gx, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(grads["w"].data, ref_gw, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads["x"], ref_gx, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads["w"], ref_gw, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("live_in,live_out,mode", [
@@ -110,8 +110,8 @@ def test_conv_live_indices_match_direct_loop(live_in, live_out, mode, stride, pa
                  live_in=live_in, live_out=live_out)
     grads = tape.backward(sum_all(mul(out, Tensor(g))))
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(grads["x"].data, ref_gx, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(grads["w"].data, ref_gw, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads["x"], ref_gx, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grads["w"], ref_gw, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (1, 2, 0)])
@@ -131,7 +131,7 @@ def test_conv_neither_writes_nor_aliases_its_operands(k, stride, padding, live_i
     grads = tape.backward(sum_all(mul(out, Tensor(g))))
     assert xt.data is x and wt.data is w
     assert np.array_equal(x, x0) and np.array_equal(w, w0)
-    for arr in (out.data, grads["x"].data, grads["w"].data):
+    for arr in (out.data, grads["x"], grads["w"]):
         assert not np.shares_memory(arr, x) and not np.shares_memory(arr, w)
 
 
@@ -274,11 +274,11 @@ def test_epilogue_node_matches_batchnorm_relu_gate_composition(mode, use_relu, m
         assert got_node.parents == () and got_node.backward_rule is None
         return
     # the reference's masked rows get exact zeros, which the node skips
-    assert np.all(want_grads["x"].data[:, dead] == 0.0)
+    assert np.all(want_grads["x"][:, dead] == 0.0)
     for name in ("x", "gamma", "beta", *(() if gate is None else ("alpha",))):
-        _assert_close(got_grads[name].data, want_grads[name].data)
+        _assert_close(got_grads[name], want_grads[name])
     if masked:
-        assert np.any(got_grads["alpha"].data[masked] != 0.0)    # rejuvenation
+        assert np.any(got_grads["alpha"][masked] != 0.0)    # rejuvenation
 
 
 def test_epilogue_node_checks_its_channels():
@@ -361,9 +361,9 @@ def test_skipping_the_data_gradient_leaves_every_parameter_gradient_bit_equal(ma
     grads = []
     for tape in (Tape(), _InputAsParam()):
         grads.append(tape.backward(cross_entropy(make().forward(tape, x), y)))
-    assert set(grads[1]) - set(grads[0]) == {"x"} and np.any(grads[1]["x"].data != 0.0)
+    assert set(grads[1]) - set(grads[0]) == {"x"} and np.any(grads[1]["x"] != 0.0)
     for name, g in grads[0].items():
-        assert g.data.tobytes() == grads[1][name].data.tobytes(), name
+        assert g.tobytes() == grads[1][name].tobytes(), name
 
 
 def test_conv_unit_masked_filter_zero_channel_and_excluded_from_l2():
@@ -451,8 +451,8 @@ def test_resnet_trains_at_32x32(monkeypatch, granularity):
                     "s1.b0.down": (16, 16), "s2.b0.down": (8, 8)}
     grads = tape.backward(sum_all(logits))
     assert set(grads) == set(model.params())
-    assert all(np.all(np.isfinite(g.data)) for g in grads.values())
-    assert all(np.any(g.data != 0) for n, g in grads.items() if n.endswith(".w"))
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    assert all(np.any(g != 0) for n, g in grads.items() if n.endswith(".w"))
 
     # dense FLOPs at the stage sides: convs (2 per MAC), batch norm 2 and
     # ReLU 1 per element, the residual add, 1x1 projections, pool and head
@@ -583,10 +583,10 @@ def test_fused_lstm_step_matches_per_gate_composition(gated):
         assert np.all(fused[:, :, 1] == 0.0)
     assert set(fused_grads) == set(ref_grads) == set(cell.params()) | {"xs"}
     for name, g in ref_grads.items():
-        _assert_close(fused_grads[name].data, g.data)
+        _assert_close(fused_grads[name], g)
     if gated:     # the masked alphas still get the straight-through gradient
-        assert fused_grads["c.gate_o.alpha"].data[1] != 0.0
-        assert fused_grads["c.gate_i.alpha"].data[2] != 0.0
+        assert fused_grads["c.gate_o.alpha"][1] != 0.0
+        assert fused_grads["c.gate_i.alpha"][2] != 0.0
 
 
 def test_fused_lstm_lm_two_stacks_matches_per_gate_composition(monkeypatch):
@@ -609,7 +609,7 @@ def test_fused_lstm_lm_two_stacks_matches_per_gate_composition(monkeypatch):
     _assert_close(fused, ref)
     assert set(fused_grads) == set(model.params())
     for name, g in ref_grads.items():
-        _assert_close(fused_grads[name].data, g.data)
+        _assert_close(fused_grads[name], g)
 
 
 @pytest.mark.parametrize("gated", [True, False])
@@ -676,12 +676,12 @@ def test_embedding_of_a_batch_of_sequences_matches_per_column_lookups():
     tape = Tape()
     out = embedding(tape.param("table", table), ids)
     assert np.array_equal(out.data, table[ids])
-    want = tape.backward(sum_all(mul(out, Tensor(g))))["table"].data
+    want = tape.backward(sum_all(mul(out, Tensor(g))))["table"]
     tape = Tape()
     node = tape.param("table", table)
     cols = [embedding(node, ids[:, t]) for t in range(ids.shape[1])]
     loss = sum_all(concat_cols(*[mul(c, Tensor(g[:, t])) for t, c in enumerate(cols)]))
-    assert np.array_equal(want, tape.backward(loss)["table"].data)
+    assert np.array_equal(want, tape.backward(loss)["table"])
     for bad in (5, -1):
         for pos in [(0, 0), (2, 3), (1, 2)]:
             wrong = ids.copy()
@@ -700,7 +700,7 @@ def test_embedding_backward_equals_add_at_scatter():
     g = rng.normal(size=(16, 64, 16))
     tape = Tape()
     out = embedding(tape.param("table", table), ids)
-    got = tape.backward(sum_all(mul(out, Tensor(g))))["table"].data
+    got = tape.backward(sum_all(mul(out, Tensor(g))))["table"]
     want = np.zeros_like(table)
     np.add.at(want, ids, g)
     assert np.array_equal(got, want)

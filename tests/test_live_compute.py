@@ -36,7 +36,7 @@ def _run(model, x, y):
     the eval logits after it."""
     tape = Tape()
     loss = cross_entropy(model.forward(tape, x, "train"), y)
-    grads = {n: g.data for n, g in tape.backward(loss).items()}
+    grads = tape.backward(loss)
     state = {n: a.copy() for n, a in model.state().items()}
     return loss.item(), grads, state, model.forward(Tape(), x, "eval").data
 

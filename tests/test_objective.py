@@ -33,8 +33,8 @@ def test_l1_alpha_examples():
     val = l1_alpha([a1, a2])
     assert val.item() == 3.5
     grads = tape.backward(val)
-    assert np.array_equal(grads["a1"].data, [1.0, -1.0])
-    assert np.array_equal(grads["a2"].data, [1.0])
+    assert np.array_equal(grads["a1"], [1.0, -1.0])
+    assert np.array_equal(grads["a2"], [1.0])
 
 
 def test_l1_alpha_zero_subgradient():
@@ -42,7 +42,7 @@ def test_l1_alpha_zero_subgradient():
     a = tape.param("a", np.zeros(3))
     val = l1_alpha([a])
     assert val.item() == 0.0
-    assert np.all(tape.backward(val)["a"].data == 0.0)
+    assert np.all(tape.backward(val)["a"] == 0.0)
 
 
 def _one_entity(alpha_val, theta):
@@ -51,7 +51,7 @@ def _one_entity(alpha_val, theta):
     node = tape.param("w", np.asarray(theta, dtype=float))
     val = masked_l2([(gate, Tensor(gate.alpha), [(node, WHOLE)])])
     grads = tape.backward(val)
-    return val.item(), grads["w"].data
+    return val.item(), grads["w"]
 
 
 def test_masked_l2_active_entity():
@@ -74,7 +74,7 @@ def test_masked_l2_mixed_matches_plain_l2_on_active_slices():
     node = tape.param("w", w)
     val = masked_l2([(gate, Tensor(gate.alpha), [(node, AXIS0)])])
     assert np.isclose(val.item(), np.sum(w[0] ** 2) + np.sum(w[2] ** 2))
-    grads = tape.backward(val)["w"].data
+    grads = tape.backward(val)["w"]
     assert np.all(grads[1] == 0.0)
     assert np.allclose(grads[0], 2 * w[0])
 
@@ -116,7 +116,7 @@ def _hinge(alphas, c):
         gates.append((g, node))
     val = ratio_hinge(gates, c)
     grads = tape.backward(val)
-    return val.item(), [grads[f"a{i}"].data for i in range(len(alphas))]
+    return val.item(), [grads[f"a{i}"] for i in range(len(alphas))]
 
 
 def test_ratio_hinge_inactive():
@@ -167,7 +167,7 @@ def test_hinge_gradient_changes_sign_at_the_foothill_overshoot():
     tape = Tape()
     gate = GateParam(alphas, t, beta, "filter")
     node = tape.param("a", gate.alpha)
-    grad = tape.backward(ratio_hinge([(gate, node)], c=0.25))["a"].data
+    grad = tape.backward(ratio_hinge([(gate, node)], c=0.25))["a"]
     assert np.all(np.sign(grad) == np.sign(slope))    # over budget: same sign
 
 

@@ -106,7 +106,7 @@ def test_alpha_strictly_decreases_under_pure_l1():
         a = tape.param("g.alpha", gate.alpha)
         grads = tape.backward(l1_alpha([a]))
         sgd_momentum_step({"g.alpha": gate.alpha},
-                          {"g.alpha": lam * grads["g.alpha"].data},
+                          {"g.alpha": lam * grads["g.alpha"]},
                           velocity, lr, momentum=0.0)
         active = np.abs(prev) > gate.threshold
         assert np.all(np.abs(gate.alpha[active]) < np.abs(prev[active]))
