@@ -10,7 +10,8 @@ the two renames, it leaves the new archive under the old manifest, which
 loading refuses by the digest.  Each temporary file is fsynced before the
 renames and the directory after them: otherwise a power loss could commit a
 rename before the renamed file's data, and leave neither checkpoint loadable.
-Loading verifies sizes and returns exact bit-for-bit copies.
+Loading verifies sizes and that the tensor directory names each tensor once
+and tiles the archive in order, and returns exact bit-for-bit copies.
 """
 
 from __future__ import annotations
@@ -99,12 +100,19 @@ def load_checkpoint(dirpath: str) -> tuple[dict[str, np.ndarray], dict]:
                          f"manifest says {manifest['total_elements']}")
     if not isinstance(manifest["tensors"], list):
         raise ValueError("corrupt checkpoint: the tensor directory is not a list")
-    arrays = {}
+    # the entries tile the archive in order, each tensor named once, as
+    # save_checkpoint writes them: an edited directory cannot remap a range
+    arrays, lo = {}, 0
     for entry in manifest["tensors"]:
-        _check_entry(entry, flat.size)
-        lo = entry["offset"]
+        _check_entry(entry, lo, flat.size)
+        if entry["name"] in arrays:
+            raise ValueError(f"corrupt checkpoint: tensor {entry['name']!r} is named twice")
         arr = flat[lo:lo + entry["count"]].reshape(entry["shape"])
         arrays[entry["name"]] = arr.astype(np.float64)
+        lo += entry["count"]
+    if lo != flat.size:
+        raise ValueError(f"corrupt checkpoint: the tensor directory covers {lo} of the "
+                         f"archive's {flat.size} elements")
     return arrays, manifest
 
 
@@ -112,12 +120,13 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def _check_entry(entry, total: int) -> None:
+def _check_entry(entry, offset: int, total: int) -> None:
     """Raises ``ValueError`` unless ``entry`` names a tensor of ``count``
-    elements, the product of its ``shape``, at ``offset`` within ``total``."""
+    elements, the product of its ``shape``, at ``offset`` (where the entries
+    before it end) within ``total``."""
     if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
             and isinstance(entry.get("shape"), list) and all(map(_is_count, entry["shape"]))
             and _is_count(entry.get("offset")) and _is_count(entry.get("count"))
             and entry["count"] == math.prod(entry["shape"])
-            and entry["offset"] + entry["count"] <= total):
+            and entry["offset"] == offset and offset + entry["count"] <= total):
         raise ValueError(f"corrupt checkpoint: bad tensor directory entry {entry!r}")

@@ -28,7 +28,8 @@ that turns a per-component vector into a view over the tensor: the forward
 ops, the masked-l2 term and the prune accounting all go through it.  (An
 LSTM layer's sequence node meets its [b, 4h] gate block of each timestep
 under ``AXIS1`` by plain row broadcasting, and a conv unit's epilogue node
-its filters as the rows of channel-major [c, b*H*W] memory.)
+its filters as the rows of batch-innermost [c, H*W*b] memory, the layout
+that gives the conv's kernel-offset copies their longest runs.)
 
 A gate is evaluated once per tape.  ``evaluation`` keeps a ``GateEval``
 record on the gate's alpha node: the hard mask, computed at forward time,

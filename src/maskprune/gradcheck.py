@@ -10,9 +10,11 @@ every array on the tape under its key and checks the loss
 ``sum(op(*arrays) * proj)``, with a random ``proj`` of the output's shape, so
 each output entry counts with its own weight.  A check reports its worst
 case.  The conv epilogue node ``batchnorm`` is checked in train mode alone:
-in eval it returns a leaf, as eval takes no gradient.  The surrogate pair
-(``foothill``, ``surrogate-mask``) is closed-form; ``_closed_form`` checks
-each derivative against central differences of the function itself.
+in eval it returns a leaf, as eval takes no gradient.  The ``conv2d`` check
+also runs the conv chained into that node, as a conv unit trains.  The
+surrogate pair (``foothill``, ``surrogate-mask``) is closed-form;
+``_closed_form`` checks each derivative against central differences of the
+function itself.
 
 The straight-through rules (the alpha gradients of ``apply_gate``,
 ``apply_mask``, the conv epilogue node ``batchnorm``, the LSTM layer's
@@ -159,6 +161,25 @@ def _conv_cases(rng):
                        live_out=np.array(live_out)),
                {"x": x, "w": rng.normal(size=(m, n, k, k))},
                lambda x, w, conv=conv, keep=keep: mul(conv(x, w), Tensor(keep)))
+    # chained into the epilogue node, as a conv unit trains: batch-innermost
+    # memory passes between the two nodes, and the gate's masked filter gets
+    # no conv backward (live_out), as the epilogue passes it no gradient
+    for (b, n, m, hw, stride), gated in [((2, 3, 4, 6, 1), True), ((3, 2, 3, 7, 2), False)]:
+        gate, live_out = None, None
+        if gated:
+            gate = GateParam.create("filter", m, threshold=0.2)
+            gate.alpha[:] = rng.uniform(0.5, 1.5, size=m)
+            gate.alpha[1] = 0.05                          # masked
+            live_out = np.flatnonzero(np.abs(gate.alpha) > gate.threshold)
+
+        def unit(x, w, gamma, beta, stride=stride, live_out=live_out, gate=gate,
+                 state=layers.BnState.create(m)):
+            alpha = None if gate is None else Tensor(gate.alpha)
+            return layers.batchnorm(layers.conv2d(x, w, stride, 1, live_out=live_out),
+                                    gamma, beta, state, relu=True, gate=gate, alpha=alpha)
+
+        yield unit, {"x": rng.normal(size=(b, n, hw, hw)), "w": rng.normal(size=(m, n, 3, 3)),
+                     "gamma": rng.normal(size=m) + 1.5, "beta": rng.normal(size=m)}
 
 
 def _batchnorm_cases(rng):

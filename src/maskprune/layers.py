@@ -19,6 +19,13 @@ a profiler that wraps those methods charges the block every node it makes.
 The conv epilogue (``batchnorm``) and the LSTM layer (``_lstm_sequence``)
 each run as one node; in eval, which takes no gradient, the epilogue's is a
 leaf.
+
+Conv activations and their gradients are [b, c, H, W] views over
+batch-innermost ``[c, H, W, b]`` memory.  ``conv2d`` returns its output and
+input gradient that way, the conv epilogue reads and returns its rows in it,
+and ``avg_pool_full`` returns its gradient in it.  With the batch innermost,
+each kernel-offset copy of a stride-1 conv's lowering moves runs of
+``Wo * b`` contiguous floats (``Wo`` the output width), not runs of ``Wo``.
 """
 
 from __future__ import annotations
@@ -48,24 +55,29 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     """Cross-correlate ``x`` [b,n,H,W] with filters ``w`` [m,n,k,k].
 
     The convolution is lowered to one column matrix for the whole batch,
-    channel-major: ``cols`` is [n*k*k, b*Ho*Wo], and row ``(c, ki, kj)`` holds
-    the input pixels filter tap ``(c, ki, kj)`` reads at every output position
-    of every sample.  It is built by one strided copy per kernel offset from a
-    [n, b, H+2p, W+2p] zero-padded, channel-major copy of ``x``.  With ``w``
+    batch-innermost: ``cols`` is [n*k*k, Ho*Wo*b], and row ``(c, ki, kj)``
+    holds the input pixels filter tap ``(c, ki, kj)`` reads at every output
+    position of every sample.  It is built by one strided copy per kernel
+    offset from a [n, H+2p, W+2p, b] zero-padded, batch-innermost copy of
+    ``x``.  At stride 1 each copy moves runs of ``Wo * b`` contiguous floats,
+    at stride 2 runs of ``b``; with the batch outside the pixels they would
+    be runs of ``Wo`` (on how much the layout of a lowered convolution
+    matters, see Chetlur et al., arXiv:1410.0759).  With ``w``
     as a [m, n*k*k] matrix, the forward ``w @ cols``, the weight gradient
     ``g @ cols.T`` and the column gradient ``w.T @ g`` (``g`` the upstream
-    gradient as [m, b*Ho*Wo]) are one BLAS GEMM each, none of whose operands
-    is copied to transpose it (Chetlur et al., arXiv:1410.0759).  The column
-    gradient goes back to the input one [n, b, Ho, Wo] slab per kernel offset.
+    gradient as [m, Ho*Wo*b]) are one BLAS GEMM each, none of whose operands
+    is copied to transpose it.  The column gradient goes back to the input
+    one [n, Ho, Wo, b] slab per kernel offset, into a padded buffer.
 
-    The output and the input gradient are [b, c, H, W] views over
-    channel-major ([c, b, H, W]) memory.  A conv unit's epilogue node
-    (``batchnorm``: batch norm, ReLU and the filter gate) reads the output as
-    contiguous [c, b*H*W] rows and returns its own output and input gradient
-    in that layout, as ``avg_pool_full`` returns its gradient; numpy's
-    elementwise ops, such as the residual add, keep the order.  So the
-    upstream gradient that comes back to this conv's backward is already
-    channel-major.
+    The output is a [b, m, Ho, Wo] view over [m, Ho, Wo, b] memory, and the
+    input gradient one over the interior of the padded [n, H+2p, W+2p, b]
+    buffer.  A conv unit's epilogue node (``batchnorm``: batch norm, ReLU and
+    the filter gate) reads the output as contiguous [c, H*W*b] rows and
+    returns its own output and input gradient in that layout, as
+    ``avg_pool_full`` returns its gradient; numpy's elementwise ops, such as
+    the residual add, keep the order.  So the upstream gradient that comes
+    back to this conv's backward is already batch-innermost.  Any other
+    layout is correct too, copied once by the reshape that reads it.
 
     ``live_in`` and ``live_out`` (sorted channel indices, from the gate
     masks) skip every product that is exactly zero.  ``x`` must be zero on
@@ -95,34 +107,34 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     if Ho <= 0 or Wo <= 0:
         raise ShapeError(f"conv2d: non-positive output size {Ho}x{Wo}")
 
-    # the (live) input, channel-major [n_live, b, H, W]
-    xc = x.data.transpose(1, 0, 2, 3)
+    # the (live) input, batch-innermost [n_live, H, W, b]
+    xc = x.data.transpose(1, 2, 3, 0)
     if live_in is not None:
         xc = xc[live_in]
     n_live = xc.shape[0]
     xp = xc
     if padding:
         # one buffer, the (live) input written into its interior
-        xp = np.zeros((n_live, b, H + 2 * padding, W + 2 * padding))
-        xp[:, :, padding:padding + H, padding:padding + W] = xc
-    # output (i, j) reads xp[..., ki + stride*i, kj + stride*j] at offset (ki, kj)
-    offsets = [(ki, kj, (..., slice(ki, ki + stride * (Ho - 1) + 1, stride),
+        xp = np.zeros((n_live, H + 2 * padding, W + 2 * padding, b))
+        xp[:, padding:padding + H, padding:padding + W] = xc
+    # output (i, j) reads xp[:, ki + stride*i, kj + stride*j] at offset (ki, kj)
+    offsets = [(ki, kj, (slice(None), slice(ki, ki + stride * (Ho - 1) + 1, stride),
                          slice(kj, kj + stride * (Wo - 1) + 1, stride)))
                for ki in range(k) for kj in range(k)]
     wrow = w.data.reshape(m, n * k * k)
     w_in = wrow if live_in is None else w.data[:, live_in].reshape(m, n_live * k * k)
-    cols = np.empty((n_live, k, k, b, Ho, Wo))
+    cols = np.empty((n_live, k, k, Ho, Wo, b))
     for ki, kj, window in offsets:
         cols[:, ki, kj] = xp[window]
-    cols = cols.reshape(n_live * k * k, b * Ho * Wo)
-    out = (w_in @ cols).reshape(m, b, Ho, Wo).transpose(1, 0, 2, 3)
+    cols = cols.reshape(n_live * k * k, Ho * Wo * b)
+    out = (w_in @ cols).reshape(m, Ho, Wo, b).transpose(3, 0, 1, 2)
     skip_x = is_data(x)
 
     def rule(g):
-        gc, w_out = g.transpose(1, 0, 2, 3), wrow
+        gc, w_out = g.transpose(1, 2, 3, 0), wrow
         if live_out is not None:
             gc, w_out = gc[live_out], wrow[live_out]
-        g2 = gc.reshape(len(w_out), b * Ho * Wo)
+        g2 = gc.reshape(len(w_out), Ho * Wo * b)
         grad_w = g2 @ cols.T
         if live_in is not None or live_out is not None:
             rows = np.arange(m) if live_out is None else live_out
@@ -133,11 +145,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
         grad_w = grad_w.reshape(m, n, k, k)
         if skip_x:
             return None, grad_w
-        gcols = (w_out.T @ g2).reshape(n, k, k, b, Ho, Wo)
-        gxp = np.zeros((n, b, H + 2 * padding, W + 2 * padding))
+        gcols = (w_out.T @ g2).reshape(n, k, k, Ho, Wo, b)
+        gxp = np.zeros((n, H + 2 * padding, W + 2 * padding, b))
         for ki, kj, window in offsets:
             gxp[window] += gcols[:, ki, kj]
-        return (gxp[:, :, padding:padding + H, padding:padding + W].transpose(1, 0, 2, 3),
+        return (gxp[:, padding:padding + H, padding:padding + W].transpose(3, 0, 1, 2),
                 grad_w)
 
     return custom_grad(out, (x, w), rule, op="conv2d")
@@ -170,9 +182,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
 
     Train mode normalizes with batch statistics and folds them into the
     running averages; eval mode normalizes with the running statistics.  The
-    node works on [c, b*H*W] channel-major rows, the memory ``conv2d``
-    returns its output in (any other layout is copied to it), and its output
-    and input gradient are [b, c, H, W] views over such memory too.
+    node works on [c, H*W*b] rows of batch-innermost [c, H, W, b] memory,
+    the memory ``conv2d`` returns its output in (any other layout is copied
+    to it), and its output and input gradient are [b, c, H, W] views over
+    such memory too, so the next conv's lowering copies runs of ``Wo * b``
+    floats and this node's input gradient reaches the conv backward without
+    a copy.
 
     Training computes every filter forward: a masked filter's ReLU output
     feeds its alpha's gradient, and its statistics the running averages.  The
@@ -203,7 +218,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         raise ShapeError(f"batchnorm: {cx} input channels for {c} filters"
                          + ("" if rows is None else f", {len(rows)} of them live"))
     n = b * H * W
-    xc = x.data.transpose(1, 0, 2, 3).reshape(cx, n)
+    xc = x.data.transpose(1, 2, 3, 0).reshape(cx, n)
     gd, bd, mean, var = gamma.data, beta.data, state.running_mean, state.running_var
     s = None if ev is None else ev.alpha * ev.mask
     if rows is not None:
@@ -228,7 +243,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
     if relu:
         np.maximum(r, 0.0, out=r)
     out = r if s is None else r * s[:, None]
-    out = _scatter_rows(out, rows, c).reshape(c, b, H, W).transpose(1, 0, 2, 3)
+    out = _scatter_rows(out, rows, c).reshape(c, H, W, b).transpose(3, 0, 1, 2)
     if mode == "eval":
         return Tensor(out)          # eval takes no gradient
 
@@ -236,7 +251,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         return v if live is None else v[live]
 
     def rule(g):
-        gc = g.transpose(1, 0, 2, 3).reshape(c, n)
+        gc = g.transpose(1, 2, 3, 0).reshape(c, n)
         scratch, tail = None, ()
         if ev is not None:
             scratch = np.multiply(gc, r)
@@ -259,7 +274,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         dx = np.subtract(t, (dbeta / n)[:, None], out=t if own else None)
         dx -= p
         dx *= sel(gd * inv)[:, None]
-        dx = _scatter_rows(dx, live, c).reshape(c, b, H, W).transpose(1, 0, 2, 3)
+        dx = _scatter_rows(dx, live, c).reshape(c, H, W, b).transpose(3, 0, 1, 2)
         return (dx, _scatter_rows(dgamma, live, c), _scatter_rows(dbeta, live, c), *tail)
 
     parents = (x, gamma, beta) if ev is None else (x, gamma, beta, alpha)
@@ -283,17 +298,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def avg_pool_full(x: Tensor) -> Tensor:
-    """Global average pool [b,c,H,W] -> [b,c]."""
+    """Global average pool [b,c,H,W] -> [b,c].
+
+    The gradient is a [b, c, H, W] view over batch-innermost [c, H, W, b]
+    memory, the layout of the conv units whose output this pools, so the
+    epilogue node and the conv backward it flows into copy nothing.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"avg_pool_full: expected rank-4 input, got {x.shape}")
     b, c, H, W = x.shape
     out = x.data.mean(axis=(2, 3))
 
     def rule(g):
-        # channel-major memory, as conv2d and batchnorm return theirs
-        gx = np.empty((c, b, H, W))
-        gx[...] = (g.T / (H * W))[:, :, None, None]
-        return (gx.transpose(1, 0, 2, 3),)
+        # [c, H, W, b] memory, as conv2d and batchnorm return theirs
+        gx = np.empty((c, H, W, b))
+        gx[...] = (g.T / (H * W))[:, None, None, :]
+        return (gx.transpose(3, 0, 1, 2),)
 
     return custom_grad(out, (x,), rule, op="avg_pool")
 
@@ -444,7 +464,10 @@ class ConvUnit(Block):
     a pruned filter could not come back.
 
     ``forward`` is ``conv2d`` followed by one ``batchnorm`` node for batch
-    norm, the ReLU and the gate, in both modes.  The conv reads only
+    norm, the ReLU and the gate, in both modes.  Both hand each other
+    batch-innermost [c, H, W, b] memory, forward and backward, so neither
+    copies at the boundary and the conv's kernel-offset copies move runs of
+    ``Wo * b`` floats.  The conv reads only
     ``live_in``, the ``live_filters(tape)`` of the unit whose ``reader``
     this unit is.  In training a masked filter is still computed forward,
     for its alpha's gradient and its batch-norm running statistics, but gets

@@ -286,11 +286,17 @@ def test_report_rejects_a_manifest_or_meta_that_is_no_object(tmp_path, capsys, m
     assert "error reading checkpoint" in capsys.readouterr().err
 
 
-# edits of a gated model's manifest that the archive's sha256 does not cover
+# edits of a gated model's manifest that the archive's sha256 does not cover;
+# its first tensor holds more than one element, so offset 1 overlaps it
 _BAD_MANIFESTS = {
     "tensors-string": lambda m: m.update(tensors="x"),
     "tensors-int": lambda m: m.update(tensors=[1]),
     "shape-string": lambda m: m["tensors"][0].update(shape="x"),
+    # the directory must tile the archive in order, each tensor named once
+    "entry-copied": lambda m: m["tensors"].append(dict(m["tensors"][0])),
+    "entry-named-twice": lambda m: m["tensors"][1].update(name=m["tensors"][0]["name"]),
+    "entry-overlapping": lambda m: m["tensors"][1].update(offset=1),
+    "entry-dropped": lambda m: m["tensors"].pop(),
     "events-int": lambda m: m["meta"].update(events=5),
     "event-int": lambda m: m["meta"].update(events=[1]),
     "event-short": lambda m: m["meta"].update(events=[[1, "a"]]),
@@ -311,6 +317,7 @@ def test_report_rejects_a_malformed_tensor_directory_or_event_log(tmp_path, caps
     assert main(["report", "--checkpoint", str(ck)]) == 0
     capsys.readouterr()
     manifest = json.loads((ck / "manifest.json").read_text())
+    assert manifest["tensors"][0]["count"] > 1
     edit(manifest)
     (ck / "manifest.json").write_text(json.dumps(manifest))
     assert main(["report", "--checkpoint", str(ck)]) == 2

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,25 @@ def test_conv_sum_of_ones():
     out = conv2d(x, w, stride=1, padding=0)
     assert out.shape == (1, 1, 1, 1)
     assert out.data.flat[0] == 9.0
+
+
+# the memory orders a [b, c, H, W] array reaches a conv node in: as data
+# arrives (NCHW), as conv2d and its epilogue return it (batch-innermost
+# [c, H, W, b]) and channel-major [c, b, H, W]
+_LAYOUTS = {"nchw": (0, 1, 2, 3), "batch-innermost": (1, 2, 3, 0),
+            "channel-major": (1, 0, 2, 3)}
+
+
+def _laid_out(a, order):
+    """The values of ``a`` as a view over C-contiguous memory whose axes run
+    in ``order``."""
+    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
+
+
+def _project(out, g):
+    """``sum(out * g)`` as a node that hands ``g`` itself, in its own memory
+    layout, to the backward of ``out``."""
+    return custom_grad(np.sum(out.data * g), (out,), lambda _: (g,), op="project")
 
 
 def _direct_conv(x, w, g, stride, padding):
@@ -61,17 +82,22 @@ def _direct_conv(x, w, g, stride, padding):
     (2, 2, 3, 5, 5, 2, 2, 0),     # 2x2/s2 on 5x5: the last row and column unread
 ])
 def test_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding):
+    # x and the upstream gradient in every layout: it changes speed, not values
     rng = np.random.default_rng(20)
     x, w = rng.normal(size=(b, n, H, W)), rng.normal(size=(m, n, k, k))
-    tape = Tape()
-    out = conv2d(tape.param("x", x), tape.param("w", w), stride, padding)
-    g = rng.normal(size=out.shape)
-    grads = tape.backward(sum_all(mul(out, Tensor(g))))
+    Ho, Wo = (H + 2 * padding - k) // stride + 1, (W + 2 * padding - k) // stride + 1
+    g = rng.normal(size=(b, m, Ho, Wo))
     ref_out, ref_gx, ref_gw = _direct_conv(x, w, g, stride, padding)
-    assert out.shape == ref_out.shape
-    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(grads["x"], ref_gx, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(grads["w"], ref_gw, rtol=0, atol=1e-10)
+    for (x_name, x_order), (g_name, g_order) in itertools.product(_LAYOUTS.items(), repeat=2):
+        tape = Tape()
+        out = conv2d(tape.param("x", _laid_out(x, x_order)), tape.param("w", w), stride,
+                     padding)
+        grads = tape.backward(_project(out, _laid_out(g, g_order)))
+        where = f"x {x_name}, upstream gradient {g_name}"
+        assert out.shape == ref_out.shape, where
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10, err_msg=where)
+        np.testing.assert_allclose(grads["x"], ref_gx, rtol=0, atol=1e-10, err_msg=where)
+        np.testing.assert_allclose(grads["w"], ref_gw, rtol=0, atol=1e-10, err_msg=where)
 
 
 @pytest.mark.parametrize("live_in,live_out,mode", [
@@ -117,7 +143,7 @@ def test_conv_live_indices_match_direct_loop(live_in, live_out, mode, stride, pa
 @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (1, 2, 0)])
 @pytest.mark.parametrize("live_in", [None, [0, 2]])
 def test_conv_neither_writes_nor_aliases_its_operands(k, stride, padding, live_in):
-    # unpadded 1x1/s2: the channel-major input conv2d reads is a view of x
+    # unpadded 1x1/s2: the batch-innermost input conv2d reads is a view of x
     rng = np.random.default_rng(25)
     x, w = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(4, 3, k, k))
     if live_in is not None:
@@ -240,9 +266,7 @@ def _reference_epilogue(x, gamma, beta, state, mode, *, relu, gate, alpha):
 def test_epilogue_node_matches_batchnorm_relu_gate_composition(mode, use_relu, masked):
     rng = np.random.default_rng(26)
     b, c, hw = 3, 5, 4
-    # channel-major memory, as conv2d returns it
-    x = np.ascontiguousarray(rng.normal(1.0, 2.0, size=(c, b, hw, hw)))
-    x = x.transpose(1, 0, 2, 3)
+    x = rng.normal(1.0, 2.0, size=(c, b, hw, hw)).transpose(1, 0, 2, 3)
     gamma, beta = rng.normal(size=c) + 1.0, rng.normal(size=c)
     mean, var = rng.normal(size=c) * 0.3, rng.random(size=c) + 0.5
     proj = rng.normal(size=x.shape)
@@ -254,31 +278,36 @@ def test_epilogue_node_matches_batchnorm_relu_gate_composition(mode, use_relu, m
     live = np.setdiff1d(np.arange(c), masked or [])
     # in eval a unit with a filter masked passes the live channels alone
     rows = live if mode == "eval" and len(live) < c else slice(None)
-    runs = []
-    for epilogue in (batchnorm, _reference_epilogue):
-        state, tape = BnState(mean.copy(), var.copy()), Tape()
-        nodes = [tape.param("x", x[:, rows] if epilogue is batchnorm else x),
-                 tape.param("gamma", gamma), tape.param("beta", beta)]
-        alpha = None if gate is None else tape.param("alpha", gate.alpha)
-        out = epilogue(*nodes, state, mode, relu=use_relu, gate=gate, alpha=alpha)
-        grads = None if mode == "eval" else tape.backward(sum_all(mul(out, Tensor(proj))))
-        runs.append((out, grads, state))
-    (got_node, got_grads, got_state), (want_node, want_grads, want_state) = runs
-    got, dead = got_node.data, np.setdiff1d(np.arange(c), live)
-    _assert_close(got, want_node.data)
-    assert np.all(got[:, dead] == 0.0)
-    _assert_close(got_state.running_mean, want_state.running_mean)
-    _assert_close(got_state.running_var, want_state.running_var)
-    if mode == "eval":
-        # eval takes no gradient: the node has no parents and no rule
-        assert got_node.parents == () and got_node.backward_rule is None
-        return
-    # the reference's masked rows get exact zeros, which the node skips
-    assert np.all(want_grads["x"][:, dead] == 0.0)
-    for name in ("x", "gamma", "beta", *(() if gate is None else ("alpha",))):
-        _assert_close(got_grads[name], want_grads[name])
-    if masked:
-        assert np.any(got_grads["alpha"][masked] != 0.0)    # rejuvenation
+    # x in every layout, the one conv2d returns among them: it changes speed,
+    # not values
+    for order in _LAYOUTS.values():
+        xl = _laid_out(x, order)
+        runs = []
+        for epilogue in (batchnorm, _reference_epilogue):
+            state, tape = BnState(mean.copy(), var.copy()), Tape()
+            nodes = [tape.param("x", xl[:, rows] if epilogue is batchnorm else xl),
+                     tape.param("gamma", gamma), tape.param("beta", beta)]
+            alpha = None if gate is None else tape.param("alpha", gate.alpha)
+            out = epilogue(*nodes, state, mode, relu=use_relu, gate=gate, alpha=alpha)
+            grads = (None if mode == "eval"
+                     else tape.backward(sum_all(mul(out, Tensor(proj)))))
+            runs.append((out, grads, state))
+        (got_node, got_grads, got_state), (want_node, want_grads, want_state) = runs
+        got, dead = got_node.data, np.setdiff1d(np.arange(c), live)
+        _assert_close(got, want_node.data)
+        assert np.all(got[:, dead] == 0.0)
+        _assert_close(got_state.running_mean, want_state.running_mean)
+        _assert_close(got_state.running_var, want_state.running_var)
+        if mode == "eval":
+            # eval takes no gradient: the node has no parents and no rule
+            assert got_node.parents == () and got_node.backward_rule is None
+            continue
+        # the reference's masked rows get exact zeros, which the node skips
+        assert np.all(want_grads["x"][:, dead] == 0.0)
+        for name in ("x", "gamma", "beta", *(() if gate is None else ("alpha",))):
+            _assert_close(got_grads[name], want_grads[name])
+        if masked:
+            assert np.any(got_grads["alpha"][masked] != 0.0)    # rejuvenation
 
 
 def test_epilogue_node_checks_its_channels():
@@ -321,6 +350,29 @@ def test_gated_conv_unit_trains_as_a_conv_node_and_an_epilogue_node(masked):
     assert [n.op for n in _toposort(out) if id(n) not in below] == ["conv2d", "batchnorm"]
     # eval takes no gradient: the unit's output is a leaf
     assert unit.forward(Tape(), x, "eval").parents == ()
+
+
+def test_conv_unit_passes_batch_innermost_memory_between_its_nodes():
+    # no copy at the node boundary: conv2d's output is the epilogue's rows,
+    # and the epilogue's dx the conv backward's rows
+    unit = _unit(True)
+    unit.gate.alpha[2] = 1e-9                   # one filter masked
+    rng = np.random.default_rng(29)
+    tape = Tape()
+    x = tape.param("x", rng.normal(size=(2, 3, 8, 8)))
+    out = unit.forward(tape, x, "train")
+    conv = out.parents[0]
+    assert (conv.op, out.op) == ("conv2d", "batchnorm")
+    tape.backward(sum_all(mul(out, Tensor(rng.normal(size=out.shape)))))
+    for a in (conv.data, out.data, conv.grad):  # conv.grad: the epilogue's dx
+        assert a.transpose(1, 2, 3, 0).flags.c_contiguous
+    # the conv's input gradient: the interior of its zero-padded [n, H+2, W+2, b]
+    # buffer
+    gx, buf = x.grad, x.grad.base
+    assert buf.shape == (3, 10, 10, 2) and buf.flags.c_contiguous
+    interior = buf[:, 1:-1, 1:-1].transpose(3, 0, 1, 2)
+    assert gx.strides == interior.strides
+    assert gx.__array_interface__ == interior.__array_interface__
 
 
 def test_conv_and_matmul_rules_skip_the_gradient_of_a_data_input():
@@ -648,12 +700,12 @@ def test_linear_examples():
     assert np.array_equal(eye.data, np.eye(3))
 
 
-def test_avg_pool_gradient_is_channel_major():
+def test_avg_pool_gradient_is_batch_innermost():
     rng = np.random.default_rng(28)
     x = Tape().param("x", rng.normal(size=(2, 3, 4, 5)))
     g = rng.normal(size=(2, 3))
     gx = avg_pool_full(x).backward_rule(g)[0]
-    assert gx.shape == x.shape and gx.transpose(1, 0, 2, 3).flags.c_contiguous
+    assert gx.shape == x.shape and gx.transpose(1, 2, 3, 0).flags.c_contiguous
     assert np.array_equal(gx, np.broadcast_to(g[:, :, None, None] / 20, x.shape))
 
 

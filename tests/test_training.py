@@ -259,6 +259,26 @@ def test_checkpoint_rejects_corrupt_archive(tmp_path):
         load_checkpoint(str(tmp_path / "ck"))
 
 
+@pytest.mark.parametrize("edit,match", [
+    (lambda t: t.append(dict(t[0])), "bad tensor directory entry"),
+    (lambda t: t[1].update(name=t[0]["name"]), "named twice"),
+    (lambda t: t[1].update(offset=t[1]["offset"] - 1), "bad tensor directory entry"),
+    (lambda t: t.pop(), "covers"),
+], ids=["copied", "named-twice", "overlapping", "dropped"])
+def test_checkpoint_rejects_a_tensor_directory_that_does_not_tile_the_archive(tmp_path, edit,
+                                                                                match):
+    # the archive's sha256 does not cover the manifest, so a directory edit
+    # must fail its own check, not load with one entry silently winning
+    model = _tiny_convnet(True, seed=19)
+    ck = tmp_path / "ck"
+    save_checkpoint(str(ck), model.params(), model.gates())
+    manifest = json.loads((ck / "manifest.json").read_text())
+    edit(manifest["tensors"])
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(str(ck))
+
+
 def test_checkpoint_save_cut_short_keeps_previous_checkpoint(tmp_path, monkeypatch):
     model = _tiny_convnet(True, seed=21)
     ck = str(tmp_path / "ck")
