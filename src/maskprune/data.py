@@ -42,10 +42,6 @@ def normalize_cifar(pixels: np.ndarray) -> np.ndarray:
     return (x - CIFAR_MEAN[:, None, None]) / CIFAR_STD[:, None, None]
 
 
-def denormalize_cifar(x: np.ndarray) -> np.ndarray:
-    return (x * CIFAR_STD[:, None, None] + CIFAR_MEAN[:, None, None]) * 255.0
-
-
 def _read_cifar_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     expected = _CIFAR_RECORD * _CIFAR_RECORDS_PER_FILE
     if not os.path.exists(path):

@@ -88,9 +88,7 @@ def _projected(rng: np.random.Generator, op: Callable[..., Tensor],
     reads the batch statistics only, so no loss changes.  The finite
     differences are of ``sum(op(*arrays) * proj)`` in numpy, or with ``ref``
     of ``sum(ref(*arrays) * proj)``, ``ref`` being the computation ``op``
-    stands in for: the dense conv for a conv with live indices, which skips
-    exactly-zero products, and the forward with I -> m~ for a straight-through
-    rule.
+    stands in for: the forward with I -> m~ for a straight-through rule.
     """
     proj = rng.normal(size=op(*map(Tensor, arrays.values())).shape)
     tape = Tape()
@@ -144,39 +142,36 @@ def _conv_cases(rng):
                                               (2, 2, 3, (8, 6), 1, 2, 0)]:
         yield (partial(layers.conv2d, stride=stride, padding=pad),
                {"x": rng.normal(size=(b, n, h, w)), "w": rng.normal(size=(m, n, k, k))})
-    # live indices: the input is 0 outside live_in, as a masked unit's output
-    # is, and the dense conv with its rows outside live_out zeroed (no
-    # upstream gradient there) is the reference
-    for (b, n, m, (h, w), k, stride, pad), live_in, live_out in [
+    # skipped zeros: the input is 0 outside the live channels, as a masked
+    # unit's output is, and the output rows outside the live filters are
+    # zeroed, so their upstream gradient is 0 and their backward skipped
+    for (b, n, m, (h, w), k, stride, pad), chans, filters in [
             ((2, 3, 4, (6, 6), 3, 1, 1), [0, 2], [1, 2]),
             ((2, 3, 4, (6, 6), 3, 1, 1), [1], [0, 3]),
             ((1, 4, 3, (7, 6), 3, 2, 1), [0, 1, 3], [2]),
             ((2, 3, 3, (5, 5), 1, 2, 0), [], [0, 1])]:
         x = rng.normal(size=(b, n, h, w))
-        x[:, np.setdiff1d(np.arange(n), live_in)] = 0.0
+        x[:, np.setdiff1d(np.arange(n), chans)] = 0.0
         keep = np.zeros((1, m, 1, 1))
-        keep[:, live_out] = 1.0
-        conv = partial(layers.conv2d, stride=stride, padding=pad)
-        yield (partial(conv, live_in=np.array(live_in, dtype=int),
-                       live_out=np.array(live_out)),
-               {"x": x, "w": rng.normal(size=(m, n, k, k))},
-               lambda x, w, conv=conv, keep=keep: mul(conv(x, w), Tensor(keep)))
+        keep[:, filters] = 1.0
+        yield (lambda x, w, stride=stride, pad=pad, keep=keep:
+               mul(layers.conv2d(x, w, stride, pad), Tensor(keep)),
+               {"x": x, "w": rng.normal(size=(m, n, k, k))})
     # chained into the epilogue node, as a conv unit trains: batch-innermost
     # memory passes between the two nodes, and the gate's masked filter gets
-    # no conv backward (live_out), as the epilogue passes it no gradient
+    # no conv backward, as the epilogue passes it no gradient
     for (b, n, m, hw, stride), gated in [((2, 3, 4, 6, 1), True), ((3, 2, 3, 7, 2), False)]:
-        gate, live_out = None, None
+        gate = None
         if gated:
             gate = GateParam.create("filter", m, threshold=0.2)
             gate.alpha[:] = rng.uniform(0.5, 1.5, size=m)
             gate.alpha[1] = 0.05                          # masked
-            live_out = np.flatnonzero(np.abs(gate.alpha) > gate.threshold)
 
-        def unit(x, w, gamma, beta, stride=stride, live_out=live_out, gate=gate,
+        def unit(x, w, gamma, beta, stride=stride, gate=gate,
                  state=layers.BnState.create(m)):
             alpha = None if gate is None else Tensor(gate.alpha)
-            return layers.batchnorm(layers.conv2d(x, w, stride, 1, live_out=live_out),
-                                    gamma, beta, state, relu=True, gate=gate, alpha=alpha)
+            return layers.batchnorm(layers.conv2d(x, w, stride, 1), gamma, beta, state,
+                                    relu=True, gate=gate, alpha=alpha)
 
         yield unit, {"x": rng.normal(size=(b, n, hw, hw)), "w": rng.normal(size=(m, n, 3, 3)),
                      "gamma": rng.normal(size=m) + 1.5, "beta": rng.normal(size=m)}

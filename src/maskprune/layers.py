@@ -49,9 +49,14 @@ RELU_FLOPS_PER_ELEM = 1
 ADD_FLOPS_PER_ELEM = 1
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
-           live_in: np.ndarray | None = None,
-           live_out: np.ndarray | None = None) -> Tensor:
+def _live_rows(a: np.ndarray) -> np.ndarray | None:
+    """Indices along axis 0 of the rows of ``a`` that hold a nonzero (NaN
+    counts), or None when every row does."""
+    live = (a != 0).any(axis=tuple(range(1, a.ndim)))
+    return None if live.all() else np.flatnonzero(live)
+
+
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate ``x`` [b,n,H,W] with filters ``w`` [m,n,k,k].
 
     The convolution is lowered to one column matrix for the whole batch,
@@ -79,17 +84,19 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     back to this conv's backward is already batch-innermost.  Any other
     layout is correct too, copied once by the reshape that reads it.
 
-    ``live_in`` and ``live_out`` (sorted channel indices, from the gate
-    masks) skip every product that is exactly zero.  ``x`` must be zero on
-    the input channels outside ``live_in``, so only the live ones are read.
-    Outside ``live_out`` the upstream gradient must be zero.  Every filter is
-    still computed forward (a masked filter's output feeds its alpha's
-    gradient and its batch-norm statistics).  The weight gradient covers live
-    outputs x live inputs and is 0 elsewhere; the input gradient covers live
-    outputs x every input channel, since a masked input channel's alpha still
-    needs its gradient.  With neither given, or with every channel live, this
-    is the dense conv.  An ``x`` that is data (``tensor.is_data``), such as
-    the input batch of a stem conv, gets no input gradient.
+    The conv skips every product that is exactly zero, finding the live
+    channels in its operands: the forward reads only the input channels of
+    ``x`` that hold a nonzero (a masked filter's output is zero), and the
+    backward uses only the rows of the upstream gradient that hold one (a
+    masked filter gets none).  A NaN counts as nonzero, so it still reaches
+    the loss and gradient checks.  Every filter is still computed forward (a
+    masked filter's output feeds its alpha's gradient and its batch-norm
+    statistics).  The weight gradient covers live outputs x live inputs and
+    is 0 elsewhere; the input gradient covers live outputs x every input
+    channel, since a masked input channel's alpha still needs its gradient.
+    With every channel live this is the dense conv.  An ``x`` that is data
+    (``tensor.is_data``), such as the input batch of a stem conv, gets no
+    input gradient.
 
     Output geometry is floor, as in PyTorch: ``Ho = (H + 2*padding - k) //
     stride + 1``, and likewise ``Wo``.  When ``stride`` leaves a remainder,
@@ -107,10 +114,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
     if Ho <= 0 or Wo <= 0:
         raise ShapeError(f"conv2d: non-positive output size {Ho}x{Wo}")
 
-    # the (live) input, batch-innermost [n_live, H, W, b]
+    # the live input channels, batch-innermost [n_live, H, W, b]
     xc = x.data.transpose(1, 2, 3, 0)
-    if live_in is not None:
-        xc = xc[live_in]
+    chans = _live_rows(xc)
+    if chans is not None:
+        xc = xc[chans]
     n_live = xc.shape[0]
     xp = xc
     if padding:
@@ -122,7 +130,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
                          slice(kj, kj + stride * (Wo - 1) + 1, stride)))
                for ki in range(k) for kj in range(k)]
     wrow = w.data.reshape(m, n * k * k)
-    w_in = wrow if live_in is None else w.data[:, live_in].reshape(m, n_live * k * k)
+    w_in = wrow if chans is None else w.data[:, chans].reshape(m, n_live * k * k)
     cols = np.empty((n_live, k, k, Ho, Wo, b))
     for ki, kj, window in offsets:
         cols[:, ki, kj] = xp[window]
@@ -132,15 +140,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, *,
 
     def rule(g):
         gc, w_out = g.transpose(1, 2, 3, 0), wrow
-        if live_out is not None:
-            gc, w_out = gc[live_out], wrow[live_out]
+        rows = _live_rows(gc)
+        if rows is not None:
+            gc, w_out = gc[rows], wrow[rows]
         g2 = gc.reshape(len(w_out), Ho * Wo * b)
         grad_w = g2 @ cols.T
-        if live_in is not None or live_out is not None:
-            rows = np.arange(m) if live_out is None else live_out
-            chans = np.arange(n) if live_in is None else live_in
+        if chans is not None or rows is not None:
+            r = np.arange(m) if rows is None else rows
+            c = np.arange(n) if chans is None else chans
             full = np.zeros((m, n, k * k))
-            full[np.ix_(rows, chans)] = grad_w.reshape(len(rows), len(chans), k * k)
+            full[np.ix_(r, c)] = grad_w.reshape(len(r), len(c), k * k)
             grad_w = full
         grad_w = grad_w.reshape(m, n, k, k)
         if skip_x:
@@ -467,16 +476,17 @@ class ConvUnit(Block):
     norm, the ReLU and the gate, in both modes.  Both hand each other
     batch-innermost [c, H, W, b] memory, forward and backward, so neither
     copies at the boundary and the conv's kernel-offset copies move runs of
-    ``Wo * b`` floats.  The conv reads only
-    ``live_in``, the ``live_filters(tape)`` of the unit whose ``reader``
-    this unit is.  In training a masked filter is still computed forward,
-    for its alpha's gradient and its batch-norm running statistics, but gets
-    no conv or batch-norm backward (its gate's live filters are the conv's
-    ``live_out``).  In eval, with a filter masked, the conv multiplies the
-    live filters' weight rows alone, and ``batchnorm`` computes their rows
-    and places them among zeros of every channel.  Eval takes no gradient,
-    so there ``batchnorm`` returns a leaf, and the conv's column matrix is
-    freed when the unit returns instead of at the end of the forward.
+    ``Wo * b`` floats.  The conv reads only the input channels that hold a
+    nonzero, so not the masked filters of the unit whose ``reader`` this unit
+    is.  In training a masked filter is still computed forward, for its
+    alpha's gradient and its batch-norm running statistics, but gets no conv
+    or batch-norm backward: the gate passes it no gradient, and the conv
+    skips the zero rows.  In eval, with a filter masked, the conv multiplies
+    the live filters' weight rows alone, and ``batchnorm`` computes their
+    rows and places them among zeros of every channel.  Eval takes no
+    gradient, so there ``batchnorm`` returns a leaf, and the conv's column
+    matrix is freed when the unit returns instead of at the end of the
+    forward.
     """
 
     weights: np.ndarray                # [m, n, k, k]
@@ -524,24 +534,15 @@ class ConvUnit(Block):
                 self.pname("bn.gamma"): area * (BN_FLOPS_PER_ELEM
                                                 + RELU_FLOPS_PER_ELEM * self.relu)}, 0
 
-    def live_filters(self, tape: Tape) -> np.ndarray | None:
-        """Indices of the filters the gate leaves live, from its evaluation on
-        ``tape`` (this unit's forward binds it there); None when ungated or
-        none is masked."""
-        if self.gate is None:
-            return None
-        return evaluation(self.gate, tape.params[self.pname("gate.alpha")]).live()
-
-    def forward(self, tape: Tape, x: Tensor, mode: str = "train", *,
-                live_in: np.ndarray | None = None) -> Tensor:
+    def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
-        live = self.live_filters(tape)
-        w, live_out = p["w"], live
-        if mode == "eval" and live is not None:
-            # the live filters' conv rows alone; batchnorm places their outputs
-            w, live_out = tape.leaf(self.weights[live]), None
-        y = conv2d(x, w, self.stride, self.weights.shape[2] // 2, live_in=live_in,
-                   live_out=live_out)
+        w = p["w"]
+        if mode == "eval" and self.gate is not None:
+            live = evaluation(self.gate, p["gate.alpha"]).live()
+            if live is not None:
+                # the live filters' conv rows alone; batchnorm places their outputs
+                w = tape.leaf(self.weights[live])
+        y = conv2d(x, w, self.stride, self.weights.shape[2] // 2)
         return batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode, relu=self.relu,
                          gate=self.gate, alpha=p.get("gate.alpha"))
 
@@ -554,10 +555,10 @@ class ResidualBlock(Block):
     Then eval skips the branch's forward, and training runs it (its alpha's
     gradient reads the branch output, and its batch norms update their
     running statistics) but not its backward: the gate passes the branch no
-    gradient.  ``unit1`` reads ``live_in``, the live channels of ``x``; the
-    skip path reads every channel.  Downsampling blocks put
-    ``down``, an ungated 1x1 ``ConvUnit`` without ReLU named ``<block>.down``,
-    on the skip path (projection shortcut, He et al., arXiv:1512.03385).
+    gradient.  Each unit's conv reads only the channels of its input that
+    hold a nonzero.  Downsampling blocks put ``down``, an ungated 1x1
+    ``ConvUnit`` without ReLU named ``<block>.down``, on the skip path
+    (projection shortcut, He et al., arXiv:1512.03385).
     ``unit1``'s reader is ``unit2``; ``unit2`` feeds the residual sum and has
     none.  A branch gate reports under its stage, the name's first part.
     """
@@ -591,16 +592,15 @@ class ResidualBlock(Block):
             return {}, self.unit2.out_channels * add
         return {self.unit2.pname("bn.beta"): add}, 0
 
-    def forward(self, tape: Tape, x: Tensor, mode: str = "train", *,
-                live_in: np.ndarray | None = None) -> Tensor:
+    def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
         skip = x if self.down is None else self.down.forward(tape, x, mode)
         # a scalar gate reports live indices (none) only when it is masked
         if (mode == "eval" and self.gate is not None
                 and evaluation(self.gate, p["gate.alpha"]).live() is not None):
             return skip
-        h = self.unit1.forward(tape, x, mode, live_in=live_in)
-        branch = self.unit2.forward(tape, h, mode, live_in=self.unit1.live_filters(tape))
+        h = self.unit1.forward(tape, x, mode)
+        branch = self.unit2.forward(tape, h, mode)
         if self.gate is not None:
             branch = apply_gate(branch, self.gate, WHOLE, alpha=p["gate.alpha"])
         return add(branch, skip)

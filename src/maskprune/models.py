@@ -8,14 +8,13 @@ and a ``Linear`` ``head``; a ``ResNetSmall`` is a ``stem`` unit,
 declarations and its FLOPs once, so ``params()``, ``persistent_arrays()``
 (parameters plus batch-norm buffers, for checkpoints), ``gate_decls()``,
 ``gates()`` and ``flop_costs()`` are walks of the tree.  A model passes a
-block only what the block cannot know: a conv unit's output size, the block
-that reads its output channels and, at each forward, the unit's live input
-channels (the live filters of the unit whose reader it is).  The model
-itself declares only the cost of its global pool, on the last unit's
-``bn.beta`` when those channels can be masked.  An LSTM model embeds its
-[b, T] token ids in one lookup and runs each ``LstmCell`` over the whole
-sequence as one graph node, on [b, T, ·] tensors; the LM's head then reads
-the [b*T, hidden] rows in label order, the classifier's the last step.
+block only what the block cannot know: a conv unit's output size and the
+block that reads its output channels.  The model itself declares only the
+cost of its global pool, on the last unit's ``bn.beta`` when those channels
+can be masked.  An LSTM model embeds its [b, T] token ids in one lookup and
+runs each ``LstmCell`` over the whole sequence as one graph node, on
+[b, T, ·] tensors; the LM's head then reads the [b*T, hidden] rows in label
+order, the classifier's the last step.
 ``forward(tape, x, mode)`` returns [N, classes] logits.
 
 Construction is deterministic in the seed, and gate scaling factors are
@@ -167,11 +166,8 @@ class ToyConvNet(Model):
 
     def forward(self, tape, x, mode="train"):
         h = tape.leaf(x)
-        live = None
         for u in self.units:
-            # each unit reads the previous one's live filters
-            h = u.forward(tape, h, mode, live_in=live)
-            live = u.live_filters(tape)
+            h = u.forward(tape, h, mode)
         return self.head.forward(tape, avg_pool_full(h))
 
 
@@ -243,9 +239,7 @@ class ResNetSmall(Model):
 
     def forward(self, tape, x, mode="train"):
         h = self.stem.forward(tape, tape.leaf(x), mode)
-        # only the first block reads the stem; the others read a residual sum
-        h = self.blocks[0].forward(tape, h, mode, live_in=self.stem.live_filters(tape))
-        for blk in self.blocks[1:]:
+        for blk in self.blocks:
             h = blk.forward(tape, h, mode)
         return self.head.forward(tape, avg_pool_full(h))
 

@@ -32,7 +32,6 @@ residual adds 1; the gate multiply itself is foldable and costs nothing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -101,10 +100,6 @@ class PruneReport:
         for step, eid, direction in self.events:
             lines.append(f"  step {step}: {eid} {direction}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {k: v for k, v in vars(self).items() if k != "active"}
-        return json.dumps(dict(payload, report_version=REPORT_VERSION), sort_keys=True)
 
 
 def conv_macs(m: int, n: int, k: int, out_h: int, out_w: int) -> int:

@@ -3,10 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from maskprune.data import (CIFAR_MEAN, CIFAR_STD, Dataset, augment,
-                            denormalize_cifar, hflip, load_cifar10,
-                            normalize_cifar, pad_crop, synth_classification,
-                            synth_sequences)
+from maskprune.data import (CIFAR_MEAN, CIFAR_STD, Dataset, augment, hflip, load_cifar10,
+                            pad_crop, synth_classification, synth_sequences)
 
 
 def _write_cifar_archive(directory, pixel_value=0, special=None):
@@ -53,13 +51,6 @@ def test_cifar_known_bytes_normalize_to_hand_computed_values():
         assert abs(img[0, 0, 0] - _hand(0, 0)) < 1e-12
         assert abs(img[0, 0, 1] - _hand(128, 0)) < 1e-12
         assert abs(img[0, 0, 2] - _hand(255, 0)) < 1e-12
-
-
-def test_normalization_round_trip():
-    rng = np.random.default_rng(0)
-    pixels = rng.integers(0, 256, size=(3, 32, 32)).astype(np.float64)
-    back = denormalize_cifar(normalize_cifar(pixels))
-    assert np.all(np.abs(back - pixels) < 1e-12)
 
 
 def test_pad_crop_center_is_identity():

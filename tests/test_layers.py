@@ -112,28 +112,26 @@ def test_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding):
 ])
 @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
 def test_conv_live_indices_match_direct_loop(live_in, live_out, mode, stride, padding):
-    # the direct loop reads a zero input channel outside live_in and gets a
-    # zero upstream row outside live_out, as a gated network gives them
+    # x is zero outside the channels live_in and the upstream gradient outside
+    # the rows live_out, as a gated network gives them: conv2d skips those
+    # and must match the direct loop, which reads them
     rng = np.random.default_rng(22)
     x, w = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(4, 3, 3, 3))
     keep_in, keep_out = np.zeros(3), np.zeros(4)
     keep_in[live_in if live_in is not None else slice(None)] = 1.0
     keep_out[live_out if live_out is not None else slice(None)] = 1.0
     x *= keep_in[None, :, None, None]
-    live_in = None if live_in is None else np.array(live_in, dtype=int)
-    live_out = None if live_out is None else np.array(live_out, dtype=int)
     Ho, Wo = (7 + 2 * padding - 3) // stride + 1, (6 + 2 * padding - 3) // stride + 1
     g = rng.normal(size=(2, 4, Ho, Wo)) * keep_out[None, :, None, None]
     ref_out, ref_gx, ref_gw = _direct_conv(x, w, g, stride, padding)
     if mode == "eval":
         # a conv unit's eval: the live filters' rows alone, forward only
         rows = np.flatnonzero(keep_out)
-        out = conv2d(Tensor(x), Tensor(w[rows]), stride, padding, live_in=live_in)
+        out = conv2d(Tensor(x), Tensor(w[rows]), stride, padding)
         np.testing.assert_allclose(out.data, ref_out[:, rows], rtol=0, atol=1e-10)
         return
     tape = Tape()
-    out = conv2d(tape.param("x", x), tape.param("w", w), stride, padding,
-                 live_in=live_in, live_out=live_out)
+    out = conv2d(tape.param("x", x), tape.param("w", w), stride, padding)
     grads = tape.backward(sum_all(mul(out, Tensor(g))))
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads["x"], ref_gx, rtol=0, atol=1e-10)
@@ -147,18 +145,32 @@ def test_conv_neither_writes_nor_aliases_its_operands(k, stride, padding, live_i
     rng = np.random.default_rng(25)
     x, w = rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(4, 3, k, k))
     if live_in is not None:
-        x[:, 1] = 0.0
-        live_in = np.array(live_in)
+        x[:, 1] = 0.0                 # conv2d reads channels 0 and 2 alone
     x0, w0 = x.copy(), w.copy()
     tape = Tape()
     xt, wt = tape.param("x", x), tape.param("w", w)
-    out = conv2d(xt, wt, stride, padding, live_in=live_in)
+    out = conv2d(xt, wt, stride, padding)
     g = rng.normal(size=out.shape)
     grads = tape.backward(sum_all(mul(out, Tensor(g))))
     assert xt.data is x and wt.data is w
     assert np.array_equal(x, x0) and np.array_equal(w, w0)
     for arr in (out.data, grads["x"], grads["w"]):
         assert not np.shares_memory(arr, x) and not np.shares_memory(arr, w)
+
+
+def test_conv_reads_a_channel_and_a_gradient_row_that_hold_only_a_nan():
+    # NaN counts as nonzero, so a non-finite value reaches the divergence checks
+    rng = np.random.default_rng(26)
+    x, w = rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(4, 3, 3, 3))
+    x[:, 1] = 0.0
+    x[0, 1, 2, 2] = np.nan
+    tape = Tape()
+    out = conv2d(tape.param("x", x), tape.param("w", w), 1, 1)
+    assert np.isnan(out.data[0]).any() and not np.isnan(out.data[1]).any()
+    g = np.zeros(out.shape)
+    g[1, 2, 0, 0] = np.nan
+    grads = tape.backward(sum_all(mul(out, Tensor(g))))
+    assert np.isnan(grads["w"][2]).any() and np.isnan(grads["x"][1]).any()
 
 
 def test_conv_and_bn_gradients():

@@ -247,5 +247,3 @@ def test_report_serialization_roundtrip_fields():
     assert "entities: 7 active / 8 total" in text
     assert "conv0: 3/4 active" in text
     assert "1->0" in text
-    js = report.to_json()
-    assert '"K": 8' in js
