@@ -32,13 +32,17 @@ its filters as the rows of batch-innermost [c, H*W*b] memory, the layout
 that gives the conv's kernel-offset copies their longest runs.)
 
 A gate is evaluated once per tape.  ``evaluation`` keeps a ``GateEval``
-record on the gate's alpha node: the hard mask, computed at forward time,
-and the surrogate terms m~, m~' and m~ + alpha m~', computed on their first
-(backward) use by one ``surrogate_terms`` pass, so an eval forward never
-computes them.  The gated ops, the conv units' epilogue node
+record on the gate's alpha node: the node itself, the hard mask, computed at
+forward time, and the surrogate terms m~, m~' and m~ + alpha m~', computed
+on their first (backward) use by one ``surrogate_terms`` pass, so an eval
+forward never computes them.  ``evaluation`` is the one place a gate meets
+its node: each gated block calls it once after binding its parameters, and
+the training step once per gate declaration.  Every consumer takes the
+record alone, as its gate: the gated ops, the conv units' epilogue node
 (``layers.batchnorm``, which applies a filter gate after batch norm and ReLU)
-and live filters, the LSTM layer, the residual skip and the masked-l2 and
-hinge terms all read that record.
+and live filters, the LSTM layer's sequence node, the residual skip and the
+masked-l2 and hinge terms.  They read the mask and terms from it and hang
+their alpha gradient on ``node``.
 It dies with the tape: the optimizer updates alpha in place after the step,
 and the prune accounting computes its masks from the updated alphas.
 ``GateEval.coeff`` is the one statement of the straight-through alpha
@@ -190,16 +194,17 @@ def broadcast_mask(m: np.ndarray, shape: tuple, mode: str) -> np.ndarray:
 class GateEval:
     """One gate's values on one tape; ``evaluation`` makes and keeps it.
 
-    ``mask`` is the hard mask of ``alpha``, computed when the record is made.
-    ``terms`` are the surrogate terms, from one ``surrogate_terms`` pass on
-    first use.
+    ``node`` is the tape node carrying ``gate.alpha``, where a consumer's
+    alpha gradient lands, and ``alpha`` its data.  ``mask`` is the hard mask
+    of ``alpha``, computed when the record is made.  ``terms`` are the
+    surrogate terms, from one ``surrogate_terms`` pass on first use.
     """
 
-    __slots__ = ("gate", "alpha", "mask", "_terms")
+    __slots__ = ("gate", "node", "alpha", "mask", "_terms")
 
-    def __init__(self, gate: GateParam, alpha: np.ndarray):
-        self.gate, self.alpha = gate, alpha
-        self.mask = hard_mask(alpha, gate.threshold)
+    def __init__(self, gate: GateParam, node: Tensor):
+        self.gate, self.node, self.alpha = gate, node, node.data
+        self.mask = hard_mask(self.alpha, gate.threshold)
         self._terms: Surrogate | None = None
 
     @property
@@ -228,17 +233,18 @@ class GateEval:
 def evaluation(gate: GateParam, alpha: Tensor) -> GateEval:
     """The ``GateEval`` of ``gate`` on this tape, made on first use.
 
-    ``alpha`` is the tape node carrying ``gate.alpha``; the record lives in
-    its ``memo``, so every reader of that node on this tape shares it.
+    ``alpha`` is the tape node carrying ``gate.alpha``, the node returned by
+    ``tape.param`` so that gradients land in the registry; the record lives
+    in its ``memo``, so every reader of that node on this tape shares it.
     """
     if alpha.memo is None:
         if alpha.shape != (gate.dim,):
             raise ShapeError(f"alpha node shape {alpha.shape} != gate dim ({gate.dim},)")
-        alpha.memo = GateEval(gate, alpha.data)
+        alpha.memo = GateEval(gate, alpha)
     return alpha.memo
 
 
-def apply_gate(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tensor:
+def apply_gate(x: Tensor, ev: GateEval, mode: str) -> Tensor:
     """Scale ``x`` by ``alpha * I(alpha)``, component to entries by ``mode``.
 
     Forward is the exact hard product, so a masked component's output is
@@ -248,34 +254,30 @@ def apply_gate(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tenso
     component's entries, which stays nonzero below the threshold
     (rejuvenation).  The gradient on ``x`` uses the exact forward scale.
 
-    ``mode`` is one of the membership modes above, as ``broadcast_mask``
-    reads it.  ``alpha`` is the tape node carrying ``gate.alpha``; pass the
-    node returned by ``tape.param`` so the gradient lands in the registry.
+    ``ev`` is the gate's record on this tape (``evaluation``); the alpha
+    gradient lands on its ``node``.  ``mode`` is one of the membership modes
+    above, as ``broadcast_mask`` reads it.
     """
-    return _gated(x, gate, mode, alpha, scaled=True, op="apply_gate")
+    return _gated(x, ev, mode, scaled=True, op="apply_gate")
 
 
-def apply_mask(x: Tensor, gate: GateParam, mode: str, *, alpha: Tensor) -> Tensor:
+def apply_mask(x: Tensor, ev: GateEval, mode: str) -> Tensor:
     """Multiply ``x`` by the hard mask alone, with the surrogate backward.
 
     For where the scaling factor enters elsewhere: an LSTM recurrence gate
     scales its pre-activation by alpha and masks its post-activation, which
     ``layers.LstmCell`` does inside its one node for the whole sequence, by
     the same rule.
-    ``mode`` and ``alpha`` are as in ``apply_gate``.  Gradient on ``x`` is
-    the exact mask; gradient on alpha is ``m~'(alpha)`` times the
+    ``ev`` and ``mode`` are as in ``apply_gate``.  Gradient on ``x`` is the
+    exact mask; gradient on alpha is ``m~'(alpha)`` times the
     upstream-times-input sum.
     """
-    return _gated(x, gate, mode, alpha, scaled=False, op="apply_mask")
+    return _gated(x, ev, mode, scaled=False, op="apply_mask")
 
 
-def _gated(x: Tensor, gate: GateParam, mode: str, alpha: Tensor,
-           scaled: bool, op: str) -> Tensor:
+def _gated(x: Tensor, ev: GateEval, mode: str, scaled: bool, op: str) -> Tensor:
     """Shared body: forward scale ``alpha * I`` (``scaled``) or ``I``."""
-    ev = evaluation(gate, alpha)
-    s = ev.mask
-    if scaled:
-        s = ev.alpha * s
+    s = ev.alpha * ev.mask if scaled else ev.mask
     xd = x.data
     s_b = broadcast_mask(s, xd.shape, mode)
 
@@ -283,6 +285,6 @@ def _gated(x: Tensor, gate: GateParam, mode: str, alpha: Tensor,
         # with every component masked, x's gradient is all zero: pass none, so
         # the backward of whatever computed x is skipped
         gx = g * s_b if s.any() else None
-        return gx, _unbroadcast(g * xd, s_b.shape).reshape(gate.dim) * ev.coeff(scaled)
+        return gx, _unbroadcast(g * xd, s_b.shape).reshape(ev.gate.dim) * ev.coeff(scaled)
 
-    return custom_grad(s_b * xd, (x, alpha), rule, op=op)
+    return custom_grad(s_b * xd, (x, ev.node), rule, op=op)

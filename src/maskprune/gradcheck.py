@@ -102,6 +102,14 @@ def _projected(rng: np.random.Generator, op: Callable[..., Tensor],
     return max(rel_error(grads[name], numeric_grad(loss, a)) for name, a in arrays.items())
 
 
+def _record(gate: GateParam | None, alpha: Tensor | None = None):
+    """``gate``'s record on ``alpha``, or on a constant node of its own alpha
+    (no gradient); None for no gate."""
+    if gate is None:
+        return None
+    return gate_mod.evaluation(gate, Tensor(gate.alpha) if alpha is None else alpha)
+
+
 def _cases(draw: Callable[[np.random.Generator], Iterable[tuple]]):
     """The check that runs ``_projected`` on every (op, arrays[, ref]) case
     ``draw`` yields."""
@@ -169,9 +177,8 @@ def _conv_cases(rng):
 
         def unit(x, w, gamma, beta, stride=stride, gate=gate,
                  state=layers.BnState.create(m)):
-            alpha = None if gate is None else Tensor(gate.alpha)
             return layers.batchnorm(layers.conv2d(x, w, stride, 1), gamma, beta, state,
-                                    relu=True, gate=gate, alpha=alpha)
+                                    relu=True, gate=_record(gate))
 
         yield unit, {"x": rng.normal(size=(b, n, hw, hw)), "w": rng.normal(size=(m, n, 3, 3)),
                      "gamma": rng.normal(size=m) + 1.5, "beta": rng.normal(size=m)}
@@ -190,8 +197,7 @@ def _batchnorm_cases(rng):
                 gate = GateParam.create("filter", c, threshold=0.2)
                 gate.alpha[:] = rng.uniform(0.5, 1.5, size=c)
                 gate.alpha[c - 1] = 0.05          # masked
-            yield (partial(layers.batchnorm, state=state, relu=relu, gate=gate,
-                           alpha=None if gate is None else Tensor(gate.alpha)),
+            yield (partial(layers.batchnorm, state=state, relu=relu, gate=_record(gate)),
                    {"x": rng.normal(size=(b, c, hw, hw)),
                     "gamma": rng.normal(size=c) + 1.5, "beta": rng.normal(size=c)})
 
@@ -215,7 +221,7 @@ def _cross_entropy_cases(rng):
 def _masked_l2_cases(rng):
     gate = GateParam.create("filter", 3)
     gate.alpha[:] = [1.0, 1e-6, -0.7]   # middle entity pruned
-    yield (lambda w: objective.masked_l2([(gate, Tensor(gate.alpha), [(w, AXIS0)])]),
+    yield (lambda w: objective.masked_l2([(_record(gate), [(w, AXIS0)])]),
            {"w": rng.normal(size=(3, 2, 2))})
 
 
@@ -230,7 +236,7 @@ def _apply_gate_x_cases(rng):
                            (ELEMENTWISE, (3, 4), 12)]:
         gate = GateParam.create(_GRANULARITY[mode], d)
         gate.alpha[:] = rng.normal(size=d) * 0.8
-        yield (partial(gate_mod.apply_gate, gate=gate, mode=mode, alpha=Tensor(gate.alpha)),
+        yield (partial(gate_mod.apply_gate, ev=_record(gate), mode=mode),
                {"x": rng.normal(size=shape)})
 
 
@@ -259,7 +265,7 @@ def _gate_alpha_cases(apply: Callable, scaled: bool):
             gate = GateParam.create(_GRANULARITY[mode], len(alphas), threshold=0.2)
             x = rng.normal(size=shape)
             yield (lambda alpha, x=x, gate=gate, mode=mode:
-                   apply(Tensor(x), gate, mode, alpha=alpha),
+                   apply(Tensor(x), _record(gate, alpha), mode),
                    {"alpha": np.array(alphas)},
                    lambda alpha, x=x, gate=gate, mode=mode: Tensor(
                        broadcast_mask(_smooth(gate, alpha.data, scaled), x.shape, mode) * x))
@@ -282,7 +288,7 @@ def _batchnorm_alpha_cases(rng):
         x = Tensor(rng.normal(size=shape))
         gamma, beta = Tensor(rng.normal(size=c) + 1.5), Tensor(rng.normal(size=c))
         bn = partial(layers.batchnorm, x, gamma, beta, relu=relu)
-        yield (lambda alpha, bn=bn: bn(layers.BnState.create(c), gate=gate, alpha=alpha),
+        yield (lambda alpha, bn=bn: bn(layers.BnState.create(c), gate=_record(gate, alpha)),
                {"alpha": np.array(alphas)},
                lambda alpha, bn=bn: mul(bn(layers.BnState.create(c)), Tensor(
                    broadcast_mask(_smooth(gate, alpha.data, True), shape, AXIS1))))
@@ -300,7 +306,7 @@ def _ratio_hinge_alpha_cases(rng):
         active = sum(np.sum(_smooth(g, a.data, False)) for g, a in zip(gates, alphas))
         return Tensor(max(0.0, active / 7 - c))
 
-    yield (lambda *alphas: objective.ratio_hinge(list(zip(gates, alphas)), c),
+    yield (lambda *alphas: objective.ratio_hinge(list(map(_record, gates, alphas)), c),
            {g.name: g.alpha for g in gates}, ref)
 
 
@@ -318,12 +324,9 @@ def _lstm_node(gates: list[GateParam] | None, xs: Tensor, *leaves: Tensor) -> Te
     alphas as constants.  The cases call the node, not ``LstmCell.step``:
     ``step`` registers the layer's parameters under the layer's names, and
     the harness registers each case array under its own key."""
-    W, b, alpha = leaves[:4], leaves[4:8], leaves[8:]
-    if gates is None:
-        return layers._lstm_sequence(xs, W, b, None, None)
-    alpha = alpha or [Tensor(g.alpha) for g in gates]
-    return layers._lstm_sequence(xs, W, b, alpha, [gate_mod.evaluation(g, a)
-                                                   for g, a in zip(gates, alpha)])
+    W, b, alpha = leaves[:4], leaves[4:8], leaves[8:] or [None] * 4
+    evs = None if gates is None else list(map(_record, gates, alpha))
+    return layers._lstm_sequence(xs, W, b, evs)
 
 
 def _lstm_cell_cases(rng):

@@ -16,6 +16,8 @@ map and the prune accounting agree on every name.
 
 A block binds its own arrays inside ``forward`` (``LstmCell``: ``step``), so
 a profiler that wraps those methods charges the block every node it makes.
+Right after binding, a gated block evaluates each gate it owns once on the
+tape (``gate.evaluation``) and hands the ops that record.
 The conv epilogue (``batchnorm``) and the LSTM layer (``_lstm_sequence``)
 each run as one node; in eval, which takes no gradient, the epilogue's is a
 leaf.
@@ -181,13 +183,14 @@ class BnState:
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
-              mode: str = "train", *, relu: bool = False, gate: GateParam | None = None,
-              alpha: Tensor | None = None) -> Tensor:
+              mode: str = "train", *, relu: bool = False, gate: GateEval | None = None
+              ) -> Tensor:
     """A conv unit's epilogue as one node: per-channel batch norm of a
     [b,c,H,W] tensor, then ReLU when ``relu``, then, with ``gate``, the
-    filter gate ``alpha * I(alpha)`` (``alpha`` is the tape node carrying
-    ``gate.alpha``; the hard mask and the straight-through coefficient come
-    from its ``gate.evaluation``).  With neither, this is batch norm alone.
+    filter gate ``alpha * I(alpha)``.  ``gate`` is the filter gate's record
+    on this tape (``gate.evaluation``): its hard mask and straight-through
+    coefficient, and its alpha ``node``, a parent of this one.  With neither,
+    this is batch norm alone.
 
     Train mode normalizes with batch statistics and folds them into the
     running averages; eval mode normalizes with the running statistics.  The
@@ -215,21 +218,19 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
                          f"{x.shape}, {gamma.shape} and {beta.shape}")
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm: unknown mode {mode!r}")
-    if (gate is None) != (alpha is None):
-        raise ValueError("batchnorm: gate and alpha go together")
     c = gamma.shape[0]
-    ev = None if gate is None else evaluation(gate, alpha)
-    live = None if ev is None else ev.live()
+    live = None if gate is None else gate.live()
     # the rows the forward computes: in eval only the live ones (None: all)
     rows = live if mode == "eval" else None
     b, cx, H, W = x.shape
-    if (cx != (c if rows is None else len(rows))) or (ev is not None and gate.dim != c):
+    if (cx != (c if rows is None else len(rows))
+            or (gate is not None and len(gate.mask) != c)):
         raise ShapeError(f"batchnorm: {cx} input channels for {c} filters"
                          + ("" if rows is None else f", {len(rows)} of them live"))
     n = b * H * W
     xc = x.data.transpose(1, 2, 3, 0).reshape(cx, n)
     gd, bd, mean, var = gamma.data, beta.data, state.running_mean, state.running_var
-    s = None if ev is None else ev.alpha * ev.mask
+    s = None if gate is None else gate.alpha * gate.mask
     if rows is not None:
         gd, bd, mean, var, s = gd[rows], bd[rows], mean[rows], var[rows], s[rows]
 
@@ -262,9 +263,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
     def rule(g):
         gc = g.transpose(1, 2, 3, 0).reshape(c, n)
         scratch, tail = None, ()
-        if ev is not None:
+        if gate is not None:
             scratch = np.multiply(gc, r)
-            tail = (scratch.sum(axis=1) * ev.coeff(scaled=True),)
+            tail = (scratch.sum(axis=1) * gate.coeff(scaled=True),)
         if live is not None and not len(live):
             return (None, None, None, *tail)
         # t, the gradient on the batch-norm output, may be g itself, which
@@ -286,7 +287,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
         dx = _scatter_rows(dx, live, c).reshape(c, H, W, b).transpose(3, 0, 1, 2)
         return (dx, _scatter_rows(dgamma, live, c), _scatter_rows(dbeta, live, c), *tail)
 
-    parents = (x, gamma, beta) if ev is None else (x, gamma, beta, alpha)
+    parents = (x, gamma, beta) if gate is None else (x, gamma, beta, gate.node)
     return custom_grad(out, parents, rule, op="batchnorm")
 
 
@@ -447,8 +448,9 @@ class Linear(Block):
 
     def forward(self, tape: Tape, x: Tensor) -> Tensor:
         p = self.bind(tape)
-        w = p["w"] if self.gate is None else apply_gate(p["w"], self.gate, ELEMENTWISE,
-                                                        alpha=p["gate.alpha"])
+        w = p["w"]
+        if self.gate is not None:
+            w = apply_gate(w, evaluation(self.gate, p["gate.alpha"]), ELEMENTWISE)
         y = linear(x, w, p["b"])
         return relu(y) if self.relu else y
 
@@ -536,15 +538,13 @@ class ConvUnit(Block):
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
-        w = p["w"]
-        if mode == "eval" and self.gate is not None:
-            live = evaluation(self.gate, p["gate.alpha"]).live()
-            if live is not None:
-                # the live filters' conv rows alone; batchnorm places their outputs
-                w = tape.leaf(self.weights[live])
+        ev = None if self.gate is None else evaluation(self.gate, p["gate.alpha"])
+        live = ev.live() if mode == "eval" and ev is not None else None
+        # in eval, the live filters' conv rows alone; batchnorm places their outputs
+        w = p["w"] if live is None else tape.leaf(self.weights[live])
         y = conv2d(x, w, self.stride, self.weights.shape[2] // 2)
         return batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode, relu=self.relu,
-                         gate=self.gate, alpha=p.get("gate.alpha"))
+                         gate=ev)
 
 
 @dataclass
@@ -594,15 +594,15 @@ class ResidualBlock(Block):
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
+        ev = None if self.gate is None else evaluation(self.gate, p["gate.alpha"])
         skip = x if self.down is None else self.down.forward(tape, x, mode)
         # a scalar gate reports live indices (none) only when it is masked
-        if (mode == "eval" and self.gate is not None
-                and evaluation(self.gate, p["gate.alpha"]).live() is not None):
+        if mode == "eval" and ev is not None and ev.live() is not None:
             return skip
         h = self.unit1.forward(tape, x, mode)
         branch = self.unit2.forward(tape, h, mode)
-        if self.gate is not None:
-            branch = apply_gate(branch, self.gate, WHOLE, alpha=p["gate.alpha"])
+        if ev is not None:
+            branch = apply_gate(branch, ev, WHOLE)
         return add(branch, skip)
 
 
@@ -612,22 +612,23 @@ _PACKED = ("f", "i", "o", "g")
 
 
 def _lstm_sequence(xs: Tensor, W: list[Tensor], b: list[Tensor],
-                   alpha: list[Tensor] | None, gates: list[GateEval] | None) -> Tensor:
+                   gates: list[GateEval] | None) -> Tensor:
     """Every timestep of one LSTM layer from zero state, as one node.
 
-    ``xs`` is [b, T, e].  ``W``, ``b`` and ``alpha`` are the layer's named
-    ``W_k`` [h, h+e], ``b_k`` and ``gate_k.alpha`` leaves, and ``gates`` the
-    four gates' ``GateEval``s, each list in ``_PACKED`` order.  The node's
-    parents are ``xs`` and those leaves.  It concatenates them once: ``W``
-    [h+e, 4h] is the ``W_k`` transposed side by side, recurrent rows first;
-    ``b`` and ``alpha`` are [4h]; the hard ``mask`` is the gates' masks side
-    by side, and ``coeff``, which the backward reads, their straight-through
-    coefficients (``m~'``).  The input projection of all b*T rows is one
-    GEMM before the time loop; each step adds ``h_{t-1} @ W[:h]``, scales by
-    alpha (gated), applies sigmoid to the first 3h columns and tanh to the
-    last h, multiplies by the hard ``mask`` and updates c and h.  The output
-    is h_t for every t, [b, T, h].  The node keeps each step's tanh values
-    (the activations follow from them), c_t and tanh(c_t).
+    ``xs`` is [b, T, e].  ``W`` and ``b`` are the layer's named ``W_k``
+    [h, h+e] and ``b_k`` leaves, and ``gates`` the four recurrence gates'
+    records on this tape (None ungated), each list in ``_PACKED`` order.
+    The node's parents are ``xs``, those leaves and the records' alpha
+    ``node``s.  It concatenates them once: ``W`` [h+e, 4h] is the ``W_k``
+    transposed side by side, recurrent rows first; ``b`` and ``alpha`` are
+    [4h]; the hard ``mask`` is the gates' masks side by side, and ``coeff``,
+    which the backward reads, their straight-through coefficients (``m~'``).
+    The input projection of all b*T rows is one GEMM before the time loop;
+    each step adds ``h_{t-1} @ W[:h]``, scales by alpha (gated), applies
+    sigmoid to the first 3h columns and tanh to the last h, multiplies by
+    the hard ``mask`` and updates c and h.  The output is h_t for every t,
+    [b, T, h].  The node keeps each step's tanh values (the activations
+    follow from them), c_t and tanh(c_t).
 
     The backward's reverse loop only finds each step's gradient ``du`` on
     the scaled pre-activation ``u = alpha * pre`` and ``dh_{t-1}``; the
@@ -647,7 +648,7 @@ def _lstm_sequence(xs: Tensor, W: list[Tensor], b: list[Tensor],
         raise ShapeError(f"lstm: inputs {xs.shape} do not fit packed weights {Wd.shape}")
     B, T, e = xs.shape
     s = 3 * h
-    a = np.ones(4 * h) if alpha is None else np.concatenate([v.data for v in alpha])
+    a = np.ones(4 * h) if gates is None else np.concatenate([ev.alpha for ev in gates])
     m = np.ones(4 * h) if gates is None else np.concatenate([ev.mask for ev in gates])
     # sigmoid(u) = 0.5 * tanh(0.5 * u) + 0.5 (``tensor.logistic``), so one tanh
     # covers the block: u is scaled by ``half`` before it, the result after
@@ -707,7 +708,7 @@ def _lstm_sequence(xs: Tensor, W: list[Tensor], b: list[Tensor],
             np.subtract(1.0, d, out=d)
             d *= slope
             d *= ga
-            if alpha is not None:
+            if gates is not None:
                 np.multiply(ga, y, out=tmp)
                 g_th += tmp
                 g_sum += ga
@@ -718,14 +719,14 @@ def _lstm_sequence(xs: Tensor, W: list[Tensor], b: list[Tensor],
         du_sum = rows.sum(axis=0)
         dxs = (rows @ wa[h:].T).reshape(T, B, e).transpose(1, 0, 2)
         packed = [(zdu * a).T, du_sum * a]
-        if alpha is not None:
+        if gates is not None:
             coeff = np.concatenate([ev.coeff(scaled=False) for ev in gates])
             # sum(du * pre) from z^T du; sum(g * act) with act = half * th + off
             packed.append(np.sum(Wd * zdu, axis=0) + bd * du_sum
                           + coeff * (half * g_th.sum(axis=0) + off * g_sum.sum(axis=0)))
         return (dxs, *(v[j * h:(j + 1) * h] for v in packed for j in range(4)))
 
-    parents = (xs, *W, *b, *(alpha or ()))
+    parents = (xs, *W, *b, *(ev.node for ev in gates or ()))
     return custom_grad(hs[1:].transpose(1, 0, 2), parents, rule, op="lstm_seq")
 
 
@@ -743,13 +744,14 @@ class LstmCell(Block):
     zero in that recurrence gate for every batch element and timestep.
 
     The four gates run as one block.  ``step(tape, xs)`` binds ``W_k``,
-    ``b_k`` and ``gate_k.alpha`` under their own names, evaluates the four
-    gates on the tape (``gate.evaluation``) and runs the whole sequence as
-    one graph node on those leaves (``_lstm_sequence``), so the graph does
-    not grow with T and all of the layer's work happens inside ``step``.  It
-    keeps its name from when it ran one timestep: profilers and tests wrap
-    ``LstmCell.step`` to find the cell's work.  Sigmoid is computed as
-    ``0.5 * tanh(0.5 * x) + 0.5`` (``tensor.logistic``).
+    ``b_k`` and ``gate_k.alpha`` under their own names, evaluates each gate
+    once on the tape (``gate.evaluation``) and runs the whole sequence as
+    one graph node on the weight leaves and the four gates' records
+    (``_lstm_sequence``), so the graph does not grow with T and all of the
+    layer's work happens inside ``step``.  It keeps its name from when it
+    ran one timestep: profilers and tests wrap ``LstmCell.step`` to find the
+    cell's work.  Sigmoid is computed as ``0.5 * tanh(0.5 * x) + 0.5``
+    (``tensor.logistic``).
     """
 
     weights: dict[str, np.ndarray]          # {"f": [h, h+e], ...}
@@ -802,8 +804,6 @@ class LstmCell(Block):
         [b, T, h] hidden states.  Binds this layer's parameters on ``tape``."""
         p = self.bind(tape)
         W, b = ([p[f"{q}_{k}"] for k in _PACKED] for q in ("W", "b"))
-        if self.gates is None:
-            return _lstm_sequence(xs, W, b, None, None)
-        alpha = [p[f"gate_{k}.alpha"] for k in _PACKED]
-        return _lstm_sequence(xs, W, b, alpha,
-                              [evaluation(self.gates[k], a) for k, a in zip(_PACKED, alpha)])
+        gates = None if self.gates is None else [
+            evaluation(self.gates[k], p[f"gate_{k}.alpha"]) for k in _PACKED]
+        return _lstm_sequence(xs, W, b, gates)

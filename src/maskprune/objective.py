@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gate import GateParam, broadcast_mask, evaluation
+from .gate import GateEval, broadcast_mask
 from .tensor import ShapeError, Tensor, absolute, add, custom_grad, scale, sum_all
 
 
@@ -67,22 +67,20 @@ def l1_alpha(alpha_nodes: Sequence[Tensor]) -> Tensor:
     return total if total is not None else Tensor(0.0)
 
 
-L2Group = tuple[GateParam, Tensor, Sequence[tuple[Tensor, str]]]
+Group = tuple[GateEval, Sequence[tuple[Tensor, str]]]
 
 
-def masked_l2(groups: Sequence[L2Group]) -> Tensor:
+def masked_l2(groups: Sequence[Group]) -> Tensor:
     """Sum of squared weights over entities whose hard mask is active.
 
-    ``groups`` gives each gate with its alpha node, whose ``gate.evaluation``
-    on this tape supplies the mask, and the weight nodes the gate owns with
-    the membership mode tying mask components to tensor entries.  Pruned
-    entities contribute nothing and their weights receive zero gradient;
-    the mask itself is a constant here (no gradient flows to alpha).
+    ``groups`` gives each gate's record on this tape, whose ``mask`` is the
+    hard mask, with the weight nodes the gate owns and the membership mode
+    tying mask components to tensor entries.  Pruned entities contribute
+    nothing and their weights receive zero gradient; the mask itself is a
+    constant here (no gradient flows to alpha).
     """
-    terms = []
-    for gate, alpha, members in groups:
-        m = evaluation(gate, alpha).mask
-        terms += [(node, broadcast_mask(m, node.shape, mode)) for node, mode in members]
+    terms = [(node, broadcast_mask(ev.mask, node.shape, mode))
+             for ev, members in groups for node, mode in members]
 
     value = 0.0
     for node, mb in terms:
@@ -94,56 +92,56 @@ def masked_l2(groups: Sequence[L2Group]) -> Tensor:
     return custom_grad(value, tuple(node for node, _ in terms), rule, op="masked_l2")
 
 
-def ratio_hinge(gates: Sequence[tuple[GateParam, Tensor]], c: float) -> Tensor:
-    """max(0, active_fraction - c) over all K components of ``gates``.
+def ratio_hinge(evs: Sequence[GateEval], c: float) -> Tensor:
+    """max(0, active_fraction - c) over all K components of the gates whose
+    records on this tape are ``evs``.
 
     Forward counts hard-mask ones; backward substitutes the surrogate mask
-    derivative m~'.  Both are read from each gate's ``gate.evaluation`` on
-    this tape, which the gated ops share.  So an over-budget network pushes
-    its scaling factors down, but only near the threshold: the foothill
-    derivative overshoots, and with u* ~ 1.19968 solving u tanh u = 1,
-    m~'(alpha) > 0 for t < |alpha| < t + 2u*/beta and < 0 beyond (0.47997 at
-    t = 1e-4, beta = 5).  Above that boundary, the default ``alpha_init`` of
-    1.0 included, descent on this term raises |alpha|.  Once the active
-    fraction reaches the target the term and all its gradients are exactly
-    zero.
+    derivative m~', both read from each record, which the gated ops share,
+    and puts the gradient on each record's alpha ``node``.  So an
+    over-budget network pushes its scaling factors down, but only near the
+    threshold: the foothill derivative overshoots, and with u* ~ 1.19968
+    solving u tanh u = 1, m~'(alpha) > 0 for t < |alpha| < t + 2u*/beta and
+    < 0 beyond (0.47997 at t = 1e-4, beta = 5).  Above that boundary, the
+    default ``alpha_init`` of 1.0 included, descent on this term raises
+    |alpha|.  Once the active fraction reaches the target the term and all
+    its gradients are exactly zero.
     """
-    K = sum(g.dim for g, _ in gates)
+    K = sum(ev.gate.dim for ev in evs)
     if K == 0:
         raise ValueError("ratio_hinge: no gate components")
     if not (0.0 < c <= 1.0):
         raise ValueError(f"ratio_hinge: c must lie in (0, 1], got {c}")
-    evals = [evaluation(gate, node) for gate, node in gates]
-    active = sum(int(ev.mask.sum()) for ev in evals)
+    active = sum(int(ev.mask.sum()) for ev in evs)
     value = max(0.0, active / K - c)
 
     def rule(g):
         if value <= 0.0:
-            return tuple(np.zeros_like(node.data) for _, node in gates)
-        return tuple((float(g) / K) * ev.terms.dm for ev in evals)
+            return tuple(np.zeros_like(ev.alpha) for ev in evs)
+        return tuple((float(g) / K) * ev.terms.dm for ev in evs)
 
-    return custom_grad(value, tuple(node for _, node in gates), rule, op="ratio_hinge")
+    return custom_grad(value, tuple(ev.node for ev in evs), rule, op="ratio_hinge")
 
 
-def total_objective(task_loss: Tensor,
-                    alpha_nodes: Sequence[Tensor],
-                    l2_groups: Sequence[L2Group],
-                    hinge_gates: Sequence[tuple[GateParam, Tensor]],
+def total_objective(task_loss: Tensor, groups: Sequence[Group],
                     cfg: ObjectiveConfig) -> tuple[Tensor, dict[str, float]]:
     """Assemble the full objective; returns the loss node and a breakdown.
 
-    The breakdown reports each term already scaled by its coefficient, so
-    the components sum to the objective value.
+    ``groups`` gives each gate's record on this tape with the weight nodes
+    it decays, as ``masked_l2`` takes them; the l1 term reads the records'
+    alpha nodes and the hinge term the records.  The breakdown reports each
+    term already scaled by its coefficient, so the components sum to the
+    objective value.
     """
     total = task_loss
     parts = {"task_loss": task_loss.item()}
-    for key, coeff, inputs, build in (
-            ("l1_term", cfg.lambda1, alpha_nodes, lambda: l1_alpha(alpha_nodes)),
-            ("l2_term", cfg.lambda2, l2_groups, lambda: masked_l2(l2_groups)),
-            ("hinge_term", cfg.lambda3, hinge_gates,
-             lambda: ratio_hinge(hinge_gates, cfg.target_c))):
+    evs = [ev for ev, _ in groups]
+    for key, coeff, build in (
+            ("l1_term", cfg.lambda1, lambda: l1_alpha([ev.node for ev in evs])),
+            ("l2_term", cfg.lambda2, lambda: masked_l2(groups)),
+            ("hinge_term", cfg.lambda3, lambda: ratio_hinge(evs, cfg.target_c))):
         parts[key] = 0.0
-        if coeff > 0.0 and inputs:
+        if coeff > 0.0 and groups:
             term = scale(build(), coeff)
             parts[key] = term.item()
             total = add(total, term)

@@ -34,7 +34,7 @@ class Tensor:
     ``Tape.backward`` for every node reachable from the loss.  ``memo`` holds
     what the ops reading a node derive from its data once for all of them
     (``gate.evaluation`` keeps a gate's per-tape record there); it lives as
-    long as the node, so for a parameter node one tape.
+    long as the node, and for a parameter node no longer than its tape.
     """
 
     __slots__ = ("data", "op", "parents", "backward_rule", "seq", "grad", "param_id",
@@ -286,6 +286,13 @@ class Tape:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+
+    def __del__(self):
+        # a gate's record refers to its alpha node, whose memo holds the record;
+        # dropping the memo lets reference counting free both, and the node's
+        # gradient, with the tape instead of at the next cyclic collection
+        for node in self._params.values():
+            node.memo = None
 
     def param(self, name: str, value) -> Tensor:
         if name in self._params:

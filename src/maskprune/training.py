@@ -5,7 +5,12 @@ regularization flows through the objective; the optimizer applies the same
 update to weights and scaling factors (optionally freezing the latter).
 A non-finite loss aborts immediately, naming the first bad node; a non-finite
 gradient aborts before the update, naming the first parameter (in ``params()``
-order) whose gradient is non-finite.
+order) whose gradient is non-finite.  ``train`` runs its epoch loop under
+``np.errstate`` that raises on overflow, division by zero and invalid
+values, so a run that diverges anywhere in it (a step, a snapshot, the
+epoch-end evaluation), even where the value never reaches the loss, such as
+-inf before a ReLU, ends in ``TrainDivergence`` naming the step and numpy's
+message, never in a numpy ``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import Dataset, augment
+from .gate import evaluation
 from .objective import ObjectiveConfig, cross_entropy, total_objective
 from .pruning import PruneManager
 from .tensor import Tape, first_nonfinite
@@ -26,7 +32,8 @@ METRICS_SCHEMA_VERSION = 1
 
 
 class TrainDivergence(RuntimeError):
-    """Raised when the loss or a parameter gradient goes non-finite."""
+    """Raised when the loss, a parameter gradient or a numpy operation in the
+    epoch loop goes non-finite."""
 
 
 @dataclass
@@ -85,13 +92,10 @@ def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
     tape = Tape()
     logits = model.forward(tape, xb, mode="train")
     task = cross_entropy(logits, model.flatten_labels(yb))
-    nodes, decls = tape.params, model.gate_decls()
-    alphas = [nodes[f"{d.gate.name}.alpha"] for d in decls]
-    l2_groups = [(d.gate, a, [(nodes[n], mode) for n, mode in d.decayed])
-                 for d, a in zip(decls, alphas)]
-    total, parts = total_objective(task, alphas, l2_groups,
-                                   [(d.gate, a) for d, a in zip(decls, alphas)],
-                                   cfg.objective)
+    nodes = tape.params
+    groups = [(evaluation(d.gate, nodes[f"{d.gate.name}.alpha"]),
+               [(nodes[n], mode) for n, mode in d.decayed]) for d in model.gate_decls()]
+    total, parts = total_objective(task, groups, cfg.objective)
     if not np.all(np.isfinite(total.data)):
         bad = first_nonfinite(total)
         raise TrainDivergence(
@@ -149,47 +153,50 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     n = len(train_ds)
     step = 0
     try:
-        for epoch in range(cfg.epochs):
-            lr = lr_at(epoch, cfg)
-            order = rng.permutation(n)
-            sums = {"task_loss": 0.0, "l1_term": 0.0, "l2_term": 0.0,
-                    "hinge_term": 0.0}
-            batches = 0
-            for lo in range(0, n - cfg.batch_size + 1, cfg.batch_size):
-                idx = order[lo:lo + cfg.batch_size]
-                xb = train_ds.inputs[idx]
-                yb = train_ds.labels[idx]
-                if cfg.augment:
-                    xb = augment(xb, seed=int(rng.integers(2 ** 63)))
-                parts = train_step(model, xb, yb, cfg, velocity, lr, step)
-                for k in sums:
-                    sums[k] += parts[k]
-                batches += 1
-                step += 1
-                if manager is not None and step % cfg.snapshot_every == 0:
-                    manager.snapshot(step)
-            report = manager.snapshot(step) if manager is not None else None
-            record = {
-                "schema_version": METRICS_SCHEMA_VERSION,
-                "epoch": epoch,
-                "lr": lr,
-                **{k: v / max(batches, 1) for k, v in sums.items()},
-                "active_counts": {g: list(v) for g, v in report.per_group.items()}
-                if report else {},
-                "pruned_ratio": report.pruned_ratio if report else 0.0,
-            }
-            record.update(evaluate(model, test_ds))
-            metrics.append(record)
-            if metrics_fh is not None:
-                metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
-                metrics_fh.flush()
-            if out_dir is not None:
-                meta = dict(checkpoint_meta or {})
-                meta.update({"epoch": epoch, "step": step})
-                if manager is not None:
-                    meta["events"] = [list(e) for e in manager.events]
-                save_checkpoint(os.path.join(out_dir, "checkpoint"),
-                                model.persistent_arrays(), model.gates(), meta)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for epoch in range(cfg.epochs):
+                lr = lr_at(epoch, cfg)
+                order = rng.permutation(n)
+                sums = {"task_loss": 0.0, "l1_term": 0.0, "l2_term": 0.0,
+                        "hinge_term": 0.0}
+                batches = 0
+                for lo in range(0, n - cfg.batch_size + 1, cfg.batch_size):
+                    idx = order[lo:lo + cfg.batch_size]
+                    xb = train_ds.inputs[idx]
+                    yb = train_ds.labels[idx]
+                    if cfg.augment:
+                        xb = augment(xb, seed=int(rng.integers(2 ** 63)))
+                    parts = train_step(model, xb, yb, cfg, velocity, lr, step)
+                    for k in sums:
+                        sums[k] += parts[k]
+                    batches += 1
+                    step += 1
+                    if manager is not None and step % cfg.snapshot_every == 0:
+                        manager.snapshot(step)
+                report = manager.snapshot(step) if manager is not None else None
+                record = {
+                    "schema_version": METRICS_SCHEMA_VERSION,
+                    "epoch": epoch,
+                    "lr": lr,
+                    **{k: v / max(batches, 1) for k, v in sums.items()},
+                    "active_counts": {g: list(v) for g, v in report.per_group.items()}
+                    if report else {},
+                    "pruned_ratio": report.pruned_ratio if report else 0.0,
+                }
+                record.update(evaluate(model, test_ds))
+                metrics.append(record)
+                if metrics_fh is not None:
+                    metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                    metrics_fh.flush()
+                if out_dir is not None:
+                    meta = dict(checkpoint_meta or {})
+                    meta.update({"epoch": epoch, "step": step})
+                    if manager is not None:
+                        meta["events"] = [list(e) for e in manager.events]
+                    save_checkpoint(os.path.join(out_dir, "checkpoint"),
+                                    model.persistent_arrays(), model.gates(), meta)
+    except FloatingPointError as exc:
+        raise TrainDivergence(f"non-finite value at step {step}: {exc}") from exc
     finally:
         if metrics_fh is not None:
             metrics_fh.close()

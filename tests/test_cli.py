@@ -13,7 +13,8 @@ from maskprune.config import (ARCHS, DATASETS, GRANULARITY_FOR_ARCH, ConfigError
                               build_datasets, build_model, validate_config)
 from maskprune.gradcheck import CHECKS, run_checks
 from maskprune.objective import cross_entropy
-from maskprune.tensor import Tape, Tensor
+from maskprune.tensor import Tape
+from test_training import DIVERGING
 
 
 def _toy_config(out_dir, **overrides):
@@ -167,6 +168,18 @@ def test_unwritable_out_dir_is_a_config_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_diverging_run_exits_1_without_a_warning(tmp_path):
+    path = _write(tmp_path, dict(DIVERGING, base_lr=1.0, alpha_init=1e6,
+                                 out_dir=str(tmp_path / "run")))
+    src = os.path.dirname(os.path.dirname(maskprune.__file__))
+    proc = subprocess.run([sys.executable, "-m", "maskprune.cli", "train", "--config", path],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("training aborted:")
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_seed_override_changes_metrics(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from maskprune import gate as gate_mod
 from maskprune.gate import (AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, apply_gate,
-                            apply_mask, foothill, hard_mask, surrogate_terms)
+                            apply_mask, evaluation, foothill, hard_mask, surrogate_terms)
 from maskprune.gradcheck import run_checks
 from maskprune.tensor import ShapeError, Tape, Tensor, sum_all, mul
 
@@ -90,7 +90,7 @@ def _gate_backward(x, alpha, t=1e-3, beta=5.0, upstream=None):
     tape = Tape()
     xn = tape.param("x", np.asarray(x, dtype=float))
     an = tape.param("alpha", gate.alpha)
-    out = apply_gate(xn, gate, WHOLE if gate.dim == 1 else AXIS0, alpha=an)
+    out = apply_gate(xn, evaluation(gate, an), WHOLE if gate.dim == 1 else AXIS0)
     if upstream is None:
         upstream = np.ones_like(out.data)
     loss = sum_all(mul(out, Tensor(upstream)))
@@ -126,13 +126,13 @@ def test_apply_gate_identity_at_alpha_one():
 def test_apply_gate_axis_mismatch(mode, shape):
     gate = GateParam.create("filter", 4)
     with pytest.raises(ShapeError):
-        apply_gate(Tensor(np.zeros(shape)), gate, mode, alpha=Tensor(gate.alpha))
+        apply_gate(Tensor(np.zeros(shape)), evaluation(gate, Tensor(gate.alpha)), mode)
 
 
 def test_apply_gate_unknown_mode():
     gate = GateParam.create("filter", 4)
     with pytest.raises(ValueError) as info:
-        apply_gate(Tensor(np.zeros((4, 3))), gate, "axis2", alpha=Tensor(gate.alpha))
+        apply_gate(Tensor(np.zeros((4, 3))), evaluation(gate, Tensor(gate.alpha)), "axis2")
     assert not isinstance(info.value, ShapeError)
 
 
@@ -164,7 +164,7 @@ def test_apply_gate_per_axis():
     tape = Tape()
     x = tape.param("x", np.ones((2, 3)))
     a = tape.param("a", gate.alpha)
-    out = apply_gate(x, gate, AXIS1, alpha=a)
+    out = apply_gate(x, evaluation(gate, a), AXIS1)
     assert np.array_equal(out.data, np.tile([1.0, 0.0, -2.0], (2, 1)))
 
 
@@ -173,7 +173,7 @@ def test_apply_mask_exact_forward_and_surrogate_alpha_grad():
     tape = Tape()
     x = tape.param("x", np.array([[2.0, 3.0]]))
     a = tape.param("a", gate.alpha)
-    out = apply_mask(x, gate, AXIS1, alpha=a)
+    out = apply_mask(x, evaluation(gate, a), AXIS1)
     assert np.array_equal(out.data, [[2.0, 0.0]])
     grads = tape.backward(sum_all(out))
     assert np.array_equal(grads["x"], [[1.0, 0.0]])

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from maskprune.gate import AXIS0, AXIS1, GateParam, apply_gate, apply_mask
+from maskprune.gate import AXIS0, AXIS1, GateParam, apply_gate, apply_mask, evaluation
 from maskprune.gradcheck import run_checks
 from maskprune.layers import (BN_EPS, BN_MOMENTUM, LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
@@ -262,13 +262,13 @@ def _reference_batchnorm(x, gamma, beta, state, mode="train"):
     return custom_grad(out, (x, gamma, beta), rule, op="reference_batchnorm")
 
 
-def _reference_epilogue(x, gamma, beta, state, mode, *, relu, gate, alpha):
+def _reference_epilogue(x, gamma, beta, state, mode, *, relu, gate):
     """A conv unit's epilogue as three nodes: ``_reference_batchnorm``, then
     ``tensor.relu``, then ``apply_gate`` over the filters."""
     y = _reference_batchnorm(x, gamma, beta, state, mode)
     if relu:
         y = relu_op(y)
-    return y if gate is None else apply_gate(y, gate, AXIS1, alpha=alpha)
+    return y if gate is None else apply_gate(y, gate, AXIS1)
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -299,8 +299,8 @@ def test_epilogue_node_matches_batchnorm_relu_gate_composition(mode, use_relu, m
             state, tape = BnState(mean.copy(), var.copy()), Tape()
             nodes = [tape.param("x", xl[:, rows] if epilogue is batchnorm else xl),
                      tape.param("gamma", gamma), tape.param("beta", beta)]
-            alpha = None if gate is None else tape.param("alpha", gate.alpha)
-            out = epilogue(*nodes, state, mode, relu=use_relu, gate=gate, alpha=alpha)
+            ev = None if gate is None else evaluation(gate, tape.param("alpha", gate.alpha))
+            out = epilogue(*nodes, state, mode, relu=use_relu, gate=ev)
             grads = (None if mode == "eval"
                      else tape.backward(sum_all(mul(out, Tensor(proj)))))
             runs.append((out, grads, state))
@@ -330,9 +330,7 @@ def test_epilogue_node_checks_its_channels():
         batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), BnState.create(3))
     with pytest.raises(ShapeError):      # eval takes the 3 live channels alone
         batchnorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), BnState.create(4), "eval",
-                  gate=gate, alpha=Tensor(gate.alpha))
-    with pytest.raises(ValueError):
-        batchnorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), BnState.create(4), gate=gate)
+                  gate=evaluation(gate, Tensor(gate.alpha)))
 
 
 def _unit(gated: bool, seed: int = 5, m: int = 4) -> ConvUnit:
@@ -438,7 +436,8 @@ def test_conv_unit_masked_filter_zero_channel_and_excluded_from_l2():
     out = unit.forward(tape, x, "train")
     assert np.all(out.data[:, 2] == 0.0)
     w_node = tape.params["u.w"]
-    val = masked_l2([(unit.gate, tape.params["u.gate.alpha"], [(w_node, AXIS0)])])
+    val = masked_l2([(evaluation(unit.gate, tape.params["u.gate.alpha"]),
+                      [(w_node, AXIS0)])])
     expected = sum(np.sum(unit.weights[i] ** 2) for i in (0, 1, 3))
     assert np.isclose(val.item(), expected)
 
@@ -589,7 +588,8 @@ def _reference_step(cell, nodes, x_t, h_prev, c_prev):
             acts[k] = nonlin(pre)
         else:
             alpha = nodes[f"gate_{k}.alpha"]
-            acts[k] = apply_mask(nonlin(mul(pre, alpha)), cell.gates[k], AXIS1, alpha=alpha)
+            acts[k] = apply_mask(nonlin(mul(pre, alpha)), evaluation(cell.gates[k], alpha),
+                                 AXIS1)
     c_t = add(mul(acts["f"], c_prev), mul(acts["i"], acts["g"]))
     return mul(acts["o"], tanh(c_t)), c_t
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam, surrogate_terms
+from maskprune.gate import AXIS0, ELEMENTWISE, WHOLE, GateParam, evaluation, surrogate_terms
 from maskprune.objective import (ObjectiveConfig, cross_entropy, l1_alpha,
                                  masked_l2, ratio_hinge, total_objective)
 from maskprune.tensor import Tape, Tensor, sum_all
@@ -49,7 +49,7 @@ def _one_entity(alpha_val, theta):
     gate = GateParam(np.array([alpha_val]), 1e-3, 5.0, "subnetwork")
     tape = Tape()
     node = tape.param("w", np.asarray(theta, dtype=float))
-    val = masked_l2([(gate, Tensor(gate.alpha), [(node, WHOLE)])])
+    val = masked_l2([(evaluation(gate, Tensor(gate.alpha)), [(node, WHOLE)])])
     grads = tape.backward(val)
     return val.item(), grads["w"]
 
@@ -72,7 +72,7 @@ def test_masked_l2_mixed_matches_plain_l2_on_active_slices():
     gate = GateParam(np.array([1.0, 1e-9, 0.5]), 1e-3, 5.0, "filter")
     tape = Tape()
     node = tape.param("w", w)
-    val = masked_l2([(gate, Tensor(gate.alpha), [(node, AXIS0)])])
+    val = masked_l2([(evaluation(gate, Tensor(gate.alpha)), [(node, AXIS0)])])
     assert np.isclose(val.item(), np.sum(w[0] ** 2) + np.sum(w[2] ** 2))
     grads = tape.backward(val)["w"]
     assert np.all(grads[1] == 0.0)
@@ -87,7 +87,7 @@ def test_masked_l2_perturbing_pruned_weights_changes_nothing():
     def value(arr):
         tape = Tape()
         w = tape.param("w", arr)
-        return masked_l2([(gate, Tensor(gate.alpha), [(w, AXIS0)])]).item()
+        return masked_l2([(evaluation(gate, Tensor(gate.alpha)), [(w, AXIS0)])]).item()
 
     base = value(w)
     w2 = w.copy()
@@ -103,18 +103,17 @@ def test_masked_l2_elementwise_mode():
     gate = GateParam(np.array([1.0, 1e-9, 1.0, 1.0]), 1e-3, 5.0, "weight")
     tape = Tape()
     node = tape.param("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
-    val = masked_l2([(gate, Tensor(gate.alpha), [(node, ELEMENTWISE)])])
+    val = masked_l2([(evaluation(gate, Tensor(gate.alpha)), [(node, ELEMENTWISE)])])
     assert val.item() == 1.0 + 9.0 + 16.0
 
 
 def _hinge(alphas, c):
-    gates, nodes = [], []
+    evs = []
     tape = Tape()
     for i, a in enumerate(alphas):
         g = GateParam(np.asarray(a, dtype=float), 1e-3, 5.0, "filter")
-        node = tape.param(f"a{i}", g.alpha)
-        gates.append((g, node))
-    val = ratio_hinge(gates, c)
+        evs.append(evaluation(g, tape.param(f"a{i}", g.alpha)))
+    val = ratio_hinge(evs, c)
     grads = tape.backward(val)
     return val.item(), [grads[f"a{i}"] for i in range(len(alphas))]
 
@@ -167,7 +166,7 @@ def test_hinge_gradient_changes_sign_at_the_foothill_overshoot():
     tape = Tape()
     gate = GateParam(alphas, t, beta, "filter")
     node = tape.param("a", gate.alpha)
-    grad = tape.backward(ratio_hinge([(gate, node)], c=0.25))["a"]
+    grad = tape.backward(ratio_hinge([evaluation(gate, node)], c=0.25))["a"]
     assert np.all(np.sign(grad) == np.sign(slope))    # over budget: same sign
 
 
@@ -180,15 +179,13 @@ def _toy_setup():
     w1 = tape.param("w1", np.array([[1.0], [2.0]]))
     w2 = tape.param("w2", np.array([3.0]))
     task = sum_all(Tensor(np.array([0.75])))
-    groups = [(g1, a1, [(w1, AXIS0)]), (g2, a2, [(w2, WHOLE)])]
-    hinge = [(g1, a1), (g2, a2)]
-    return tape, task, [a1, a2], groups, hinge
+    groups = [(evaluation(g1, a1), [(w1, AXIS0)]), (evaluation(g2, a2), [(w2, WHOLE)])]
+    return tape, task, groups
 
 
 def test_total_objective_degenerate_is_task_loss():
-    tape, task, alphas, groups, hinge = _toy_setup()
-    total, parts = total_objective(task, alphas, groups, hinge,
-                                   ObjectiveConfig())
+    tape, task, groups = _toy_setup()
+    total, parts = total_objective(task, groups, ObjectiveConfig())
     assert total is task
     assert parts == {"task_loss": 0.75, "l1_term": 0.0, "l2_term": 0.0,
                      "hinge_term": 0.0}
@@ -200,16 +197,16 @@ def test_total_objective_l2_reduces_to_plain_when_all_active():
     a = tape.param("g.alpha", g.alpha)
     w = tape.param("w", np.array([[1.0], [2.0]]))
     task = sum_all(Tensor(np.array([0.0])))
-    total, parts = total_objective(task, [a], [(g, a, [(w, AXIS0)])], [(g, a)],
+    total, parts = total_objective(task, [(evaluation(g, a), [(w, AXIS0)])],
                                    ObjectiveConfig(lambda2=0.1))
     assert np.isclose(parts["l2_term"], 0.1 * 5.0)
     assert np.isclose(total.item(), 0.5)
 
 
 def test_total_objective_hand_computed():
-    tape, task, alphas, groups, hinge = _toy_setup()
+    tape, task, groups = _toy_setup()
     cfg = ObjectiveConfig(lambda1=0.1, lambda2=0.01, lambda3=2.0, target_c=0.5)
-    total, parts = total_objective(task, alphas, groups, hinge, cfg)
+    total, parts = total_objective(task, groups, cfg)
     # entities: g1 has one active of two, g2 active => 2/3 active
     expect_l1 = 0.1 * (1.0 + 1e-9 + 0.5)
     expect_l2 = 0.01 * (1.0 + 9.0)       # active slice w1[0] and whole w2
@@ -228,9 +225,10 @@ def test_objective_terms_nonnegative():
         g = GateParam(rng.normal(size=4), 1e-2, 5.0, "filter")
         a = tape.param("a", g.alpha)
         w = tape.param("w", rng.normal(size=(4, 2)))
+        ev = evaluation(g, a)
         assert l1_alpha([a]).item() >= 0.0
-        assert masked_l2([(g, a, [(w, AXIS0)])]).item() >= 0.0
-        assert ratio_hinge([(g, a)], c=rng.uniform(0.1, 1.0)).item() >= 0.0
+        assert masked_l2([(ev, [(w, AXIS0)])]).item() >= 0.0
+        assert ratio_hinge([ev], c=rng.uniform(0.1, 1.0)).item() >= 0.0
 
 
 def test_objective_config_validation():

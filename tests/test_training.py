@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import sys
@@ -9,6 +10,7 @@ import pytest
 from maskprune import checkpoint
 from maskprune import gate as gate_mod
 from maskprune.checkpoint import load_checkpoint, save_checkpoint
+from maskprune.config import build_datasets, build_model, train_config_from, validate_config
 from maskprune.data import Dataset, synth_classification, synth_sequences
 from maskprune.gate import GateParam
 from maskprune.models import LstmClassifier, LstmLm, Mlp, ResNetSmall, ToyConvNet
@@ -205,8 +207,27 @@ def test_nan_abort_names_first_bad_tensor():
     model = _tiny_convnet(True, seed=14)
     model.head.w[0, 0] = np.nan
     cfg = TrainConfig(epochs=1, batch_size=16, base_lr=0.05, seed=15)
-    with pytest.raises(TrainDivergence, match="non-finite"):
+    with pytest.raises(TrainDivergence, match="first non-finite tensor is op="):
         train(model, train_ds, test_ds, cfg)
+
+
+# a small weight-gated MLP that diverges, by overflow, in two places
+DIVERGING = {"schema_version": 1, "arch": "mlp", "granularity": "weight",
+             "dataset": "synth-class", "data_n": 16, "data_test_n": 4, "batch_size": 4,
+             "epochs": 1, "mlp_hidden": [4], "data_dim": 5, "data_classes": 3, "seed": 0}
+
+
+# the first overflows in training step 3; the second passes every step's checks
+# and overflows in the epoch-end evaluation, after the epoch's 4 steps
+@pytest.mark.parametrize("base_lr,alpha_init,step", [(1.0, 1e6, 3), (0.1, 1000.0, 4)],
+                         ids=["in-a-step", "in-the-evaluation"])
+def test_overflow_ends_in_train_divergence_not_a_warning(base_lr, alpha_init, step):
+    cfg = validate_config(dict(DIVERGING, base_lr=base_lr, alpha_init=alpha_init))
+    train_ds, test_ds = build_datasets(cfg)
+    # pyproject turns a RuntimeWarning into an error, which would fail this
+    with pytest.raises(TrainDivergence,
+                       match=f"at step {step}: overflow encountered in matmul"):
+        train(build_model(cfg), train_ds, test_ds, train_config_from(cfg))
 
 
 class _InfGradMlp(Mlp):
@@ -380,8 +401,11 @@ def _counted_models():
             "lstm-classifier/node": (lstm, rng.integers(0, 6, size=(8, 5)), labels)}
 
 
-@pytest.mark.parametrize("name", ["mlp/weight", "toy-convnet/filter",
-                                  "resnet-small/subnetwork", "lstm-classifier/node"])
+COUNTED = ["mlp/weight", "toy-convnet/filter", "resnet-small/subnetwork",
+           "lstm-classifier/node"]
+
+
+@pytest.mark.parametrize("name", COUNTED)
 def test_each_gate_is_evaluated_once_per_step_and_eval_computes_no_surrogate(
         name, monkeypatch):
     model, x, y = _counted_models()[name]
@@ -413,3 +437,17 @@ def test_each_gate_is_evaluated_once_per_step_and_eval_computes_no_surrogate(
     terms.clear()
     evaluate(model, Dataset(x, y), batch_size=3)
     assert not terms
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_a_step_and_an_evaluation_leave_no_reference_cycle(name):
+    # a gate's record and its alpha node refer to each other; unless that cycle
+    # goes with the tape, each step's gradients and surrogate terms wait for
+    # the cyclic collector, and a large gate's pile up
+    model, x, y = _counted_models()[name]
+    cfg = TrainConfig(objective=ObjectiveConfig(lambda1=1e-3, lambda2=1e-3, lambda3=1.0,
+                                                target_c=0.25))
+    gc.collect()
+    train_step(model, x, y, cfg, {}, 0.1, 0)
+    evaluate(model, Dataset(x, y), batch_size=3)
+    assert gc.collect() == 0
