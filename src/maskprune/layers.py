@@ -28,10 +28,14 @@ input gradient that way, the conv epilogue reads and returns its rows in it,
 and ``avg_pool_full`` returns its gradient in it.  With the batch innermost,
 each kernel-offset copy of a stride-1 conv's lowering moves runs of
 ``Wo * b`` contiguous floats (``Wo`` the output width), not runs of ``Wo``.
+For its backward a conv keeps its zero-padded input, not the column matrix
+lowered from it, and forms its input gradient as a convolution of the
+upstream gradient, one lowering and one GEMM per stride phase.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,33 +62,77 @@ def _live_rows(a: np.ndarray) -> np.ndarray | None:
     return None if live.all() else np.flatnonzero(live)
 
 
+def _lower(src: np.ndarray, starts, step: int, out_hw: tuple[int, int]) -> np.ndarray:
+    """The column matrix of batch-innermost ``src`` [c, Hs, Ws, b]: row
+    ``(ch, t)`` of the [c * len(starts), Ho*Wo*b] result holds, at output
+    position ``(i, j)`` of every sample, ``src[ch, r + step*i, s + step*j]``
+    with ``(r, s) = starts[t]``.  One strided copy per start."""
+    c, b = src.shape[0], src.shape[-1]
+    Ho, Wo = out_hw
+    cols = np.empty((c, len(starts), Ho, Wo, b))
+    for t, (r, s) in enumerate(starts):
+        cols[:, t] = src[:, r:r + step * (Ho - 1) + 1:step, s:s + step * (Wo - 1) + 1:step]
+    return cols.reshape(c * len(starts), Ho * Wo * b)
+
+
+def _phases(size: int, out: int, k: int, stride: int, padding: int):
+    """A conv's input rows (or columns) split by stride phase, for its input
+    gradient: ``(phases, lo, hi)``.  Phase ``(r0, count, t0, firsts)`` holds
+    rows ``r0, r0 + stride, ...`` (``count`` of them), which meet the kernel
+    taps ``t0, t0 + stride, ...`` (``r0 + padding - t0`` is a multiple of
+    ``stride``); the phase's first row meets tap ``t0 + stride*q`` at output
+    row ``firsts[q]``, and each next row at the output row after.  A phase
+    without taps gets no gradient and is left out.  ``lo`` and ``hi`` are
+    the zero rows the upstream gradient needs before and after its ``out``
+    rows for every read to fall inside."""
+    phases = []
+    for r0 in range(min(stride, size)):
+        taps = range((r0 + padding) % stride, k, stride)
+        if len(taps):
+            phases.append((r0, len(range(r0, size, stride)), taps.start,
+                           [(r0 + padding - t) // stride for t in taps]))
+    reads = [f + d for _, count, _, firsts in phases for f in firsts for d in (0, count - 1)]
+    return phases, max(0, -min(reads, default=0)), max(0, max(reads, default=0) - out + 1)
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate ``x`` [b,n,H,W] with filters ``w`` [m,n,k,k].
 
-    The convolution is lowered to one column matrix for the whole batch,
-    batch-innermost: ``cols`` is [n*k*k, Ho*Wo*b], and row ``(c, ki, kj)``
-    holds the input pixels filter tap ``(c, ki, kj)`` reads at every output
-    position of every sample.  It is built by one strided copy per kernel
-    offset from a [n, H+2p, W+2p, b] zero-padded, batch-innermost copy of
-    ``x``.  At stride 1 each copy moves runs of ``Wo * b`` contiguous floats,
-    at stride 2 runs of ``b``; with the batch outside the pixels they would
-    be runs of ``Wo`` (on how much the layout of a lowered convolution
-    matters, see Chetlur et al., arXiv:1410.0759).  With ``w``
-    as a [m, n*k*k] matrix, the forward ``w @ cols``, the weight gradient
-    ``g @ cols.T`` and the column gradient ``w.T @ g`` (``g`` the upstream
-    gradient as [m, Ho*Wo*b]) are one BLAS GEMM each, none of whose operands
-    is copied to transpose it.  The column gradient goes back to the input
-    one [n, Ho, Wo, b] slab per kernel offset, into a padded buffer.
+    The convolution is lowered (``_lower``) to one column matrix for the
+    whole batch, batch-innermost: ``cols`` is [n*k*k, Ho*Wo*b], and row
+    ``(c, ki, kj)`` holds the input pixels filter tap ``(c, ki, kj)`` reads
+    at every output position of every sample.  It is built by one strided
+    copy per kernel offset from ``xp``, a [n, H+2p, W+2p, b] zero-padded,
+    batch-innermost copy of ``x``.  At stride 1 each copy moves runs of
+    ``Wo * b`` contiguous floats, at stride 2 runs of ``b``; with the batch
+    outside the pixels they would be runs of ``Wo`` (on how much the layout
+    of a lowered convolution matters, see Chetlur et al., arXiv:1410.0759).
+    With ``w`` as a [m, n*k*k] matrix, the forward is one BLAS GEMM ``w @
+    cols``, and so is the weight gradient ``g @ cols.T`` (``g`` the upstream
+    gradient as [m, Ho*Wo*b]).
 
-    The output is a [b, m, Ho, Wo] view over [m, Ho, Wo, b] memory, and the
-    input gradient one over the interior of the padded [n, H+2p, W+2p, b]
-    buffer.  A conv unit's epilogue node (``batchnorm``: batch norm, ReLU and
-    the filter gate) reads the output as contiguous [c, H*W*b] rows and
-    returns its own output and input gradient in that layout, as
-    ``avg_pool_full`` returns its gradient; numpy's elementwise ops, such as
-    the residual add, keep the order.  So the upstream gradient that comes
-    back to this conv's backward is already batch-innermost.  Any other
-    layout is correct too, copied once by the reshape that reads it.
+    The node keeps ``xp``, not ``cols``, which is about ``k * k`` times
+    larger: the backward lowers ``xp`` again for the weight gradient, trading
+    one more copy for memory (Chen et al., arXiv:1604.06174).  The
+    input gradient is itself a convolution, of the upstream gradient with
+    the transposed filters (Dumoulin & Visin, arXiv:1603.07285).  The input
+    rows and columns split into stride phases (``_phases``); each phase
+    meets its own subset of kernel taps at stride 1, so the backward lowers
+    the zero-padded upstream gradient once per phase and runs one GEMM per
+    phase, writing the phase's rows of the input gradient.  At stride 1 there
+    is one phase holding the whole kernel, and its GEMM output is the input
+    gradient.
+
+    The output and the input gradient are [b, m, Ho, Wo] and [b, n, H, W]
+    views over C-contiguous [m, Ho, Wo, b] and [n, H, W, b] memory.  A conv
+    unit's epilogue node (``batchnorm``: batch norm, ReLU and the filter
+    gate) reads the output as contiguous [c, H*W*b] rows and returns its own
+    output and input gradient in that layout, as ``avg_pool_full`` returns
+    its gradient; numpy's elementwise ops, such as the residual add, keep
+    the order.  So the upstream gradient that comes back to this conv's
+    backward is already batch-innermost, and the input gradient this conv
+    returns reaches the epilogue before it without a copy.  Any other layout
+    is correct too, copied once by the reshape that reads it.
 
     The conv skips every product that is exactly zero, finding the live
     channels in its operands: the forward reads only the input channels of
@@ -128,25 +176,19 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         xp = np.zeros((n_live, H + 2 * padding, W + 2 * padding, b))
         xp[:, padding:padding + H, padding:padding + W] = xc
     # output (i, j) reads xp[:, ki + stride*i, kj + stride*j] at offset (ki, kj)
-    offsets = [(ki, kj, (slice(None), slice(ki, ki + stride * (Ho - 1) + 1, stride),
-                         slice(kj, kj + stride * (Wo - 1) + 1, stride)))
-               for ki in range(k) for kj in range(k)]
-    wrow = w.data.reshape(m, n * k * k)
-    w_in = wrow if chans is None else w.data[:, chans].reshape(m, n_live * k * k)
-    cols = np.empty((n_live, k, k, Ho, Wo, b))
-    for ki, kj, window in offsets:
-        cols[:, ki, kj] = xp[window]
-    cols = cols.reshape(n_live * k * k, Ho * Wo * b)
-    out = (w_in @ cols).reshape(m, Ho, Wo, b).transpose(3, 0, 1, 2)
+    offsets = [(ki, kj) for ki in range(k) for kj in range(k)]
+    w_in = w.data if chans is None else w.data[:, chans]
+    out = w_in.reshape(m, n_live * k * k) @ _lower(xp, offsets, stride, (Ho, Wo))
+    out = out.reshape(m, Ho, Wo, b).transpose(3, 0, 1, 2)
     skip_x = is_data(x)
 
     def rule(g):
-        gc, w_out = g.transpose(1, 2, 3, 0), wrow
+        gc, w_out = g.transpose(1, 2, 3, 0), w.data
         rows = _live_rows(gc)
         if rows is not None:
-            gc, w_out = gc[rows], wrow[rows]
-        g2 = gc.reshape(len(w_out), Ho * Wo * b)
-        grad_w = g2 @ cols.T
+            gc, w_out = gc[rows], w_out[rows]
+        m_live = len(w_out)
+        grad_w = gc.reshape(m_live, Ho * Wo * b) @ _lower(xp, offsets, stride, (Ho, Wo)).T
         if chans is not None or rows is not None:
             r = np.arange(m) if rows is None else rows
             c = np.arange(n) if chans is None else chans
@@ -156,12 +198,21 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         grad_w = grad_w.reshape(m, n, k, k)
         if skip_x:
             return None, grad_w
-        gcols = (w_out.T @ g2).reshape(n, k, k, Ho, Wo, b)
-        gxp = np.zeros((n, H + 2 * padding, W + 2 * padding, b))
-        for ki, kj, window in offsets:
-            gxp[window] += gcols[:, ki, kj]
-        return (gxp[:, padding:padding + H, padding:padding + W].transpose(3, 0, 1, 2),
-                grad_w)
+        # per stride phase, a stride-1 lowering of the padded gradient and a GEMM
+        row_phases, rlo, rhi = _phases(H, Ho, k, stride, padding)
+        col_phases, clo, chi = _phases(W, Wo, k, stride, padding)
+        gp = np.zeros((m_live, rlo + Ho + rhi, clo + Wo + chi, b))
+        gp[:, rlo:rlo + Ho, clo:clo + Wo] = gc
+        gx = np.zeros((n, H, W, b)) if stride > 1 else None
+        for (r0, nr, ti, rf), (c0, nc, tj, cf) in itertools.product(row_phases, col_phases):
+            w_phase = w_out[:, :, ti::stride, tj::stride].transpose(1, 0, 2, 3)
+            cols = _lower(gp, [(i + rlo, j + clo) for i in rf for j in cf], 1, (nr, nc))
+            part = (w_phase.reshape(n, -1) @ cols).reshape(n, nr, nc, b)
+            if gx is None:
+                gx = part                 # stride 1: one phase, every row
+            else:
+                gx[:, r0::stride, c0::stride] = part
+        return gx.transpose(3, 0, 1, 2), grad_w
 
     return custom_grad(out, (x, w), rule, op="conv2d")
 
@@ -199,7 +250,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BnState,
     to it), and its output and input gradient are [b, c, H, W] views over
     such memory too, so the next conv's lowering copies runs of ``Wo * b``
     floats and this node's input gradient reaches the conv backward without
-    a copy.
+    a copy.  The upstream gradient it gets from the next conv unit is that
+    conv's input gradient, contiguous [c, H, W, b] memory, so it reads its
+    rows without a copy too.
 
     Training computes every filter forward: a masked filter's ReLU output
     feeds its alpha's gradient, and its statistics the running averages.  The
@@ -478,17 +531,21 @@ class ConvUnit(Block):
     norm, the ReLU and the gate, in both modes.  Both hand each other
     batch-innermost [c, H, W, b] memory, forward and backward, so neither
     copies at the boundary and the conv's kernel-offset copies move runs of
-    ``Wo * b`` floats.  The conv reads only the input channels that hold a
-    nonzero, so not the masked filters of the unit whose ``reader`` this unit
-    is.  In training a masked filter is still computed forward, for its
-    alpha's gradient and its batch-norm running statistics, but gets no conv
-    or batch-norm backward: the gate passes it no gradient, and the conv
-    skips the zero rows.  In eval, with a filter masked, the conv multiplies
+    ``Wo * b`` floats.  The conv keeps its zero-padded input for its
+    backward, which lowers it again for the weight gradient and forms the
+    input gradient from the upstream gradient, per stride phase, straight
+    into C-contiguous [n, H, W, b] memory, the layout the epilogue before it
+    reads.  The conv reads only the input channels that hold a nonzero, so
+    not the masked filters of the unit whose ``reader`` this unit is.  In
+    training a masked filter is still computed forward, for its alpha's
+    gradient and its batch-norm running statistics, but gets no conv or
+    batch-norm backward: the gate passes it no gradient, and the conv skips
+    the zero rows.  In eval, with a filter masked, the conv multiplies
     the live filters' weight rows alone, and ``batchnorm`` computes their
     rows and places them among zeros of every channel.  Eval takes no
-    gradient, so there ``batchnorm`` returns a leaf, and the conv's column
-    matrix is freed when the unit returns instead of at the end of the
-    forward.
+    gradient, so there ``batchnorm`` returns a leaf, and the padded input the
+    conv keeps for its backward is freed when the unit returns instead of at
+    the end of the forward.
     """
 
     weights: np.ndarray                # [m, n, k, k]

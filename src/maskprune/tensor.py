@@ -30,8 +30,10 @@ _SEQ = itertools.count()
 class Tensor:
     """One graph node: a float64 array plus the backward rule that made it.
 
-    Leaves have no parents and no backward rule.  ``grad`` is populated by
-    ``Tape.backward`` for every node reachable from the loss.  ``memo`` holds
+    Leaves have no parents and no backward rule.  ``Tape.backward`` sets
+    ``grad`` on each parameter reachable from the loss, and parameters are
+    the only nodes that keep one: the backward drops an interior node's
+    gradient and rule as soon as it has run the rule.  ``memo`` holds
     what the ops reading a node derive from its data once for all of them
     (``gate.evaluation`` keeps a gate's per-tape record there); it lives as
     long as the node, and for a parameter node no longer than its tape.
@@ -311,21 +313,35 @@ class Tape:
         return MappingProxyType(self._params)
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
-        """Accumulate gradients from ``loss`` into every reachable node.
+        """Propagate gradients from ``loss`` back to every reachable parameter.
 
         Returns one gradient array per registered parameter; parameters not
-        reachable from the loss get zeros of their own shape.
+        reachable from the loss get zeros of their own shape.  Only the
+        parameters keep a gradient (``Tensor.grad``).  An interior node's
+        gradient and backward rule are dropped as soon as the rule has run,
+        and with the rule everything it saved from the forward, so memory
+        falls as the backward passes.  The graph is therefore spent: another
+        backward through any of its interior nodes raises ``RuntimeError``.
         """
         if loss.shape not in ((), (1,)):
             raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
         order = _toposort(loss)
+        spent = next((n for n in order if n.parents and n.backward_rule is None), None)
+        if spent is not None:
+            raise RuntimeError(
+                f"backward: the graph through {spent.op!r} node #{spent.seq} was spent "
+                f"by an earlier backward; run the forward again")
         for node in order:
             node.grad = None
         loss.grad = np.ones_like(loss.data)
         for node in reversed(order):
-            if node.grad is None or node.backward_rule is None:
+            if not node.parents:
                 continue
-            grads = node.backward_rule(node.grad)
+            g, rule = node.grad, node.backward_rule
+            node.grad = node.backward_rule = None
+            if g is None:
+                continue
+            grads = rule(g)
             if len(grads) != len(node.parents):
                 raise ShapeError(
                     f"{node.op}: backward rule produced {len(grads)} gradients "
@@ -338,6 +354,8 @@ class Tape:
                     raise ShapeError(
                         f"{node.op}: backward rule produced gradient of shape "
                         f"{g.shape} for input of shape {parent.data.shape}")
+                if is_data(parent):
+                    continue
                 parent.grad = g if parent.grad is None else parent.grad + g
         return {pid: node.grad if node.grad is not None else np.zeros_like(node.data)
                 for pid, node in self._params.items()}

@@ -80,6 +80,9 @@ def _direct_conv(x, w, g, stride, padding):
     (3, 2, 3, 8, 5, 1, 2, 0),     # even height: the last row unread
     (2, 2, 3, 6, 8, 3, 2, 0),     # even sides, unpadded: the last row and column unread
     (2, 2, 3, 5, 5, 2, 2, 0),     # 2x2/s2 on 5x5: the last row and column unread
+    (2, 2, 3, 8, 7, 3, 3, 1),     # 3x3/s3: one tap per phase
+    (2, 3, 2, 9, 9, 5, 2, 2),     # 5x5/s2: phases of 3 and 2 taps per axis
+    (2, 2, 3, 10, 9, 4, 3, 1),    # 4x4/s3: phases of 2, 1 and 1 taps per axis
 ])
 def test_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding):
     # x and the upstream gradient in every layout: it changes speed, not values
@@ -364,25 +367,34 @@ def test_gated_conv_unit_trains_as_a_conv_node_and_an_epilogue_node(masked):
 
 def test_conv_unit_passes_batch_innermost_memory_between_its_nodes():
     # no copy at the node boundary: conv2d's output is the epilogue's rows,
-    # and the epilogue's dx the conv backward's rows
-    unit = _unit(True)
-    unit.gate.alpha[2] = 1e-9                   # one filter masked
-    rng = np.random.default_rng(29)
-    tape = Tape()
-    x = tape.param("x", rng.normal(size=(2, 3, 8, 8)))
-    out = unit.forward(tape, x, "train")
-    conv = out.parents[0]
-    assert (conv.op, out.op) == ("conv2d", "batchnorm")
-    tape.backward(sum_all(mul(out, Tensor(rng.normal(size=out.shape)))))
-    for a in (conv.data, out.data, conv.grad):  # conv.grad: the epilogue's dx
-        assert a.transpose(1, 2, 3, 0).flags.c_contiguous
-    # the conv's input gradient: the interior of its zero-padded [n, H+2, W+2, b]
-    # buffer
-    gx, buf = x.grad, x.grad.base
-    assert buf.shape == (3, 10, 10, 2) and buf.flags.c_contiguous
-    interior = buf[:, 1:-1, 1:-1].transpose(3, 0, 1, 2)
-    assert gx.strides == interior.strides
-    assert gx.__array_interface__ == interior.__array_interface__
+    # the epilogue's dx the conv backward's rows, and the conv's input
+    # gradient the rows of the epilogue before it
+    for stride in (1, 2):
+        unit = _unit(True)
+        unit.stride = stride
+        unit.gate.alpha[2] = 1e-9               # one filter masked
+        rng = np.random.default_rng(29)
+        tape = Tape()
+        x = tape.param("x", rng.normal(size=(2, 3, 8, 8)))
+        out = unit.forward(tape, x, "train")
+        conv = out.parents[0]
+        assert (conv.op, out.op) == ("conv2d", "batchnorm")
+        seen = []
+
+        def rule(g, rule=conv.backward_rule):
+            seen.append(g)                      # the epilogue's dx
+            return rule(g)
+
+        conv.backward_rule = rule
+        tape.backward(sum_all(mul(out, Tensor(rng.normal(size=out.shape)))))
+        dx, = seen
+        for a in (conv.data, out.data, dx):
+            assert a.transpose(1, 2, 3, 0).flags.c_contiguous, stride
+        # the conv's input gradient: C-contiguous [n, H, W, b] memory of its
+        # own, not the interior of a padded buffer
+        gx = x.grad.transpose(1, 2, 3, 0)
+        assert gx.shape == (3, 8, 8, 2) and gx.flags.c_contiguous, stride
+        assert gx.base is None or gx.base.size == gx.size, stride
 
 
 def test_conv_and_matmul_rules_skip_the_gradient_of_a_data_input():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskprune.tensor import (ShapeError, Tape, Tensor, absolute, add,
+from maskprune.tensor import (ShapeError, Tape, Tensor, _toposort, absolute, add,
                               concat_cols, custom_grad, matmul, mul, relu,
                               scale, sigmoid, sum_all)
 from maskprune.gradcheck import numeric_grad, rel_error
@@ -123,6 +123,33 @@ def test_backward_is_deterministic():
     g1, g2 = run(), run()
     for k in g1:
         assert np.array_equal(g1[k], g2[k])
+
+
+def test_backward_releases_interior_state_and_refuses_a_spent_graph():
+    rng = np.random.default_rng(8)
+    a0, b0 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    tape = Tape()
+    a, b = tape.param("a", a0), tape.param("b", b0)
+    h, c = matmul(a, b), add(a, b)
+    loss = sum_all(mul(h, c))
+    interior = [n for n in _toposort(loss) if n.parents]
+    assert len(interior) == 4
+    grads = tape.backward(loss)
+    for node in interior:
+        assert node.grad is None and node.backward_rule is None, node.op
+    # d/da sum((a @ b) * (a + b)) = (a + b) @ b.T + a @ b, and likewise for b
+    want = {"a": (a0 + b0) @ b0.T + a0 @ b0, "b": a0.T @ (a0 + b0) + a0 @ b0}
+    for name, node in tape.params.items():
+        assert node.grad is grads[name]
+        np.testing.assert_allclose(grads[name], want[name], rtol=1e-13, atol=0)
+    kept = {name: g.copy() for name, g in grads.items()}
+    with pytest.raises(RuntimeError, match="spent by an earlier backward"):
+        tape.backward(loss)
+    # a graph sharing a spent node is spent too
+    with pytest.raises(RuntimeError, match="spent by an earlier backward"):
+        tape.backward(sum_all(h))
+    for name, node in tape.params.items():
+        assert np.array_equal(node.grad, kept[name]), name
 
 
 def test_concat_cols_roundtrip():

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,33 @@ from maskprune.objective import ObjectiveConfig, l1_alpha
 from maskprune.tensor import Tape, Tensor, add, custom_grad
 from maskprune.training import (TrainConfig, TrainDivergence, evaluate, lr_at,
                                 sgd_momentum_step, train, train_step)
+
+
+def test_a_resnet20_filter_training_step_peaks_below_60_mib():
+    # the resnet20-filter benchmark config (ResNet-20, 17x17 inputs, batch
+    # 16).  Each conv node keeps its padded input, not its column matrix, and
+    # the backward frees each node's saved arrays once it has used them: the
+    # step peaks near 46 MiB, and near 113 MiB with both undone
+    cfg = validate_config({
+        "schema_version": 1, "seed": 0, "data_seed": 0,
+        "arch": "resnet-small", "granularity": "filter", "dataset": "synth-images",
+        "image_hw": 17, "image_channels": 3, "stage_widths": [16, 32, 64],
+        "blocks_per_stage": 3, "data_classes": 10, "data_margin": 30.0,
+        "data_n": 32, "data_test_n": 16, "augment": True, "batch_size": 16,
+        "base_lr": 0.1, "alpha_init": 0.5, "gate_t": 0.1,
+        "lambda1": 0.1, "lambda2": 1e-4, "lambda3": 5.0, "target_c": 0.5})
+    model, (train_ds, _), tcfg = build_model(cfg), build_datasets(cfg), train_config_from(cfg)
+    xb, yb = train_ds.inputs[:16], train_ds.labels[:16]
+    velocity = {}
+    train_step(model, xb, yb, tcfg, velocity, 0.1, 0)   # allocates the velocity
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_step(model, xb, yb, tcfg, velocity, 0.1, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def test_lr_schedule_from_reference_protocol():
