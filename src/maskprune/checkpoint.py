@@ -1,10 +1,10 @@
 """Checkpoints: a flat little-endian float64 archive plus a JSON manifest.
 
 The manifest carries the tensor directory (name, shape, offset in elements),
-the archive's sha256, gate metadata, and whatever run metadata the caller
-supplies; the archive is the concatenation of the tensors in manifest order.
-Both files are written under temporary names in the checkpoint directory and
-then renamed over the old ones, archive first and manifest last, so a save cut
+the archive's sha256 and whatever run metadata the caller supplies; the
+archive is the concatenation of the tensors in manifest order.  Both files
+are written under temporary names in the checkpoint directory and then
+renamed over the old ones, archive first and manifest last, so a save cut
 short before the renames leaves the previous checkpoint whole.  Cut between
 the two renames, it leaves the new archive under the old manifest, which
 loading refuses by the digest.  Each temporary file is fsynced before the
@@ -29,7 +29,7 @@ ARCHIVE_NAME = "tensors.bin"
 TMP_SUFFIX = ".tmp"                  # a file being written, renamed when complete
 
 
-def save_checkpoint(dirpath: str, arrays: dict[str, np.ndarray], gates=(),
+def save_checkpoint(dirpath: str, arrays: dict[str, np.ndarray],
                     meta: dict | None = None) -> None:
     os.makedirs(dirpath, exist_ok=True)
     entries = []
@@ -45,8 +45,6 @@ def save_checkpoint(dirpath: str, arrays: dict[str, np.ndarray], gates=(),
         "dtype": "<f8",
         "total_elements": offset,
         "tensors": entries,
-        "gates": [{"name": g.name, "threshold": g.threshold, "beta": g.beta,
-                   "granularity": g.granularity, "dim": g.dim} for g in gates],
         "meta": meta or {},
     }
     archive, man = (os.path.join(dirpath, n) for n in (ARCHIVE_NAME, MANIFEST_NAME))

@@ -1,4 +1,5 @@
-"""Command line entry point: train, gradient self-check, prune reporting."""
+"""Command line entry point: ``maskprune train`` runs a JSON run config and
+``maskprune report`` prints the prune report of a checkpoint."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import sys
 from .checkpoint import load_checkpoint
 from .config import (build_datasets, build_model, load_config, train_config_from,
                      validate_config)
-from .gradcheck import CHECKS, run_checks
 from .pruning import PruneManager
 from .training import TrainDivergence, train
 
@@ -66,24 +66,6 @@ def prune_report_text(model, meta: dict) -> str:
     return report.to_text()
 
 
-def cmd_gradcheck(args) -> int:
-    names = None if args.all else [args.op]
-    try:
-        results = run_checks(names, tolerance=args.tolerance)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    failed = []
-    for name, err, ok in results:
-        print(f"{name:>17s}: max rel err {err:.3e}  {'pass' if ok else 'FAIL'}")
-        if not ok:
-            failed.append(name)
-    if failed:
-        print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_report(args) -> int:
     try:
         model, meta = load_checkpoint_model(args.checkpoint)
@@ -107,13 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="path to a JSON run config")
     p_train.add_argument("--seed", type=int, default=None, help="override run seed")
     p_train.set_defaults(func=cmd_train)
-
-    p_grad = sub.add_parser("gradcheck", help="finite-difference self check")
-    group = p_grad.add_mutually_exclusive_group(required=True)
-    group.add_argument("--op", choices=sorted(CHECKS), help="check one op")
-    group.add_argument("--all", action="store_true", help="check every op")
-    p_grad.add_argument("--tolerance", type=float, default=1e-4)
-    p_grad.set_defaults(func=cmd_gradcheck)
 
     p_rep = sub.add_parser("report", help="print the prune report of a checkpoint")
     p_rep.add_argument("--checkpoint", required=True, help="checkpoint directory")

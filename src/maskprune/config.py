@@ -21,6 +21,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import data as data_mod
 from . import models
+from .gate import DEFAULT_ALPHA_INIT, DEFAULT_BETA
 from .objective import ObjectiveConfig
 from .training import TrainConfig
 
@@ -141,8 +142,8 @@ _SCHEMA: dict[str, tuple] = {
     "target_c": (lambda v: _number(v) and 0 < v <= 1, 1.0, "target remaining fraction"),
     "gate_t": (lambda v: v is None or (_number(v) and 0 < v < 1), None,
                "mask threshold (null = per-granularity default)"),
-    "gate_beta": (lambda v: _number(v) and v > 0, 5.0, "surrogate sharpness"),
-    "alpha_init": (_number, 1.0, "initial scaling factor"),
+    "gate_beta": (lambda v: _number(v) and v > 0, DEFAULT_BETA, "surrogate sharpness"),
+    "alpha_init": (_number, DEFAULT_ALPHA_INIT, "initial scaling factor"),
     "mlp_hidden": (_widths, [32], "mlp hidden widths"),
     "conv_channels": (_widths, [8, 12, 16], "toy-convnet filter counts"),
     "stage_widths": (lambda v: _widths(v) and len(v) > 0, [16, 32, 64],

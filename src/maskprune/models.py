@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gate import DEFAULT_BETA, GateParam
+from .gate import DEFAULT_ALPHA_INIT, DEFAULT_BETA, GateParam
 from .layers import (LSTM_GATES, Block, BnState, ConvUnit, Linear, LstmCell, ResidualBlock,
                      avg_pool_full, embedding)
 from .tensor import Tensor, custom_grad, reshape
@@ -63,10 +63,15 @@ class Model(Block):
         return y
 
     def load_params(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy ``arrays`` into this model's parameters and buffers; raises
+        ``ValueError`` unless they name exactly those arrays, in their shapes."""
         own = self.persistent_arrays()
-        missing = set(own) - set(arrays)
+        missing, unexpected = set(own) - set(arrays), set(arrays) - set(own)
         if missing:
             raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+        if unexpected:
+            raise ValueError(f"checkpoint holds tensors the model does not have: "
+                             f"{sorted(unexpected)}")
         for name, arr in own.items():
             src = np.asarray(arrays[name], dtype=np.float64)
             if src.shape != arr.shape:
@@ -105,7 +110,7 @@ class Mlp(Model):
     def __init__(self, in_dim: int, hidden: tuple[int, ...], classes: int,
                  seed: int = 0, granularity: str | None = None,
                  threshold: float | None = None, beta: float = DEFAULT_BETA,
-                 alpha_init: float = 1.0):
+                 alpha_init: float = DEFAULT_ALPHA_INIT):
         make_gate = self._gate_maker(granularity, threshold, beta, alpha_init)
         rng = np.random.default_rng(seed)
         dims = (in_dim,) + tuple(hidden) + (classes,)
@@ -139,7 +144,7 @@ class ToyConvNet(Model):
                  input_hw: tuple[int, int] = (12, 12), classes: int = 10,
                  seed: int = 0, granularity: str | None = None,
                  threshold: float | None = None, beta: float = DEFAULT_BETA,
-                 alpha_init: float = 1.0):
+                 alpha_init: float = DEFAULT_ALPHA_INIT):
         make_gate = self._gate_maker(granularity, threshold, beta, alpha_init)
         rng = np.random.default_rng(seed)
         self.input_hw = input_hw
@@ -199,7 +204,7 @@ class ResNetSmall(Model):
                  input_hw: tuple[int, int] = (32, 32), classes: int = 10,
                  seed: int = 0, granularity: str | None = None,
                  threshold: float | None = None, beta: float = DEFAULT_BETA,
-                 alpha_init: float = 1.0):
+                 alpha_init: float = DEFAULT_ALPHA_INIT):
         make_gate = self._gate_maker(granularity, threshold, beta, alpha_init)
         rng = np.random.default_rng(seed)
         self.granularity = granularity
@@ -301,7 +306,7 @@ class LstmClassifier(_LstmBase):
     def __init__(self, vocab: int = 16, embed_dim: int = 16, hidden: int = 32,
                  classes: int = 2, stacks: int = 1, seed: int = 0,
                  granularity: str | None = None, threshold: float | None = None,
-                 beta: float = DEFAULT_BETA, alpha_init: float = 1.0):
+                 beta: float = DEFAULT_BETA, alpha_init: float = DEFAULT_ALPHA_INIT):
         super().__init__(vocab, embed_dim, hidden, stacks, classes, seed,
                          granularity, threshold, beta, alpha_init)
 
@@ -317,7 +322,7 @@ class LstmLm(_LstmBase):
     def __init__(self, vocab: int = 16, embed_dim: int = 16, hidden: int = 32,
                  stacks: int = 1, seed: int = 0, granularity: str | None = None,
                  threshold: float | None = None, beta: float = DEFAULT_BETA,
-                 alpha_init: float = 1.0):
+                 alpha_init: float = DEFAULT_ALPHA_INIT):
         super().__init__(vocab, embed_dim, hidden, stacks, vocab, seed,
                          granularity, threshold, beta, alpha_init)
 

@@ -194,7 +194,7 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                     if manager is not None:
                         meta["events"] = [list(e) for e in manager.events]
                     save_checkpoint(os.path.join(out_dir, "checkpoint"),
-                                    model.persistent_arrays(), model.gates(), meta)
+                                    model.persistent_arrays(), meta)
     except FloatingPointError as exc:
         raise TrainDivergence(f"non-finite value at step {step}: {exc}") from exc
     finally:

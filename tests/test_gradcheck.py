@@ -2,7 +2,9 @@
 
 Each check compares the tape's gradients of a scalar loss, built from seeded
 random inputs, with central differences computed by re-running the forward as
-a pure function of the perturbed arrays.
+a pure function of the perturbed arrays.  ``test_gradcheck`` runs each check
+in ``CHECKS`` as its own test id, on a fresh ``default_rng(0)``, and holds its
+worst relative error below ``TOLERANCE`` (tighter for the closed-form pair).
 
 Every check but the closed-form pair is a case table.  A generator draws
 ``(op, arrays[, ref])`` cases, and ``_projected`` runs each one: it registers
@@ -26,23 +28,27 @@ defining property of the estimator (Bengio et al., 2013, arXiv:1308.3432).
 That smooth forward is the case's ``ref``.  Where the loss is not linear in
 the masked output (the LSTM cell), m~ is shifted by a constant to equal I at
 the checked alphas, so the values downstream of each mask stay the hard ones.
+
+Two negative controls show that every check can fail: each tape check fails
+when the tape's gradients are off by a thousandth, and each straight-through
+check fails without the surrogate's derivative.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
+import pytest
 
-from . import gate as gate_mod
-from . import layers, objective
-from .gate import AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, broadcast_mask
-from .tensor import (Tape, Tensor, absolute, add, concat_cols, matmul, mul,
-                     relu, reshape, scale, sigmoid, sum_all, tanh, transpose)
+from maskprune import gate as gate_mod
+from maskprune import layers, objective
+from maskprune.gate import AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, broadcast_mask
+from maskprune.tensor import (Tape, Tensor, absolute, add, concat_cols, matmul, mul,
+                              relu, reshape, scale, sigmoid, sum_all, tanh, transpose)
 
 DEFAULT_STEP = 1e-5
-DEFAULT_TOLERANCE = 1e-4
 REL_ERROR_FLOOR = 1e-6       # rel_error's denominator never drops below this
 
 
@@ -428,23 +434,41 @@ CHECKS: dict[str, Callable] = {
     "surrogate-mask": _surrogate_check,
 }
 
-# the surrogate pair is closed-form; hold it to a much tighter tolerance
-TIGHT_CHECKS = {"foothill": 1e-6, "surrogate-mask": 1e-5}
+# every check's bound on its max relative error; the surrogate pair is
+# closed-form, so it is held much tighter
+TOLERANCE = dict.fromkeys(CHECKS, 1e-4) | {"foothill": 1e-6, "surrogate-mask": 1e-5}
+CLOSED_FORM = ["foothill", "surrogate-mask"]
+STRAIGHT_THROUGH = ["apply-gate-alpha", "apply-mask-alpha", "batchnorm-alpha",
+                    "ratio-hinge-alpha", "lstm-cell-alpha"]
 
 
-def run_checks(names: Sequence[str] | None = None,
-               tolerance: float = DEFAULT_TOLERANCE, seed: int = 0,
-               registry: dict[str, Callable] | None = None):
-    """Run named checks; returns [(name, max_rel_err, passed)]."""
-    registry = CHECKS if registry is None else registry
-    if names is None:
-        names = list(registry)
-    results = []
-    for name in names:
-        if name not in registry:
-            raise KeyError(f"unknown gradcheck op {name!r}; "
-                           f"known: {', '.join(sorted(registry))}")
-        err = registry[name](np.random.default_rng(seed))
-        tol = min(tolerance, TIGHT_CHECKS.get(name, tolerance))
-        results.append((name, err, err < tol))
-    return results
+def _max_error(name: str) -> float:
+    return CHECKS[name](np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_gradcheck(name):
+    assert _max_error(name) < TOLERANCE[name]
+
+
+@pytest.mark.parametrize("name", [n for n in CHECKS if n not in CLOSED_FORM])
+def test_tape_check_fails_on_gradients_off_by_a_thousandth(name, monkeypatch):
+    # catches a case table that runs no case, or a case that never compares
+    # the tape's gradient; only the closed-form pair runs without a tape
+    backward = Tape.backward
+    monkeypatch.setattr(Tape, "backward", lambda self, loss: {
+        n: g * 1.001 for n, g in backward(self, loss).items()})
+    assert _max_error(name) >= TOLERANCE[name]
+
+
+@pytest.mark.parametrize("name", STRAIGHT_THROUGH)
+def test_straight_through_check_fails_without_surrogate_slope(name, monkeypatch):
+    foothill = gate_mod.foothill
+
+    def flat(x, beta):
+        f, df = foothill(x, beta)
+        return f, np.zeros_like(df)
+
+    # the one surrogate pass then yields m~' = 0, and m~ + alpha * m~' = m~
+    monkeypatch.setattr(gate_mod, "foothill", flat)
+    assert _max_error(name) >= TOLERANCE[name]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from maskprune.gate import AXIS0, AXIS1, GateParam, apply_gate, apply_mask, evaluation
-from maskprune.gradcheck import run_checks
 from maskprune.layers import (BN_EPS, BN_MOMENTUM, LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
                               embedding, linear)
@@ -174,12 +173,6 @@ def test_conv_reads_a_channel_and_a_gradient_row_that_hold_only_a_nan():
     g[1, 2, 0, 0] = np.nan
     grads = tape.backward(sum_all(mul(out, Tensor(g))))
     assert np.isnan(grads["w"][2]).any() and np.isnan(grads["x"][1]).any()
-
-
-def test_conv_and_bn_gradients():
-    results = dict((n, e) for n, e, ok in run_checks(["conv2d", "batchnorm"]))
-    assert results["conv2d"] < 1e-4
-    assert results["batchnorm"] < 1e-4
 
 
 def test_batchnorm_train_normalizes():
@@ -580,11 +573,6 @@ def test_lstm_masked_output_node_zeroes_hidden_unit():
     hs = cell.step(Tape(), Tensor(np.random.default_rng(17).normal(size=(3, 5, 3))))
     assert np.all(hs.data[:, :, 1] == 0.0)
     assert np.any(hs.data[:, :, 0] != 0.0)
-
-
-def test_lstm_gradcheck():
-    err = dict((n, e) for n, e, ok in run_checks(["lstm-cell"]))["lstm-cell"]
-    assert err < 1e-4
 
 
 def _reference_step(cell, nodes, x_t, h_prev, c_prev):

@@ -4,7 +4,7 @@ import pytest
 from maskprune.tensor import (ShapeError, Tape, Tensor, _toposort, absolute, add,
                               concat_cols, custom_grad, matmul, mul, relu,
                               scale, sigmoid, sum_all)
-from maskprune.gradcheck import numeric_grad, rel_error
+from test_gradcheck import numeric_grad, rel_error
 
 
 def test_elementwise_examples():

@@ -287,8 +287,7 @@ def test_checkpoint_round_trip_reproduces_evaluation(tmp_path):
                       objective=ObjectiveConfig(lambda1=1e-3))
     train(model, train_ds, test_ds, cfg)
     before = evaluate(model, test_ds)["test_error"]
-    save_checkpoint(str(tmp_path / "ck"), model.persistent_arrays(), model.gates(),
-                    {"note": "test"})
+    save_checkpoint(str(tmp_path / "ck"), model.persistent_arrays(), {"note": "test"})
     arrays, manifest = load_checkpoint(str(tmp_path / "ck"))
     fresh = _tiny_convnet(True, seed=99)    # different init, then overwritten
     fresh.load_params(arrays)
@@ -301,7 +300,7 @@ def test_checkpoint_round_trip_reproduces_evaluation(tmp_path):
 
 def test_checkpoint_rejects_corrupt_archive(tmp_path):
     model = _tiny_convnet(True, seed=19)
-    save_checkpoint(str(tmp_path / "ck"), model.params(), model.gates())
+    save_checkpoint(str(tmp_path / "ck"), model.params())
     bin_path = tmp_path / "ck" / "tensors.bin"
     bin_path.write_bytes(bin_path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="corrupt"):
@@ -320,7 +319,7 @@ def test_checkpoint_rejects_a_tensor_directory_that_does_not_tile_the_archive(tm
     # must fail its own check, not load with one entry silently winning
     model = _tiny_convnet(True, seed=19)
     ck = tmp_path / "ck"
-    save_checkpoint(str(ck), model.params(), model.gates())
+    save_checkpoint(str(ck), model.params())
     manifest = json.loads((ck / "manifest.json").read_text())
     edit(manifest["tensors"])
     (ck / "manifest.json").write_text(json.dumps(manifest))
@@ -331,7 +330,7 @@ def test_checkpoint_rejects_a_tensor_directory_that_does_not_tile_the_archive(tm
 def test_checkpoint_save_cut_short_keeps_previous_checkpoint(tmp_path, monkeypatch):
     model = _tiny_convnet(True, seed=21)
     ck = str(tmp_path / "ck")
-    save_checkpoint(ck, model.params(), model.gates(), {"step": 1})
+    save_checkpoint(ck, model.params(), {"step": 1})
     first = {k: v.copy() for k, v in model.params().items()}
     for p in model.params().values():
         p += 1.0
@@ -341,7 +340,7 @@ def test_checkpoint_save_cut_short_keeps_previous_checkpoint(tmp_path, monkeypat
 
     monkeypatch.setattr(checkpoint.json, "dump", cut)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(ck, model.params(), model.gates(), {"step": 2})
+        save_checkpoint(ck, model.params(), {"step": 2})
     monkeypatch.undo()
     arrays, manifest = load_checkpoint(ck)
     assert manifest["meta"]["step"] == 1
@@ -370,7 +369,7 @@ def test_checkpoint_save_syncs_files_before_renames_and_directory_after(tmp_path
     monkeypatch.setattr(checkpoint.os, "replace", spy_replace)
     for step in (1, 2):                      # a fresh directory, then an overwrite
         calls.clear()
-        save_checkpoint(str(ck), model.params(), model.gates(), {"step": step})
+        save_checkpoint(str(ck), model.params(), {"step": step})
         ino = {p: os.stat(ck / p).st_ino for p in ("tensors.bin", "manifest.json")}
         assert calls == [("fsync", ino["tensors.bin"]), ("fsync", ino["manifest.json"]),
                          ("replace", "tensors.bin.tmp", "tensors.bin"),
@@ -384,11 +383,11 @@ def test_checkpoint_rejects_archive_under_older_manifest(tmp_path):
     # under the previous save's manifest (its step and event log)
     model = _tiny_convnet(True, seed=20)
     ck = tmp_path / "ck"
-    save_checkpoint(str(ck), model.params(), model.gates(), {"step": 1})
+    save_checkpoint(str(ck), model.params(), {"step": 1})
     first = (ck / "manifest.json").read_bytes()
     for p in model.params().values():
         p += 1.0
-    save_checkpoint(str(ck), model.params(), model.gates(), {"step": 2})
+    save_checkpoint(str(ck), model.params(), {"step": 2})
     (ck / "manifest.json").write_bytes(first)
     with pytest.raises(ValueError, match="sha256"):
         load_checkpoint(str(ck))
