@@ -19,8 +19,9 @@ a profiler that wraps those methods charges the block every node it makes.
 Right after binding, a gated block evaluates each gate it owns once on the
 tape (``gate.evaluation``) and hands the ops that record.
 The conv epilogue (``batchnorm``) and the LSTM layer (``_lstm_sequence``)
-each run as one node; in eval, which takes no gradient, the epilogue's is a
-leaf.
+each run as one node.  Eval takes no gradient, so there the epilogue's output
+and a residual block's sum are leaves, and an eval graph holds no activation
+past the block that reads it.
 
 Conv activations and their gradients are [b, c, H, W] views over
 batch-innermost ``[c, H, W, b]`` memory.  ``conv2d`` returns its output and
@@ -30,12 +31,16 @@ each kernel-offset copy of a stride-1 conv's lowering moves runs of
 ``Wo * b`` contiguous floats (``Wo`` the output width), not runs of ``Wo``.
 For its backward a conv keeps its zero-padded input, not the column matrix
 lowered from it, and forms its input gradient as a convolution of the
-upstream gradient, one lowering and one GEMM per stride phase.
+upstream gradient, one lowering per stride phase.  Each lowering runs in
+bands of whole output rows (``_lower_bands``), one GEMM per band, so no
+column matrix holds more than ``LOWER_BAND_BYTES``, whatever the batch.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +58,12 @@ BN_EPS = 1e-5
 BN_FLOPS_PER_ELEM = 2
 RELU_FLOPS_PER_ELEM = 1
 ADD_FLOPS_PER_ELEM = 1
+# the most bytes of column matrix ``conv2d`` lowers at a time.  Smaller bands
+# run smaller GEMMs: on two Xeon cores, the ResNet-20 benchmark config's
+# training step (batch 16) took 44.6 ms at 1 MiB and 39.6 ms at 4 MiB, where
+# only its stage-1 convs split, into two bands; its 64-image evaluation peaks
+# at 16 MiB at either budget, and at 30 MiB unbanded
+LOWER_BAND_BYTES = 4 * 2 ** 20
 
 
 def _live_rows(a: np.ndarray) -> np.ndarray | None:
@@ -62,17 +73,32 @@ def _live_rows(a: np.ndarray) -> np.ndarray | None:
     return None if live.all() else np.flatnonzero(live)
 
 
-def _lower(src: np.ndarray, starts, step: int, out_hw: tuple[int, int]) -> np.ndarray:
-    """The column matrix of batch-innermost ``src`` [c, Hs, Ws, b]: row
-    ``(ch, t)`` of the [c * len(starts), Ho*Wo*b] result holds, at output
-    position ``(i, j)`` of every sample, ``src[ch, r + step*i, s + step*j]``
-    with ``(r, s) = starts[t]``.  One strided copy per start."""
+def _lower_bands(src: np.ndarray, starts, step: int, out_hw: tuple[int, int]):
+    """The column matrix of batch-innermost ``src`` [c, Hs, Ws, b], in bands
+    of whole output rows.  Row ``(ch, t)`` of the [c * len(starts), Ho*Wo*b]
+    matrix holds, at output position ``(i, j)`` of every sample,
+    ``src[ch, r + step*i, s + step*j]`` with ``(r, s) = starts[t]``.
+
+    Yields ``(band, cols)`` per band: ``band`` the slice of the matrix's
+    columns the band covers, ``cols`` those columns, as many output rows as
+    fit in ``LOWER_BAND_BYTES`` (at least one).  One strided copy per start
+    and band, into one buffer that every band reuses: a band's ``cols`` is
+    valid until the next is asked for."""
     c, b = src.shape[0], src.shape[-1]
     Ho, Wo = out_hw
-    cols = np.empty((c, len(starts), Ho, Wo, b))
-    for t, (r, s) in enumerate(starts):
-        cols[:, t] = src[:, r:r + step * (Ho - 1) + 1:step, s:s + step * (Wo - 1) + 1:step]
-    return cols.reshape(c * len(starts), Ho * Wo * b)
+    height = c * len(starts)
+    row_bytes = height * Wo * b * src.itemsize
+    # a conv with no live channel lowers to no rows: one empty band
+    rows = max(1, LOWER_BAND_BYTES // row_bytes) if row_bytes else Ho
+    buf = np.empty(height * min(rows, Ho) * Wo * b)
+    for i0 in range(0, Ho, rows):
+        n = min(rows, Ho - i0)
+        cols = buf[:height * n * Wo * b].reshape(c, len(starts), n, Wo, b)
+        for t, (r, s) in enumerate(starts):
+            r1 = r + step * i0
+            cols[:, t] = src[:, r1:r1 + step * (n - 1) + 1:step,
+                             s:s + step * (Wo - 1) + 1:step]
+        yield slice(i0 * Wo * b, (i0 + n) * Wo * b), cols.reshape(height, n * Wo * b)
 
 
 def _phases(size: int, out: int, k: int, stride: int, padding: int):
@@ -98,30 +124,37 @@ def _phases(size: int, out: int, k: int, stride: int, padding: int):
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate ``x`` [b,n,H,W] with filters ``w`` [m,n,k,k].
 
-    The convolution is lowered (``_lower``) to one column matrix for the
-    whole batch, batch-innermost: ``cols`` is [n*k*k, Ho*Wo*b], and row
-    ``(c, ki, kj)`` holds the input pixels filter tap ``(c, ki, kj)`` reads
-    at every output position of every sample.  It is built by one strided
-    copy per kernel offset from ``xp``, a [n, H+2p, W+2p, b] zero-padded,
-    batch-innermost copy of ``x``.  At stride 1 each copy moves runs of
-    ``Wo * b`` contiguous floats, at stride 2 runs of ``b``; with the batch
-    outside the pixels they would be runs of ``Wo`` (on how much the layout
-    of a lowered convolution matters, see Chetlur et al., arXiv:1410.0759).
-    With ``w`` as a [m, n*k*k] matrix, the forward is one BLAS GEMM ``w @
-    cols``, and so is the weight gradient ``g @ cols.T`` (``g`` the upstream
-    gradient as [m, Ho*Wo*b]).
+    The convolution is lowered to a column matrix, batch-innermost:
+    ``cols`` is [n*k*k, Ho*Wo*b], and row ``(c, ki, kj)`` holds the input
+    pixels filter tap ``(c, ki, kj)`` reads at every output position of
+    every sample.  It is built by one strided copy per kernel offset from
+    ``xp``, a [n, H+2p, W+2p, b] zero-padded, batch-innermost copy of ``x``.
+    At stride 1 each copy moves runs of ``Wo * b`` contiguous floats, at
+    stride 2 runs of ``b``; with the batch outside the pixels they would be
+    runs of ``Wo`` (on how much the layout of a lowered convolution matters,
+    see Chetlur et al., arXiv:1410.0759).  With ``w`` as a [m, n*k*k]
+    matrix, the forward is the BLAS GEMM ``w @ cols``, and the weight
+    gradient ``g @ cols.T`` (``g`` the upstream gradient as [m, Ho*Wo*b]).
 
-    The node keeps ``xp``, not ``cols``, which is about ``k * k`` times
-    larger: the backward lowers ``xp`` again for the weight gradient, trading
-    one more copy for memory (Chen et al., arXiv:1604.06174).  The
-    input gradient is itself a convolution, of the upstream gradient with
-    the transposed filters (Dumoulin & Visin, arXiv:1603.07285).  The input
-    rows and columns split into stride phases (``_phases``); each phase
-    meets its own subset of kernel taps at stride 1, so the backward lowers
-    the zero-padded upstream gradient once per phase and runs one GEMM per
-    phase, writing the phase's rows of the input gradient.  At stride 1 there
-    is one phase holding the whole kernel, and its GEMM output is the input
-    gradient.
+    ``_lower_bands`` builds ``cols`` in bands of whole output rows, each at
+    most ``LOWER_BAND_BYTES`` (at least one row), as Chetlur et al. lower in
+    tiles.  Each band's forward GEMM writes its
+    columns of the output, and the weight gradient sums ``g[:, band] @
+    cols_band.T`` over the bands.  So a conv's memory grows with the batch
+    only by its input, output and gradients, not by ``k * k`` times its
+    input; a column matrix that fits the budget is one band, and the GEMM
+    runs whole.
+
+    The node keeps ``xp``, not ``cols``: the backward lowers ``xp`` again
+    for the weight gradient, trading one more copy for memory (Chen et al.,
+    arXiv:1604.06174).  The input gradient is itself a convolution, of the
+    upstream gradient with the transposed filters (Dumoulin & Visin,
+    arXiv:1603.07285).  The input rows and columns split into stride phases
+    (``_phases``); each phase meets its own subset of kernel taps at stride
+    1, so the backward lowers the zero-padded upstream gradient once per
+    phase, in bands too, and each band's GEMM writes its columns of the
+    phase's rows of the input gradient.  At stride 1 there is one phase
+    holding the whole kernel, and its GEMM output is the input gradient.
 
     The output and the input gradient are [b, m, Ho, Wo] and [b, n, H, W]
     views over C-contiguous [m, Ho, Wo, b] and [n, H, W, b] memory.  A conv
@@ -177,8 +210,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         xp[:, padding:padding + H, padding:padding + W] = xc
     # output (i, j) reads xp[:, ki + stride*i, kj + stride*j] at offset (ki, kj)
     offsets = [(ki, kj) for ki in range(k) for kj in range(k)]
-    w_in = w.data if chans is None else w.data[:, chans]
-    out = w_in.reshape(m, n_live * k * k) @ _lower(xp, offsets, stride, (Ho, Wo))
+    w_in = (w.data if chans is None else w.data[:, chans]).reshape(m, n_live * k * k)
+    out = np.empty((m, Ho * Wo * b))
+    for band, cols in _lower_bands(xp, offsets, stride, (Ho, Wo)):
+        np.matmul(w_in, cols, out=out[:, band])
     out = out.reshape(m, Ho, Wo, b).transpose(3, 0, 1, 2)
     skip_x = is_data(x)
 
@@ -188,7 +223,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         if rows is not None:
             gc, w_out = gc[rows], w_out[rows]
         m_live = len(w_out)
-        grad_w = gc.reshape(m_live, Ho * Wo * b) @ _lower(xp, offsets, stride, (Ho, Wo)).T
+        g2 = gc.reshape(m_live, Ho * Wo * b)
+        bands = _lower_bands(xp, offsets, stride, (Ho, Wo))
+        parts = (g2[:, band] @ cols.T for band, cols in bands)
+        grad_w = functools.reduce(operator.iadd, parts)     # summed into the first, in place
         if chans is not None or rows is not None:
             r = np.arange(m) if rows is None else rows
             c = np.arange(n) if chans is None else chans
@@ -198,16 +236,20 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         grad_w = grad_w.reshape(m, n, k, k)
         if skip_x:
             return None, grad_w
-        # per stride phase, a stride-1 lowering of the padded gradient and a GEMM
+        # per stride phase, a stride-1 lowering of the padded gradient, and a GEMM
+        # per band
         row_phases, rlo, rhi = _phases(H, Ho, k, stride, padding)
         col_phases, clo, chi = _phases(W, Wo, k, stride, padding)
         gp = np.zeros((m_live, rlo + Ho + rhi, clo + Wo + chi, b))
         gp[:, rlo:rlo + Ho, clo:clo + Wo] = gc
         gx = np.zeros((n, H, W, b)) if stride > 1 else None
         for (r0, nr, ti, rf), (c0, nc, tj, cf) in itertools.product(row_phases, col_phases):
-            w_phase = w_out[:, :, ti::stride, tj::stride].transpose(1, 0, 2, 3)
-            cols = _lower(gp, [(i + rlo, j + clo) for i in rf for j in cf], 1, (nr, nc))
-            part = (w_phase.reshape(n, -1) @ cols).reshape(n, nr, nc, b)
+            w_phase = w_out[:, :, ti::stride, tj::stride].transpose(1, 0, 2, 3).reshape(n, -1)
+            part = np.empty((n, nr * nc * b))
+            starts = [(i + rlo, j + clo) for i in rf for j in cf]
+            for band, cols in _lower_bands(gp, starts, 1, (nr, nc)):
+                np.matmul(w_phase, cols, out=part[:, band])
+            part = part.reshape(n, nr, nc, b)
             if gx is None:
                 gx = part                 # stride 1: one phase, every row
             else:
@@ -543,9 +585,9 @@ class ConvUnit(Block):
     the zero rows.  In eval, with a filter masked, the conv multiplies
     the live filters' weight rows alone, and ``batchnorm`` computes their
     rows and places them among zeros of every channel.  Eval takes no
-    gradient, so there ``batchnorm`` returns a leaf, and the padded input the
-    conv keeps for its backward is freed when the unit returns instead of at
-    the end of the forward.
+    gradient, so there ``batchnorm`` returns a leaf, and the conv's output
+    and the padded input it keeps for its backward are freed when the unit
+    returns instead of at the end of the forward.
     """
 
     weights: np.ndarray                # [m, n, k, k]
@@ -618,6 +660,9 @@ class ResidualBlock(Block):
     (projection shortcut, He et al., arXiv:1512.03385).
     ``unit1``'s reader is ``unit2``; ``unit2`` feeds the residual sum and has
     none.  A branch gate reports under its stage, the name's first part.
+    Eval takes no gradient, so there the residual sum is a leaf, as the conv
+    units' outputs are, and the eval graph keeps neither the block's input
+    nor its branch alive until the logits exist.
     """
 
     unit1: ConvUnit
@@ -660,6 +705,8 @@ class ResidualBlock(Block):
         branch = self.unit2.forward(tape, h, mode)
         if ev is not None:
             branch = apply_gate(branch, ev, WHOLE)
+        if mode == "eval":
+            return tape.leaf(branch.data + skip.data)   # eval takes no gradient
         return add(branch, skip)
 
 

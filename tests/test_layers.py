@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from maskprune import layers
 from maskprune.gate import AXIS0, AXIS1, GateParam, apply_gate, apply_mask, evaluation
 from maskprune.layers import (BN_EPS, BN_MOMENTUM, LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
@@ -70,7 +71,7 @@ def _direct_conv(x, w, g, stride, padding):
     return out, gxp[:, :, padding:padding + H, padding:padding + W], gw
 
 
-@pytest.mark.parametrize("b,n,m,H,W,k,stride,padding", [
+_CONV_CASES = [
     (2, 3, 4, 7, 7, 3, 1, 1),
     (3, 2, 5, 6, 9, 3, 1, 0),
     (2, 3, 4, 9, 7, 3, 2, 1),
@@ -82,8 +83,30 @@ def _direct_conv(x, w, g, stride, padding):
     (2, 2, 3, 8, 7, 3, 3, 1),     # 3x3/s3: one tap per phase
     (2, 3, 2, 9, 9, 5, 2, 2),     # 5x5/s2: phases of 3 and 2 taps per axis
     (2, 2, 3, 10, 9, 4, 3, 1),    # 4x4/s3: phases of 2, 1 and 1 taps per axis
-])
+]
+
+
+@pytest.mark.parametrize("b,n,m,H,W,k,stride,padding", _CONV_CASES)
 def test_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding):
+    _check_conv_against_direct_loop(b, n, m, H, W, k, stride, padding)
+
+
+@pytest.mark.parametrize("bands", ["one-row", "uneven"])
+@pytest.mark.parametrize("b,n,m,H,W,k,stride,padding", _CONV_CASES)
+def test_banded_conv_matches_direct_loop(b, n, m, H, W, k, stride, padding, bands,
+                                         monkeypatch):
+    # a budget below one output row lowers every band, the forward's, the
+    # weight gradient's and each stride phase's, one output row at a time; the
+    # forward's and the weight gradient's bands of Ho - 1 rows leave a last
+    # band of one row (Ho >= 3)
+    Ho = (H + 2 * padding - k) // stride + 1
+    Wo = (W + 2 * padding - k) // stride + 1
+    budget = 1 if bands == "one-row" else (Ho - 1) * n * k * k * Wo * b * 8
+    monkeypatch.setattr(layers, "LOWER_BAND_BYTES", budget)
+    _check_conv_against_direct_loop(b, n, m, H, W, k, stride, padding)
+
+
+def _check_conv_against_direct_loop(b, n, m, H, W, k, stride, padding):
     # x and the upstream gradient in every layout: it changes speed, not values
     rng = np.random.default_rng(20)
     x, w = rng.normal(size=(b, n, H, W)), rng.normal(size=(m, n, k, k))
@@ -138,6 +161,27 @@ def test_conv_live_indices_match_direct_loop(live_in, live_out, mode, stride, pa
     np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads["x"], ref_gx, rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads["w"], ref_gw, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_with_every_input_channel_zero_in_one_row_bands(mode, stride, monkeypatch):
+    # the live input lowers to no rows, so a band's budget covers any number
+    # of output rows: the conv runs, its output and weight gradient zero
+    monkeypatch.setattr(layers, "LOWER_BAND_BYTES", 1)
+    rng = np.random.default_rng(27)
+    x, w = np.zeros((2, 3, 7, 6)), rng.normal(size=(4, 3, 3, 3))
+    Ho, Wo = (7 + 2 - 3) // stride + 1, (6 + 2 - 3) // stride + 1
+    g = rng.normal(size=(2, 4, Ho, Wo))
+    ref_out, ref_gx, ref_gw = _direct_conv(x, w, g, stride, 1)
+    tape = Tape()
+    xt = tape.param("x", x) if mode == "train" else Tensor(x)
+    out = conv2d(xt, tape.param("w", w), stride, 1)
+    assert np.array_equal(out.data, ref_out)
+    if mode == "train":
+        grads = tape.backward(sum_all(mul(out, Tensor(g))))
+        np.testing.assert_allclose(grads["x"], ref_gx, rtol=0, atol=1e-10)
+        assert np.array_equal(grads["w"], ref_gw)
 
 
 @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (1, 2, 0)])
@@ -478,6 +522,18 @@ def test_residual_block_identity_gate_is_standard_block():
                           name="blk")
     out_gated = gated.forward(Tape(), Tensor(x), "train")
     assert np.array_equal(out_plain.data, out_gated.data)
+
+
+@pytest.mark.parametrize("granularity", [None, "filter", "subnetwork"])
+def test_an_eval_forward_keeps_no_residual_activation(granularity):
+    # eval's residual sums are leaves, as its conv epilogues are: the logits'
+    # graph holds the pool's input and no other [b, c, H, W] activation
+    model = ResNetSmall((2, 3, 4), 2, input_hw=(9, 9), classes=3, seed=0,
+                        granularity=granularity)
+    x = np.random.default_rng(28).normal(size=(2, 3, 9, 9))
+    order = _toposort(model.forward(Tape(), x, mode="eval"))
+    pool, = (node for node in order if node.op == "avg_pool")
+    assert [node for node in order if node.data.ndim == 4] == list(pool.parents)
 
 
 def test_resnet56_shape():
