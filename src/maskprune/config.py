@@ -51,7 +51,7 @@ def _seq_split(kind: str):
     # the test split draws from the next seed
     return lambda cfg, n, name: data_mod.synth_sequences(
         n, cfg["data_vocab"], cfg["data_seq_len"],
-        cfg["data_seed"] + (1 if name == "test" else 0), kind, split=name)
+        cfg["data_seed"] + (1 if name == "test" else 0), kind)
 
 
 DATASET_TABLE = {

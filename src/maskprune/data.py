@@ -1,14 +1,17 @@
 """Datasets: the standard CIFAR-10 binary format plus seeded synthetic
-generators sized for desk-scale experiments.
+generators sized for desk-scale experiments, and the pad/crop/flip training
+augmentation of He et al. (arXiv:1512.03385).
 
-Everything here is a pure function of its arguments and seed; loaders reject
-truncated files rather than returning partial datasets.
+A ``Dataset`` is its inputs and labels, nothing more.  Everything here is a
+pure function of its arguments and seed; loaders reject truncated files rather
+than returning partial datasets.  The CIFAR loader and ``augment`` work on a
+whole batch of images at once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +27,6 @@ _CIFAR_RECORDS_PER_FILE = 10000
 class Dataset:
     inputs: np.ndarray          # float images [n,c,H,W] or int token ids [n,T]
     labels: np.ndarray          # [n] class ids, or [n,T] next-token ids
-    split: str = "train"
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.inputs) != len(self.labels):
@@ -34,12 +35,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.inputs)
-
-
-def normalize_cifar(pixels: np.ndarray) -> np.ndarray:
-    """Scale [0,255] bytes to [0,1] and standardize per channel."""
-    x = pixels.astype(np.float64) / 255.0
-    return (x - CIFAR_MEAN[:, None, None]) / CIFAR_STD[:, None, None]
 
 
 def _read_cifar_file(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -58,42 +53,40 @@ def _read_cifar_file(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_cifar10(directory: str) -> tuple[Dataset, Dataset]:
-    """Load the six standard binary batches; 50k train / 10k test, normalized."""
-    def load(files, split):
-        images, labels = [], []
-        for fname in files:
-            imgs, labs = _read_cifar_file(os.path.join(directory, fname))
-            images.append(imgs)
-            labels.append(labs)
-        pixels = np.concatenate(images)
-        x = np.stack([normalize_cifar(p) for p in pixels])
-        return Dataset(x, np.concatenate(labels), split,
-                       {"num_classes": 10, "input_hw": (32, 32)})
+    """Load the six standard binary batches; 50k train / 10k test.
 
-    return load(CIFAR_TRAIN_FILES, "train"), load(CIFAR_TEST_FILES, "test")
+    Each split's bytes are scaled to [0,1] and standardized per channel in
+    place, so the loader holds about one copy of the float64 images.
+    """
+    def load(files):
+        images, labels = zip(*(_read_cifar_file(os.path.join(directory, f)) for f in files))
+        x = np.concatenate(images) / 255.0
+        x -= CIFAR_MEAN[:, None, None]
+        x /= CIFAR_STD[:, None, None]
+        return Dataset(x, np.concatenate(labels))
 
-
-def pad_crop(img: np.ndarray, oy: int, ox: int, pad: int = 4) -> np.ndarray:
-    """Zero-pad by ``pad`` and crop the original size at offset (oy, ox)."""
-    c, H, W = img.shape
-    padded = np.pad(img, ((0, 0), (pad, pad), (pad, pad)))
-    return padded[:, oy:oy + H, ox:ox + W]
+    return load(CIFAR_TRAIN_FILES), load(CIFAR_TEST_FILES)
 
 
-def hflip(img: np.ndarray) -> np.ndarray:
-    return img[:, :, ::-1].copy()
+AUGMENT_PAD = 4
 
 
-def augment(batch: np.ndarray, seed: int, pad: int = 4) -> np.ndarray:
-    """Pad-4 -> random crop -> coin-flip horizontal mirror, per image."""
+def augment(batch: np.ndarray, seed: int) -> np.ndarray:
+    """Zero-pad by ``AUGMENT_PAD`` -> random crop -> coin-flip horizontal
+    mirror, per image of a [n, c, H, W] batch.
+
+    The batch is padded once; each image draws its crop offset (y, x), then
+    its coin, and copies its crop, or the crop's mirror, out of that array.
+    """
     rng = np.random.default_rng(seed)
+    p = AUGMENT_PAD
+    H, W = batch.shape[2:]
+    padded = np.pad(batch, ((0, 0), (0, 0), (p, p), (p, p)))
     out = np.empty_like(batch)
-    for i, img in enumerate(batch):
-        oy, ox = rng.integers(0, 2 * pad + 1, size=2)
-        view = pad_crop(img, int(oy), int(ox), pad)
-        if rng.random() < 0.5:
-            view = hflip(view)
-        out[i] = view
+    for i in range(len(batch)):
+        oy, ox = rng.integers(0, 2 * p + 1, size=2)
+        crop = padded[i, :, oy:oy + H, ox:ox + W]
+        out[i] = crop[:, :, ::-1] if rng.random() < 0.5 else crop
     return out
 
 
@@ -122,10 +115,7 @@ def synth_classification(n: int, classes: int = 10, dim: int = 32, seed: int = 0
     x = means[labels] + rng.normal(size=(n, dim))
     if image_shape is not None:
         x = x.reshape((n,) + tuple(image_shape))
-    meta = {"num_classes": classes, "margin": margin}
-    if image_shape is not None:
-        meta["input_hw"] = tuple(image_shape[1:])
-    return Dataset(x, labels, split, meta)
+    return Dataset(x, labels)
 
 
 MARKER_A, MARKER_B = 2, 3   # reserved marker tokens for the majority rule
@@ -135,14 +125,13 @@ SEQ_MINIMUM = {"majority": (5, 3), "markov": (4, 1)}
 
 
 def synth_sequences(n: int, vocab: int = 16, length: int = 16, seed: int = 0,
-                    kind: str = "majority", split: str = "train") -> Dataset:
+                    kind: str = "majority") -> Dataset:
     """Token-sequence corpora with analytically known structure.
 
     ``majority``: filler tokens plus planted markers; the label is which
     marker occurs more often (counts always differ, so the rule is exact).
-    ``markov``: a two-state chain emitting tokens from two disjoint halves of
-    the vocabulary; targets are the next token, and the optimal perplexity
-    exp(entropy rate) is recorded in the metadata.
+    ``markov``: a two-state chain (stay probability 0.9) emitting tokens from
+    two disjoint halves of the vocabulary; targets are the next token.
     """
     if kind not in SEQ_MINIMUM:
         raise ValueError(f"unknown sequence corpus kind {kind!r}")
@@ -161,9 +150,7 @@ def synth_sequences(n: int, vocab: int = 16, length: int = 16, seed: int = 0,
             k = n_marks // 2 + 1
             seqs[i, pos[:k]] = major
             seqs[i, pos[k:]] = minor
-        return Dataset(seqs.astype(np.int64), labels.astype(np.int64), split,
-                       {"num_classes": 2, "vocab_size": vocab,
-                        "markers": (MARKER_A, MARKER_B)})
+        return Dataset(seqs.astype(np.int64), labels.astype(np.int64))
     stay = 0.9
     half = vocab // 2
     states = np.empty((n, length + 1), dtype=np.int64)
@@ -174,9 +161,5 @@ def synth_sequences(n: int, vocab: int = 16, length: int = 16, seed: int = 0,
     # emit uniformly from the state's half of the vocabulary
     offsets = rng.integers(0, half, size=(n, length + 1))
     tokens = states * half + offsets
-    h_trans = -(stay * np.log(stay) + (1 - stay) * np.log(1 - stay))
-    entropy_rate = h_trans + np.log(half)
-    return Dataset(tokens[:, :-1], tokens[:, 1:], split,
-                   {"vocab_size": vocab, "stay_prob": stay,
-                    "optimal_perplexity": float(np.exp(entropy_rate))})
+    return Dataset(tokens[:, :-1], tokens[:, 1:])
 

@@ -263,7 +263,7 @@ class _LstmBase(Model):
         if stacks not in (1, 2):
             raise ValueError(f"stacks must be 1 or 2, got {stacks}")
         rng = np.random.default_rng(seed)
-        self.vocab, self.hidden, self.stacks = vocab, hidden, stacks
+        self.hidden = hidden
         self.embed = rng.normal(0.0, 0.1, size=(vocab, embed_dim))
         self.cells: list[LstmCell] = []
         bound = 1.0 / np.sqrt(hidden)

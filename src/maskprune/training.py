@@ -113,23 +113,26 @@ def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
     return parts
 
 
-def evaluate(model, ds: Dataset, batch_size: int = 256) -> dict[str, float]:
+EVAL_BATCH = 256
+
+
+def evaluate(model, ds: Dataset) -> dict[str, float]:
     """Classification error rate, or perplexity for next-token models.
 
-    Eval takes no gradient, so it holds the activations of one batch, and
-    ``batch_size`` need not be the training batch.  It stays 256 because
-    larger batches run fewer, larger GEMMs: on the ``mlp-weight`` benchmark
-    config, evaluating the 512 test samples took 1.18 ms at 256 and 2.13 ms
-    at 64 (two Xeon cores).  A large batch costs a conv net no column matrix
-    beyond ``layers.LOWER_BAND_BYTES``, since ``conv2d`` lowers in bands.
+    Eval takes no gradient, so it holds the activations of one batch of
+    ``EVAL_BATCH`` samples, which need not be the training batch.  It is 256
+    because larger batches run fewer, larger GEMMs: on the ``mlp-weight``
+    benchmark config, evaluating the 512 test samples took 1.18 ms at 256 and
+    2.13 ms at 64 (two Xeon cores).  A large batch costs a conv net no column
+    matrix beyond ``layers.LOWER_BAND_BYTES``, since ``conv2d`` lowers in bands.
     """
     if len(ds) == 0:
         raise ValueError("evaluate: empty dataset")
     lm = model.task == "lm"
     score, count = 0, 0    # token nll summed (lm) or wrong predictions; labels seen
-    for lo in range(0, len(ds), batch_size):
-        logits = model.forward(Tape(), ds.inputs[lo:lo + batch_size], mode="eval")
-        yb = ds.labels[lo:lo + batch_size]
+    for lo in range(0, len(ds), EVAL_BATCH):
+        logits = model.forward(Tape(), ds.inputs[lo:lo + EVAL_BATCH], mode="eval")
+        yb = ds.labels[lo:lo + EVAL_BATCH]
         if lm:
             yb = model.flatten_labels(yb)
             score += cross_entropy(logits, yb).item() * len(yb)
@@ -150,7 +153,7 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                          f"{cfg.batch_size}")
     rng = np.random.default_rng(cfg.seed)
     velocity: dict[str, np.ndarray] = {}
-    if manager is None and model.gates():
+    if manager is None:
         manager = PruneManager(model)
     metrics: list[dict] = []
     metrics_fh = None
@@ -179,17 +182,16 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                         sums[k] += parts[k]
                     batches += 1
                     step += 1
-                    if manager is not None and step % cfg.snapshot_every == 0:
+                    if step % cfg.snapshot_every == 0:
                         manager.snapshot(step)
-                report = manager.snapshot(step) if manager is not None else None
+                report = manager.snapshot(step)
                 record = {
                     "schema_version": METRICS_SCHEMA_VERSION,
                     "epoch": epoch,
                     "lr": lr,
                     **{k: v / max(batches, 1) for k, v in sums.items()},
-                    "active_counts": {g: list(v) for g, v in report.per_group.items()}
-                    if report else {},
-                    "pruned_ratio": report.pruned_ratio if report else 0.0,
+                    "active_counts": {g: list(v) for g, v in report.per_group.items()},
+                    "pruned_ratio": report.pruned_ratio,
                 }
                 record.update(evaluate(model, test_ds))
                 metrics.append(record)
@@ -198,9 +200,8 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                     metrics_fh.flush()
                 if out_dir is not None:
                     meta = dict(checkpoint_meta or {})
-                    meta.update({"epoch": epoch, "step": step})
-                    if manager is not None:
-                        meta["events"] = [list(e) for e in manager.events]
+                    meta.update({"epoch": epoch, "step": step,
+                                 "events": [list(e) for e in manager.events]})
                     save_checkpoint(os.path.join(out_dir, "checkpoint"),
                                     model.persistent_arrays(), meta)
     except FloatingPointError as exc:

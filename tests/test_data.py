@@ -1,10 +1,11 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from maskprune.data import (CIFAR_MEAN, CIFAR_STD, Dataset, augment, hflip, load_cifar10,
-                            pad_crop, synth_classification, synth_sequences)
+from maskprune.data import (AUGMENT_PAD, CIFAR_MEAN, CIFAR_STD, MARKER_A, MARKER_B, Dataset,
+                            augment, load_cifar10, synth_classification, synth_sequences)
 
 
 def _write_cifar_archive(directory, pixel_value=0, special=None):
@@ -19,11 +20,23 @@ def _write_cifar_archive(directory, pixel_value=0, special=None):
 
 def test_cifar_loader_counts(tmp_path):
     _write_cifar_archive(tmp_path)
-    train, test = load_cifar10(str(tmp_path))
+    # each split is normalized in place, so the load peaks near 1.04x its
+    # float64 output, and near 1.89x when each image is normalized on its own
+    # and the results stacked
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train, test = load_cifar10(str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    out_bytes = train.inputs.nbytes + test.inputs.nbytes
+    assert peak <= 1.25 * out_bytes, f"peak {peak / out_bytes:.2f}x the output"
     assert len(train) == 50000
     assert len(test) == 10000
     assert train.inputs.shape == (50000, 3, 32, 32)
-    assert train.metadata["num_classes"] == 10
+    assert test.inputs.shape == (10000, 3, 32, 32)
+    assert set(np.unique(train.labels)) == set(range(10))
 
 
 def test_cifar_loader_rejects_truncated_file(tmp_path):
@@ -53,14 +66,23 @@ def test_cifar_known_bytes_normalize_to_hand_computed_values():
         assert abs(img[0, 0, 2] - _hand(255, 0)) < 1e-12
 
 
-def test_pad_crop_center_is_identity():
-    img = np.random.default_rng(1).normal(size=(3, 32, 32))
-    assert np.array_equal(pad_crop(img, 4, 4), img)
+@pytest.mark.parametrize("shape", [(6, 3, 32, 32), (1, 3, 8, 8), (5, 2, 1, 1), (4, 1, 3, 7)])
+def test_augment_matches_per_image_pad_crop_flip(shape):
+    # the reference pads, crops and mirrors one image at a time, with the
+    # same draws in the same order: offsets (y, x), then the coin
+    def reference(batch, seed, pad=AUGMENT_PAD):
+        rng = np.random.default_rng(seed)
+        H, W = batch.shape[2:]
+        out = np.empty_like(batch)
+        for i, img in enumerate(batch):
+            oy, ox = rng.integers(0, 2 * pad + 1, size=2)
+            crop = np.pad(img, ((0, 0), (pad, pad), (pad, pad)))[:, oy:oy + H, ox:ox + W]
+            out[i] = crop[:, :, ::-1] if rng.random() < 0.5 else crop
+        return out
 
-
-def test_flip_is_involution():
-    img = np.random.default_rng(2).normal(size=(3, 32, 32))
-    assert np.array_equal(hflip(hflip(img)), img)
+    batch = np.random.default_rng(sum(shape)).normal(size=shape)
+    for seed in range(8):
+        assert np.array_equal(augment(batch, seed), reference(batch, seed))
 
 
 def test_augment_deterministic_and_shape_preserving():
@@ -109,14 +131,12 @@ def test_synth_classification_splits_share_means_not_noise():
 def test_synth_classification_image_variant():
     ds = synth_classification(100, classes=4, seed=8, image_shape=(3, 8, 8))
     assert ds.inputs.shape == (100, 3, 8, 8)
-    assert ds.metadata["input_hw"] == (8, 8)
 
 
 def test_majority_corpus_labels_match_counting_oracle():
     ds = synth_sequences(500, vocab=16, length=16, seed=9, kind="majority")
-    a, b = ds.metadata["markers"]
-    count_a = (ds.inputs == a).sum(axis=1)
-    count_b = (ds.inputs == b).sum(axis=1)
+    count_a = (ds.inputs == MARKER_A).sum(axis=1)
+    count_b = (ds.inputs == MARKER_B).sum(axis=1)
     oracle = (count_a > count_b).astype(np.int64)
     assert np.array_equal(oracle, ds.labels)
     assert np.all(count_a != count_b)
@@ -129,16 +149,13 @@ def test_majority_corpus_refuses_sizes_it_cannot_build(vocab, length, what):
     with pytest.raises(ValueError, match=what):
         synth_sequences(10, vocab=vocab, length=length, kind="majority")
     ds = synth_sequences(200, vocab=5, length=3, seed=9, kind="majority")  # the smallest
-    a, b = ds.metadata["markers"]
-    assert np.array_equal((ds.inputs == a).sum(axis=1) > (ds.inputs == b).sum(axis=1),
+    assert np.array_equal((ds.inputs == MARKER_A).sum(axis=1)
+                          > (ds.inputs == MARKER_B).sum(axis=1),
                           ds.labels.astype(bool))
 
 
-def test_markov_corpus_optimal_perplexity():
+def test_markov_corpus_targets_are_the_stream_shifted_by_one():
     ds = synth_sequences(100, vocab=16, length=12, seed=10, kind="markov")
-    stay, half = 0.9, 8
-    h = -(stay * np.log(stay) + (1 - stay) * np.log(1 - stay)) + np.log(half)
-    assert abs(ds.metadata["optimal_perplexity"] - float(np.exp(h))) < 1e-12
     assert ds.inputs.shape == (100, 12)
     assert ds.labels.shape == (100, 12)
     # targets are the stream shifted by one position

@@ -124,7 +124,7 @@ class _FixedLogits:
 def test_evaluate_perfect_and_chance():
     labels = np.arange(2400) % 10
     perfect = np.eye(10)[labels] * 5.0
-    ds = Dataset(np.zeros((2400, 1)), labels, "test")
+    ds = Dataset(np.zeros((2400, 1)), labels)
     assert evaluate(_FixedLogits(perfect), ds)["test_error"] == 0.0
     rng = np.random.default_rng(0)
     random_logits = rng.normal(size=(2400, 10))
@@ -144,7 +144,7 @@ def test_evaluate_uniform_lm_perplexity_equals_vocab():
 def test_evaluate_empty_dataset_rejected():
     with pytest.raises(ValueError):
         evaluate(_FixedLogits(np.zeros((0, 2))),
-                 Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), "test"))
+                 Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int)))
 
 
 def test_alpha_strictly_decreases_under_pure_l1():
@@ -234,6 +234,16 @@ def test_train_emits_one_record_per_epoch(tmp_path):
     for key in ("epoch", "lr", "task_loss", "l1_term", "l2_term", "hinge_term",
                 "test_error", "active_counts", "pruned_ratio", "schema_version"):
         assert key in rec
+
+
+def test_an_ungated_train_is_k_zero(tmp_path):
+    # a model without gates runs under a PruneManager of K = 0, like any other
+    train_ds, test_ds = _tiny_image_data(seed=7)
+    cfg = TrainConfig(epochs=2, batch_size=16, base_lr=0.05, seed=8, snapshot_every=1)
+    metrics = train(_tiny_convnet(False, seed=9), train_ds, test_ds, cfg,
+                    out_dir=str(tmp_path))
+    assert [(m["active_counts"], m["pruned_ratio"]) for m in metrics] == [({}, 0.0)] * 2
+    assert load_checkpoint(str(tmp_path / "checkpoint"))[1]["meta"]["events"] == []
 
 
 def test_train_determinism_metric_stream():
@@ -485,7 +495,7 @@ def test_each_gate_is_evaluated_once_per_step_and_eval_computes_no_surrogate(
     assert terms == {name: 1 for name in owner.values()}
     assert masks == {name: 1 for name in owner.values()}
     terms.clear()
-    evaluate(model, Dataset(x, y), batch_size=3)
+    evaluate(model, Dataset(x, y))
     assert not terms
 
 
@@ -499,5 +509,5 @@ def test_a_step_and_an_evaluation_leave_no_reference_cycle(name):
                                                 target_c=0.25))
     gc.collect()
     train_step(model, x, y, cfg, {}, 0.1, 0)
-    evaluate(model, Dataset(x, y), batch_size=3)
+    evaluate(model, Dataset(x, y))
     assert gc.collect() == 0
