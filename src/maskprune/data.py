@@ -37,15 +37,19 @@ class Dataset:
         return len(self.inputs)
 
 
-def _read_cifar_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _check_cifar_file(path: str) -> None:
     expected = _CIFAR_RECORD * _CIFAR_RECORDS_PER_FILE
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing CIFAR-10 batch file {path} "
                                 f"(expected {expected} bytes)")
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size != expected:
-        raise ValueError(f"truncated CIFAR-10 file {path}: {raw.size} bytes, "
+    size = os.path.getsize(path)
+    if size != expected:
+        raise ValueError(f"truncated CIFAR-10 file {path}: {size} bytes, "
                          f"expected {expected}")
+
+
+def _read_cifar_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+    raw = np.fromfile(path, dtype=np.uint8)
     rec = raw.reshape(_CIFAR_RECORDS_PER_FILE, _CIFAR_RECORD)
     labels = rec[:, 0].astype(np.int64)
     images = rec[:, 1:].reshape(-1, 3, 32, 32)
@@ -55,9 +59,14 @@ def _read_cifar_file(path: str) -> tuple[np.ndarray, np.ndarray]:
 def load_cifar10(directory: str) -> tuple[Dataset, Dataset]:
     """Load the six standard binary batches; 50k train / 10k test.
 
-    Each split's bytes are scaled to [0,1] and standardized per channel in
-    place, so the loader holds about one copy of the float64 images.
+    Every file's presence and size is checked before any is read, so a bad
+    archive fails at once.  Each split's bytes are scaled to [0,1] and
+    standardized per channel in place, so the loader holds about one copy of
+    the float64 images.
     """
+    for f in CIFAR_TRAIN_FILES + CIFAR_TEST_FILES:
+        _check_cifar_file(os.path.join(directory, f))
+
     def load(files):
         images, labels = zip(*(_read_cifar_file(os.path.join(directory, f)) for f in files))
         x = np.concatenate(images) / 255.0

@@ -177,7 +177,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     statistics).  The weight gradient covers live outputs x live inputs and
     is 0 elsewhere; the input gradient covers live outputs x every input
     channel, since a masked input channel's alpha still needs its gradient.
-    With every channel live this is the dense conv.  An ``x`` that is data
+    With every channel live this is the dense conv; with no filter at all it
+    returns its empty output without padding or lowering.  An ``x`` that is data
     (``tensor.is_data``), such as the input batch of a stem conv, gets no
     input gradient.
 
@@ -196,6 +197,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     Wo = (W + 2 * padding - k) // stride + 1
     if Ho <= 0 or Wo <= 0:
         raise ShapeError(f"conv2d: non-positive output size {Ho}x{Wo}")
+    skip_x = is_data(x)
+    if m == 0:
+        # no filters (an eval unit with every filter masked): nothing to lower
+        def empty_rule(g):
+            gx = None if skip_x else np.zeros((n, H, W, b)).transpose(3, 0, 1, 2)
+            return gx, np.zeros(w.shape)
+
+        return custom_grad(np.empty((0, Ho, Wo, b)).transpose(3, 0, 1, 2), (x, w),
+                           empty_rule, op="conv2d")
 
     # the live input channels, batch-innermost [n_live, H, W, b]
     xc = x.data.transpose(1, 2, 3, 0)
@@ -215,7 +225,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     for band, cols in _lower_bands(xp, offsets, stride, (Ho, Wo)):
         np.matmul(w_in, cols, out=out[:, band])
     out = out.reshape(m, Ho, Wo, b).transpose(3, 0, 1, 2)
-    skip_x = is_data(x)
 
     def rule(g):
         gc, w_out = g.transpose(1, 2, 3, 0), w.data

@@ -23,7 +23,12 @@ Each snapshot computes every gate's hard mask once and works on those arrays:
   removes: live FLOPs = fixed + sum over costed arrays of (size - dead
   entries) x cost, and total FLOPs is that sum with nothing dead;
 - rejuvenation events come from diffing each gate's mask with the previous
-  snapshot's, in gate-then-component order.
+  snapshot's, in gate-then-component order.  The same flips carry the
+  per-entity ``active`` flags from one snapshot to the next, so no snapshot
+  rebuilds K flags from the masks: one without flips reuses the previous
+  flags, one with flips copies them (a C-level dict copy) and sets the
+  flipped entries.  A report holds a read-only view of its flags, which no
+  later snapshot changes.
 
 FLOPs convention (documented, not taken from anywhere): one multiply-
 accumulate = 2 FLOPs; batch norm costs 2 FLOPs per output element, ReLU and
@@ -32,14 +37,17 @@ residual adds 1; the gate multiply itself is foldable and costs nothing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .gate import GateParam, broadcast_mask
 
 REPORT_VERSION = 1
+_DIRECTION = {False: "1->0", True: "0->1"}          # a flip's event, by its new mask value
 
 # one owned or dependent parameter slice: (param name, membership mode)
 Slice = tuple[str, str]
@@ -69,7 +77,7 @@ class EntityRecord(NamedTuple):
 @dataclass
 class PruneReport:
     step: int
-    active: dict[str, bool]
+    active: Mapping[str, bool]                       # read-only, entity id -> unmasked
     active_entities: int
     K: int
     pruned_ratio: float
@@ -139,13 +147,16 @@ class PruneManager:
         unknown = set(self._costs) - set(weights)
         if unknown:
             raise ValueError(f"FLOPs cost for unknown weights {sorted(unknown)}")
-        self._ids = [d.name(i) for d in self.decls for i in range(d.gate.dim)]
-        if len(set(self._ids)) != len(self._ids):
+        ids = [d.name(i) for d in self.decls for i in range(d.gate.dim)]
+        if len(set(ids)) != len(ids):
             raise ValueError("duplicate entity id")
+        # an object array, so a snapshot picks the flipped ids in one indexing
+        self._ids = np.array(ids, dtype=object)
         self._offsets = np.cumsum([0] + [d.gate.dim for d in self.decls]).tolist()
         self._total_params = int(sum(p.size for p in weights.values()))
         self._total_flops = fixed + sum(weights[n].size * c for n, c in self._costs.items())
         self._last = [np.ones(d.gate.dim, dtype=bool) for d in self.decls]
+        self._active: dict[str, bool] | None = None     # flags of _last from the first snapshot
         self._records: list[EntityRecord] | None = None
         self.events: list[tuple[int, str, str]] = []
 
@@ -167,11 +178,19 @@ class PruneManager:
         params = self.model.params()
         masks = [d.gate.mask() for d in self.decls]
 
+        eids: list[str] = []
+        ups: list[bool] = []
         for off, was, now in zip(self._offsets, self._last, masks):
             flips = np.flatnonzero(was != now)
-            self.events += [(step, self._ids[off + i], "0->1" if up else "1->0")
-                            for i, up in zip(flips.tolist(), now[flips].tolist())]
+            eids += self._ids[off + flips].tolist()
+            ups += now[flips].tolist()
         self._last = masks
+        self.events += zip(itertools.repeat(step), eids, map(_DIRECTION.__getitem__, ups))
+        if self._active is None:
+            self._active = dict.fromkeys(self._ids.tolist(), True)
+        elif eids:
+            self._active = dict(self._active)        # the previous report keeps its flags
+        self._active.update(zip(eids, ups))
 
         dead: dict[str, np.ndarray] = {}
         for d, m in zip(self.decls, masks):
@@ -199,7 +218,7 @@ class PruneManager:
 
         return PruneReport(
             step=step,
-            active=dict(zip(self._ids, np.concatenate(masks).tolist() if masks else [])),
+            active=MappingProxyType(self._active),
             active_entities=n_active,
             K=self.K,
             pruned_ratio=1.0 - n_active / self.K if self.K else 0.0,

@@ -313,6 +313,33 @@ def test_report_fractions_match_manager(tmp_path, capsys):
     assert f"fraction {report.pruned_flops_fraction:.6f}" in out
 
 
+def test_a_trained_checkpoint_carries_the_managers_event_log_and_flags(tmp_path):
+    # per-weight gates of an mlp that flip both ways while it trains
+    from maskprune.cli import load_checkpoint_model, prune_report_text
+    from maskprune.config import train_config_from
+    from maskprune.pruning import PruneManager
+    from maskprune.training import train
+    cfg = validate_config({
+        "schema_version": 1, "arch": "mlp", "granularity": "weight", "gate_t": 0.1,
+        "dataset": "synth-class", "data_dim": 16, "mlp_hidden": [16], "data_classes": 3,
+        "data_margin": 6.0, "data_n": 256, "data_test_n": 128, "batch_size": 16,
+        "epochs": 3, "base_lr": 0.1, "snapshot_every": 1, "lambda1": 3e-2,
+        "lambda3": 1.0, "target_c": 0.5, "seed": 1, "data_seed": 1,
+        "out_dir": str(tmp_path)})
+    model = build_model(cfg)
+    manager = PruneManager(model)
+    train(model, *build_datasets(cfg), train_config_from(cfg), out_dir=str(tmp_path),
+          manager=manager, checkpoint_meta={"run_config": cfg})
+    assert {direction for _, _, direction in manager.events} == {"1->0", "0->1"}
+    saved, meta = load_checkpoint_model(str(tmp_path / "checkpoint"))
+    assert meta["events"] == [list(e) for e in manager.events]
+    final = manager.snapshot(meta["step"])         # nothing flipped since the last one
+    assert prune_report_text(saved, meta) == final.to_text()
+    # flags carried through every snapshot of the run against flags from the masks
+    assert final.active == PruneManager(saved).snapshot(meta["step"]).active
+    assert 0 < final.active_entities < final.K
+
+
 # one tiny model per arch; more resnet-small image sides are in _GRID below
 _TINY_ARCH = {
     "mlp": dict(dataset="synth-class", data_dim=4, mlp_hidden=[3]),

@@ -54,6 +54,21 @@ def test_cifar_loader_rejects_missing_file(tmp_path):
         load_cifar10(str(tmp_path))
 
 
+@pytest.mark.parametrize("damage,error", [
+    (os.remove, FileNotFoundError),
+    (lambda p: os.truncate(p, os.path.getsize(p) - 1), ValueError)], ids=["missing", "truncated"])
+def test_cifar_loader_checks_every_file_before_reading_any(tmp_path, monkeypatch, damage, error):
+    # the last file is the bad one: nothing is read or decoded before it is found
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CIFAR-10 file was read before every file was checked")
+
+    _write_cifar_archive(tmp_path)
+    damage(tmp_path / "test_batch.bin")
+    monkeypatch.setattr(np, "fromfile", refuse)
+    with pytest.raises(error, match="test_batch.bin"):
+        load_cifar10(str(tmp_path))
+
+
 def test_cifar_known_bytes_normalize_to_hand_computed_values():
     _hand = lambda b, ch: (b / 255.0 - CIFAR_MEAN[ch]) / CIFAR_STD[ch]
     import tempfile

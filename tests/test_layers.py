@@ -184,6 +184,28 @@ def test_conv_with_every_input_channel_zero_in_one_row_bands(mode, stride, monke
         assert np.array_equal(grads["w"], ref_gw)
 
 
+@pytest.mark.parametrize("x_is_data", [False, True], ids=["x-param", "x-data"])
+@pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 2, 0)])
+def test_conv_with_no_filters_lowers_nothing(k, stride, padding, x_is_data, monkeypatch):
+    # an eval unit with every filter masked runs its conv on w[live], no rows
+    def refuse(*args):
+        raise AssertionError("a conv with no filters lowered its input")
+
+    monkeypatch.setattr(layers, "_lower_bands", refuse)
+    x = np.random.default_rng(28).normal(size=(2, 3, 7, 6))
+    Ho, Wo = (7 + 2 * padding - k) // stride + 1, (6 + 2 * padding - k) // stride + 1
+    tape = Tape()
+    xt = tape.leaf(x) if x_is_data else tape.param("x", x)
+    out = conv2d(xt, tape.param("w", np.zeros((0, 3, k, k))), stride, padding)
+    assert out.shape == (2, 0, Ho, Wo)
+    grads = tape.backward(sum_all(mul(out, Tensor(np.ones(out.shape)))))
+    assert grads["w"].shape == (0, 3, k, k)
+    if x_is_data:
+        assert "x" not in grads
+    else:
+        assert np.array_equal(grads["x"], np.zeros(x.shape))
+
+
 @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (1, 2, 0)])
 @pytest.mark.parametrize("live_in", [None, [0, 2]])
 def test_conv_neither_writes_nor_aliases_its_operands(k, stride, padding, live_in):

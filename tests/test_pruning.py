@@ -189,6 +189,37 @@ def test_events_record_direction():
     assert mgr.events == [(1, "conv0[1]", "1->0"), (2, "conv0[1]", "0->1")]
 
 
+def test_a_report_keeps_its_active_flags_after_later_flips():
+    model = ToyConvNet((4, 4), input_hw=(8, 8), classes=3, granularity="filter", seed=10)
+    mgr = PruneManager(model)
+    gate = model.units[0].gate
+    gate.alpha[1] = 0.0
+    first = mgr.snapshot(1)
+    want = dict(first.active)
+    gate.alpha[1], gate.alpha[2] = 1.0, 0.0       # one flip each way
+    second = mgr.snapshot(2)
+    unchanged = mgr.snapshot(3)                   # no flip
+    assert first.active == want and not want["conv0[1]"] and want["conv0[2]"]
+    assert second.active["conv0[1]"] and not second.active["conv0[2]"]
+    assert unchanged.active == second.active
+    assert list(second.active) == list(want)      # declaration order
+
+
+def test_a_report_active_flags_cannot_be_written_through():
+    model = ToyConvNet((4,), input_hw=(8, 8), classes=3, granularity="filter", seed=11)
+    mgr = PruneManager(model)
+    report = mgr.snapshot(1)
+    with pytest.raises(TypeError):
+        report.active["conv0[0]"] = False
+    with pytest.raises(TypeError):
+        del report.active["conv0[0]"]
+    model.units[0].gate.alpha[3] = 0.0
+    later = mgr.snapshot(2)
+    assert dict(later.active) == {"conv0[0]": True, "conv0[1]": True, "conv0[2]": True,
+                                  "conv0[3]": False}
+    assert mgr.events == [(2, "conv0[3]", "1->0")]
+
+
 class _BadModel:
     def __init__(self):
         self.gate = GateParam.create("filter", 2, name="g")

@@ -368,13 +368,21 @@ def test_checkpoint_save_cut_short_keeps_previous_checkpoint(tmp_path, monkeypat
     for p in model.params().values():
         p += 1.0
 
-    def cut(*args, **kwargs):
-        raise OSError("disk full")
+    # the second flush is the manifest's: the archive is written, the renames not
+    flushes = []
+    flush = checkpoint._flush_to_disk
 
-    monkeypatch.setattr(checkpoint.json, "dump", cut)
+    def cut(fh):
+        flushes.append(fh.name)
+        if len(flushes) == 2:
+            raise OSError("disk full")
+        flush(fh)
+
+    monkeypatch.setattr(checkpoint, "_flush_to_disk", cut)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(ck, model.params(), {"step": 2})
     monkeypatch.undo()
+    assert [os.path.basename(f) for f in flushes] == ["tensors.bin.tmp", "manifest.json.tmp"]
     arrays, manifest = load_checkpoint(ck)
     assert manifest["meta"]["step"] == 1
     assert set(arrays) == set(first)
