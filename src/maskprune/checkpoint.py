@@ -124,6 +124,7 @@ def load_checkpoint(dirpath: str) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def _is_count(v) -> bool:
+    """A non-negative int, not a bool: a size, an offset, a step or a seed."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 

@@ -7,10 +7,10 @@ import argparse
 import os
 import sys
 
-from .checkpoint import load_checkpoint
+from .checkpoint import _is_count, load_checkpoint
 from .config import (build_datasets, build_model, load_config, train_config_from,
                      validate_config)
-from .pruning import PruneManager
+from .pruning import _DIRECTION, PruneManager
 from .training import TrainDivergence, train
 
 
@@ -46,12 +46,14 @@ def load_checkpoint_model(checkpoint: str):
     meta = manifest["meta"]
     if not isinstance(meta, dict):
         raise ValueError("checkpoint meta is not a JSON object")
+    if not _is_count(meta.get("step", 0)):
+        raise ValueError(f"checkpoint meta step {meta['step']!r} is not a non-negative int")
     events = meta.get("events", [])
     if not (isinstance(events, list) and all(
-            isinstance(e, list) and len(e) == 3 and isinstance(e[0], int)
-            and isinstance(e[1], str) and e[2] in ("1->0", "0->1") for e in events)):
-        raise ValueError("checkpoint meta events are not a list of "
-                         "[step, entity, '1->0' | '0->1']")
+            isinstance(e, list) and len(e) == 3 and _is_count(e[0])
+            and isinstance(e[1], str) and e[2] in _DIRECTION.values() for e in events)):
+        raise ValueError("checkpoint meta events are not a list of [step, entity, "
+                         f"{' | '.join(map(repr, _DIRECTION.values()))}]")
     if meta.get("run_config") is None:
         raise ValueError("checkpoint carries no run_config; cannot rebuild model")
     model = build_model(validate_config(meta["run_config"]))
@@ -62,7 +64,7 @@ def load_checkpoint_model(checkpoint: str):
 def prune_report_text(model, meta: dict) -> str:
     """Prune report of a gated model at the checkpoint's step and event log."""
     report = PruneManager(model).snapshot(step=meta.get("step", 0))
-    report.events = [tuple(e) for e in meta.get("events", [])]
+    report.events = meta.get("events", [])
     return report.to_text()
 
 

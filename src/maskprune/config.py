@@ -21,6 +21,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import data as data_mod
 from . import models
+from .checkpoint import _is_count
 from .gate import DEFAULT_ALPHA_INIT, DEFAULT_BETA
 from .objective import ObjectiveConfig
 from .training import TrainConfig
@@ -87,12 +88,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _nonneg_int(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
 def _positive_int(v):
-    return _nonneg_int(v) and v > 0
+    return _is_count(v) and v > 0
 
 
 def _number(v):
@@ -121,7 +118,7 @@ _SCHEMA: dict[str, tuple] = {
     "data_margin": (lambda v: _number(v) and v > 0, 6.0, "class separation"),
     "data_vocab": (lambda v: _positive_int(v) and v >= 4, 16, "token vocabulary"),
     "data_seq_len": (_positive_int, 16, "sequence length"),
-    "data_seed": (_nonneg_int, 0, "dataset seed, a non-negative integer"),
+    "data_seed": (_is_count, 0, "dataset seed, a non-negative integer"),
     "data_dir": (lambda v: isinstance(v, str), "", "cifar10 directory"),
     "image_hw": (_positive_int, 12, "synthetic image side"),
     "image_channels": (_positive_int, 3, "synthetic image channels"),
@@ -129,10 +126,10 @@ _SCHEMA: dict[str, tuple] = {
     "batch_size": (_positive_int, 32, "batch size"),
     "base_lr": (lambda v: _number(v) and v > 0, 0.1, "starting learning rate"),
     "momentum": (lambda v: _number(v) and 0 <= v < 1, 0.9, "momentum"),
-    "decay_epochs": (lambda v: isinstance(v, list) and all(_nonneg_int(e) for e in v),
+    "decay_epochs": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
                      [], "epochs at which lr decays, non-negative integers"),
     "decay_factor": (lambda v: _number(v) and 0 < v < 1, 0.1, "lr decay factor"),
-    "seed": (_nonneg_int, 0, "run seed, a non-negative integer"),
+    "seed": (_is_count, 0, "run seed, a non-negative integer"),
     "snapshot_every": (_positive_int, 100, "steps between prune snapshots"),
     "freeze_gates": (lambda v: isinstance(v, bool), False, "exclude alphas from updates"),
     "augment": (lambda v: isinstance(v, bool), False, "pad/crop/flip augmentation"),

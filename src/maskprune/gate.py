@@ -31,20 +31,22 @@ under ``AXIS1`` by plain row broadcasting, and a conv unit's epilogue node
 its filters as the rows of batch-innermost [c, H*W*b] memory, the layout
 that gives the conv's kernel-offset copies their longest runs.)
 
-A gate is evaluated once per tape.  ``evaluation`` keeps a ``GateEval``
-record on the gate's alpha node: the node itself, the hard mask, computed at
-forward time, and the surrogate terms m~, m~' and m~ + alpha m~', computed
-on their first (backward) use by one ``surrogate_terms`` pass, so an eval
-forward never computes them.  ``evaluation`` is the one place a gate meets
-its node: each gated block calls it once after binding its parameters, and
-the training step once per gate declaration.  Every consumer takes the
-record alone, as its gate: the gated ops, the conv units' epilogue node
-(``layers.batchnorm``, which applies a filter gate after batch norm and ReLU)
-and live filters, the LSTM layer's sequence node, the residual skip and the
-masked-l2 and hinge terms.  They read the mask and terms from it and hang
-their alpha gradient on ``node``.
-It dies with the tape: the optimizer updates alpha in place after the step,
-and the prune accounting computes its masks from the updated alphas.
+A gate is evaluated once per tape, as once per step in the paper.
+``evaluation(tape, gate, alpha)`` makes its ``GateEval`` record on first use
+and keeps it in ``tape.gate_evals``: the alpha node, the hard mask, computed
+at forward time, and the surrogate terms m~, m~' and m~ + alpha m~',
+computed on their first (backward) use by one ``surrogate_terms`` pass, so
+an eval forward never computes them.  The record refers to its node, never
+the node to the record, so the step's records go with its tape.  This is
+the one place a gate meets its node: each gated block calls it once after
+binding its parameters, and the training step, once per gate declaration,
+gets the block's record back.  Every consumer takes the record alone, as its
+gate: the gated ops, the conv units' epilogue node (``layers.batchnorm``,
+which applies a filter gate after batch norm and ReLU) and live filters, the
+LSTM layer's sequence node, the residual skip and the masked-l2 and hinge
+terms.  They read the mask and terms from it and hang their alpha gradient
+on ``node``.  The optimizer updates alpha in place after the step, and the
+prune accounting computes its masks from the updated alphas.
 ``GateEval.coeff`` is the one statement of the straight-through alpha
 gradient.
 """
@@ -56,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _unbroadcast, custom_grad
+from .tensor import ShapeError, Tape, Tensor, _unbroadcast, custom_grad
 
 DEFAULT_BETA = 5.0
 # one entry per granularity; subnetwork gates use a coarser threshold
@@ -122,22 +124,18 @@ class GateParam:
     """Scaling factor, threshold and surrogate sharpness for one entity.
 
     ``alpha`` has one component per prunable sub-entity (d = 1 for a whole
-    subnetwork).  The gate keeps no mask: a training or eval pass reads the
-    per-tape ``evaluation`` of its alpha node, and ``mask`` computes the hard
-    mask from the current ``alpha``, so there is no stale mask state to
-    invalidate.
+    subnetwork).  The gate keeps no mask: a pass reads its record on the
+    pass's tape (``evaluation``), and ``mask`` computes the hard mask from the
+    current ``alpha``, so there is no stale mask state to invalidate.
     """
 
     alpha: np.ndarray
     threshold: float
     beta: float
-    granularity: str
     name: str = ""
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64).reshape(-1)
-        if self.granularity not in DEFAULT_THRESHOLD:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
         if not (0.0 < self.threshold < 1.0):
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.beta <= 0.0:
@@ -147,9 +145,11 @@ class GateParam:
     def create(cls, granularity: str, dim: int, threshold: float | None = None,
                beta: float = DEFAULT_BETA, alpha_init: float = DEFAULT_ALPHA_INIT,
                name: str = "") -> "GateParam":
+        if granularity not in DEFAULT_THRESHOLD:
+            raise ValueError(f"unknown granularity {granularity!r}")
         if threshold is None:
             threshold = DEFAULT_THRESHOLD[granularity]
-        return cls(np.full(dim, alpha_init), threshold, beta, granularity, name)
+        return cls(np.full(dim, alpha_init), threshold, beta, name)
 
     @property
     def dim(self) -> int:
@@ -230,18 +230,23 @@ class GateEval:
         return None if self.mask.all() else np.flatnonzero(self.mask)
 
 
-def evaluation(gate: GateParam, alpha: Tensor) -> GateEval:
-    """The ``GateEval`` of ``gate`` on this tape, made on first use.
+def evaluation(tape: Tape, gate: GateParam, alpha: Tensor) -> GateEval:
+    """The ``GateEval`` of ``gate`` on ``tape``, made on first use.
 
     ``alpha`` is the tape node carrying ``gate.alpha``, the node returned by
-    ``tape.param`` so that gradients land in the registry; the record lives
-    in its ``memo``, so every reader of that node on this tape shares it.
+    ``tape.param`` so that gradients land in the registry.  The record lives
+    in ``tape.gate_evals`` under ``id(gate)`` (``GateParam`` is unhashable),
+    so every reader of the gate on this tape shares it; another alpha node
+    for the gate on the same tape raises ``ValueError``.
     """
-    if alpha.memo is None:
+    ev = tape.gate_evals.get(id(gate))
+    if ev is None:
         if alpha.shape != (gate.dim,):
             raise ShapeError(f"alpha node shape {alpha.shape} != gate dim ({gate.dim},)")
-        alpha.memo = GateEval(gate, alpha)
-    return alpha.memo
+        ev = tape.gate_evals[id(gate)] = GateEval(gate, alpha)
+    elif ev.node is not alpha:
+        raise ValueError(f"gate {gate.name!r} has another alpha node on this tape")
+    return ev
 
 
 def apply_gate(x: Tensor, ev: GateEval, mode: str) -> Tensor:

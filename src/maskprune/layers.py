@@ -554,7 +554,7 @@ class Linear(Block):
         p = self.bind(tape)
         w = p["w"]
         if self.gate is not None:
-            w = apply_gate(w, evaluation(self.gate, p["gate.alpha"]), ELEMENTWISE)
+            w = apply_gate(w, evaluation(tape, self.gate, p["gate.alpha"]), ELEMENTWISE)
         y = linear(x, w, p["b"])
         return relu(y) if self.relu else y
 
@@ -646,10 +646,10 @@ class ConvUnit(Block):
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
-        ev = None if self.gate is None else evaluation(self.gate, p["gate.alpha"])
+        ev = None if self.gate is None else evaluation(tape, self.gate, p["gate.alpha"])
         live = ev.live() if mode == "eval" and ev is not None else None
         # in eval, the live filters' conv rows alone; batchnorm places their outputs
-        w = p["w"] if live is None else tape.leaf(self.weights[live])
+        w = p["w"] if live is None else Tensor(self.weights[live])
         y = conv2d(x, w, self.stride, self.weights.shape[2] // 2)
         return batchnorm(y, p["bn.gamma"], p["bn.beta"], self.bn, mode, relu=self.relu,
                          gate=ev)
@@ -705,7 +705,7 @@ class ResidualBlock(Block):
 
     def forward(self, tape: Tape, x: Tensor, mode: str = "train") -> Tensor:
         p = self.bind(tape)
-        ev = None if self.gate is None else evaluation(self.gate, p["gate.alpha"])
+        ev = None if self.gate is None else evaluation(tape, self.gate, p["gate.alpha"])
         skip = x if self.down is None else self.down.forward(tape, x, mode)
         # a scalar gate reports live indices (none) only when it is masked
         if mode == "eval" and ev is not None and ev.live() is not None:
@@ -715,7 +715,7 @@ class ResidualBlock(Block):
         if ev is not None:
             branch = apply_gate(branch, ev, WHOLE)
         if mode == "eval":
-            return tape.leaf(branch.data + skip.data)   # eval takes no gradient
+            return Tensor(branch.data + skip.data)   # eval takes no gradient
         return add(branch, skip)
 
 
@@ -918,5 +918,5 @@ class LstmCell(Block):
         p = self.bind(tape)
         W, b = ([p[f"{q}_{k}"] for k in _PACKED] for q in ("W", "b"))
         gates = None if self.gates is None else [
-            evaluation(self.gates[k], p[f"gate_{k}.alpha"]) for k in _PACKED]
+            evaluation(tape, self.gates[k], p[f"gate_{k}.alpha"]) for k in _PACKED]
         return _lstm_sequence(xs, W, b, gates)

@@ -125,7 +125,7 @@ class Mlp(Model):
         return self.layers
 
     def forward(self, tape, x, mode="train"):
-        h = tape.leaf(x)
+        h = Tensor(x)
         for layer in self.layers:
             h = layer.forward(tape, h)
         return h
@@ -170,7 +170,7 @@ class ToyConvNet(Model):
         return {}, self.in_channels * area
 
     def forward(self, tape, x, mode="train"):
-        h = tape.leaf(x)
+        h = Tensor(x)
         for u in self.units:
             h = u.forward(tape, h, mode)
         return self.head.forward(tape, avg_pool_full(h))
@@ -243,7 +243,7 @@ class ResNetSmall(Model):
         return {}, last.out_channels * last.out_hw[0] * last.out_hw[1]
 
     def forward(self, tape, x, mode="train"):
-        h = self.stem.forward(tape, tape.leaf(x), mode)
+        h = self.stem.forward(tape, Tensor(x), mode)
         for blk in self.blocks:
             h = blk.forward(tape, h, mode)
         return self.head.forward(tape, avg_pool_full(h))

@@ -33,14 +33,12 @@ class Tensor:
     Leaves have no parents and no backward rule.  ``Tape.backward`` sets
     ``grad`` on each parameter reachable from the loss, and parameters are
     the only nodes that keep one: the backward drops an interior node's
-    gradient and rule as soon as it has run the rule.  ``memo`` holds
-    what the ops reading a node derive from its data once for all of them
-    (``gate.evaluation`` keeps a gate's per-tape record there); it lives as
-    long as the node, and for a parameter node no longer than its tape.
+    gradient and rule as soon as it has run the rule.  A node refers only to
+    its parents and its rule, never to a record made from it: a gate's
+    record lives on the tape (``Tape.gate_evals``) and refers to its node.
     """
 
-    __slots__ = ("data", "op", "parents", "backward_rule", "seq", "grad", "param_id",
-                 "memo")
+    __slots__ = ("data", "op", "parents", "backward_rule", "seq", "grad", "param_id")
 
     def __init__(self, data, op: str = "leaf", parents: Sequence["Tensor"] = (),
                  backward_rule: Optional[Callable] = None):
@@ -51,7 +49,6 @@ class Tensor:
         self.seq = next(_SEQ)
         self.grad: Optional[np.ndarray] = None
         self.param_id: Optional[str] = None
-        self.memo = None
 
     @property
     def shape(self) -> tuple:
@@ -283,18 +280,13 @@ class Tape:
 
     The graph itself lives in the tensors (each node references its parents,
     which by construction were created earlier); the tape names the leaves
-    that should come back in the gradient map.
+    that should come back in the gradient map, and ``gate_evals`` the
+    pass's gate records by gate id (``gate.evaluation``).
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-
-    def __del__(self):
-        # a gate's record refers to its alpha node, whose memo holds the record;
-        # dropping the memo lets reference counting free both, and the node's
-        # gradient, with the tape instead of at the next cyclic collection
-        for node in self._params.values():
-            node.memo = None
+        self.gate_evals: dict[int, object] = {}
 
     def param(self, name: str, value) -> Tensor:
         if name in self._params:
@@ -303,9 +295,6 @@ class Tape:
         node.param_id = name
         self._params[name] = node
         return node
-
-    def leaf(self, value) -> Tensor:
-        return Tensor(value)
 
     @property
     def params(self) -> Mapping[str, Tensor]:

@@ -93,7 +93,7 @@ def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
     logits = model.forward(tape, xb, mode="train")
     task = cross_entropy(logits, model.flatten_labels(yb))
     nodes = tape.params
-    groups = [(evaluation(d.gate, nodes[f"{d.gate.name}.alpha"]),
+    groups = [(evaluation(tape, d.gate, nodes[f"{d.gate.name}.alpha"]),
                [(nodes[n], mode) for n, mode in d.decayed]) for d in model.gate_decls()]
     total, parts = total_objective(task, groups, cfg.objective)
     if not np.all(np.isfinite(total.data)):
@@ -200,8 +200,7 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                     metrics_fh.flush()
                 if out_dir is not None:
                     meta = dict(checkpoint_meta or {})
-                    meta.update({"epoch": epoch, "step": step,
-                                 "events": [list(e) for e in manager.events]})
+                    meta.update({"epoch": epoch, "step": step, "events": manager.events})
                     save_checkpoint(os.path.join(out_dir, "checkpoint"),
                                     model.persistent_arrays(), meta)
     except FloatingPointError as exc:

@@ -208,6 +208,17 @@ def test_report_fresh_model(tmp_path, capsys):
     assert "pruned ratio x100: 0.00" in out
 
 
+def test_report_reads_a_missing_step_as_step_zero(tmp_path, capsys):
+    cfg = validate_config({
+        "schema_version": 1, "arch": "mlp", "granularity": "weight",
+        "dataset": "synth-class", "data_dim": 3, "mlp_hidden": [2], "data_classes": 2,
+    })
+    ck = str(tmp_path / "ck")
+    save_checkpoint(ck, build_model(cfg).persistent_arrays(), {"run_config": cfg})
+    assert main(["report", "--checkpoint", ck]) == 0
+    assert "\nstep: 0\n" in capsys.readouterr().out
+
+
 def test_report_five_of_27_blocks_masked(tmp_path, capsys):
     raw = {
         "schema_version": 1, "arch": "resnet-small", "granularity": "subnetwork",
@@ -268,6 +279,12 @@ _BAD_MANIFESTS = {
     "events-int": lambda m: m["meta"].update(events=5),
     "event-int": lambda m: m["meta"].update(events=[1]),
     "event-short": lambda m: m["meta"].update(events=[[1, "a"]]),
+    # a step, the checkpoint's or an event's, is a non-negative int
+    **{f"step-{k}": lambda m, v=v: m["meta"].update(step=v)
+       for k, v in {"string": "abc", "null": None, "list": [1, 2], "negative": -7,
+                    "bool": True}.items()},
+    **{f"event-step-{k}": lambda m, v=v: m["meta"].update(events=[[v, "conv0[1]", "1->0"]])
+       for k, v in {"negative": -7, "bool": True}.items()},
     # the model rebuilt from the run config lacks the archive's gate tensors
     "run-config-ungated": lambda m: m["meta"]["run_config"].update(granularity="none"),
 }

@@ -84,12 +84,11 @@ def test_surrogate_rounds_to_hard_mask_away_from_threshold(alpha, t):
 
 
 def _gate_backward(x, alpha, t=1e-3, beta=5.0, upstream=None):
-    gate = GateParam(np.atleast_1d(alpha), t, beta, "subnetwork"
-                     if np.size(alpha) == 1 else "filter")
+    gate = GateParam(np.atleast_1d(alpha), t, beta)
     tape = Tape()
     xn = tape.param("x", np.asarray(x, dtype=float))
     an = tape.param("alpha", gate.alpha)
-    out = apply_gate(xn, evaluation(gate, an), WHOLE if gate.dim == 1 else AXIS0)
+    out = apply_gate(xn, evaluation(tape, gate, an), WHOLE if gate.dim == 1 else AXIS0)
     if upstream is None:
         upstream = np.ones_like(out.data)
     loss = sum_all(mul(out, Tensor(upstream)))
@@ -125,13 +124,27 @@ def test_apply_gate_identity_at_alpha_one():
 def test_apply_gate_axis_mismatch(mode, shape):
     gate = GateParam.create("filter", 4)
     with pytest.raises(ShapeError):
-        apply_gate(Tensor(np.zeros(shape)), evaluation(gate, Tensor(gate.alpha)), mode)
+        apply_gate(Tensor(np.zeros(shape)), evaluation(Tape(), gate, Tensor(gate.alpha)),
+                   mode)
+
+
+def test_a_tape_keeps_one_record_per_gate_and_refuses_a_second_alpha_node():
+    gate = GateParam.create("filter", 3)
+    tape = Tape()
+    node = tape.param("alpha", gate.alpha)
+    ev = evaluation(tape, gate, node)
+    assert evaluation(tape, gate, node) is ev
+    assert tape.gate_evals == {id(gate): ev}
+    with pytest.raises(ValueError):
+        evaluation(tape, gate, Tensor(gate.alpha))
+    assert evaluation(Tape(), gate, node) is not ev       # a record per tape
 
 
 def test_apply_gate_unknown_mode():
     gate = GateParam.create("filter", 4)
     with pytest.raises(ValueError) as info:
-        apply_gate(Tensor(np.zeros((4, 3))), evaluation(gate, Tensor(gate.alpha)), "axis2")
+        apply_gate(Tensor(np.zeros((4, 3))), evaluation(Tape(), gate, Tensor(gate.alpha)),
+                   "axis2")
     assert not isinstance(info.value, ShapeError)
 
 
@@ -159,20 +172,20 @@ def test_rejuvenation_gradient_below_threshold():
 
 
 def test_apply_gate_per_axis():
-    gate = GateParam(np.array([1.0, 1e-9, -2.0]), 1e-3, 5.0, "filter")
+    gate = GateParam(np.array([1.0, 1e-9, -2.0]), 1e-3, 5.0)
     tape = Tape()
     x = tape.param("x", np.ones((2, 3)))
     a = tape.param("a", gate.alpha)
-    out = apply_gate(x, evaluation(gate, a), AXIS1)
+    out = apply_gate(x, evaluation(tape, gate, a), AXIS1)
     assert np.array_equal(out.data, np.tile([1.0, 0.0, -2.0], (2, 1)))
 
 
 def test_apply_mask_exact_forward_and_surrogate_alpha_grad():
-    gate = GateParam(np.array([0.5, 1e-9]), 1e-3, 5.0, "node")
+    gate = GateParam(np.array([0.5, 1e-9]), 1e-3, 5.0)
     tape = Tape()
     x = tape.param("x", np.array([[2.0, 3.0]]))
     a = tape.param("a", gate.alpha)
-    out = apply_mask(x, evaluation(gate, a), AXIS1)
+    out = apply_mask(x, evaluation(tape, gate, a), AXIS1)
     assert np.array_equal(out.data, [[2.0, 0.0]])
     grads = tape.backward(sum_all(out))
     assert np.array_equal(grads["x"], [[1.0, 0.0]])
@@ -210,8 +223,8 @@ def test_shared_pass_is_bit_equal_to_the_separate_formulas(t, beta):
     alpha = np.concatenate([special, np.negative(special), [1e-300],
                             rng.normal(size=200) * rng.choice([1e-5, t, 0.1, 1.0, 30.0],
                                                               size=200)])
-    gate = GateParam(alpha.copy(), t, beta, "filter")
-    ev = gate_mod.evaluation(gate, Tensor(gate.alpha))
+    gate = GateParam(alpha.copy(), t, beta)
+    ev = gate_mod.evaluation(Tape(), gate, Tensor(gate.alpha))
     # the record keeps the mask as booleans, which multiply as exact 0.0 and 1.0
     assert ev.mask.dtype == bool
     got = (ev.mask.astype(np.float64), ev.terms.m, ev.terms.dm, ev.coeff(scaled=True),
@@ -225,11 +238,11 @@ def test_shared_pass_is_bit_equal_to_the_separate_formulas(t, beta):
 
 def test_gate_param_validation():
     with pytest.raises(ValueError):
-        GateParam(np.ones(3), threshold=0.0, beta=5.0, granularity="filter")
+        GateParam(np.ones(3), threshold=0.0, beta=5.0)
     with pytest.raises(ValueError):
-        GateParam(np.ones(3), threshold=1e-3, beta=-1.0, granularity="filter")
+        GateParam(np.ones(3), threshold=1e-3, beta=-1.0)
     with pytest.raises(ValueError):
-        GateParam(np.ones(3), threshold=1e-3, beta=5.0, granularity="banana")
+        GateParam.create("banana", 3, threshold=1e-3)
 
 
 def test_mask_recomputed_from_alpha():

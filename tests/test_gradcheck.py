@@ -32,6 +32,16 @@ the checked alphas, so the values downstream of each mask stay the hard ones.
 Two negative controls show that every check can fail: each tape check fails
 when the tape's gradients are off by a thousandth, and each straight-through
 check fails without the surrogate's derivative.
+
+The op checks leave the wiring unchecked: which alpha each node reads, the
+conv gate after the ReLU, the residual skip, the LSTM's two uses of alpha.
+``test_whole_model_gradients_match_the_straight_through_forward`` checks a
+training step's task-loss gradients on a tiny model of every (arch,
+granularity) pair.  It differences the whole forward with each gate's hard
+factor replaced by one that equals it at the drawn alphas a0 and has the
+straight-through derivative, so masked alphas and the LSTM's alphas are
+checked too: a * I(a) -> a0 * I(a0) + a * m~(a) - a0 * m~(a0), and an LSTM
+gate's mask I(a) -> I(a0) + m~(a) - m~(a0).
 """
 
 from __future__ import annotations
@@ -44,6 +54,8 @@ import pytest
 
 from maskprune import gate as gate_mod
 from maskprune import layers, objective
+from maskprune.config import (GRANULARITY_FOR_ARCH, build_datasets, build_model,
+                              validate_config)
 from maskprune.gate import AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateParam, broadcast_mask
 from maskprune.tensor import (Tape, Tensor, absolute, add, concat_cols, matmul, mul,
                               relu, reshape, scale, sigmoid, sum_all, tanh, transpose)
@@ -99,7 +111,7 @@ def _projected(rng: np.random.Generator, op: Callable[..., Tensor],
     proj = rng.normal(size=op(*map(Tensor, arrays.values())).shape)
     tape = Tape()
     out = op(*(tape.param(name, a) for name, a in arrays.items()))
-    grads = tape.backward(sum_all(mul(out, tape.leaf(proj))))
+    grads = tape.backward(sum_all(mul(out, Tensor(proj))))
     fwd = ref or op
 
     def loss(_x):
@@ -110,10 +122,10 @@ def _projected(rng: np.random.Generator, op: Callable[..., Tensor],
 
 def _record(gate: GateParam | None, alpha: Tensor | None = None):
     """``gate``'s record on ``alpha``, or on a constant node of its own alpha
-    (no gradient); None for no gate."""
+    (no gradient), on a tape of its own; None for no gate."""
     if gate is None:
         return None
-    return gate_mod.evaluation(gate, Tensor(gate.alpha) if alpha is None else alpha)
+    return gate_mod.evaluation(Tape(), gate, Tensor(gate.alpha) if alpha is None else alpha)
 
 
 def _cases(draw: Callable[[np.random.Generator], Iterable[tuple]]):
@@ -472,3 +484,99 @@ def test_straight_through_check_fails_without_surrogate_slope(name, monkeypatch)
     # the one surrogate pass then yields m~' = 0, and m~ + alpha * m~' = m~
     monkeypatch.setattr(gate_mod, "foothill", flat)
     assert _max_error(name) >= TOLERANCE[name]
+
+
+# -- the whole-model straight-through oracle --------------------------------
+
+# one tiny run config per arch; every pair in GRANULARITY_FOR_ARCH builds one
+_TINY = {
+    "mlp": {"dataset": "synth-class", "data_dim": 4, "mlp_hidden": [3],
+            "data_classes": 3},
+    "toy-convnet": {"dataset": "synth-images", "image_hw": 5, "image_channels": 2,
+                    "conv_channels": [3, 3], "data_classes": 3},
+    "resnet-small": {"dataset": "synth-images", "image_hw": 5, "image_channels": 2,
+                     "stage_widths": [2, 3], "blocks_per_stage": 1, "data_classes": 3},
+    "lstm-classifier": {"dataset": "synth-seq-majority", "data_vocab": 5,
+                        "data_seq_len": 3, "embed_dim": 2, "lstm_hidden": 3,
+                        "lstm_stacks": 2},
+    "lstm-lm": {"dataset": "synth-seq-markov", "data_vocab": 4, "data_seq_len": 3,
+                "embed_dim": 2, "lstm_hidden": 3, "lstm_stacks": 2},
+}
+PAIRS = [f"{a}/{g}" for a, grans in GRANULARITY_FOR_ARCH.items() for g in grans]
+ORACLE_SAMPLES = 6           # checked entries per weight or bias array; every alpha
+ORACLE_TOLERANCE = 1e-4      # the op checks' bound
+
+
+def _oracle_model(pair: str, rng: np.random.Generator):
+    """The pair's tiny model with weights and biases drawn from N(0, 1) and
+    alphas in +-[0.3, 1.5] around a 0.1 threshold, one component of every
+    other gate at 0.03, masked; and a batch of 8 samples."""
+    arch, gran = pair.split("/")
+    cfg = validate_config({"schema_version": 1, "arch": arch, "granularity": gran,
+                           "gate_t": 0.1, "data_n": 8, "data_test_n": 1, "batch_size": 8,
+                           **_TINY[arch]})
+    model = build_model(cfg)
+    for i, g in enumerate(model.gates()):
+        g.alpha[:] = rng.uniform(0.3, 1.5, size=g.dim) * rng.choice([-1.0, 1.0], size=g.dim)
+        if i % 2 == 0:
+            g.alpha[i // 2 % g.dim] = 0.03
+    for name, arr in model.params().items():   # unit scale: no gradient too small to count
+        if not name.endswith(".alpha"):
+            arr[:] = rng.normal(size=arr.shape)
+    ds = build_datasets(cfg)[0]
+    return model, ds.inputs, model.flatten_labels(ds.labels)
+
+
+def _straight_through_forward(monkeypatch, model, lstm: bool):
+    """Make every gate's hard factor one that equals it at the current
+    alphas a0 and has the straight-through derivative: a * I(a) ->
+    a0 * I(a0) + a * m~(a) - a0 * m~(a0) (its alpha, under a mask of ones),
+    or for an LSTM gate's mask I(a) -> I(a0) + m~(a) - m~(a0)."""
+    drawn = {id(g): g.alpha.copy() for g in model.gates()}
+    make = gate_mod.GateEval.__init__
+
+    def smooth_factor(ev, gate, node):
+        make(ev, gate, node)
+        a0, hard = drawn[id(gate)], gate_mod.hard_mask(drawn[id(gate)], gate.threshold)
+        if lstm:
+            ev.mask = hard + _smooth(gate, ev.alpha, False) - _smooth(gate, a0, False)
+        else:
+            ev.alpha = a0 * hard + _smooth(gate, ev.alpha, True) - _smooth(gate, a0, True)
+            ev.mask = np.ones(gate.dim)
+
+    monkeypatch.setattr(gate_mod.GateEval, "__init__", smooth_factor)
+
+
+def _oracle_error(pair: str, monkeypatch) -> float:
+    """Max relative error, over the weights, biases and alphas of the pair's
+    model, between the training step's task-loss gradients and central
+    differences of the task loss under the straight-through forward."""
+    rng = np.random.default_rng(7)
+    model, x, y = _oracle_model(pair, rng)
+
+    def task_loss():
+        tape = Tape()
+        return tape, objective.cross_entropy(model.forward(tape, x, "train"), y)
+
+    tape, loss = task_loss()
+    grads = tape.backward(loss)
+    _straight_through_forward(monkeypatch, model, pair.startswith("lstm"))
+    worst = 0.0
+    for name, arr in model.params().items():
+        flat = arr.reshape(-1)
+        picks = (range(flat.size) if name.endswith(".alpha") else
+                 rng.choice(flat.size, min(flat.size, ORACLE_SAMPLES), replace=False))
+        for i in picks:
+            orig, diff = flat[i], []
+            for step in (DEFAULT_STEP, -DEFAULT_STEP):
+                flat[i] = orig + step
+                diff.append(task_loss()[1].item())
+            flat[i] = orig
+            numeric = (diff[0] - diff[1]) / (2.0 * DEFAULT_STEP)
+            worst = max(worst, rel_error(grads[name].reshape(-1)[i], numeric))
+    return worst
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_whole_model_gradients_match_the_straight_through_forward(pair, monkeypatch):
+    assert _oracle_error(pair, monkeypatch) < ORACLE_TOLERANCE

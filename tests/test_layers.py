@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from maskprune import layers
+from maskprune import layers, models
 from maskprune.gate import AXIS0, AXIS1, GateParam, apply_gate, apply_mask, evaluation
 from maskprune.layers import (BN_EPS, BN_MOMENTUM, LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
@@ -195,7 +195,7 @@ def test_conv_with_no_filters_lowers_nothing(k, stride, padding, x_is_data, monk
     x = np.random.default_rng(28).normal(size=(2, 3, 7, 6))
     Ho, Wo = (7 + 2 * padding - k) // stride + 1, (6 + 2 * padding - k) // stride + 1
     tape = Tape()
-    xt = tape.leaf(x) if x_is_data else tape.param("x", x)
+    xt = Tensor(x) if x_is_data else tape.param("x", x)
     out = conv2d(xt, tape.param("w", np.zeros((0, 3, k, k))), stride, padding)
     assert out.shape == (2, 0, Ho, Wo)
     grads = tape.backward(sum_all(mul(out, Tensor(np.ones(out.shape)))))
@@ -361,7 +361,8 @@ def test_epilogue_node_matches_batchnorm_relu_gate_composition(mode, use_relu, m
             state, tape = BnState(mean.copy(), var.copy()), Tape()
             nodes = [tape.param("x", xl[:, rows] if epilogue is batchnorm else xl),
                      tape.param("gamma", gamma), tape.param("beta", beta)]
-            ev = None if gate is None else evaluation(gate, tape.param("alpha", gate.alpha))
+            ev = None if gate is None else evaluation(tape, gate,
+                                                      tape.param("alpha", gate.alpha))
             out = epilogue(*nodes, state, mode, relu=use_relu, gate=ev)
             grads = (None if mode == "eval"
                      else tape.backward(sum_all(mul(out, Tensor(proj)))))
@@ -392,7 +393,7 @@ def test_epilogue_node_checks_its_channels():
         batchnorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), BnState.create(3))
     with pytest.raises(ShapeError):      # eval takes the 3 live channels alone
         batchnorm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), BnState.create(4), "eval",
-                  gate=evaluation(gate, Tensor(gate.alpha)))
+                  gate=evaluation(Tape(), gate, Tensor(gate.alpha)))
 
 
 def _unit(gated: bool, seed: int = 5, m: int = 4) -> ConvUnit:
@@ -416,7 +417,7 @@ def test_gated_conv_unit_trains_as_a_conv_node_and_an_epilogue_node(masked):
     unit = _unit(True)
     unit.gate.alpha[masked] = 1e-9
     tape = Tape()
-    x = tape.leaf(np.random.default_rng(27).normal(size=(2, 3, 8, 8)))
+    x = Tensor(np.random.default_rng(27).normal(size=(2, 3, 8, 8)))
     out = unit.forward(tape, x, "train")
     below = {id(n) for v in (*tape.params.values(), x) for n in _toposort(v)}
     assert [n.op for n in _toposort(out) if id(n) not in below] == ["conv2d", "batchnorm"]
@@ -461,38 +462,35 @@ def test_conv_and_matmul_rules_skip_the_gradient_of_a_data_input():
     x, w = rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(4, 3, 3, 3))
     a = rng.normal(size=(4, 6))
     tape = Tape()
-    out = conv2d(tape.leaf(x), tape.param("w", w), 1, 1)
+    out = conv2d(Tensor(x), tape.param("w", w), 1, 1)
     gx, gw = out.backward_rule(np.ones(out.shape))
     assert gx is None and gw.shape == w.shape
     assert conv2d(tape.param("x", x), Tensor(w), 1, 1).backward_rule(
         np.ones(out.shape))[0].shape == x.shape
-    gx, gw = matmul(tape.leaf(a), tape.param("m", w.reshape(6, 18))).backward_rule(
+    gx, gw = matmul(Tensor(a), tape.param("m", w.reshape(6, 18))).backward_rule(
         np.ones((4, 18)))
     assert gx is None and gw.shape == (6, 18)
-    gx, gw = matmul(tape.param("a", a), tape.leaf(w.reshape(6, 18))).backward_rule(
+    gx, gw = matmul(tape.param("a", a), Tensor(w.reshape(6, 18))).backward_rule(
         np.ones((4, 18)))
     assert gx.shape == (4, 6) and gw is None
-
-
-class _InputAsParam(Tape):
-    """A tape that registers the input batch, the one array a model binds
-    through ``leaf`` in train mode, as the parameter "x"."""
-
-    def leaf(self, value):
-        return self.param("x", value)
 
 
 @pytest.mark.parametrize("make,x", [
     (lambda: Mlp(6, (5,), 3, seed=1, granularity="weight"), (4, 6)),
     (lambda: ResNetSmall((3, 4), 1, in_channels=2, input_hw=(5, 5), classes=3, seed=1,
                          granularity="filter"), (4, 2, 5, 5))], ids=["mlp", "resnet"])
-def test_skipping_the_data_gradient_leaves_every_parameter_gradient_bit_equal(make, x):
+def test_skipping_the_data_gradient_leaves_every_parameter_gradient_bit_equal(
+        make, x, monkeypatch):
     """The input batch as data against the same batch registered as a
-    parameter, whose gradient the first layer must then compute."""
+    parameter, whose gradient the first layer must then compute.  A model
+    wraps its input batch in a ``Tensor``, the one node ``models`` makes."""
     x = np.random.default_rng(41).normal(size=x)
     y = np.array([0, 2, 1, 2])
     grads = []
-    for tape in (Tape(), _InputAsParam()):
+    for as_param in (False, True):
+        tape = Tape()
+        if as_param:
+            monkeypatch.setattr(models, "Tensor", lambda value: tape.param("x", value))
         grads.append(tape.backward(cross_entropy(make().forward(tape, x), y)))
     assert set(grads[1]) - set(grads[0]) == {"x"} and np.any(grads[1]["x"] != 0.0)
     for name, g in grads[0].items():
@@ -507,7 +505,7 @@ def test_conv_unit_masked_filter_zero_channel_and_excluded_from_l2():
     out = unit.forward(tape, x, "train")
     assert np.all(out.data[:, 2] == 0.0)
     w_node = tape.params["u.w"]
-    val = masked_l2([(evaluation(unit.gate, tape.params["u.gate.alpha"]),
+    val = masked_l2([(evaluation(tape, unit.gate, tape.params["u.gate.alpha"]),
                       [(w_node, AXIS0)])])
     expected = sum(np.sum(unit.weights[i] ** 2) for i in (0, 1, 3))
     assert np.isclose(val.item(), expected)
@@ -653,7 +651,7 @@ def test_lstm_masked_output_node_zeroes_hidden_unit():
     assert np.any(hs.data[:, :, 0] != 0.0)
 
 
-def _reference_step(cell, nodes, x_t, h_prev, c_prev):
+def _reference_step(cell, tape, nodes, x_t, h_prev, c_prev):
     """One timestep as the per-gate composition of public ops: a ``linear``
     per gate, then ``mul`` by alpha, ``sigmoid``/``tanh`` and ``apply_mask``,
     then the c/h update."""
@@ -666,8 +664,8 @@ def _reference_step(cell, nodes, x_t, h_prev, c_prev):
             acts[k] = nonlin(pre)
         else:
             alpha = nodes[f"gate_{k}.alpha"]
-            acts[k] = apply_mask(nonlin(mul(pre, alpha)), evaluation(cell.gates[k], alpha),
-                                 AXIS1)
+            acts[k] = apply_mask(nonlin(mul(pre, alpha)),
+                                 evaluation(tape, cell.gates[k], alpha), AXIS1)
     c_t = add(mul(acts["f"], c_prev), mul(acts["i"], acts["g"]))
     return mul(acts["o"], tanh(c_t)), c_t
 
@@ -691,7 +689,7 @@ def _reference_sequence(cell, tape, xs):
     h = c = Tensor(np.zeros((b, cell.hidden_dim)))
     hs = []
     for t in range(T):
-        h, c = _reference_step(cell, nodes, _column(xs, t), h, c)
+        h, c = _reference_step(cell, tape, nodes, _column(xs, t), h, c)
         hs.append(h)
     return reshape(concat_cols(*hs), (b, T, cell.hidden_dim))
 

@@ -39,7 +39,7 @@ def _live(unit, tape):
     ungated or masks none."""
     if unit.gate is None:
         return None
-    return evaluation(unit.gate, tape.params[unit.pname("gate.alpha")]).live()
+    return evaluation(tape, unit.gate, tape.params[unit.pname("gate.alpha")]).live()
 
 
 def _listed(rows):

@@ -46,10 +46,10 @@ def test_l1_alpha_zero_subgradient():
 
 
 def _one_entity(alpha_val, theta):
-    gate = GateParam(np.array([alpha_val]), 1e-3, 5.0, "subnetwork")
+    gate = GateParam(np.array([alpha_val]), 1e-3, 5.0)
     tape = Tape()
     node = tape.param("w", np.asarray(theta, dtype=float))
-    val = masked_l2([(evaluation(gate, Tensor(gate.alpha)), [(node, WHOLE)])])
+    val = masked_l2([(evaluation(tape, gate, Tensor(gate.alpha)), [(node, WHOLE)])])
     grads = tape.backward(val)
     return val.item(), grads["w"]
 
@@ -69,10 +69,10 @@ def test_masked_l2_pruned_entity_contributes_nothing():
 def test_masked_l2_mixed_matches_plain_l2_on_active_slices():
     rng = np.random.default_rng(0)
     w = rng.normal(size=(3, 4, 2))
-    gate = GateParam(np.array([1.0, 1e-9, 0.5]), 1e-3, 5.0, "filter")
+    gate = GateParam(np.array([1.0, 1e-9, 0.5]), 1e-3, 5.0)
     tape = Tape()
     node = tape.param("w", w)
-    val = masked_l2([(evaluation(gate, Tensor(gate.alpha)), [(node, AXIS0)])])
+    val = masked_l2([(evaluation(tape, gate, Tensor(gate.alpha)), [(node, AXIS0)])])
     assert np.isclose(val.item(), np.sum(w[0] ** 2) + np.sum(w[2] ** 2))
     grads = tape.backward(val)["w"]
     assert np.all(grads[1] == 0.0)
@@ -82,12 +82,12 @@ def test_masked_l2_mixed_matches_plain_l2_on_active_slices():
 def test_masked_l2_perturbing_pruned_weights_changes_nothing():
     rng = np.random.default_rng(1)
     w = rng.normal(size=(2, 3))
-    gate = GateParam(np.array([1e-9, 1.0]), 1e-3, 5.0, "filter")
+    gate = GateParam(np.array([1e-9, 1.0]), 1e-3, 5.0)
 
     def value(arr):
         tape = Tape()
         w = tape.param("w", arr)
-        return masked_l2([(evaluation(gate, Tensor(gate.alpha)), [(w, AXIS0)])]).item()
+        return masked_l2([(evaluation(tape, gate, Tensor(gate.alpha)), [(w, AXIS0)])]).item()
 
     base = value(w)
     w2 = w.copy()
@@ -100,10 +100,10 @@ def test_masked_l2_perturbing_pruned_weights_changes_nothing():
 
 
 def test_masked_l2_elementwise_mode():
-    gate = GateParam(np.array([1.0, 1e-9, 1.0, 1.0]), 1e-3, 5.0, "weight")
+    gate = GateParam(np.array([1.0, 1e-9, 1.0, 1.0]), 1e-3, 5.0)
     tape = Tape()
     node = tape.param("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
-    val = masked_l2([(evaluation(gate, Tensor(gate.alpha)), [(node, ELEMENTWISE)])])
+    val = masked_l2([(evaluation(tape, gate, Tensor(gate.alpha)), [(node, ELEMENTWISE)])])
     assert val.item() == 1.0 + 9.0 + 16.0
 
 
@@ -111,8 +111,8 @@ def _hinge(alphas, c):
     evs = []
     tape = Tape()
     for i, a in enumerate(alphas):
-        g = GateParam(np.asarray(a, dtype=float), 1e-3, 5.0, "filter")
-        evs.append(evaluation(g, tape.param(f"a{i}", g.alpha)))
+        g = GateParam(np.asarray(a, dtype=float), 1e-3, 5.0)
+        evs.append(evaluation(tape, g, tape.param(f"a{i}", g.alpha)))
     val = ratio_hinge(evs, c)
     grads = tape.backward(val)
     return val.item(), [grads[f"a{i}"] for i in range(len(alphas))]
@@ -164,22 +164,23 @@ def test_hinge_gradient_changes_sign_at_the_foothill_overshoot():
     np.testing.assert_allclose(surrogate_terms(np.array([0.47, 0.6, 1.0]), t, beta).dm,
                                [0.0238, -0.1615, -0.0975], atol=5e-5)
     tape = Tape()
-    gate = GateParam(alphas, t, beta, "filter")
+    gate = GateParam(alphas, t, beta)
     node = tape.param("a", gate.alpha)
-    grad = tape.backward(ratio_hinge([evaluation(gate, node)], c=0.25))["a"]
+    grad = tape.backward(ratio_hinge([evaluation(tape, gate, node)], c=0.25))["a"]
     assert np.all(np.sign(grad) == np.sign(slope))    # over budget: same sign
 
 
 def _toy_setup():
     tape = Tape()
-    g1 = GateParam(np.array([1.0, 1e-9]), 1e-3, 5.0, "filter")
-    g2 = GateParam(np.array([0.5]), 1e-3, 5.0, "subnetwork")
+    g1 = GateParam(np.array([1.0, 1e-9]), 1e-3, 5.0)
+    g2 = GateParam(np.array([0.5]), 1e-3, 5.0)
     a1 = tape.param("g1.alpha", g1.alpha)
     a2 = tape.param("g2.alpha", g2.alpha)
     w1 = tape.param("w1", np.array([[1.0], [2.0]]))
     w2 = tape.param("w2", np.array([3.0]))
     task = sum_all(Tensor(np.array([0.75])))
-    groups = [(evaluation(g1, a1), [(w1, AXIS0)]), (evaluation(g2, a2), [(w2, WHOLE)])]
+    groups = [(evaluation(tape, g1, a1), [(w1, AXIS0)]),
+              (evaluation(tape, g2, a2), [(w2, WHOLE)])]
     return tape, task, groups
 
 
@@ -193,11 +194,11 @@ def test_total_objective_degenerate_is_task_loss():
 
 def test_total_objective_l2_reduces_to_plain_when_all_active():
     tape = Tape()
-    g = GateParam(np.array([1.0, 1.0]), 1e-3, 5.0, "filter")
+    g = GateParam(np.array([1.0, 1.0]), 1e-3, 5.0)
     a = tape.param("g.alpha", g.alpha)
     w = tape.param("w", np.array([[1.0], [2.0]]))
     task = sum_all(Tensor(np.array([0.0])))
-    total, parts = total_objective(task, [(evaluation(g, a), [(w, AXIS0)])],
+    total, parts = total_objective(task, [(evaluation(tape, g, a), [(w, AXIS0)])],
                                    ObjectiveConfig(lambda2=0.1))
     assert np.isclose(parts["l2_term"], 0.1 * 5.0)
     assert np.isclose(total.item(), 0.5)
@@ -222,10 +223,10 @@ def test_objective_terms_nonnegative():
     rng = np.random.default_rng(3)
     for _ in range(20):
         tape = Tape()
-        g = GateParam(rng.normal(size=4), 1e-2, 5.0, "filter")
+        g = GateParam(rng.normal(size=4), 1e-2, 5.0)
         a = tape.param("a", g.alpha)
         w = tape.param("w", rng.normal(size=(4, 2)))
-        ev = evaluation(g, a)
+        ev = evaluation(tape, g, a)
         assert l1_alpha([a]).item() >= 0.0
         assert masked_l2([(ev, [(w, AXIS0)])]).item() >= 0.0
         assert ratio_hinge([ev], c=rng.uniform(0.1, 1.0)).item() >= 0.0

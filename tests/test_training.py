@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from maskprune import checkpoint
+from maskprune import checkpoint, layers, training
 from maskprune import gate as gate_mod
 from maskprune.checkpoint import load_checkpoint, save_checkpoint
 from maskprune.config import build_datasets, build_model, train_config_from, validate_config
@@ -508,10 +508,32 @@ def test_each_gate_is_evaluated_once_per_step_and_eval_computes_no_surrogate(
 
 
 @pytest.mark.parametrize("name", COUNTED)
+def test_the_objective_gets_the_records_the_gated_blocks_made(name, monkeypatch):
+    model, x, y = _counted_models()[name]
+    made, handed = {}, []
+    evaluation, total_objective = layers.evaluation, training.total_objective
+
+    def spy_evaluation(tape, gate, alpha):
+        made[gate.name] = evaluation(tape, gate, alpha)
+        return made[gate.name]
+
+    def spy_objective(task, groups, cfg):
+        handed.extend(ev for ev, _ in groups)
+        return total_objective(task, groups, cfg)
+
+    monkeypatch.setattr(layers, "evaluation", spy_evaluation)
+    monkeypatch.setattr(training, "total_objective", spy_objective)
+    train_step(model, x, y, TrainConfig(), {}, 0.1, 0)
+    assert len(handed) == len(made) == len(model.gates())
+    assert all(ev is made[ev.gate.name] for ev in handed)
+
+
+@pytest.mark.parametrize("name", COUNTED)
 def test_a_step_and_an_evaluation_leave_no_reference_cycle(name):
-    # a gate's record and its alpha node refer to each other; unless that cycle
-    # goes with the tape, each step's gradients and surrogate terms wait for
-    # the cyclic collector, and a large gate's pile up
+    # a gate's record refers to its alpha node and lives on the tape, which
+    # nothing in the graph refers to; were there a cycle through a record,
+    # each step's gradients and surrogate terms would wait for the cyclic
+    # collector, and a large gate's would pile up
     model, x, y = _counted_models()[name]
     cfg = TrainConfig(objective=ObjectiveConfig(lambda1=1e-3, lambda2=1e-3, lambda3=1.0,
                                                 target_c=0.25))
