@@ -58,7 +58,32 @@ def load_checkpoint_model(checkpoint: str):
         raise ValueError("checkpoint carries no run_config; cannot rebuild model")
     model = build_model(validate_config(meta["run_config"]))
     model.load_params(arrays)
+    _check_event_log(model, meta.get("step", 0), events)
     return model, meta
+
+
+def _check_event_log(model, step: int, events: list) -> None:
+    """Raise ValueError unless ``events``, replayed from every entity live,
+    flips a declared entity at each event, none after ``step``, and ends on
+    the model's masks."""
+    live = {eid: m for d in model.gate_decls()
+            for eid, m in zip(map(d.name, range(d.gate.dim)), d.gate.mask().tolist())}
+    replayed = dict.fromkeys(live, True)
+    for event in events:
+        at, eid, direction = event
+        if at > step:
+            raise ValueError(f"checkpoint event {event} comes after the checkpoint's "
+                             f"step {step}")
+        if eid not in replayed:
+            raise ValueError(f"checkpoint event {event} names an entity the model "
+                             "does not declare")
+        if replayed[eid] == (direction == "0->1"):
+            raise ValueError(f"checkpoint event {event} does not flip its entity")
+        replayed[eid] = not replayed[eid]
+    off = [eid for eid, m in live.items() if replayed[eid] != m]
+    if off:
+        raise ValueError(f"checkpoint events leave {len(off)} entities off their loaded "
+                         f"masks, the first {off[0]!r}")
 
 
 def prune_report_text(model, meta: dict) -> str:

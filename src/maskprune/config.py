@@ -130,7 +130,9 @@ _SCHEMA: dict[str, tuple] = {
                      [], "epochs at which lr decays, non-negative integers"),
     "decay_factor": (lambda v: _number(v) and 0 < v < 1, 0.1, "lr decay factor"),
     "seed": (_is_count, 0, "run seed, a non-negative integer"),
-    "snapshot_every": (_positive_int, 100, "steps between prune snapshots"),
+    # read by nothing: every flip is logged at its step.  Kept so that older
+    # configs, and the run_config of older checkpoints, still validate
+    "snapshot_every": (_positive_int, 100, "ignored"),
     "freeze_gates": (lambda v: isinstance(v, bool), False, "exclude alphas from updates"),
     "augment": (lambda v: isinstance(v, bool), False, "pad/crop/flip augmentation"),
     "lambda1": (lambda v: _number(v) and v >= 0, 0.0, "l1 on scaling factors"),
@@ -233,5 +235,4 @@ def train_config_from(cfg: dict[str, Any]) -> TrainConfig:
         decay_factor=cfg["decay_factor"], seed=cfg["seed"],
         objective=ObjectiveConfig(cfg["lambda1"], cfg["lambda2"], cfg["lambda3"],
                                   cfg["target_c"]),
-        snapshot_every=cfg["snapshot_every"], freeze_gates=cfg["freeze_gates"],
-        augment=cfg["augment"])
+        freeze_gates=cfg["freeze_gates"], augment=cfg["augment"])

@@ -45,8 +45,11 @@ gate: the gated ops, the conv units' epilogue node (``layers.batchnorm``,
 which applies a filter gate after batch norm and ReLU) and live filters, the
 LSTM layer's sequence node, the residual skip and the masked-l2 and hinge
 terms.  They read the mask and terms from it and hang their alpha gradient
-on ``node``.  The optimizer updates alpha in place after the step, and the
-prune accounting computes its masks from the updated alphas.
+on ``node``.  The optimizer updates alpha in place after the step.  The
+records keep the masks the step's forward ran under, and the training step
+hands them to ``PruneManager.log_flips``, which logs each flip at the step it
+first shows in; the epoch-end prune snapshot computes its masks from the
+updated alphas.
 ``GateEval.coeff`` is the one statement of the straight-through alpha
 gradient.
 """

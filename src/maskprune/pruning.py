@@ -22,13 +22,15 @@ Each snapshot computes every gate's hard mask once and works on those arrays:
   each live entry of a weight array stands for, plus a fixed count no mask
   removes: live FLOPs = fixed + sum over costed arrays of (size - dead
   entries) x cost, and total FLOPs is that sum with nothing dead;
-- rejuvenation events come from diffing each gate's mask with the previous
-  snapshot's, in gate-then-component order.  The same flips carry the
-  per-entity ``active`` flags from one snapshot to the next, so no snapshot
-  rebuilds K flags from the masks: one without flips reuses the previous
-  flags, one with flips copies them (a C-level dict copy) and sets the
-  flipped entries.  A report holds a read-only view of its flags, which no
-  later snapshot changes.
+- rejuvenation events come from ``log_flips``, which diffs each gate's mask
+  with the previous masks it was given, in gate-then-component order.  Each
+  training step hands it the masks of its tape's gate records (the masks
+  after the previous update), and a snapshot the masks after the epoch's
+  last update, so every flip is logged at the step it first shows in.  The
+  same flips carry the per-entity ``active`` flags, so no snapshot rebuilds
+  K flags from the masks.  A report holds a read-only view of its flags, and
+  the first flip after a snapshot copies them (a C-level dict copy) before
+  setting the flipped entries, so no later flip changes a report's flags.
 
 FLOPs convention (documented, not taken from anywhere): one multiply-
 accumulate = 2 FLOPs; batch norm costs 2 FLOPs per output element, ReLU and
@@ -150,13 +152,13 @@ class PruneManager:
         ids = [d.name(i) for d in self.decls for i in range(d.gate.dim)]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate entity id")
-        # an object array, so a snapshot picks the flipped ids in one indexing
+        # an object array, so log_flips picks the flipped ids in one indexing
         self._ids = np.array(ids, dtype=object)
-        self._offsets = np.cumsum([0] + [d.gate.dim for d in self.decls]).tolist()
         self._total_params = int(sum(p.size for p in weights.values()))
         self._total_flops = fixed + sum(weights[n].size * c for n, c in self._costs.items())
-        self._last = [np.ones(d.gate.dim, dtype=bool) for d in self.decls]
-        self._active: dict[str, bool] | None = None     # flags of _last from the first snapshot
+        self._last = np.ones(self.K, dtype=bool)         # the masks log_flips saw last
+        self._active: dict[str, bool] | None = None     # flags of _last; None: all live
+        self._active_shared = False                      # a report holds _active
         self._records: list[EntityRecord] | None = None
         self.events: list[tuple[int, str, str]] = []
 
@@ -168,29 +170,41 @@ class PruneManager:
     def records(self) -> list[EntityRecord]:
         """One record per entity, in declaration order; built on first use."""
         if self._records is None:
-            self._records = [
-                EntityRecord(self._ids[off + i], d.group, d.macs)
-                for d, off in zip(self.decls, self._offsets) for i in range(d.gate.dim)]
+            ids = iter(self._ids.tolist())
+            self._records = [EntityRecord(next(ids), d.group, d.macs)
+                             for d in self.decls for _ in range(d.gate.dim)]
         return self._records
 
-    def snapshot(self, step: int = 0) -> PruneReport:
-        """Recompute masks, account params/FLOPs, log mask flips since last call."""
-        params = self.model.params()
-        masks = [d.gate.mask() for d in self.decls]
-
-        eids: list[str] = []
-        ups: list[bool] = []
-        for off, was, now in zip(self._offsets, self._last, masks):
-            flips = np.flatnonzero(was != now)
-            eids += self._ids[off + flips].tolist()
-            ups += now[flips].tolist()
-        self._last = masks
+    def log_flips(self, step: int, masks: list[np.ndarray]) -> None:
+        """Log, stamped ``step``, where ``masks`` (one per decl, in ``decls``
+        order) differ from the masks of the previous call; the first call
+        compares with every entity live."""
+        if not masks:                                # a model without gates
+            return
+        now = np.concatenate(masks)                  # entity i at position i
+        flips = np.flatnonzero(self._last != now)
+        self._last = now
+        if not flips.size:
+            return
+        eids = self._ids[flips].tolist()
+        ups = now[flips].tolist()
         self.events += zip(itertools.repeat(step), eids, map(_DIRECTION.__getitem__, ups))
         if self._active is None:
             self._active = dict.fromkeys(self._ids.tolist(), True)
-        elif eids:
-            self._active = dict(self._active)        # the previous report keeps its flags
+        elif self._active_shared:
+            self._active = dict(self._active)        # the last report keeps its flags
+            self._active_shared = False
         self._active.update(zip(eids, ups))
+
+    def snapshot(self, step: int = 0) -> PruneReport:
+        """Log the flips of the gates' current masks, then account params and
+        FLOPs under them."""
+        params = self.model.params()
+        masks = [d.gate.mask() for d in self.decls]
+        self.log_flips(step, masks)
+        if self._active is None:
+            self._active = dict.fromkeys(self._ids.tolist(), True)
+        self._active_shared = True
 
         dead: dict[str, np.ndarray] = {}
         for d, m in zip(self.decls, masks):

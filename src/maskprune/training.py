@@ -11,6 +11,10 @@ values, so a run that diverges anywhere in it (a step, a snapshot, the
 epoch-end evaluation), even where the value never reaches the loss, such as
 -inf before a ReLU, ends in ``TrainDivergence`` naming the step and numpy's
 message, never in a numpy ``RuntimeWarning``.
+
+Each step hands the ``PruneManager`` the masks its forward ran under, so
+every mask flip is logged at the step it first shows in; ``train`` takes a
+prune snapshot (live entities, params, FLOPs) at each epoch end only.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ class TrainConfig:
     decay_factor: float = 0.1
     seed: int = 0
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
-    snapshot_every: int = 100
     freeze_gates: bool = False
     augment: bool = False
 
@@ -58,8 +61,8 @@ class TrainConfig:
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ValueError(f"decay_epochs must be strictly increasing: "
                              f"{self.decay_epochs}")
-        if self.epochs <= 0 or self.batch_size <= 0 or self.snapshot_every <= 0:
-            raise ValueError("epochs, batch_size and snapshot_every must be positive")
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs and batch_size must be positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
@@ -86,15 +89,22 @@ def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray
         p -= lr * v
 
 
-def train_step(model, xb, yb, cfg: TrainConfig, velocity: dict, lr: float,
-               step: int) -> dict[str, float]:
-    """One forward/backward/update on a single batch; returns the loss parts."""
+def train_step(manager: PruneManager, xb, yb, cfg: TrainConfig, velocity: dict,
+               lr: float, step: int) -> dict[str, float]:
+    """One forward/backward/update of ``manager.model`` on a single batch;
+    returns the loss parts.
+
+    The step's gate records hold the masks after update ``step - 1``, the
+    ones its forward ran under, and the manager logs their flips at ``step``.
+    """
+    model = manager.model
     tape = Tape()
     logits = model.forward(tape, xb, mode="train")
     task = cross_entropy(logits, model.flatten_labels(yb))
     nodes = tape.params
     groups = [(evaluation(tape, d.gate, nodes[f"{d.gate.name}.alpha"]),
-               [(nodes[n], mode) for n, mode in d.decayed]) for d in model.gate_decls()]
+               [(nodes[n], mode) for n, mode in d.decayed]) for d in manager.decls]
+    manager.log_flips(step, [ev.mask for ev, _ in groups])
     total, parts = total_objective(task, groups, cfg.objective)
     if not np.all(np.isfinite(total.data)):
         bad = first_nonfinite(total)
@@ -155,6 +165,8 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     velocity: dict[str, np.ndarray] = {}
     if manager is None:
         manager = PruneManager(model)
+    elif manager.model is not model:
+        raise ValueError("train: the PruneManager tracks another model")
     metrics: list[dict] = []
     metrics_fh = None
     if out_dir is not None:
@@ -177,13 +189,11 @@ def train(model, train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
                     yb = train_ds.labels[idx]
                     if cfg.augment:
                         xb = augment(xb, seed=int(rng.integers(2 ** 63)))
-                    parts = train_step(model, xb, yb, cfg, velocity, lr, step)
+                    parts = train_step(manager, xb, yb, cfg, velocity, lr, step)
                     for k in sums:
                         sums[k] += parts[k]
                     batches += 1
                     step += 1
-                    if step % cfg.snapshot_every == 0:
-                        manager.snapshot(step)
                 report = manager.snapshot(step)
                 record = {
                     "schema_version": METRICS_SCHEMA_VERSION,

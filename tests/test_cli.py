@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 import maskprune
+from maskprune import training
 from maskprune.checkpoint import save_checkpoint
 from maskprune.cli import main
 from maskprune.config import (ARCHS, DATASETS, GRANULARITY_FOR_ARCH, ConfigError,
-                              build_datasets, build_model, validate_config)
+                              build_datasets, build_model, train_config_from,
+                              validate_config)
 from maskprune.objective import cross_entropy
+from maskprune.pruning import PruneManager
 from maskprune.tensor import Tape
 from test_training import DIVERGING
 
@@ -229,8 +232,10 @@ def test_report_five_of_27_blocks_masked(tmp_path, capsys):
     model = build_model(cfg)
     for blk in model.blocks[:5]:
         blk.gate.alpha[0] = 0.0
+    events = [[0, f"s0.b{i}", "1->0"] for i in range(5)]
     ck = str(tmp_path / "ck")
-    save_checkpoint(ck, model.persistent_arrays(), {"run_config": cfg, "step": 1234})
+    save_checkpoint(ck, model.persistent_arrays(),
+                    {"run_config": cfg, "step": 1234, "events": events})
     assert main(["report", "--checkpoint", ck]) == 0
     out = capsys.readouterr().out
     assert "22 active / 27 total" in out
@@ -285,6 +290,12 @@ _BAD_MANIFESTS = {
                     "bool": True}.items()},
     **{f"event-step-{k}": lambda m, v=v: m["meta"].update(events=[[v, "conv0[1]", "1->0"]])
        for k, v in {"negative": -7, "bool": True}.items()},
+    # replayed from every entity live, the log flips a declared entity at each
+    # event, none after the checkpoint's step, and ends on the loaded masks
+    "event-after-step": lambda m: m["meta"].update(step=2),
+    "event-unknown-entity": lambda m: m["meta"].update(events=[[3, "conv9[1]", "1->0"]]),
+    "event-not-a-flip": lambda m: m["meta"]["events"].append([3, "conv0[1]", "1->0"]),
+    "events-off-the-masks": lambda m: m["meta"].update(events=[]),
     # the model rebuilt from the run config lacks the archive's gate tensors
     "run-config-ungated": lambda m: m["meta"]["run_config"].update(granularity="none"),
 }
@@ -298,9 +309,10 @@ def test_report_rejects_a_malformed_tensor_directory_or_event_log(tmp_path, caps
         "conv_channels": [4, 4], "data_classes": 3, "out_dir": "x",
     })
     model = build_model(cfg)
+    model.units[0].gate.alpha[1] = 0.0
     ck = tmp_path / "ck"
     save_checkpoint(str(ck), model.persistent_arrays(),
-                    {"run_config": cfg, "step": 0, "events": [[3, "conv0[1]", "1->0"]]})
+                    {"run_config": cfg, "step": 3, "events": [[3, "conv0[1]", "1->0"]]})
     assert main(["report", "--checkpoint", str(ck)]) == 0
     capsys.readouterr()
     manifest = json.loads((ck / "manifest.json").read_text())
@@ -312,7 +324,6 @@ def test_report_rejects_a_malformed_tensor_directory_or_event_log(tmp_path, caps
 
 
 def test_report_fractions_match_manager(tmp_path, capsys):
-    from maskprune.pruning import PruneManager
     raw = {
         "schema_version": 1, "arch": "toy-convnet", "granularity": "filter",
         "dataset": "synth-images", "image_hw": 6, "image_channels": 2,
@@ -322,7 +333,8 @@ def test_report_fractions_match_manager(tmp_path, capsys):
     model = build_model(cfg)
     model.units[0].gate.alpha[1] = 0.0
     ck = str(tmp_path / "ck")
-    save_checkpoint(ck, model.persistent_arrays(), {"run_config": cfg, "step": 0})
+    save_checkpoint(ck, model.persistent_arrays(),
+                    {"run_config": cfg, "step": 0, "events": [[0, "conv0[1]", "1->0"]]})
     assert main(["report", "--checkpoint", ck]) == 0
     out = capsys.readouterr().out
     report = PruneManager(model).snapshot(0)
@@ -333,14 +345,12 @@ def test_report_fractions_match_manager(tmp_path, capsys):
 def test_a_trained_checkpoint_carries_the_managers_event_log_and_flags(tmp_path):
     # per-weight gates of an mlp that flip both ways while it trains
     from maskprune.cli import load_checkpoint_model, prune_report_text
-    from maskprune.config import train_config_from
-    from maskprune.pruning import PruneManager
     from maskprune.training import train
     cfg = validate_config({
         "schema_version": 1, "arch": "mlp", "granularity": "weight", "gate_t": 0.1,
         "dataset": "synth-class", "data_dim": 16, "mlp_hidden": [16], "data_classes": 3,
         "data_margin": 6.0, "data_n": 256, "data_test_n": 128, "batch_size": 16,
-        "epochs": 3, "base_lr": 0.1, "snapshot_every": 1, "lambda1": 3e-2,
+        "epochs": 3, "base_lr": 0.1, "lambda1": 3e-2,
         "lambda3": 1.0, "target_c": 0.5, "seed": 1, "data_seed": 1,
         "out_dir": str(tmp_path)})
     model = build_model(cfg)
@@ -432,6 +442,82 @@ def test_every_arch_and_granularity_trains_and_reports(tmp_path, capsys, arch,
     model = build_model(validate_config(raw))
     assert list(model.params()) == params
     assert sorted(model.persistent_arrays()) == sorted(params + buffers)
+
+
+def _every_update_log(monkeypatch, manager) -> list:
+    """The reference log of a run under ``manager``: the flips of each gate's
+    mask between every two updates, the first from every entity live, stamped
+    with the updates made so far, in gate-then-component order."""
+    last = [np.ones(d.gate.dim, dtype=bool) for d in manager.decls]
+    log, updates = [], []
+    sgd_momentum_step = training.sgd_momentum_step
+
+    def diff():
+        for i, d in enumerate(manager.decls):
+            now = d.gate.mask()
+            log.extend((len(updates), d.name(c), "0->1" if now[c] else "1->0")
+                       for c in np.flatnonzero(last[i] != now))
+            last[i] = now
+
+    def update(*args):
+        sgd_momentum_step(*args)
+        updates.append(1)
+        diff()
+
+    monkeypatch.setattr(training, "sgd_momentum_step", update)
+    diff()
+    return log
+
+
+def _log_run(monkeypatch, raw):
+    """Train ``raw`` with no output; returns its manager and the reference log."""
+    cfg = validate_config(raw)
+    model = build_model(cfg)
+    manager = PruneManager(model)
+    want = _every_update_log(monkeypatch, manager)
+    training.train(model, *build_datasets(cfg), train_config_from(cfg), manager=manager)
+    return manager, want
+
+
+# a strong l1 term and a large rate swing the alphas across gate_t both ways
+_SWINGING = dict(schema_version=1, data_n=64, data_test_n=16, data_classes=3,
+                 batch_size=16, epochs=2, gate_t=0.1, alpha_init=0.15, lambda1=0.5,
+                 base_lr=0.5, seed=3, data_seed=3)
+
+
+@pytest.mark.parametrize("arch,granularity", [(a, g) for a, grans in
+                                               GRANULARITY_FOR_ARCH.items()
+                                               for g in grans])
+def test_the_event_log_is_every_flip_at_its_step(monkeypatch, arch, granularity):
+    manager, want = _log_run(monkeypatch, dict(_SWINGING, arch=arch,
+                                               granularity=granularity, **_TINY_ARCH[arch]))
+    assert manager.events == want
+    assert {e[2] for e in want} == (set() if granularity == "none" else {"1->0", "0->1"})
+
+
+def test_a_gate_masked_at_init_is_logged_at_step_0(monkeypatch):
+    # alpha_init <= gate_t masks every entity before the first update
+    manager, want = _log_run(monkeypatch, dict(_SWINGING, arch="mlp", granularity="weight",
+                                               alpha_init=0.1, **_TINY_ARCH["mlp"]))
+    assert manager.events == want
+    assert manager.events[:manager.K] == [(0, r.entity_id, "1->0") for r in manager.records]
+    assert all(step > 0 for step, _, _ in manager.events[manager.K:])
+
+
+def test_snapshot_every_steers_nothing(tmp_path):
+    raw = dict(_SWINGING, arch="toy-convnet", granularity="filter",
+               **_TINY_ARCH["toy-convnet"])
+    runs = []
+    for every in (1, 7):
+        out = tmp_path / f"every{every}"
+        cfg = dict(raw, snapshot_every=every, out_dir=str(out))
+        assert main(["train", "--config", _write(tmp_path, cfg)]) == 0
+        manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
+        runs.append(((out / "metrics.jsonl").read_bytes(),
+                     (out / "checkpoint" / "tensors.bin").read_bytes(),
+                     manifest["meta"]["events"]))
+    assert runs[0] == runs[1]
+    assert runs[0][2]
 
 
 def _task_alpha_grads(model, x, y) -> dict[str, np.ndarray]:

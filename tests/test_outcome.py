@@ -29,7 +29,7 @@ from maskprune.training import train
 
 _COMMON = dict(schema_version=1, dataset="synth-images", image_hw=6, image_channels=2,
                data_classes=3, data_margin=12.0, data_n=256, data_test_n=128,
-               batch_size=16, epochs=6, base_lr=0.1, decay_epochs=[4], snapshot_every=1,
+               batch_size=16, epochs=6, base_lr=0.1, decay_epochs=[4],
                lambda3=1.0, target_c=0.5, seed=1, data_seed=1)
 
 # (arch config, gated granularity, pruned-ratio band)

@@ -16,6 +16,7 @@ from maskprune.data import Dataset, synth_classification, synth_sequences
 from maskprune.gate import GateParam
 from maskprune.models import LstmClassifier, LstmLm, Mlp, ResNetSmall, ToyConvNet
 from maskprune.objective import ObjectiveConfig, l1_alpha
+from maskprune.pruning import PruneManager
 from maskprune.tensor import Tape, Tensor, add, custom_grad
 from maskprune.training import (TrainConfig, TrainDivergence, evaluate, lr_at,
                                 sgd_momentum_step, train, train_step)
@@ -53,9 +54,9 @@ def test_a_resnet20_filter_training_step_peaks_below_60_mib():
     # step peaks near 46 MiB, and near 113 MiB with both undone
     model, (train_ds, _), tcfg = _resnet20_filter(16)
     xb, yb = train_ds.inputs[:16], train_ds.labels[:16]
-    velocity = {}
-    train_step(model, xb, yb, tcfg, velocity, 0.1, 0)   # allocates the velocity
-    peak = _traced_peak(lambda: train_step(model, xb, yb, tcfg, velocity, 0.1, 1))
+    manager, velocity = PruneManager(model), {}
+    train_step(manager, xb, yb, tcfg, velocity, 0.1, 0)   # allocates the velocity
+    peak = _traced_peak(lambda: train_step(manager, xb, yb, tcfg, velocity, 0.1, 1))
     assert peak <= 60, f"{peak:.1f} MiB"
 
 
@@ -183,7 +184,7 @@ def test_identity_reduction_convnet_five_steps_bit_exact():
     train, _ = _tiny_image_data()
     cfg = TrainConfig(epochs=1, batch_size=16, base_lr=0.05, seed=3,
                       freeze_gates=True)
-    gated, plain = _tiny_convnet(True), _tiny_convnet(False)
+    gated, plain = PruneManager(_tiny_convnet(True)), PruneManager(_tiny_convnet(False))
     vel_g, vel_p = {}, {}
     for step in range(5):
         lo = step * 16
@@ -192,8 +193,8 @@ def test_identity_reduction_convnet_five_steps_bit_exact():
         pg = train_step(gated, xb, yb, cfg, vel_g, 0.05, step)
         pp = train_step(plain, xb, yb, cfg, vel_p, 0.05, step)
         assert pg["task_loss"] == pp["task_loss"]
-    plain_params = plain.params()
-    for name, arr in gated.params().items():
+    plain_params = plain.model.params()
+    for name, arr in gated.model.params().items():
         if name.endswith(".alpha"):
             assert np.all(arr == 1.0)
             continue
@@ -204,9 +205,9 @@ def test_identity_reduction_lstm_five_steps_bit_exact():
     train = synth_sequences(80, vocab=8, length=6, seed=4)
     cfg = TrainConfig(epochs=1, batch_size=16, base_lr=0.05, seed=5,
                       freeze_gates=True)
-    gated = LstmClassifier(vocab=8, embed_dim=6, hidden=8, seed=6,
-                           granularity="node")
-    plain = LstmClassifier(vocab=8, embed_dim=6, hidden=8, seed=6)
+    gated = PruneManager(LstmClassifier(vocab=8, embed_dim=6, hidden=8, seed=6,
+                                        granularity="node"))
+    plain = PruneManager(LstmClassifier(vocab=8, embed_dim=6, hidden=8, seed=6))
     vel_g, vel_p = {}, {}
     for step in range(5):
         lo = step * 16
@@ -215,8 +216,8 @@ def test_identity_reduction_lstm_five_steps_bit_exact():
         pg = train_step(gated, xb, yb, cfg, vel_g, 0.05, step)
         pp = train_step(plain, xb, yb, cfg, vel_p, 0.05, step)
         assert pg["task_loss"] == pp["task_loss"]
-    plain_params = plain.params()
-    for name, arr in gated.params().items():
+    plain_params = plain.model.params()
+    for name, arr in gated.model.params().items():
         if not name.endswith(".alpha"):
             assert np.array_equal(arr, plain_params[name]), name
 
@@ -239,11 +240,19 @@ def test_train_emits_one_record_per_epoch(tmp_path):
 def test_an_ungated_train_is_k_zero(tmp_path):
     # a model without gates runs under a PruneManager of K = 0, like any other
     train_ds, test_ds = _tiny_image_data(seed=7)
-    cfg = TrainConfig(epochs=2, batch_size=16, base_lr=0.05, seed=8, snapshot_every=1)
+    cfg = TrainConfig(epochs=2, batch_size=16, base_lr=0.05, seed=8)
     metrics = train(_tiny_convnet(False, seed=9), train_ds, test_ds, cfg,
                     out_dir=str(tmp_path))
     assert [(m["active_counts"], m["pruned_ratio"]) for m in metrics] == [({}, 0.0)] * 2
     assert load_checkpoint(str(tmp_path / "checkpoint"))[1]["meta"]["events"] == []
+
+
+def test_train_refuses_a_manager_of_another_model():
+    # the steps train the manager's model, while eval and the checkpoint read train's
+    train_ds, test_ds = _tiny_image_data(seed=7)
+    with pytest.raises(ValueError, match="another model"):
+        train(_tiny_convnet(True), train_ds, test_ds, TrainConfig(epochs=1, batch_size=16),
+              manager=PruneManager(_tiny_convnet(True)))
 
 
 def test_train_determinism_metric_stream():
@@ -441,10 +450,10 @@ def test_train_config_validation():
         TrainConfig(decay_factor=1.0)
     with pytest.raises(ValueError):
         TrainConfig(decay_epochs=(10, 5))
-    for key, value in (("snapshot_every", 0), ("momentum", 1.0), ("momentum", -0.1)):
+    for key, value in (("epochs", 0), ("momentum", 1.0), ("momentum", -0.1)):
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{key: value})
-    TrainConfig(snapshot_every=1, momentum=0.0)
+    TrainConfig(momentum=0.0)
 
 
 def _counted_models():
@@ -498,7 +507,7 @@ def test_each_gate_is_evaluated_once_per_step_and_eval_computes_no_surrogate(
     # several readers
     cfg = TrainConfig(objective=ObjectiveConfig(lambda1=1e-3, lambda2=1e-3, lambda3=1.0,
                                                 target_c=0.25))
-    parts = train_step(model, x, y, cfg, {}, 0.1, 0)
+    parts = train_step(PruneManager(model), x, y, cfg, {}, 0.1, 0)
     assert parts["hinge_term"] > 0.0
     assert terms == {name: 1 for name in owner.values()}
     assert masks == {name: 1 for name in owner.values()}
@@ -523,7 +532,7 @@ def test_the_objective_gets_the_records_the_gated_blocks_made(name, monkeypatch)
 
     monkeypatch.setattr(layers, "evaluation", spy_evaluation)
     monkeypatch.setattr(training, "total_objective", spy_objective)
-    train_step(model, x, y, TrainConfig(), {}, 0.1, 0)
+    train_step(PruneManager(model), x, y, TrainConfig(), {}, 0.1, 0)
     assert len(handed) == len(made) == len(model.gates())
     assert all(ev is made[ev.gate.name] for ev in handed)
 
@@ -538,6 +547,6 @@ def test_a_step_and_an_evaluation_leave_no_reference_cycle(name):
     cfg = TrainConfig(objective=ObjectiveConfig(lambda1=1e-3, lambda2=1e-3, lambda3=1.0,
                                                 target_c=0.25))
     gc.collect()
-    train_step(model, x, y, cfg, {}, 0.1, 0)
+    train_step(PruneManager(model), x, y, cfg, {}, 0.1, 0)
     evaluate(model, Dataset(x, y))
     assert gc.collect() == 0
