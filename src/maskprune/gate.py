@@ -41,15 +41,15 @@ the node to the record, so the step's records go with its tape.  This is
 the one place a gate meets its node: each gated block calls it once after
 binding its parameters, and the training step, once per gate declaration,
 gets the block's record back.  Every consumer takes the record alone, as its
-gate: the gated ops, the conv units' epilogue node (``layers.batchnorm``,
-which applies a filter gate after batch norm and ReLU) and live filters, the
-LSTM layer's sequence node, the residual skip and the masked-l2 and hinge
-terms.  They read the mask and terms from it and hang their alpha gradient
-on ``node``.  The optimizer updates alpha in place after the step.  The
-records keep the masks the step's forward ran under, and the training step
-hands them to ``PruneManager.log_flips``, which logs each flip at the step it
-first shows in; the epoch-end prune snapshot computes its masks from the
-updated alphas.
+gate: the gated ops, the gated ``Linear``'s one node (``layers.linear``), the
+conv units' epilogue node (``layers.batchnorm``, which applies a filter gate
+after batch norm and ReLU) and live filters, the LSTM layer's sequence node,
+the residual skip and the masked-l2 and hinge terms.  They read the mask and
+terms from it and hang their alpha gradient on ``node``.  The optimizer
+updates alpha in place after the step.  The records keep the masks the
+step's forward ran under, and the training step hands them to
+``PruneManager.log_flips``, which logs each flip at the step it first shows
+in; the epoch-end prune snapshot computes its masks from the updated alphas.
 ``GateEval.coeff`` is the one statement of the straight-through alpha
 gradient.
 """
@@ -80,10 +80,17 @@ def hard_mask(alpha, t: float):
 
 
 def _sech2(u):
-    # 1/cosh^2 without overflow: sech(u) = 2 e^{-|u|} / (1 + e^{-2|u|})
-    e = np.exp(-np.abs(u))
-    s = 2.0 * e / (1.0 + e * e)
-    return s * s
+    # 1/cosh^2 without overflow: sech(u) = 2 e^{-|u|} / (1 + e^{-2|u|}),
+    # as 2.0 * e / (1.0 + e * e) squared, in two buffers
+    e = np.abs(u)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = np.multiply(e, e)
+    d += 1.0
+    e *= 2.0
+    e /= d
+    e *= e
+    return e
 
 
 def foothill(x, beta: float):
@@ -95,9 +102,24 @@ def foothill(x, beta: float):
     near u ~ 1.2) before settling to the asymptote; f' = (beta/2) sech^2(u)
     (2 - 2u tanh u) is even.
     """
-    u = 0.5 * beta * np.asarray(x, dtype=np.float64)
+    # th + u * s2 and 0.5 * beta * s2 * (2.0 - 2.0 * u * th), operation for
+    # operation, in buffers of its own: the input is never written
+    u = np.multiply(np.asarray(x, dtype=np.float64).reshape(-1), 0.5 * beta)
     th, s2 = np.tanh(u), _sech2(u)
-    return th + u * s2, 0.5 * beta * s2 * (2.0 - 2.0 * u * th)
+    f = np.multiply(u, s2)
+    f += th
+    u *= 2.0
+    u *= th
+    np.subtract(2.0, u, out=u)
+    s2 *= 0.5 * beta
+    s2 *= u
+    return _shaped(f, np.shape(x)), _shaped(s2, np.shape(x))
+
+
+def _shaped(a: np.ndarray, shape: tuple):
+    """``a`` in ``shape``: a numpy scalar for a scalar input, as numpy's own
+    operations return one."""
+    return a.reshape(shape)[()]
 
 
 class Surrogate(NamedTuple):
@@ -116,10 +138,21 @@ def surrogate_terms(alpha, t: float, beta: float) -> Surrogate:
     0 at a = 0.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    f, df = foothill(np.abs(alpha) - t, beta)
-    m = 0.5 * (f + 1.0)
-    dm = 0.5 * df * np.sign(alpha)
-    return Surrogate(m, dm, m + alpha * dm)
+    a = alpha.reshape(-1)
+    # 0.5 * (f + 1.0), 0.5 * df * sign(alpha) and m + alpha * dm, in place on
+    # foothill's two results and one buffer
+    x = np.abs(a)
+    x -= t
+    f, df = foothill(x, beta)
+    m = f
+    m += 1.0
+    m *= 0.5
+    dm = df
+    dm *= 0.5
+    dm *= np.sign(a, out=x)
+    coeff = np.multiply(a, dm, out=x)
+    coeff += m
+    return Surrogate(*(_shaped(v, alpha.shape) for v in (m, dm, coeff)))
 
 
 @dataclass
@@ -293,6 +326,8 @@ def _gated(x: Tensor, ev: GateEval, mode: str, scaled: bool, op: str) -> Tensor:
         # with every component masked, x's gradient is all zero: pass none, so
         # the backward of whatever computed x is skipped
         gx = g * s_b if s.any() else None
-        return gx, _unbroadcast(g * xd, s_b.shape).reshape(ev.gate.dim) * ev.coeff(scaled)
+        ga = _unbroadcast(np.multiply(g, xd), s_b.shape).reshape(ev.gate.dim)
+        ga *= ev.coeff(scaled)
+        return gx, ga
 
     return custom_grad(s_b * xd, (x, ev.node), rule, op=op)

@@ -18,10 +18,11 @@ A block binds its own arrays inside ``forward`` (``LstmCell``: ``step``), so
 a profiler that wraps those methods charges the block every node it makes.
 Right after binding, a gated block evaluates each gate it owns once on the
 tape (``gate.evaluation``) and hands the ops that record.
-The conv epilogue (``batchnorm``) and the LSTM layer (``_lstm_sequence``)
-each run as one node.  Eval takes no gradient, so there the epilogue's output
-and a residual block's sum are leaves, and an eval graph holds no activation
-past the block that reads it.
+A ``Linear`` (``linear``, its weight gate included), the conv epilogue
+(``batchnorm``) and the LSTM layer (``_lstm_sequence``) each run as one
+node.  Eval takes no gradient, so there the epilogue's output and a residual
+block's sum are leaves, and an eval graph holds no activation past the block
+that reads it.
 
 Conv activations and their gradients are [b, c, H, W] views over
 batch-innermost ``[c, H, W, b]`` memory.  ``conv2d`` returns its output and
@@ -46,10 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gate import (AXIS0, AXIS1, ELEMENTWISE, WHOLE, GateEval, GateParam, apply_gate,
-                   evaluation)
+                   broadcast_mask, evaluation)
 from .pruning import GateDecl, conv_macs
-from .tensor import (ShapeError, Tensor, Tape, add, custom_grad, is_data, matmul, relu,
-                     transpose)
+from .tensor import ShapeError, Tensor, Tape, add, custom_grad, is_data, relu
 
 # batch norm's running-average momentum and variance epsilon
 BN_MOMENTUM = 0.1
@@ -405,10 +405,44 @@ def _scatter_rows(v: np.ndarray, idx: np.ndarray | None, c: int) -> np.ndarray:
     return full
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map [b,p] @ [q,p]^T (+ [q])."""
-    out = matmul(x, transpose(w))
-    return add(out, b) if b is not None else out
+def linear(x: Tensor, w: Tensor, b: Tensor, gate: GateEval | None = None) -> Tensor:
+    """Affine map [b,p] @ [q,p]^T + [q] as one node; with ``gate``, of the
+    gated weights ``s * w``, ``s = alpha * I(alpha)`` elementwise.
+
+    ``gate`` is the weight gate's record on this tape (``gate.evaluation``),
+    component ``i`` entry ``i`` of ``w`` in C order; its alpha ``node`` is a
+    parent of this one.  The node computes, bit for bit, what
+    ``apply_gate(w, gate, ELEMENTWISE)``, ``transpose``, ``matmul`` and
+    ``add`` compute as four nodes.  The backward forms the gradient on the gated weights as
+    ``(x^T g)^T``, copied once to C order (``g^T x`` rounds differently when
+    ``x`` is in F order, as ``avg_pool_full`` returns it).  Alpha gets its
+    product with ``w`` times ``m~ + alpha * m~'``, and ``w`` its product
+    with ``s``, no gradient when every weight is masked.
+    """
+    xd, wd = x.data, w.data
+    if (xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]
+            or b.shape != wd.shape[:1]):
+        raise ShapeError(f"linear: expected [b, p] inputs, [q, p] weights and a [q] "
+                         f"bias, got {x.shape}, {w.shape} and {b.shape}")
+    s = None if gate is None else broadcast_mask(gate.alpha * gate.mask, wd.shape,
+                                                 ELEMENTWISE)
+    ws = wd if s is None else s * wd
+    out = xd @ ws.T
+    out += b.data
+    skip_x = is_data(x)
+
+    def rule(g):
+        gx = None if skip_x else g @ ws
+        gws = (xd.T @ g).T.copy()
+        if gate is None:
+            return gx, gws, g.sum(axis=0)
+        ga = np.multiply(gws, wd).reshape(gate.gate.dim)
+        ga *= gate.coeff(scaled=True)
+        gw = np.multiply(gws, s, out=gws) if s.any() else None
+        return gx, gw, g.sum(axis=0), ga
+
+    parents = (x, w, b) if gate is None else (x, w, b, gate.node)
+    return custom_grad(out, parents, rule, op="linear")
 
 
 def avg_pool_full(x: Tensor) -> Tensor:
@@ -525,7 +559,9 @@ class Linear(Block):
     """Affine map ``x @ w.T + b``, then ReLU if ``relu``.
 
     An optional weight-granularity gate scales every entry of ``w``
-    (``ELEMENTWISE``); component ``i`` is entry ``i`` in C order.
+    (``ELEMENTWISE``); component ``i`` is entry ``i`` in C order.  The map
+    and the gate run as one node (``linear``, handed the gate's record), as
+    the conv epilogue and the LSTM layer take theirs.
     """
 
     w: np.ndarray                      # [q, p]
@@ -552,10 +588,8 @@ class Linear(Block):
 
     def forward(self, tape: Tape, x: Tensor) -> Tensor:
         p = self.bind(tape)
-        w = p["w"]
-        if self.gate is not None:
-            w = apply_gate(w, evaluation(tape, self.gate, p["gate.alpha"]), ELEMENTWISE)
-        y = linear(x, w, p["b"])
+        ev = None if self.gate is None else evaluation(tape, self.gate, p["gate.alpha"])
+        y = linear(x, p["w"], p["b"], gate=ev)
         return relu(y) if self.relu else y
 
 

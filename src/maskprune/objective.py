@@ -84,7 +84,11 @@ def masked_l2(groups: Sequence[Group]) -> Tensor:
 
     value = 0.0
     for node, mb in terms:
-        value += float(np.sum(mb * node.data ** 2))
+        # the square, then the mask in place: a bool mask broadcast against a
+        # float array is numpy's slow path
+        sq = np.square(node.data)
+        sq *= mb
+        value += float(np.sum(sq))
 
     def rule(g):
         return tuple(2.0 * float(g) * mb * node.data for node, mb in terms)

@@ -76,17 +76,18 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                       velocity: dict[str, np.ndarray], lr: float,
                       momentum: float) -> None:
-    """Classical momentum: v <- m*v + g; p <- p - lr*v.  Updates in place."""
+    """Classical momentum: v <- m*v + g; p <- p - lr*v.  Updates ``params``
+    and ``velocity`` in place; ``grads`` is only read."""
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"{name}: gradient shape {g.shape} != {p.shape}")
         v = velocity.get(name)
         if v is None:
-            v = np.zeros_like(p)
-        v = momentum * v + g
-        velocity[name] = v
-        p -= lr * v
+            v = velocity[name] = np.zeros_like(p)
+        v *= momentum
+        v += g
+        p -= v * lr
 
 
 def train_step(manager: PruneManager, xb, yb, cfg: TrainConfig, velocity: dict,

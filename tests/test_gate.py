@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,22 @@ def test_surrogate_rounds_to_hard_mask_away_from_threshold(alpha, t):
     if abs((abs(alpha) - t) * beta) <= 5.0:
         return
     assert round(surrogate_terms(alpha, t, beta).m) == hard_mask([alpha], t)[0]
+
+
+def _surrogate_pass(fn, x):
+    return foothill(x, 5.0) if fn == "foothill" else surrogate_terms(x, 0.1, 5.0)
+
+
+@pytest.mark.parametrize("fn", ["foothill", "surrogate_terms"])
+def test_the_in_place_passes_never_write_or_alias_their_input(fn):
+    x = np.random.default_rng(9).normal(size=(7, 5))
+    before = x.tobytes()
+    out = _surrogate_pass(fn, x)
+    assert x.tobytes() == before
+    assert all(v.shape == x.shape and not np.shares_memory(v, x) for v in out)
+    assert not any(np.shares_memory(u, v) for u, v in itertools.combinations(out, 2))
+    # a Python float in, numpy scalars out, as the elementwise formulas gave
+    assert all(isinstance(v, np.float64) for v in _surrogate_pass(fn, 0.3))
 
 
 def _gate_backward(x, alpha, t=1e-3, beta=5.0, upstream=None):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from maskprune import layers, models
-from maskprune.gate import AXIS0, AXIS1, GateParam, apply_gate, apply_mask, evaluation
+from maskprune.gate import (AXIS0, AXIS1, ELEMENTWISE, GateParam, apply_gate, apply_mask,
+                            evaluation)
 from maskprune.layers import (BN_EPS, BN_MOMENTUM, LSTM_GATES, BnState, ConvUnit, LstmCell,
                               ResidualBlock, avg_pool_full, batchnorm, conv2d,
                               embedding, linear)
@@ -12,7 +13,8 @@ from maskprune.models import LstmLm, Mlp, ResNetSmall, stage_sides
 from maskprune.objective import cross_entropy, masked_l2
 from maskprune.pruning import PruneManager
 from maskprune.tensor import (ShapeError, Tape, Tensor, _toposort, add, concat_cols,
-                              custom_grad, matmul, mul, reshape, sigmoid, sum_all, tanh)
+                              custom_grad, matmul, mul, reshape, sigmoid, sum_all, tanh,
+                              transpose)
 from maskprune.tensor import relu as relu_op
 
 
@@ -777,7 +779,7 @@ def test_two_stack_lstm_lm_forward_is_one_sequence_node_per_layer():
     logits = model.forward(tape, np.random.default_rng(29).integers(0, 7, size=(3, 4)))
     assert all(not n.parents for n in tape.params.values())
     assert sorted(n.op for n in _toposort(logits) if n.parents) == sorted(
-        ["embedding", "lstm_seq", "lstm_seq", "reshape", "transpose", "matmul", "add"])
+        ["embedding", "lstm_seq", "lstm_seq", "reshape", "linear"])
 
 
 def test_linear_examples():
@@ -786,6 +788,53 @@ def test_linear_examples():
     assert np.array_equal(out.data, [[5.5]])
     eye = linear(Tensor(np.eye(3)), Tensor(np.eye(3)), Tensor(np.zeros(3)))
     assert np.array_equal(eye.data, np.eye(3))
+
+
+def _composed_linear(x, w, b, ev):
+    """The chain of nodes one ``linear`` node stands for: the weight gate
+    (``apply_gate``, when gated), ``transpose``, ``matmul`` and ``add``."""
+    ws = w if ev is None else apply_gate(w, ev, ELEMENTWISE)
+    return add(matmul(x, transpose(ws)), b)
+
+
+def _linear_run(build, gating, x_kind, order):
+    """Output, gradients, backward rule and upstream gradient of ``build(x,
+    w, b, ev)`` on the ResNet head's shapes ([16, 64] inputs, [10, 64]
+    weights).  ``avg_pool_full`` hands that head its input in F order, where
+    ``g^T x`` and ``(x^T g)^T`` round differently."""
+    rng = np.random.default_rng(31)
+    tape = Tape()
+    xd = np.asarray(rng.normal(size=(16, 64)), order=order)
+    x = Tensor(xd) if x_kind == "data" else tape.param("x", xd)
+    w = tape.param("w", rng.normal(size=(10, 64)))
+    b = tape.param("b", rng.normal(size=10))
+    ev = None
+    if gating != "ungated":
+        alpha = rng.normal(size=640) * (1e-3 if gating == "all masked" else 1.0)
+        gate = GateParam(alpha, 0.1, 5.0)
+        ev = evaluation(tape, gate, tape.param("alpha", gate.alpha))
+        assert ev.mask.any() == (gating == "some masked") and not ev.mask.all()
+    out = build(x, w, b, ev)
+    upstream = rng.normal(size=out.shape)
+    rule = out.backward_rule
+    grads = tape.backward(sum_all(mul(out, Tensor(upstream))))
+    return out, grads, rule, upstream
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("x_kind", ["data", "param"])
+@pytest.mark.parametrize("gating", ["some masked", "all masked", "ungated"])
+def test_one_node_linear_is_bit_equal_to_the_composition(gating, x_kind, order):
+    out, grads, rule, upstream = _linear_run(linear, gating, x_kind, order)
+    want, want_grads, _, _ = _linear_run(_composed_linear, gating, x_kind, order)
+    assert [n.op for n in _toposort(out) if n.parents] == ["linear"]
+    assert out.data.tobytes() == want.data.tobytes()
+    assert sorted(grads) == sorted(want_grads) == sorted(
+        ["w", "b"] + ["x"] * (x_kind == "param") + ["alpha"] * (gating != "ungated"))
+    for name in grads:
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+    # every weight masked: the node passes w no gradient, as apply_gate passed none
+    assert (rule(upstream)[1] is None) == (gating == "all masked")
 
 
 def test_avg_pool_gradient_is_batch_innermost():

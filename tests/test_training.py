@@ -102,6 +102,23 @@ def test_sgd_zero_gradient_no_motion():
     assert np.array_equal(p["w"], [3.0, -1.0])
 
 
+def test_sgd_updates_velocity_in_place_and_leaves_grads_alone():
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=(3, 4))
+    params, velocity = {"w": w}, {}
+    want_p, want_v = w.copy(), np.zeros_like(w)
+    for _ in range(3):
+        g = rng.normal(size=(3, 4))
+        grads, held = {"w": g.copy()}, velocity.get("w")
+        sgd_momentum_step(params, grads, velocity, lr=0.3, momentum=0.9)
+        assert grads["w"].tobytes() == g.tobytes()
+        assert params["w"] is w and (held is None or velocity["w"] is held)
+        want_v = 0.9 * want_v + g
+        want_p = want_p - 0.3 * want_v
+        assert velocity["w"].tobytes() == want_v.tobytes()
+        assert w.tobytes() == want_p.tobytes()
+
+
 def test_sgd_shape_mismatch():
     with pytest.raises(ValueError):
         sgd_momentum_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, {}, 0.1, 0.9)
