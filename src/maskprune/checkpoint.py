@@ -35,6 +35,7 @@ import numpy as np
 CHECKPOINT_SCHEMA_VERSION = 2        # 2: the manifest records archive_sha256
 MANIFEST_NAME = "manifest.json"
 ARCHIVE_NAME = "tensors.bin"
+ARCHIVE_DTYPE = "<f8"                # the only element type an archive holds
 TMP_SUFFIX = ".tmp"                  # a file being written, renamed when complete
 
 
@@ -51,7 +52,7 @@ def save_checkpoint(dirpath: str, arrays: dict[str, np.ndarray],
         offset += arr.size
     manifest = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "dtype": "<f8",
+        "dtype": ARCHIVE_DTYPE,
         "total_elements": offset,
         "tensors": entries,
         "meta": meta or {},
@@ -60,7 +61,7 @@ def save_checkpoint(dirpath: str, arrays: dict[str, np.ndarray],
     digest = hashlib.sha256()
     with open(archive + TMP_SUFFIX, "wb") as fh:
         for name in names:
-            chunk = np.ascontiguousarray(arrays[name], dtype="<f8").tobytes()
+            chunk = np.ascontiguousarray(arrays[name], dtype=ARCHIVE_DTYPE).tobytes()
             digest.update(chunk)
             fh.write(chunk)
         _flush_to_disk(fh)
@@ -96,12 +97,15 @@ def load_checkpoint(dirpath: str) -> tuple[dict[str, np.ndarray], dict]:
     if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"unsupported checkpoint schema "
                          f"{manifest.get('schema_version')!r}")
+    if manifest.get("dtype") != ARCHIVE_DTYPE:
+        raise ValueError(f"unsupported checkpoint dtype {manifest.get('dtype')!r}; "
+                         f"an archive holds {ARCHIVE_DTYPE!r}")
     with open(bin_path, "rb") as fh:
         raw = fh.read()
     if hashlib.sha256(raw).hexdigest() != manifest["archive_sha256"]:
         raise ValueError("corrupt checkpoint: the archive's sha256 does not match "
                          "the manifest (a save cut short, or a modified file)")
-    flat = np.frombuffer(raw, dtype="<f8")
+    flat = np.frombuffer(raw, dtype=ARCHIVE_DTYPE)
     if flat.size != manifest["total_elements"]:
         raise ValueError(f"corrupt checkpoint: archive holds {flat.size} elements, "
                          f"manifest says {manifest['total_elements']}")

@@ -66,8 +66,7 @@ def _check_event_log(model, step: int, events: list) -> None:
     """Raise ValueError unless ``events``, replayed from every entity live,
     flips a declared entity at each event, none after ``step``, and ends on
     the model's masks."""
-    live = {eid: m for d in model.gate_decls()
-            for eid, m in zip(map(d.name, range(d.gate.dim)), d.gate.mask().tolist())}
+    live = PruneManager(model).snapshot(step).active
     replayed = dict.fromkeys(live, True)
     for event in events:
         at, eid, direction = event

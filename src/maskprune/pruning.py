@@ -26,11 +26,9 @@ Each snapshot computes every gate's hard mask once and works on those arrays:
   with the previous masks it was given, in gate-then-component order.  Each
   training step hands it the masks of its tape's gate records (the masks
   after the previous update), and a snapshot the masks after the epoch's
-  last update, so every flip is logged at the step it first shows in.  The
-  same flips carry the per-entity ``active`` flags, so no snapshot rebuilds
-  K flags from the masks.  A report holds a read-only view of its flags, and
-  the first flip after a snapshot copies them (a C-level dict copy) before
-  setting the flipped entries, so no later flip changes a report's flags.
+  last update, so every flip is logged at the step it first shows in.  A
+  report's per-entity ``active`` flags are read off the masks its snapshot
+  ends on, in a read-only mapping of its own.
 
 FLOPs convention (documented, not taken from anywhere): one multiply-
 accumulate = 2 FLOPs; batch norm costs 2 FLOPs per output element, ReLU and
@@ -157,8 +155,6 @@ class PruneManager:
         self._total_params = int(sum(p.size for p in weights.values()))
         self._total_flops = fixed + sum(weights[n].size * c for n, c in self._costs.items())
         self._last = np.ones(self.K, dtype=bool)         # the masks log_flips saw last
-        self._active: dict[str, bool] | None = None     # flags of _last; None: all live
-        self._active_shared = False                      # a report holds _active
         self._records: list[EntityRecord] | None = None
         self.events: list[tuple[int, str, str]] = []
 
@@ -177,8 +173,8 @@ class PruneManager:
 
     def log_flips(self, step: int, masks: list[np.ndarray]) -> None:
         """Log, stamped ``step``, where ``masks`` (one per decl, in ``decls``
-        order) differ from the masks of the previous call; the first call
-        compares with every entity live."""
+        order) differ from the masks of the previous call, and keep them for
+        the next; the first call compares with every entity live."""
         if not masks:                                # a model without gates
             return
         now = np.concatenate(masks)                  # entity i at position i
@@ -186,25 +182,15 @@ class PruneManager:
         self._last = now
         if not flips.size:
             return
-        eids = self._ids[flips].tolist()
-        ups = now[flips].tolist()
-        self.events += zip(itertools.repeat(step), eids, map(_DIRECTION.__getitem__, ups))
-        if self._active is None:
-            self._active = dict.fromkeys(self._ids.tolist(), True)
-        elif self._active_shared:
-            self._active = dict(self._active)        # the last report keeps its flags
-            self._active_shared = False
-        self._active.update(zip(eids, ups))
+        self.events += zip(itertools.repeat(step), self._ids[flips].tolist(),
+                           map(_DIRECTION.__getitem__, now[flips].tolist()))
 
     def snapshot(self, step: int = 0) -> PruneReport:
-        """Log the flips of the gates' current masks, then account params and
-        FLOPs under them."""
+        """Log the flips of the gates' current masks, then read each entity's
+        flag off them and account params and FLOPs under them."""
         params = self.model.params()
         masks = [d.gate.mask() for d in self.decls]
         self.log_flips(step, masks)
-        if self._active is None:
-            self._active = dict.fromkeys(self._ids.tolist(), True)
-        self._active_shared = True
 
         dead: dict[str, np.ndarray] = {}
         for d, m in zip(self.decls, masks):
@@ -232,7 +218,7 @@ class PruneManager:
 
         return PruneReport(
             step=step,
-            active=MappingProxyType(self._active),
+            active=MappingProxyType(dict(zip(self._ids.tolist(), self._last.tolist()))),
             active_entities=n_active,
             K=self.K,
             pruned_ratio=1.0 - n_active / self.K if self.K else 0.0,

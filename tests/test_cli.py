@@ -276,6 +276,9 @@ _BAD_MANIFESTS = {
     "tensors-string": lambda m: m.update(tensors="x"),
     "tensors-int": lambda m: m.update(tensors=[1]),
     "shape-string": lambda m: m["tensors"][0].update(shape="x"),
+    # an archive holds little-endian float64 whatever the manifest claims
+    **{f"dtype-{k}": lambda m, v=v: m.update(dtype=v)
+       for k, v in {"f4": "<f4", "big-endian-i8": ">i8", "null": None}.items()},
     # the directory must tile the archive in order, each tensor named once
     "entry-copied": lambda m: m["tensors"].append(dict(m["tensors"][0])),
     "entry-named-twice": lambda m: m["tensors"][1].update(name=m["tensors"][0]["name"]),
@@ -362,7 +365,7 @@ def test_a_trained_checkpoint_carries_the_managers_event_log_and_flags(tmp_path)
     assert meta["events"] == [list(e) for e in manager.events]
     final = manager.snapshot(meta["step"])         # nothing flipped since the last one
     assert prune_report_text(saved, meta) == final.to_text()
-    # flags carried through every snapshot of the run against flags from the masks
+    # the flags of the run's own manager against those of a fresh one on the saved model
     assert final.active == PruneManager(saved).snapshot(meta["step"]).active
     assert 0 < final.active_entities < final.K
 
