@@ -32,16 +32,17 @@ def cmd_train(args) -> int:
     except TrainDivergence as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
-    saved, meta = load_checkpoint_model(os.path.join(out_dir, "checkpoint"))
-    if saved.gates():
+    _, report = load_checkpoint_model(os.path.join(out_dir, "checkpoint"))
+    if report.K:
         with open(os.path.join(out_dir, "prune_report.txt"), "w") as fh:
-            fh.write(prune_report_text(saved, meta))
+            fh.write(report.to_text())
     print(f"done: metrics and checkpoint under {out_dir}")
     return 0
 
 
 def load_checkpoint_model(checkpoint: str):
-    """Rebuild the model a checkpoint was saved from; returns it and the meta."""
+    """Rebuild a checkpoint's model; returns it and its prune report, one snapshot
+    at the checkpoint's step carrying the checkpoint's checked event log."""
     arrays, manifest = load_checkpoint(checkpoint)
     meta = manifest["meta"]
     if not isinstance(meta, dict):
@@ -58,21 +59,26 @@ def load_checkpoint_model(checkpoint: str):
         raise ValueError("checkpoint carries no run_config; cannot rebuild model")
     model = build_model(validate_config(meta["run_config"]))
     model.load_params(arrays)
-    _check_event_log(model, meta.get("step", 0), events)
-    return model, meta
+    report = PruneManager(model).snapshot(meta.get("step", 0))
+    _check_event_log(report.active, report.step, events)
+    report.events = events
+    return model, report
 
 
-def _check_event_log(model, step: int, events: list) -> None:
+def _check_event_log(live, step: int, events: list) -> None:
     """Raise ValueError unless ``events``, replayed from every entity live,
-    flips a declared entity at each event, none after ``step``, and ends on
-    the model's masks."""
-    live = PruneManager(model).snapshot(step).active
+    flips a declared entity at each event, in steps that never go down and
+    none after ``step``, and ends on the flags ``live`` (entity id -> unmasked)."""
     replayed = dict.fromkeys(live, True)
+    last = 0
     for event in events:
         at, eid, direction = event
         if at > step:
             raise ValueError(f"checkpoint event {event} comes after the checkpoint's "
                              f"step {step}")
+        if at < last:
+            raise ValueError(f"checkpoint event {event} comes after one at step {last}")
+        last = at
         if eid not in replayed:
             raise ValueError(f"checkpoint event {event} names an entity the model "
                              "does not declare")
@@ -85,23 +91,16 @@ def _check_event_log(model, step: int, events: list) -> None:
                          f"masks, the first {off[0]!r}")
 
 
-def prune_report_text(model, meta: dict) -> str:
-    """Prune report of a gated model at the checkpoint's step and event log."""
-    report = PruneManager(model).snapshot(step=meta.get("step", 0))
-    report.events = meta.get("events", [])
-    return report.to_text()
-
-
 def cmd_report(args) -> int:
     try:
-        model, meta = load_checkpoint_model(args.checkpoint)
+        _, report = load_checkpoint_model(args.checkpoint)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error reading checkpoint: {exc}", file=sys.stderr)
         return 2
-    if not model.gates():
+    if not report.K:
         print("model has no gates; nothing to report")
         return 0
-    print(prune_report_text(model, meta), end="")
+    print(report.to_text(), end="")
     return 0
 
 

@@ -298,6 +298,8 @@ _BAD_MANIFESTS = {
     "event-after-step": lambda m: m["meta"].update(step=2),
     "event-unknown-entity": lambda m: m["meta"].update(events=[[3, "conv9[1]", "1->0"]]),
     "event-not-a-flip": lambda m: m["meta"]["events"].append([3, "conv0[1]", "1->0"]),
+    "events-out-of-order": lambda m: m["meta"]["events"].extend(
+        [[2, "conv0[1]", "0->1"], [3, "conv0[1]", "1->0"]]),
     "events-off-the-masks": lambda m: m["meta"].update(events=[]),
     # the model rebuilt from the run config lacks the archive's gate tensors
     "run-config-ungated": lambda m: m["meta"]["run_config"].update(granularity="none"),
@@ -347,7 +349,8 @@ def test_report_fractions_match_manager(tmp_path, capsys):
 
 def test_a_trained_checkpoint_carries_the_managers_event_log_and_flags(tmp_path):
     # per-weight gates of an mlp that flip both ways while it trains
-    from maskprune.cli import load_checkpoint_model, prune_report_text
+    from maskprune.checkpoint import load_checkpoint
+    from maskprune.cli import load_checkpoint_model
     from maskprune.training import train
     cfg = validate_config({
         "schema_version": 1, "arch": "mlp", "granularity": "weight", "gate_t": 0.1,
@@ -361,13 +364,36 @@ def test_a_trained_checkpoint_carries_the_managers_event_log_and_flags(tmp_path)
     train(model, *build_datasets(cfg), train_config_from(cfg), out_dir=str(tmp_path),
           manager=manager, checkpoint_meta={"run_config": cfg})
     assert {direction for _, _, direction in manager.events} == {"1->0", "0->1"}
-    saved, meta = load_checkpoint_model(str(tmp_path / "checkpoint"))
+    meta = load_checkpoint(str(tmp_path / "checkpoint"))[1]["meta"]
     assert meta["events"] == [list(e) for e in manager.events]
+    saved, report = load_checkpoint_model(str(tmp_path / "checkpoint"))
     final = manager.snapshot(meta["step"])         # nothing flipped since the last one
-    assert prune_report_text(saved, meta) == final.to_text()
+    assert report.to_text() == final.to_text()
     # the flags of the run's own manager against those of a fresh one on the saved model
     assert final.active == PruneManager(saved).snapshot(meta["step"]).active
     assert 0 < final.active_entities < final.K
+
+
+def test_a_checkpoint_load_builds_one_manager_and_takes_one_snapshot(tmp_path,
+                                                                     monkeypatch):
+    calls = {"__init__": 0, "snapshot": 0}
+
+    def counted(name):
+        real = getattr(PruneManager, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(PruneManager, name, wrapper)
+
+    counted("__init__")
+    counted("snapshot")
+    out = tmp_path / "run"
+    assert main(["train", "--config", _write(tmp_path, _toy_config(str(out)))]) == 0
+    assert calls["__init__"] == 2                  # the run's own and the report's
+    calls.update({"__init__": 0, "snapshot": 0})
+    assert main(["report", "--checkpoint", str(out / "checkpoint")]) == 0
+    assert calls == {"__init__": 1, "snapshot": 1}
 
 
 # one tiny model per arch; more resnet-small image sides are in _GRID below
